@@ -67,17 +67,6 @@ fn bench_secsum(c: &mut Criterion) {
     });
 }
 
-fn bench_offline_phase(c: &mut Criterion) {
-    c.bench_function("mpc/ot_transfer", |b| {
-        let mut rng = StdRng::seed_from_u64(11);
-        b.iter(|| eppi_mpc::ot::transfer(0xAAAA, 0x5555, true, &mut rng))
-    });
-    c.bench_function("mpc/ot_triples_3party_x8", |b| {
-        let mut rng = StdRng::seed_from_u64(12);
-        b.iter(|| eppi_mpc::triples::generate_triples(3, 8, &mut rng))
-    });
-}
-
 fn bench_naive_circuit(c: &mut Criterion) {
     use eppi_mpc::circuits::{FixedPoint, NaiveConstructionCircuit};
     let fp = FixedPoint { frac_bits: 8 };
@@ -98,59 +87,11 @@ fn bench_naive_circuit(c: &mut Criterion) {
     });
 }
 
-fn bench_garbled(c: &mut Criterion) {
-    use eppi_mpc::garble::{evaluate, garble};
-    let thresholds = vec![100u64; 8];
-    let cc = CountBelowCircuit::build(2, &thresholds, 10);
-    c.bench_function("mpc/garble_countbelow_c2_n8", |b| {
-        let mut rng = StdRng::seed_from_u64(21);
-        b.iter(|| garble(cc.circuit(), &mut rng))
-    });
-    let mut rng = StdRng::seed_from_u64(22);
-    let (garbled, labels) = garble(cc.circuit(), &mut rng);
-    let encoded: Vec<u64> = (0..cc.circuit().inputs())
-        .map(|w| labels.encode(w, w % 3 == 0))
-        .collect();
-    c.bench_function("mpc/evaluate_garbled_countbelow", |b| {
-        b.iter(|| evaluate(cc.circuit(), &garbled, &encoded))
-    });
-}
-
-fn bench_arith(c: &mut Criterion) {
-    use eppi_mpc::arith::{execute_arith, ArithBuilder};
-    let q = Modulus::new(1_000_003);
-    let mut ab = ArithBuilder::new(q);
-    let xs: Vec<usize> = (0..16).map(|_| ab.input()).collect();
-    // Inner product with itself: 16 secret multiplications.
-    let prods: Vec<usize> = xs.iter().map(|&x| ab.mul(x, x)).collect();
-    let total = ab.sum(&prods);
-    let circuit = ab.finish(vec![total]);
-    let mut rng = StdRng::seed_from_u64(23);
-    let shares: Vec<Vec<u64>> = {
-        let values: Vec<u64> = (0..16).map(|i| i * 31).collect();
-        let mut per = vec![vec![0u64; 16]; 3];
-        for (w, &v) in values.iter().enumerate() {
-            let s = split(v, 3, q, &mut rng);
-            for (p, &sv) in s.values().iter().enumerate() {
-                per[p][w] = sv;
-            }
-        }
-        per
-    };
-    c.bench_function("mpc/arith_inner_product_3party_x16", |b| {
-        let mut rng = StdRng::seed_from_u64(24);
-        b.iter(|| execute_arith(&circuit, &shares, &mut rng))
-    });
-}
-
 criterion_group!(
     mpc,
     bench_circuit_build,
     bench_gmw,
     bench_secsum,
-    bench_offline_phase,
-    bench_naive_circuit,
-    bench_garbled,
-    bench_arith
+    bench_naive_circuit
 );
 criterion_main!(mpc);

@@ -70,6 +70,25 @@ pub struct CircuitStats {
     pub and_depth: usize,
 }
 
+impl CircuitStats {
+    /// The combined figure of two circuits evaluated as one stage:
+    /// wire and gate counts sum, depths take the maximum.
+    #[must_use]
+    pub fn merge(self, other: CircuitStats) -> CircuitStats {
+        CircuitStats {
+            inputs: self.inputs + other.inputs,
+            outputs: self.outputs + other.outputs,
+            total_gates: self.total_gates + other.total_gates,
+            and_gates: self.and_gates + other.and_gates,
+            xor_gates: self.xor_gates + other.xor_gates,
+            not_gates: self.not_gates + other.not_gates,
+            const_gates: self.const_gates + other.const_gates,
+            depth: self.depth.max(other.depth),
+            and_depth: self.and_depth.max(other.and_depth),
+        }
+    }
+}
+
 /// An immutable Boolean circuit.
 ///
 /// Build one with [`crate::builder::CircuitBuilder`]; evaluate it in

@@ -20,8 +20,7 @@
 
 use crate::circuit::{Circuit, InputLayout};
 use crate::gmw_core::{
-    deal_packed_triples, logical_bits, protocol_rounds, run_lockstep, PartyCore, PartyTriples,
-    Schedule,
+    deal_packed_triples, logical_bits, protocol_rounds, run_lockstep, PartyCore, Schedule,
 };
 use eppi_net::transport::InProcessTransport;
 use rand::Rng;
@@ -88,45 +87,6 @@ pub fn execute<R: Rng + ?Sized>(
     inputs: &[Vec<bool>],
     rng: &mut R,
 ) -> (Vec<bool>, GmwStats) {
-    execute_inner(circuit, layout, inputs, rng, None)
-}
-
-/// Like [`execute`], but consuming pre-generated Beaver triples (e.g.
-/// from the dealer-free OT-based offline phase,
-/// [`crate::triples::generate_triples`]) instead of the trusted dealer.
-///
-/// # Panics
-///
-/// Panics if the batch has the wrong party count or fewer triples than
-/// the circuit has AND gates, in addition to [`execute`]'s conditions.
-pub fn execute_with_triples<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    layout: &InputLayout,
-    inputs: &[Vec<bool>],
-    batch: &crate::triples::TripleBatch,
-    rng: &mut R,
-) -> (Vec<bool>, GmwStats) {
-    assert_eq!(
-        batch.parties(),
-        layout.parties(),
-        "triple batch party count"
-    );
-    assert!(
-        batch.len() >= circuit.stats().and_gates,
-        "batch has {} triples but the circuit needs {}",
-        batch.len(),
-        circuit.stats().and_gates
-    );
-    execute_inner(circuit, layout, inputs, rng, Some(batch))
-}
-
-fn execute_inner<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    layout: &InputLayout,
-    inputs: &[Vec<bool>],
-    rng: &mut R,
-    pregenerated: Option<&crate::triples::TripleBatch>,
-) -> (Vec<bool>, GmwStats) {
     assert_eq!(
         layout.total_inputs(),
         circuit.inputs(),
@@ -134,12 +94,7 @@ fn execute_inner<R: Rng + ?Sized>(
     );
     let parties = layout.parties();
     let sched = Schedule::new(circuit);
-    let mut triples: Vec<PartyTriples> = match pregenerated {
-        Some(batch) => (0..parties)
-            .map(|p| PartyTriples::from_batch(&sched, batch, p))
-            .collect(),
-        None => deal_packed_triples(parties, &sched, rng),
-    };
+    let mut triples = deal_packed_triples(parties, &sched, rng);
     let mut cores: Vec<PartyCore<'_>> = (0..parties)
         .map(|p| PartyCore::new(circuit, layout, &sched, p, std::mem::take(&mut triples[p])))
         .collect();
@@ -303,44 +258,6 @@ mod tests {
         expect_bytes += 2 * 12; // output opening, one 1-bit batch each way
         assert_eq!(stats.bytes, expect_bytes);
         assert_eq!(stats.messages, 2 + 2 * layers.len() as u64 + 2);
-    }
-
-    #[test]
-    fn ot_generated_triples_evaluate_correctly() {
-        // The dealer-free offline phase feeds the same online phase.
-        let mut cb = CircuitBuilder::new();
-        let a = cb.input_word(4);
-        let b = cb.input_word(4);
-        let sum = cb.add_words_expand(&a, &b);
-        let circuit = cb.finish_word(sum);
-        let layout = InputLayout::new(vec![4, 4]);
-        let mut rng = StdRng::seed_from_u64(99);
-        let and_gates = circuit.stats().and_gates;
-        let batch = crate::triples::generate_triples(2, and_gates, &mut rng);
-        let inputs = vec![to_bits(11, 4), to_bits(6, 4)];
-        let (out, stats) = execute_with_triples(&circuit, &layout, &inputs, &batch, &mut rng);
-        assert_eq!(word_value(&out), 17);
-        assert_eq!(stats.triples_used, and_gates);
-    }
-
-    #[test]
-    #[should_panic(expected = "triples but the circuit needs")]
-    fn insufficient_triples_rejected() {
-        let mut cb = CircuitBuilder::new();
-        let a = cb.input();
-        let b = cb.input();
-        let ab = cb.and(a, b);
-        let circuit = cb.finish(vec![ab]);
-        let layout = InputLayout::new(vec![1, 1]);
-        let mut rng = StdRng::seed_from_u64(0);
-        let batch = crate::triples::generate_triples(2, 0, &mut rng);
-        execute_with_triples(
-            &circuit,
-            &layout,
-            &[vec![true], vec![true]],
-            &batch,
-            &mut rng,
-        );
     }
 
     #[test]

@@ -31,7 +31,6 @@
 
 use crate::circuit::{Circuit, Gate, InputLayout};
 use crate::packed::{mask_tail, words_for, PackedBits};
-use crate::triples::TripleBatch;
 use eppi_net::transport::{PackedBatch, Transport};
 use rand::Rng;
 use std::time::{Duration, Instant};
@@ -108,8 +107,7 @@ impl Schedule {
         self.levels.iter().filter(|l| !l.ands.is_empty()).count()
     }
 
-    /// The dense triple index of AND gate `gate` (gate-list order, the
-    /// order [`TripleBatch`] is consumed in).
+    /// The dense triple index of AND gate `gate` (gate-list order).
     ///
     /// # Panics
     ///
@@ -163,51 +161,6 @@ pub struct PartyTriples {
 }
 
 impl PartyTriples {
-    /// This party's shares of `batch` (per-gate [`crate::triples`]
-    /// shares, e.g. from the OT-based offline phase), repacked into the
-    /// schedule's per-level word layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch holds fewer triples than the schedule's AND
-    /// gates or `party` is out of range.
-    pub fn from_batch(sched: &Schedule, batch: &TripleBatch, party: usize) -> PartyTriples {
-        let shares = batch.party(party);
-        assert!(
-            shares.len() >= sched.and_gates(),
-            "batch has {} triples but the schedule needs {}",
-            shares.len(),
-            sched.and_gates()
-        );
-        let layers = sched
-            .levels()
-            .iter()
-            .map(|layer| {
-                let words = words_for(layer.ands.len());
-                let mut t = LayerTriples {
-                    a: vec![0; words],
-                    b: vec![0; words],
-                    c: vec![0; words],
-                };
-                for (i, &k) in layer.ands.iter().enumerate() {
-                    let s = shares[sched.triple_index(k)];
-                    let mask = 1u64 << (i % 64);
-                    if s.a {
-                        t.a[i / 64] |= mask;
-                    }
-                    if s.b {
-                        t.b[i / 64] |= mask;
-                    }
-                    if s.c {
-                        t.c[i / 64] |= mask;
-                    }
-                }
-                t
-            })
-            .collect();
-        PartyTriples { layers }
-    }
-
     /// Number of schedule levels these triples cover.
     pub fn layer_count(&self) -> usize {
         self.layers.len()
@@ -1044,26 +997,6 @@ mod tests {
         });
         assert_eq!(word_value(&results[0]), 53);
         assert_eq!(results[0], results[1]);
-    }
-
-    #[test]
-    fn pregenerated_triples_repack_correctly() {
-        let (circuit, layout) = adder();
-        let sched = Schedule::new(&circuit);
-        let mut rng = StdRng::seed_from_u64(7);
-        let batch = crate::triples::generate_triples(2, sched.and_gates(), &mut rng);
-        let mut cores: Vec<PartyCore<'_>> = (0..2)
-            .map(|p| {
-                let t = PartyTriples::from_batch(&sched, &batch, p);
-                PartyCore::new(&circuit, &layout, &sched, p, t)
-            })
-            .collect();
-        let inputs = [to_bits(12, 6), to_bits(30, 6)];
-        let mut hub = InProcessTransport::hub(2);
-        let out = run_lockstep(&mut cores, &mut hub, |p, core| {
-            core.share_inputs(&inputs[p], &mut rng)
-        });
-        assert_eq!(word_value(&out), 42);
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //!   communication accounting (rounds, bits, messages). The protocol
 //!   itself lives in one place, [`gmw_core`]: a bit-packed ([`packed`],
 //!   64 wires per `u64` word) sans-io party state machine that every
-//!   execution backend — in-process ([`gmw`]), round-simulated and
-//!   threaded (`eppi-protocol`) — drives through a transport
-//!   (`eppi_net::transport::Transport`).
+//!   execution backend — in-process ([`gmw`]), round-simulated,
+//!   threaded and pipelined (`eppi-protocol`) — drives through a
+//!   transport (`eppi_net::transport::Transport`). Packed GMW is the
+//!   only engine: the crate carries no second protocol (Yao,
+//!   arithmetic circuits, OT) that no construction path calls.
 //!
 //! The ε-PPI domain circuits (CountBelow of Algorithm 2, the
 //! mix-decision pass, and the whole-construction *pure MPC* baseline)
@@ -46,19 +48,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arith;
 pub mod builder;
 pub mod circuit;
 pub mod circuits;
 pub mod field;
-pub mod garble;
 pub mod gmw;
 pub mod gmw_core;
-pub mod ot;
 pub mod packed;
 pub mod share;
 pub mod stage;
-pub mod triples;
 
 pub use circuit::{Circuit, CircuitStats, Gate, InputLayout, WireId};
 pub use circuits::{
@@ -71,4 +69,3 @@ pub use gmw_core::{PartyCore, Schedule};
 pub use packed::PackedBits;
 pub use share::{add_shares, recombine, split, Shares};
 pub use stage::{GmwStages, PartyStages, StageOutput, TripleFeed};
-pub use triples::{generate_triples, TripleBatch, TripleShare};

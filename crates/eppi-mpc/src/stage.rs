@@ -90,8 +90,8 @@ pub trait TripleFeed {
     }
 }
 
-/// A feed over triples dealt up front ([`crate::gmw_core::deal_packed_triples`]
-/// or the OT-based batch) — the classic offline phase.
+/// A feed over triples dealt up front
+/// ([`crate::gmw_core::deal_packed_triples`]) — the classic offline phase.
 #[derive(Debug, Default)]
 pub struct PreloadedTriples {
     layers: VecDeque<LayerTriples>,

@@ -26,7 +26,6 @@
 //! exactly what stays hidden from the protocol participants.
 
 use crate::countbelow::{run_count_below, run_mix_decision, Backend, StageReport};
-use crate::secsum::{secsumshare_sim, secsumshare_threaded_stats};
 use eppi_core::error::EppiError;
 use eppi_core::mixing::lambda_for;
 use eppi_core::model::{Epsilon, MembershipMatrix, PublishedIndex};
@@ -254,19 +253,9 @@ pub(crate) fn construct_full(
     // Phase 1.1 — SecSumShare across all m providers.
     let phase = Instant::now();
     let vectors: Vec<_> = matrix.provider_ids().map(|p| matrix.row(p)).collect();
-    // The full batch rides the same backend split as the delta path:
-    // thread-backed backends sum over real threads, the simulated ones
-    // keep the round simulator. Per-provider seeding is identical, so
-    // the shares — and every downstream bit — do not depend on this
-    // choice.
-    let secsum = match config.backend {
-        crate::Backend::Threaded | crate::Backend::Pipelined { .. } => {
-            secsumshare_threaded_stats(&vectors, config.c, modulus, config.seed)
-        }
-        crate::Backend::InProcess | crate::Backend::Simulated => {
-            secsumshare_sim(&vectors, config.c, modulus, config.link, config.seed)
-        }
-    };
+    let secsum = config
+        .backend
+        .secsumshare(&vectors, config.c, modulus, config.link, config.seed);
     let secsum_wall = phase.elapsed();
 
     // Phase 1.2a — CountBelow among the c coordinators.
@@ -426,6 +415,35 @@ mod tests {
         assert!(out.common_count >= 1);
         assert_eq!(out.index.query(OwnerId(0)).len(), 40);
         assert!(out.decisions[0]);
+    }
+
+    #[test]
+    fn zero_owners_build_the_empty_index_on_every_backend() {
+        // A zero-column batch is zero lanes: no circuit is compiled, and
+        // the distributed protocol agrees with the centralized
+        // construction, which returns the empty index.
+        use crate::epoch::construct_epoch;
+        let mat = MembershipMatrix::new(8, 0);
+        for backend in [
+            Backend::InProcess,
+            Backend::Threaded,
+            Backend::Simulated,
+            Backend::Pipelined { workers: 2 },
+        ] {
+            let cfg = ProtocolConfig {
+                backend,
+                ..ProtocolConfig::default()
+            };
+            let out = construct_distributed(&mat, &[], &cfg).unwrap();
+            assert_eq!(out.index.matrix(), &mat, "{backend:?}");
+            assert!(out.index.betas().is_empty() && out.decisions.is_empty());
+            assert_eq!((out.common_count, out.lambda), (0, 0.0), "{backend:?}");
+            assert_eq!(out.report.count_stage, StageReport::default());
+            assert_eq!(out.report.mix_stage, StageReport::default());
+            let epoch = construct_epoch(&mat, &[], &cfg).unwrap();
+            assert_eq!(epoch.index(), &out.index, "{backend:?}");
+            assert_eq!((epoch.common_count(), epoch.lambda()), (0, 0.0));
+        }
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! The generic-MPC stage among the `c` coordinators (Alg. 1 stage 2).
 //!
-//! Drives the compiled CountBelow and mix-decision circuits through one
-//! of four MPC backends:
+//! Packed GMW (`eppi_mpc::gmw_core`) is the only MPC engine; what
+//! varies is how it is run. [`Backend::execute`] is the single place
+//! that knows, and [`run_count_below`] / [`run_mix_decision_for_owners`]
+//! are written once on top of it: split the columns into the backend's
+//! lanes, compile one circuit per lane, encode, execute, decode. The
+//! four backends:
 //!
 //! * [`Backend::InProcess`] — the single-threaded reference evaluator
 //!   (`eppi_mpc::gmw`), exact and fast, used by tests and large sweeps;
@@ -18,20 +22,24 @@
 //!   per-column indicators and the mix coins are keyed by global owner
 //!   id.
 //!
-//! All produce identical results; only the reported cost differs (the
-//! pipelined backend's `circuit` stats merge the per-lane circuits:
-//! gate counts are summed, depths maxed).
+//! All produce identical results; only the reported cost differs (a
+//! multi-lane stage's `circuit` stats merge the per-lane circuits:
+//! gate counts are summed, depths maxed). The SecSumShare runtime that
+//! goes with each backend is [`Backend::secsumshare`].
 
-use crate::pipelined_gmw::{execute_pipelined, LaneSpec, PipelineConfig, PipelineReport};
+use crate::pipelined_gmw::{execute_pipelined, LaneSpec, PipelineConfig};
+use crate::secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
 use crate::sim_gmw::execute_simulated;
 use crate::threaded_gmw::execute_threaded;
-use eppi_core::model::OwnerId;
-use eppi_mpc::circuit::CircuitStats;
+use eppi_core::model::{LocalVector, OwnerId};
+use eppi_mpc::circuit::{Circuit, CircuitStats, InputLayout};
 use eppi_mpc::circuits::{lambda_threshold, CountBelowCircuit, MixDecisionCircuit};
+use eppi_mpc::field::Modulus;
 use eppi_mpc::gmw;
 use eppi_net::sim::LinkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// Which MPC engine executes the coordinator circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,54 +61,149 @@ pub enum Backend {
     },
 }
 
-/// Per-lane seed spread of the pipelined backend: lane `i` of a batch
-/// seeded `s` runs as a standalone circuit seeded `lane_seed(s, i)`.
+impl Backend {
+    /// Evaluates every lane's circuit on this backend — the one place
+    /// that knows how a backend runs circuits. Returns the lanes' opened
+    /// outputs in lane order and the stage cost: traffic summed over the
+    /// lanes, `circuit` their [`CircuitStats::merge`]. The lockstep
+    /// backends run the lanes one after another, the pipelined backend
+    /// concurrently over one shared network; an empty batch costs
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane's inputs disagree with its layout or its layout
+    /// with its circuit.
+    pub fn execute(self, lanes: &[LaneSpec<'_>]) -> (Vec<Vec<bool>>, StageReport) {
+        let mut report = StageReport {
+            circuit: lanes
+                .iter()
+                .map(|l| l.circuit.stats())
+                .fold(CircuitStats::default(), CircuitStats::merge),
+            ..StageReport::default()
+        };
+        let mut traffic = |messages: u64, bits: u64, bytes: u64, simulated_us: f64| {
+            report.messages += messages;
+            report.bits += bits;
+            report.bytes += bytes;
+            report.simulated_us += simulated_us;
+        };
+        let outputs = match self {
+            Backend::InProcess => lanes
+                .iter()
+                .map(|l| {
+                    let mut rng = StdRng::seed_from_u64(l.seed);
+                    let (out, g) = gmw::execute(l.circuit, l.layout, l.inputs, &mut rng);
+                    traffic(g.messages, g.bits_sent, g.bytes, 0.0);
+                    out
+                })
+                .collect(),
+            Backend::Threaded => lanes
+                .iter()
+                .map(|l| {
+                    let (out, r) = execute_threaded(l.circuit, l.layout, l.inputs, l.seed);
+                    traffic(r.messages, r.bits_sent, r.bytes, 0.0);
+                    out
+                })
+                .collect(),
+            Backend::Simulated => lanes
+                .iter()
+                .map(|l| {
+                    let (out, net) =
+                        execute_simulated(l.circuit, l.layout, l.inputs, LinkModel::LAN, l.seed);
+                    traffic(net.messages, net.bits, net.bytes, net.simulated_us);
+                    out
+                })
+                .collect(),
+            Backend::Pipelined { workers } => {
+                let (outs, r) = execute_pipelined(lanes, &PipelineConfig::with_workers(workers))
+                    .expect("in-process pipeline cannot lose a party");
+                traffic(r.messages, r.bits_sent, r.bytes, 0.0);
+                outs
+            }
+        };
+        (outputs, report)
+    }
+
+    /// Runs SecSumShare on this backend's runtime: the wall-clock
+    /// backends (threaded, pipelined) sum over real threads, the others
+    /// keep the round simulator under `link`. Per-provider seeding is
+    /// identical, so the shares — and every downstream bit — do not
+    /// depend on this choice.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`secsumshare_sim`].
+    pub fn secsumshare(
+        self,
+        vectors: &[LocalVector],
+        c: usize,
+        modulus: Modulus,
+        link: LinkModel,
+        seed: u64,
+    ) -> SecSumOutput {
+        match self {
+            Backend::Threaded | Backend::Pipelined { .. } => {
+                secsumshare_threaded_stats(vectors, c, modulus, seed)
+            }
+            Backend::InProcess | Backend::Simulated => {
+                secsumshare_sim(vectors, c, modulus, link, seed)
+            }
+        }
+    }
+
+    /// Splits a batch of `columns` columns into this backend's lanes
+    /// (contiguous column ranges, in order): the pipelined backend
+    /// spreads the batch over enough lanes to keep every worker busy
+    /// with headroom, never more than columns; the lockstep backends run
+    /// it as one circuit. A zero-column batch is zero lanes.
+    fn lane_ranges(self, columns: usize) -> Vec<Range<usize>> {
+        if columns == 0 {
+            return Vec::new();
+        }
+        let lanes = match self {
+            Backend::Pipelined { workers } => (workers.max(1) * 2).min(columns),
+            _ => 1,
+        };
+        let chunk = columns.div_ceil(lanes);
+        (0..columns)
+            .step_by(chunk)
+            .map(|lo| lo..(lo + chunk).min(columns))
+            .collect()
+    }
+}
+
+/// Seed of lane `i` in a batch seeded `s`: each lane runs as a
+/// standalone circuit with its own dealer and party randomness.
 fn lane_seed(seed: u64, lane: usize) -> u64 {
     seed ^ (lane as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Lane count for a pipelined batch of `columns` columns: enough lanes
-/// to keep every worker busy with headroom, never more than columns.
-fn lane_count(columns: usize, workers: usize) -> usize {
-    (workers.max(1) * 2).min(columns.max(1))
-}
-
-/// Merges per-lane circuit statistics: gate and wire counts sum, depths
-/// max (lanes run concurrently).
-fn merge_stats(per_lane: impl IntoIterator<Item = CircuitStats>) -> CircuitStats {
-    per_lane
-        .into_iter()
-        .fold(CircuitStats::default(), |mut acc, s| {
-            acc.inputs += s.inputs;
-            acc.outputs += s.outputs;
-            acc.total_gates += s.total_gates;
-            acc.and_gates += s.and_gates;
-            acc.xor_gates += s.xor_gates;
-            acc.not_gates += s.not_gates;
-            acc.const_gates += s.const_gates;
-            acc.depth = acc.depth.max(s.depth);
-            acc.and_depth = acc.and_depth.max(s.and_depth);
-            acc
+/// Assembles the batch `backend.execute` runs: lane `i` evaluates
+/// `circuits[i]` on `inputs[i]` (one bit vector per party).
+fn lane_specs<'a>(
+    circuits: impl Iterator<Item = (&'a Circuit, &'a InputLayout)>,
+    inputs: &'a [Vec<Vec<bool>>],
+    seed: u64,
+) -> Vec<LaneSpec<'a>> {
+    circuits
+        .zip(inputs)
+        .enumerate()
+        .map(|(i, ((circuit, layout), inputs))| LaneSpec {
+            circuit,
+            layout,
+            inputs,
+            seed: lane_seed(seed, i),
         })
-}
-
-/// Maps a pipeline run's report (plus the merged circuit stats) onto
-/// the stage-report shape shared by all backends.
-fn pipeline_stage_report(circuit: CircuitStats, report: &PipelineReport) -> StageReport {
-    StageReport {
-        circuit,
-        messages: report.messages,
-        bits: report.bits_sent,
-        bytes: report.bytes,
-        simulated_us: 0.0,
-    }
+        .collect()
 }
 
 /// Cost report of one secure stage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageReport {
     /// Statistics of the compiled circuit (the paper's circuit-size
-    /// metric).
+    /// metric); for a multi-lane stage the [`CircuitStats::merge`] of
+    /// the lane circuits.
     pub circuit: CircuitStats,
     /// Messages exchanged during evaluation.
     pub messages: u64,
@@ -114,75 +217,40 @@ pub struct StageReport {
     pub simulated_us: f64,
 }
 
-fn run_circuit(
-    circuit: &eppi_mpc::circuit::Circuit,
-    layout: &eppi_mpc::circuit::InputLayout,
-    inputs: &[Vec<bool>],
-    backend: Backend,
-    seed: u64,
-) -> (Vec<bool>, StageReport) {
-    let stats = circuit.stats();
-    match backend {
-        Backend::InProcess => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (out, gstats) = gmw::execute(circuit, layout, inputs, &mut rng);
-            (
-                out,
-                StageReport {
-                    circuit: stats,
-                    messages: gstats.messages,
-                    bits: gstats.bits_sent,
-                    bytes: gstats.bytes,
-                    ..StageReport::default()
-                },
-            )
-        }
-        Backend::Threaded => {
-            let (out, report) = execute_threaded(circuit, layout, inputs, seed);
-            (
-                out,
-                StageReport {
-                    circuit: stats,
-                    messages: report.messages,
-                    bits: report.bits_sent,
-                    bytes: report.bytes,
-                    ..StageReport::default()
-                },
-            )
-        }
-        Backend::Simulated => {
-            let (out, net) = execute_simulated(circuit, layout, inputs, LinkModel::LAN, seed);
-            (
-                out,
-                StageReport {
-                    circuit: stats,
-                    messages: net.messages,
-                    bits: net.bits,
-                    bytes: net.bytes,
-                    simulated_us: net.simulated_us,
-                },
-            )
-        }
-        Backend::Pipelined { workers } => {
-            let lanes = [LaneSpec {
-                circuit,
-                layout,
-                inputs,
-                seed,
-            }];
-            let (mut outs, report) =
-                execute_pipelined(&lanes, &PipelineConfig::with_workers(workers))
-                    .expect("in-process pipeline cannot lose a party");
-            (outs.swap_remove(0), pipeline_stage_report(stats, &report))
+impl StageReport {
+    /// The cost of two stages run back to back: traffic and simulated
+    /// time add, circuit statistics [`CircuitStats::merge`].
+    #[must_use]
+    pub fn merge(self, other: StageReport) -> StageReport {
+        StageReport {
+            circuit: self.circuit.merge(other.circuit),
+            messages: self.messages + other.messages,
+            bits: self.bits + other.bits,
+            bytes: self.bytes + other.bytes,
+            simulated_us: self.simulated_us + other.simulated_us,
         }
     }
+}
+
+fn check_shares(coordinator_shares: &[Vec<u64>], columns: usize) {
+    assert!(
+        !coordinator_shares.is_empty(),
+        "at least one coordinator required"
+    );
+    assert!(
+        coordinator_shares.iter().all(|v| v.len() == columns),
+        "share vectors must match the threshold count"
+    );
 }
 
 /// Runs the CountBelow MPC: returns the number of common identities
 /// (`Σ_{σ ≥ σ'} 1`) without revealing which identities are common.
 ///
 /// `coordinator_shares[k][j]` is coordinator `k`'s additive share of
-/// identity `j`'s frequency over `Z_{2^width}`.
+/// identity `j`'s frequency over `Z_{2^width}`. The columns run as
+/// `backend`'s lanes, one CountBelow sub-circuit each; the per-lane
+/// counts sum to exactly the single-circuit count. No columns, no MPC:
+/// the count is 0 at zero cost.
 ///
 /// # Panics
 ///
@@ -195,80 +263,35 @@ pub fn run_count_below(
     backend: Backend,
     seed: u64,
 ) -> (u64, StageReport) {
+    check_shares(coordinator_shares, thresholds.len());
     let c = coordinator_shares.len();
-    assert!(c >= 1, "at least one coordinator required");
-    assert!(
-        coordinator_shares
-            .iter()
-            .all(|v| v.len() == thresholds.len()),
-        "share vectors must match the threshold count"
-    );
-    if let Backend::Pipelined { workers } = backend {
-        if thresholds.len() > 1 {
-            return run_count_below_pipelined(coordinator_shares, thresholds, width, workers, seed);
-        }
-    }
-    let cc = CountBelowCircuit::build(c, thresholds, width);
-    let inputs: Vec<Vec<bool>> = coordinator_shares
-        .iter()
-        .map(|s| cc.encode_party_input(s))
-        .collect();
-    let (out, report) = run_circuit(cc.circuit(), cc.layout(), &inputs, backend, seed);
-    (cc.decode_count(&out), report)
-}
-
-/// The multi-lane CountBelow: columns are chunked into independent
-/// lanes (one CountBelow sub-circuit each) and run concurrently; the
-/// per-lane counts sum to exactly the single-circuit count.
-fn run_count_below_pipelined(
-    coordinator_shares: &[Vec<u64>],
-    thresholds: &[u64],
-    width: usize,
-    workers: usize,
-    seed: u64,
-) -> (u64, StageReport) {
-    let c = coordinator_shares.len();
-    let ncols = thresholds.len();
-    let lanes_n = lane_count(ncols, workers);
-    let chunk = ncols.div_ceil(lanes_n);
-    let ranges: Vec<(usize, usize)> = (0..ncols)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(ncols)))
-        .collect();
+    let ranges = backend.lane_ranges(thresholds.len());
     let circuits: Vec<CountBelowCircuit> = ranges
         .iter()
-        .map(|&(lo, hi)| CountBelowCircuit::build(c, &thresholds[lo..hi], width))
+        .map(|r| CountBelowCircuit::build(c, &thresholds[r.clone()], width))
         .collect();
-    let lane_inputs: Vec<Vec<Vec<bool>>> = ranges
+    let inputs: Vec<Vec<Vec<bool>>> = ranges
         .iter()
         .zip(&circuits)
-        .map(|(&(lo, hi), cc)| {
+        .map(|(r, cc)| {
             coordinator_shares
                 .iter()
-                .map(|s| cc.encode_party_input(&s[lo..hi]))
+                .map(|s| cc.encode_party_input(&s[r.clone()]))
                 .collect()
         })
         .collect();
-    let specs: Vec<LaneSpec<'_>> = circuits
-        .iter()
-        .zip(&lane_inputs)
-        .enumerate()
-        .map(|(i, (cc, inputs))| LaneSpec {
-            circuit: cc.circuit(),
-            layout: cc.layout(),
-            inputs,
-            seed: lane_seed(seed, i),
-        })
-        .collect();
-    let (outs, report) = execute_pipelined(&specs, &PipelineConfig::with_workers(workers))
-        .expect("in-process pipeline cannot lose a party");
-    let count: u64 = outs
+    let lanes = lane_specs(
+        circuits.iter().map(|cc| (cc.circuit(), cc.layout())),
+        &inputs,
+        seed,
+    );
+    let (outs, report) = backend.execute(&lanes);
+    let count = outs
         .iter()
         .zip(&circuits)
         .map(|(out, cc)| cc.decode_count(out))
         .sum();
-    let stats = merge_stats(circuits.iter().map(|cc| cc.circuit().stats()));
-    (count, pipeline_stage_report(stats, &report))
+    (count, report)
 }
 
 /// Coordinator `k`'s coin contribution for `owner`: `coin_bits` uniform
@@ -330,7 +353,10 @@ pub fn run_mix_decision(
 /// `owners[j]`, and the coordinator coins are keyed by that id. A full
 /// construction passes `owners = [0, 1, …, n-1]`; a delta construction
 /// passes only its touched columns and gets the same coins — and hence
-/// the same decisions — a from-scratch run would produce for them.
+/// the same decisions — a from-scratch run would produce for them. For
+/// the same reason the split into `backend`'s lanes is exact: each lane
+/// reproduces the coins of its columns, and the decisions concatenate
+/// in column order.
 ///
 /// # Panics
 ///
@@ -347,127 +373,54 @@ pub fn run_mix_decision_for_owners(
     backend: Backend,
     seed: u64,
 ) -> (Vec<bool>, StageReport) {
-    let c = coordinator_shares.len();
-    assert!(c >= 1, "at least one coordinator required");
-    assert!(
-        coordinator_shares
-            .iter()
-            .all(|v| v.len() == thresholds.len()),
-        "share vectors must match the threshold count"
-    );
+    check_shares(coordinator_shares, thresholds.len());
     assert_eq!(
         owners.len(),
         thresholds.len(),
         "one owner id per column required"
     );
-    if let Backend::Pipelined { workers } = backend {
-        if thresholds.len() > 1 {
-            return run_mix_decision_pipelined(
-                coordinator_shares,
-                thresholds,
-                owners,
-                width,
-                coin_bits,
-                lambda,
-                workers,
-                seed,
-            );
-        }
-    }
-    let mc = MixDecisionCircuit::build(
-        c,
-        thresholds,
-        width,
-        coin_bits,
-        lambda_threshold(lambda, coin_bits),
-    );
-    let inputs: Vec<Vec<bool>> = coordinator_shares
-        .iter()
-        .enumerate()
-        .map(|(k, s)| {
-            let coins: Vec<u64> = owners
-                .iter()
-                .map(|&owner| mix_coin(seed, k, owner, coin_bits))
-                .collect();
-            mc.encode_party_input(s, &coins)
-        })
-        .collect();
-    let (out, report) = run_circuit(mc.circuit(), mc.layout(), &inputs, backend, seed ^ 0xdec);
-    (mc.decode_decisions(&out), report)
-}
-
-/// The multi-lane mix decision: columns are chunked into independent
-/// lanes and run concurrently, decisions concatenated in column order.
-/// Exact, because the coordinator coins are keyed by global owner id —
-/// a lane reproduces precisely the coins the single circuit would use
-/// for its columns.
-#[allow(clippy::too_many_arguments)]
-fn run_mix_decision_pipelined(
-    coordinator_shares: &[Vec<u64>],
-    thresholds: &[u64],
-    owners: &[OwnerId],
-    width: usize,
-    coin_bits: usize,
-    lambda: f64,
-    workers: usize,
-    seed: u64,
-) -> (Vec<bool>, StageReport) {
     let c = coordinator_shares.len();
-    let ncols = thresholds.len();
-    let lanes_n = lane_count(ncols, workers);
-    let chunk = ncols.div_ceil(lanes_n);
-    let ranges: Vec<(usize, usize)> = (0..ncols)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(ncols)))
-        .collect();
     let lam = lambda_threshold(lambda, coin_bits);
+    let ranges = backend.lane_ranges(thresholds.len());
     let circuits: Vec<MixDecisionCircuit> = ranges
         .iter()
-        .map(|&(lo, hi)| MixDecisionCircuit::build(c, &thresholds[lo..hi], width, coin_bits, lam))
+        .map(|r| MixDecisionCircuit::build(c, &thresholds[r.clone()], width, coin_bits, lam))
         .collect();
-    let lane_inputs: Vec<Vec<Vec<bool>>> = ranges
+    let inputs: Vec<Vec<Vec<bool>>> = ranges
         .iter()
         .zip(&circuits)
-        .map(|(&(lo, hi), mc)| {
+        .map(|(r, mc)| {
             coordinator_shares
                 .iter()
                 .enumerate()
                 .map(|(k, s)| {
-                    let coins: Vec<u64> = owners[lo..hi]
+                    let coins: Vec<u64> = owners[r.clone()]
                         .iter()
                         .map(|&owner| mix_coin(seed, k, owner, coin_bits))
                         .collect();
-                    mc.encode_party_input(&s[lo..hi], &coins)
+                    mc.encode_party_input(&s[r.clone()], &coins)
                 })
                 .collect()
         })
         .collect();
-    let specs: Vec<LaneSpec<'_>> = circuits
-        .iter()
-        .zip(&lane_inputs)
-        .enumerate()
-        .map(|(i, (mc, inputs))| LaneSpec {
-            circuit: mc.circuit(),
-            layout: mc.layout(),
-            inputs,
-            seed: lane_seed(seed ^ 0xdec, i),
-        })
-        .collect();
-    let (outs, report) = execute_pipelined(&specs, &PipelineConfig::with_workers(workers))
-        .expect("in-process pipeline cannot lose a party");
-    let decisions: Vec<bool> = outs
+    let lanes = lane_specs(
+        circuits.iter().map(|mc| (mc.circuit(), mc.layout())),
+        &inputs,
+        seed ^ 0xdec,
+    );
+    let (outs, report) = backend.execute(&lanes);
+    let decisions = outs
         .iter()
         .zip(&circuits)
         .flat_map(|(out, mc)| mc.decode_decisions(out))
         .collect();
-    let stats = merge_stats(circuits.iter().map(|mc| mc.circuit().stats()));
-    (decisions, pipeline_stage_report(stats, &report))
+    (decisions, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eppi_mpc::field::Modulus;
+    use eppi_mpc::gmw_core::logical_bits;
     use eppi_mpc::share::split;
 
     fn share_out(freqs: &[u64], c: usize, width: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -483,32 +436,140 @@ mod tests {
         per
     }
 
-    #[test]
-    fn count_below_both_backends_agree() {
-        let freqs = [120u64, 3, 77, 200, 9];
-        let thresholds = [100u64, 100, 70, 100, 100];
-        let shares = share_out(&freqs, 3, 10, 1);
-        let (a, ra) = run_count_below(&shares, &thresholds, 10, Backend::InProcess, 11);
-        let (b, rb) = run_count_below(&shares, &thresholds, 10, Backend::Threaded, 11);
-        assert_eq!(a, 3); // 120, 77, 200 meet their thresholds.
-        assert_eq!(a, b);
-        assert_eq!(ra.circuit, rb.circuit);
-        assert!(ra.bytes > 0 && rb.bytes > 0);
-        assert_eq!(ra.bits, rb.bits, "both backends count logical bits");
+    const BACKENDS: [Backend; 6] = [
+        Backend::InProcess,
+        Backend::Threaded,
+        Backend::Simulated,
+        Backend::Pipelined { workers: 1 },
+        Backend::Pipelined { workers: 2 },
+        Backend::Pipelined { workers: 4 },
+    ];
+
+    /// What `backend` must report for a stage over `columns` columns,
+    /// from the structure of its lane circuits alone: `(logical bits,
+    /// merged circuit stats)`, with `lane` compiling one lane's circuit.
+    fn expected_cost(
+        backend: Backend,
+        columns: usize,
+        lane: impl Fn(Range<usize>) -> (Circuit, InputLayout),
+    ) -> (u64, CircuitStats) {
+        backend.lane_ranges(columns).into_iter().map(lane).fold(
+            (0, CircuitStats::default()),
+            |(bits, stats), (circuit, layout)| {
+                (
+                    bits + logical_bits(&circuit, &layout),
+                    stats.merge(circuit.stats()),
+                )
+            },
+        )
     }
 
     #[test]
-    fn simulated_backend_agrees_and_reports_time() {
-        let freqs = [120u64, 3, 77];
-        let thresholds = [100u64, 100, 70];
-        let shares = share_out(&freqs, 3, 10, 7);
-        let (a, _) = run_count_below(&shares, &thresholds, 10, Backend::InProcess, 5);
-        let (b, rb) = run_count_below(&shares, &thresholds, 10, Backend::Simulated, 5);
-        assert_eq!(a, b);
-        assert!(rb.simulated_us > 0.0, "simulated backend must report time");
-        let (d1, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, Backend::InProcess, 6);
-        let (d2, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, Backend::Simulated, 6);
-        assert_eq!(d1, d2, "seed-derived coins make all backends agree");
+    fn every_backend_and_lane_split_matches_cleartext_and_accounts_exactly() {
+        let freqs = [120u64, 3, 77, 200, 9, 64, 101, 50, 100];
+        let thresholds = [100u64, 100, 70, 100, 100, 60, 100, 100, 100];
+        let (c, width, coin_bits, lambda) = (3usize, 10usize, 8usize, 0.5f64);
+        let (count_seed, mix_seed) = (21u64, 22u64);
+        let lam = lambda_threshold(lambda, coin_bits);
+        for k in [1usize, 2, 5, 9] {
+            let (f, t) = (&freqs[..k], &thresholds[..k]);
+            let shares = share_out(f, c, width, 40 + k as u64);
+            let count_clear = f.iter().zip(t).filter(|(f, t)| f >= t).count() as u64;
+            let mix_clear: Vec<bool> = (0..k)
+                .map(|j| {
+                    let owner = OwnerId(j as u32);
+                    let coin = (0..c).fold(0, |u, p| u ^ mix_coin(mix_seed, p, owner, coin_bits));
+                    f[j] >= t[j] || coin < lam
+                })
+                .collect();
+            // A column slice, as a delta construction would pass it.
+            let idx: Vec<usize> = (0..k).filter(|j| j % 3 != 1).collect();
+            let sliced: Vec<Vec<u64>> = shares
+                .iter()
+                .map(|v| idx.iter().map(|&j| v[j]).collect())
+                .collect();
+            let sliced_t: Vec<u64> = idx.iter().map(|&j| t[j]).collect();
+            let sliced_owners: Vec<OwnerId> = idx.iter().map(|&j| OwnerId(j as u32)).collect();
+
+            let mut single_lane: Vec<(StageReport, StageReport)> = Vec::new();
+            for backend in BACKENDS {
+                let what = format!("{backend:?}, {k} columns");
+                // (i) results equal cleartext.
+                let (count, rc) = run_count_below(&shares, t, width, backend, count_seed);
+                assert_eq!(count, count_clear, "{what}");
+                let (decisions, rm) =
+                    run_mix_decision(&shares, t, width, coin_bits, lambda, backend, mix_seed);
+                assert_eq!(decisions, mix_clear, "{what}");
+
+                // (ii) reported cost is the lane circuits' structure.
+                let (count_bits, count_stats) = expected_cost(backend, k, |r| {
+                    let cc = CountBelowCircuit::build(c, &t[r], width);
+                    (cc.circuit().clone(), cc.layout().clone())
+                });
+                assert_eq!((rc.bits, rc.circuit), (count_bits, count_stats), "{what}");
+                let (mix_bits, mix_stats) = expected_cost(backend, k, |r| {
+                    let mc = MixDecisionCircuit::build(c, &t[r], width, coin_bits, lam);
+                    (mc.circuit().clone(), mc.layout().clone())
+                });
+                assert_eq!((rm.bits, rm.circuit), (mix_bits, mix_stats), "{what}");
+                assert!(rc.bytes > 0 && rm.bytes > 0, "{what}: real traffic");
+                assert_eq!(
+                    rc.simulated_us > 0.0,
+                    backend == Backend::Simulated,
+                    "{what}: only the simulator reports simulated time"
+                );
+
+                match backend {
+                    Backend::Pipelined { .. } => {
+                        // Per-column comparators are identical; only the
+                        // count adders are split across lanes.
+                        let whole = single_lane[0].0.circuit;
+                        assert!(rc.circuit.and_gates <= whole.and_gates, "{what}");
+                    }
+                    _ => single_lane.push((rc, rm)),
+                }
+
+                // (iv) a column slice reproduces the full run's
+                // decisions for its owners (coins keyed by owner id).
+                let (part, _) = run_mix_decision_for_owners(
+                    &sliced,
+                    &sliced_t,
+                    &sliced_owners,
+                    width,
+                    coin_bits,
+                    lambda,
+                    backend,
+                    mix_seed,
+                );
+                let expect: Vec<bool> = idx.iter().map(|&j| decisions[j]).collect();
+                assert_eq!(part, expect, "{what}: sliced owners {idx:?}");
+            }
+
+            // (iii) the single-lane backends run the same circuit and
+            // count the same traffic.
+            let traffic = |r: &StageReport| (r.messages, r.bits, r.bytes, r.circuit);
+            for (rc, rm) in &single_lane[1..] {
+                assert_eq!(traffic(rc), traffic(&single_lane[0].0), "{k} columns");
+                assert_eq!(traffic(rm), traffic(&single_lane[0].1), "{k} columns");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_columns_are_zero_lanes() {
+        let shares = vec![Vec::new(); 3];
+        for backend in BACKENDS {
+            assert_eq!(
+                run_count_below(&shares, &[], 10, backend, 1),
+                (0, StageReport::default()),
+                "{backend:?}"
+            );
+            assert_eq!(
+                run_mix_decision(&shares, &[], 10, 8, 0.5, backend, 1),
+                (Vec::new(), StageReport::default()),
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
@@ -523,77 +584,8 @@ mod tests {
     }
 
     #[test]
-    fn mix_decision_threaded_agrees_with_in_process() {
-        let freqs = [120u64, 3, 50];
-        let thresholds = [100u64, 100, 100];
-        let shares = share_out(&freqs, 3, 10, 4);
-        let (a, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, Backend::InProcess, 5);
-        let (b, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, Backend::Threaded, 5);
-        assert_eq!(a, b, "coins are seed-derived, so backends must agree");
-    }
-
-    #[test]
-    fn pipelined_backend_agrees_with_in_process() {
-        // Seven columns with two workers → four lanes of at most two
-        // columns each: the chunked multi-lane path executes, not just
-        // the single-circuit fallback.
-        let freqs = [120u64, 3, 77, 200, 9, 64, 101];
-        let thresholds = [100u64, 100, 70, 100, 100, 60, 100];
-        let shares = share_out(&freqs, 3, 10, 13);
-        let pipelined = Backend::Pipelined { workers: 2 };
-        let (a, ra) = run_count_below(&shares, &thresholds, 10, Backend::InProcess, 21);
-        let (b, rb) = run_count_below(&shares, &thresholds, 10, pipelined, 21);
-        assert_eq!(a, b, "lane-chunked counts must sum to the full count");
-        assert!(rb.bytes > 0, "pipelined runs over the real runtime");
-        // Per-column comparators are identical; only the count adders
-        // are split across lanes, so the AND totals stay close.
-        assert!(rb.circuit.and_gates <= ra.circuit.and_gates);
-        let (d1, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, Backend::InProcess, 22);
-        let (d2, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, pipelined, 22);
-        assert_eq!(d1, d2, "global-owner coin keying makes lanes exact");
-    }
-
-    #[test]
-    fn pipelined_single_column_uses_the_fallback_circuit() {
-        let freqs = [120u64];
-        let thresholds = [100u64];
-        let shares = share_out(&freqs, 3, 10, 14);
-        let pipelined = Backend::Pipelined { workers: 4 };
-        let (a, _) = run_count_below(&shares, &thresholds, 10, Backend::InProcess, 23);
-        let (b, _) = run_count_below(&shares, &thresholds, 10, pipelined, 23);
-        assert_eq!(a, b);
-        let (d1, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, Backend::InProcess, 24);
-        let (d2, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, pipelined, 24);
-        assert_eq!(d1, d2);
-    }
-
-    #[test]
     #[should_panic(expected = "must match the threshold count")]
     fn ragged_shares_rejected() {
         run_count_below(&[vec![1, 2], vec![3]], &[1, 1], 8, Backend::InProcess, 0);
-    }
-
-    #[test]
-    fn sliced_mix_decision_reproduces_full_run_coins() {
-        // The coins are keyed by global owner id, so re-running the mix
-        // MPC over a column slice must reproduce the full run's
-        // decisions for those columns — the property the delta
-        // construction relies on.
-        let freqs = [120u64, 3, 77, 50, 9];
-        let thresholds = [100u64, 100, 70, 100, 100];
-        let shares = share_out(&freqs, 3, 10, 8);
-        let (full, _) = run_mix_decision(&shares, &thresholds, 10, 8, 0.5, Backend::InProcess, 9);
-        let idx = [1usize, 3, 4];
-        let sliced: Vec<Vec<u64>> = shares
-            .iter()
-            .map(|v| idx.iter().map(|&j| v[j]).collect())
-            .collect();
-        let st: Vec<u64> = idx.iter().map(|&j| thresholds[j]).collect();
-        let owners: Vec<OwnerId> = idx.iter().map(|&j| OwnerId(j as u32)).collect();
-        let (part, _) =
-            run_mix_decision_for_owners(&sliced, &st, &owners, 10, 8, 0.5, Backend::InProcess, 9);
-        for (t, &j) in idx.iter().enumerate() {
-            assert_eq!(part[t], full[j], "column {j}");
-        }
     }
 }

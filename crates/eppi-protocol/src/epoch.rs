@@ -34,8 +34,7 @@ use crate::construct::{
     construct_full, emit_report, frequency_thresholds, share_width, ConstructionReport, PhaseWall,
     ProtocolConfig,
 };
-use crate::countbelow::{run_count_below, run_mix_decision_for_owners, StageReport};
-use crate::secsum::{secsumshare_sim, secsumshare_threaded_stats};
+use crate::countbelow::{run_count_below, run_mix_decision_for_owners};
 use eppi_core::delta::IndexDelta;
 use eppi_core::error::EppiError;
 use eppi_core::mixing::lambda_for;
@@ -318,29 +317,6 @@ pub fn construct_epoch_with_registry(
     })
 }
 
-/// Sums two sequentially-executed MPC stage reports (messages, bits,
-/// bytes, simulated time and gate counts add; depths take the max of
-/// the two circuits, as a conservative per-circuit figure).
-fn merge_stages(a: &StageReport, b: &StageReport) -> StageReport {
-    let mut circuit = a.circuit;
-    circuit.inputs += b.circuit.inputs;
-    circuit.outputs += b.circuit.outputs;
-    circuit.total_gates += b.circuit.total_gates;
-    circuit.and_gates += b.circuit.and_gates;
-    circuit.xor_gates += b.circuit.xor_gates;
-    circuit.not_gates += b.circuit.not_gates;
-    circuit.const_gates += b.circuit.const_gates;
-    circuit.depth = circuit.depth.max(b.circuit.depth);
-    circuit.and_depth = circuit.and_depth.max(b.circuit.and_depth);
-    StageReport {
-        circuit,
-        messages: a.messages + b.messages,
-        bits: a.bits + b.bits,
-        bytes: a.bytes + b.bytes,
-        simulated_us: a.simulated_us + b.simulated_us,
-    }
-}
-
 /// Runs the incremental construction for one [`IndexDelta`] on top of
 /// `prev`, producing the next epoch.
 ///
@@ -464,48 +440,36 @@ pub fn construct_delta_with_registry(
             v
         })
         .collect();
-    // The wall-clock backends (threaded, pipelined) run SecSumShare on
-    // real threads; the simulated backends keep the round simulator.
-    // Per-provider seeding is identical, so the shares — and therefore
-    // every downstream bit — do not depend on this choice.
     let secsum_seed = config.seed ^ next_epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let secsum = match config.backend {
-        crate::Backend::Threaded | crate::Backend::Pipelined { .. } => {
-            secsumshare_threaded_stats(&vectors, config.c, modulus, secsum_seed)
-        }
-        crate::Backend::InProcess | crate::Backend::Simulated => {
-            secsumshare_sim(&vectors, config.c, modulus, config.link, secsum_seed)
-        }
-    };
+    let secsum = config
+        .backend
+        .secsumshare(&vectors, config.c, modulus, config.link, secsum_seed);
     let secsum_wall = phase.elapsed();
 
     // Phase 1.2a — update the common count by difference: one
     // CountBelow over the *retained* shares of the touched columns
     // that already existed (old thresholds), one over the fresh shares
     // (new thresholds). Untouched columns keep their common status, so
-    // the difference is exact.
+    // the difference is exact. A delta of added columns only has no
+    // `existing` batch: zero columns, zero lanes, no MPC.
     let phase = Instant::now();
     let existing: Vec<usize> = (0..k).filter(|&t| touched[t].index() < n_old).collect();
-    let (commons_before, count_old) = if existing.is_empty() {
-        (0, StageReport::default())
-    } else {
-        let old_shares: Vec<Vec<u64>> = prev
-            .shares
-            .iter()
-            .map(|v| existing.iter().map(|&t| v[touched[t].index()]).collect())
-            .collect();
-        let old_thresholds: Vec<u64> = existing
-            .iter()
-            .map(|&t| prev.thresholds[touched[t].index()])
-            .collect();
-        run_count_below(
-            &old_shares,
-            &old_thresholds,
-            width,
-            config.backend,
-            config.seed ^ 0xcb ^ next_epoch.wrapping_mul(0x5851_f42d_4c95_7f2d),
-        )
-    };
+    let old_shares: Vec<Vec<u64>> = prev
+        .shares
+        .iter()
+        .map(|v| existing.iter().map(|&t| v[touched[t].index()]).collect())
+        .collect();
+    let old_thresholds: Vec<u64> = existing
+        .iter()
+        .map(|&t| prev.thresholds[touched[t].index()])
+        .collect();
+    let (commons_before, count_old) = run_count_below(
+        &old_shares,
+        &old_thresholds,
+        width,
+        config.backend,
+        config.seed ^ 0xcb ^ next_epoch.wrapping_mul(0x5851_f42d_4c95_7f2d),
+    );
     let (commons_after, count_new) = run_count_below(
         &secsum.coordinator_shares,
         &new_thresholds,
@@ -514,7 +478,7 @@ pub fn construct_delta_with_registry(
         config.seed ^ 0xcb ^ (next_epoch | 1 << 63).wrapping_mul(0x5851_f42d_4c95_7f2d),
     );
     let common_count = prev.common_count - commons_before + commons_after;
-    let count_stage = merge_stages(&count_old, &count_new);
+    let count_stage = count_old.merge(count_new);
     let count_wall = phase.elapsed();
 
     // Cleartext λ over the spliced ε vector — O(n) on public data; the

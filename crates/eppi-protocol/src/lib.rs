@@ -8,8 +8,9 @@
 //!   `m` providers → `c` coordinator share vectors, constant rounds,
 //!   `(2c−3)`-secrecy of inputs and `c`-secrecy of outputs.
 //! * [`countbelow`] — the generic-MPC stage among the `c` coordinators
-//!   (CountBelow of Alg. 2 + the mix-decision pass), with in-process and
-//!   threaded backends.
+//!   (CountBelow of Alg. 2 + the mix-decision pass) and the [`Backend`]
+//!   choice; [`Backend::execute`] is the one place that knows how each
+//!   of the four backends runs a circuit batch.
 //! * [`threaded_gmw`] — the multi-threaded GMW executor behind the
 //!   wall-clock experiments.
 //! * [`pipelined_gmw`] — the stage-based pipelined runtime: many
@@ -83,10 +84,9 @@ pub use epoch::{
     DeltaConstruction, EpochState, IndexEpoch,
 };
 pub use pipelined_gmw::{
-    execute_lanes_sequential, execute_pipelined, execute_pipelined_with_registry, LaneSpec,
-    PipelineConfig, PipelineReport,
+    execute_lanes_sequential, execute_pipelined, LaneSpec, PipelineConfig, PipelineReport,
 };
 pub use pure_mpc::{construct_pure_mpc, PureMpcConfig, PureMpcConstruction};
-pub use secsum::{secsumshare_sim, secsumshare_threaded, secsumshare_threaded_stats, SecSumOutput};
+pub use secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
 pub use sim_gmw::execute_simulated;
-pub use threaded_gmw::{execute_threaded, execute_threaded_with_registry, ThreadedGmwReport};
+pub use threaded_gmw::{execute_threaded, ThreadedGmwReport};

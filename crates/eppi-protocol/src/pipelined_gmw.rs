@@ -211,7 +211,7 @@ struct PartyOutcome {
 
 /// Runs every lane through the pipelined stage runtime. Returns the
 /// lanes' opened outputs (in lane order) and the aggregate report.
-/// Telemetry goes to the process-global registry.
+/// Telemetry goes to the process-global registry and nothing is traced.
 ///
 /// # Errors
 ///
@@ -226,31 +226,21 @@ pub fn execute_pipelined(
     lanes: &[LaneSpec<'_>],
     config: &PipelineConfig,
 ) -> Result<(Vec<Vec<bool>>, PipelineReport), TransportError> {
-    execute_pipelined_with_registry(lanes, config, eppi_telemetry::global())
+    execute_pipelined_traced(
+        lanes,
+        config,
+        eppi_telemetry::global(),
+        &Tracer::disabled(),
+        SpanCtx::NONE,
+    )
 }
 
 /// [`execute_pipelined`] reporting telemetry into a caller-owned
-/// registry (the `mpc.pipeline.*` family — see [`PipelineMetrics`]).
-///
-/// # Errors
-///
-/// [`TransportError`] when a party stops responding mid-run.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`execute_pipelined`].
-pub fn execute_pipelined_with_registry(
-    lanes: &[LaneSpec<'_>],
-    config: &PipelineConfig,
-    registry: &Registry,
-) -> Result<(Vec<Vec<bool>>, PipelineReport), TransportError> {
-    execute_pipelined_traced(lanes, config, registry, &Tracer::disabled(), SpanCtx::NONE)
-}
-
-/// [`execute_pipelined_with_registry`] with causal tracing: the run is
-/// one `mpc.pipeline` span (payload = lane count), each party runs
-/// under an `mpc.party` child span, and every lane evaluation is an
-/// `mpc.lane` span (payload = lane index) under its party.
+/// registry (the `mpc.pipeline.*` family — see [`PipelineMetrics`]) and
+/// with causal tracing: the run is one `mpc.pipeline` span (payload =
+/// lane count), each party runs under an `mpc.party` child span, and
+/// every lane evaluation is an `mpc.lane` span (payload = lane index)
+/// under its party.
 ///
 /// # Errors
 ///

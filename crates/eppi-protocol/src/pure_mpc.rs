@@ -15,7 +15,7 @@
 //! point.
 
 use crate::countbelow::{Backend, StageReport};
-use crate::threaded_gmw::execute_threaded;
+use crate::pipelined_gmw::LaneSpec;
 use eppi_core::error::EppiError;
 use eppi_core::model::{Epsilon, MembershipMatrix, OwnerId, PublishedIndex};
 use eppi_core::policy::{BetaPolicy, PolicyKind};
@@ -23,7 +23,6 @@ use eppi_core::publish::publish_vector;
 use eppi_mpc::circuits::{
     lambda_threshold, FixedPoint, NaiveConstructionCircuit, PureConstructionCircuit,
 };
-use eppi_mpc::gmw;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -180,44 +179,14 @@ pub fn construct_pure_mpc(
         })
         .collect();
 
-    let stats = circuit.stats();
-    let (out, messages, bits, bytes) = match config.backend {
-        Backend::InProcess => {
-            let mut rng = StdRng::seed_from_u64(config.seed ^ 0xfeed);
-            let (out, g) = gmw::execute(circuit, layout, &inputs, &mut rng);
-            (out, g.messages, g.bits_sent, g.bytes)
-        }
-        Backend::Threaded => {
-            let (out, r) = execute_threaded(circuit, layout, &inputs, config.seed);
-            (out, r.messages, r.bits_sent, r.bytes)
-        }
-        Backend::Simulated => {
-            let (out, net) = crate::sim_gmw::execute_simulated(
-                circuit,
-                layout,
-                &inputs,
-                eppi_net::sim::LinkModel::LAN,
-                config.seed,
-            );
-            (out, net.messages, net.bits, net.bytes)
-        }
-        Backend::Pipelined { workers } => {
-            // The whole-construction circuit is one monolithic lane;
-            // the pipeline still streams triples and coalesces sends.
-            let lanes = [crate::pipelined_gmw::LaneSpec {
-                circuit,
-                layout,
-                inputs: &inputs,
-                seed: config.seed,
-            }];
-            let (mut outs, r) = crate::pipelined_gmw::execute_pipelined(
-                &lanes,
-                &crate::pipelined_gmw::PipelineConfig::with_workers(workers),
-            )
-            .expect("in-process pipeline cannot lose a party");
-            (outs.swap_remove(0), r.messages, r.bits_sent, r.bytes)
-        }
-    };
+    // The whole-construction circuit is one monolithic lane.
+    let (mut outs, stage) = config.backend.execute(&[LaneSpec {
+        circuit,
+        layout,
+        inputs: &inputs,
+        seed: config.seed,
+    }]);
+    let out = outs.swap_remove(0);
     let (common_count, decisions, masked_freqs) = match &compiled {
         Compiled::Compare(c) => c.decode(&out),
         Compiled::Naive(c) => c.decode(&out),
@@ -250,13 +219,7 @@ pub fn construct_pure_mpc(
         index: PublishedIndex::new(published, betas),
         common_count,
         decisions,
-        stage: StageReport {
-            circuit: stats,
-            messages,
-            bits,
-            bytes,
-            ..StageReport::default()
-        },
+        stage,
         wall: started.elapsed(),
     })
 }

@@ -258,25 +258,10 @@ pub fn secsumshare_sim_with_faults(
     }
 }
 
-/// Runs SecSumShare on the threaded runtime and returns the coordinator
-/// share vectors (wall-clock backend for Fig. 6a; traffic is counted by
-/// the runtime).
-///
-/// # Panics
-///
-/// Same conditions as [`secsumshare_sim`].
-pub fn secsumshare_threaded(
-    vectors: &[LocalVector],
-    c: usize,
-    modulus: Modulus,
-    seed: u64,
-) -> Vec<Vec<u64>> {
-    secsumshare_threaded_stats(vectors, c, modulus, seed).coordinator_shares
-}
-
-/// [`secsumshare_threaded`] with traffic statistics, shaped like the
-/// simulator's [`SecSumOutput`] so the two backends are interchangeable
-/// at call sites that report stats (e.g. delta construction).
+/// Runs SecSumShare on the threaded runtime (wall-clock backend for
+/// Fig. 6a), with traffic statistics shaped like the simulator's
+/// [`SecSumOutput`] so the two runtimes are interchangeable at call
+/// sites (see `Backend::secsumshare`).
 ///
 /// Per-provider share seeding matches [`secsumshare_sim`] exactly, so
 /// at the same seed the coordinator share vectors are bit-identical to
@@ -473,9 +458,9 @@ mod tests {
         let columns = vec![vec![0, 1, 2], vec![5], vec![]];
         let vectors = vectors_from_columns(12, &columns);
         let q = Modulus::pow2(16);
-        let shares = secsumshare_threaded(&vectors, 3, q, 99);
-        assert_eq!(shares.len(), 3);
-        let freqs = frequencies_from(&shares, q, 3);
+        let out = secsumshare_threaded_stats(&vectors, 3, q, 99);
+        assert_eq!(out.coordinator_shares.len(), 3);
+        let freqs = frequencies_from(&out.coordinator_shares, q, 3);
         assert_eq!(freqs, vec![3, 1, 0]);
     }
 

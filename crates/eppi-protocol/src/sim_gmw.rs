@@ -1,7 +1,9 @@
 //! GMW evaluation over the round-based network simulator.
 //!
-//! One of the three execution backends of the single packed GMW core
-//! ([`eppi_mpc::gmw_core`]): the protocol logic lives in
+//! One of the four execution backends of the single packed GMW core
+//! ([`eppi_mpc::gmw_core`]; `Backend::execute` in [`crate::countbelow`]
+//! is where a backend choice turns into a call here): the protocol
+//! logic lives in
 //! [`PartyCore`], and this module only supplies the transport — a
 //! [`SimTransport`] hub whose every exchange runs as one round of the
 //! deterministic [`eppi_net::sim::Simulator`] under the configurable

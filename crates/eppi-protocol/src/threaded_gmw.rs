@@ -1,7 +1,8 @@
 //! Multi-threaded GMW execution over the threaded party runtime.
 //!
-//! One of the three execution backends of the single packed GMW core
-//! ([`eppi_mpc::gmw_core`]): each party runs the straight-line
+//! One of the four execution backends of the single packed GMW core
+//! ([`eppi_mpc::gmw_core`]; `Backend::execute` in [`crate::countbelow`]
+//! is where a backend choice turns into a call here): each party runs the straight-line
 //! [`run_party`] protocol on its own OS thread, exchanging real
 //! messages through a [`ThreadedTransport`] (crossbeam channels). This
 //! is the backend the Fig. 6a / 6c wall-clock execution-time
@@ -53,8 +54,8 @@ pub struct ThreadedGmwReport {
 
 /// Executes `circuit` with one thread per party. Returns the opened
 /// outputs (identical to `circuit.eval` on the flattened inputs) and a
-/// traffic report. Telemetry goes to the process-global registry; see
-/// [`execute_threaded_with_registry`].
+/// traffic report. Telemetry goes to the process-global registry and
+/// nothing is traced; see [`execute_threaded_traced`].
 ///
 /// # Panics
 ///
@@ -66,43 +67,30 @@ pub fn execute_threaded(
     inputs: &[Vec<bool>],
     seed: u64,
 ) -> (Vec<bool>, ThreadedGmwReport) {
-    execute_threaded_with_registry(circuit, layout, inputs, seed, eppi_telemetry::global())
-}
-
-/// [`execute_threaded`] reporting telemetry into a caller-owned
-/// registry: the `gmw.round_ns` histogram gets one sample per
-/// synchronized AND round (wall time observed by party 0), and the
-/// `gmw.and_gates` / `gmw.rounds` counters accumulate circuit work
-/// across runs.
-///
-/// # Panics
-///
-/// Panics if the layout does not cover the circuit inputs or `inputs`
-/// disagrees with the layout.
-pub fn execute_threaded_with_registry(
-    circuit: &Circuit,
-    layout: &InputLayout,
-    inputs: &[Vec<bool>],
-    seed: u64,
-    registry: &Registry,
-) -> (Vec<bool>, ThreadedGmwReport) {
     execute_threaded_traced(
         circuit,
         layout,
         inputs,
         seed,
-        registry,
+        eppi_telemetry::global(),
         &Tracer::disabled(),
         SpanCtx::NONE,
     )
 }
 
-/// [`execute_threaded_with_registry`] with causal tracing: the run is
-/// one `mpc.execute` span (a child of `parent`, or a fresh trace root
-/// when `parent` is [`SpanCtx::NONE`], payload = AND gates), each party
-/// thread runs under its own `mpc.party` child span (payload = party
-/// id), every protocol exchange is a `net.exchange` span via
-/// [`TracedTransport`], and each completed AND round drops an
+/// [`execute_threaded`] reporting telemetry into a caller-owned
+/// registry and with causal tracing.
+///
+/// Telemetry: the `gmw.round_ns` histogram gets one sample per
+/// synchronized AND round (wall time observed by party 0), and the
+/// `gmw.and_gates` / `gmw.rounds` counters accumulate circuit work
+/// across runs.
+///
+/// Tracing: the run is one `mpc.execute` span (a child of `parent`, or
+/// a fresh trace root when `parent` is [`SpanCtx::NONE`], payload = AND
+/// gates), each party thread runs under its own `mpc.party` child span
+/// (payload = party id), every protocol exchange is a `net.exchange`
+/// span via [`TracedTransport`], and each completed AND round drops an
 /// `mpc.and_round` instant (payload = round index) per party. Passing a
 /// disabled tracer makes this identical to the untraced entry point.
 ///
@@ -275,8 +263,15 @@ mod tests {
         let layout = InputLayout::new(vec![4, 4]);
         let inputs = vec![to_bits(3, 4), to_bits(9, 4)];
         let registry = Registry::new();
-        let (out, report) =
-            execute_threaded_with_registry(&circuit, &layout, &inputs, 11, &registry);
+        let (out, report) = execute_threaded_traced(
+            &circuit,
+            &layout,
+            &inputs,
+            11,
+            &registry,
+            &Tracer::disabled(),
+            SpanCtx::NONE,
+        );
         assert_eq!(out, vec![true]);
         assert!(report.and_rounds >= 1);
         assert!(report.and_rounds <= report.and_gates);

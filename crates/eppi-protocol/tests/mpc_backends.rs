@@ -194,31 +194,6 @@ proptest! {
         // logical traffic.
         prop_assert!(report.messages <= report.coalesced_items);
     }
-
-    /// The packed path consumes exactly the same number of triples as
-    /// the reference and never diverges on pre-generated (OT-phase)
-    /// triples either.
-    #[test]
-    fn pregenerated_triples_agree_too(
-        parties in 2usize..=3,
-        gen_seed in any::<u64>(),
-        run_seed in any::<u64>(),
-    ) {
-        let (circuit, layout) = random_circuit(parties, 4, 3, gen_seed);
-        let mut input_rng = StdRng::seed_from_u64(gen_seed ^ 0x77);
-        let inputs: Vec<Vec<bool>> = (0..parties)
-            .map(|_| to_bits(input_rng.gen_range(0..16), 4))
-            .collect();
-        let clear = circuit.eval(&layout.flatten(&inputs));
-
-        let mut rng = StdRng::seed_from_u64(run_seed);
-        let batch =
-            eppi_mpc::triples::generate_triples(parties, circuit.stats().and_gates, &mut rng);
-        let (out, stats) =
-            gmw::execute_with_triples(&circuit, &layout, &inputs, &batch, &mut rng);
-        prop_assert_eq!(&out, &clear);
-        prop_assert_eq!(stats.triples_used, circuit.stats().and_gates);
-    }
 }
 
 proptest! {

@@ -9,7 +9,8 @@
 //! * [`core`] — the ε-PPI computation model: β policies, identity
 //!   mixing, randomized publication, privacy metrics.
 //! * [`mpc`] — secure-computation substrate: additive secret sharing,
-//!   Boolean circuits, a GMW-style MPC engine (the FairplayMP stand-in).
+//!   Boolean circuits, and one bit-packed GMW engine (the FairplayMP
+//!   stand-in) — the only MPC protocol in the workspace.
 //! * [`net`] — simulated and threaded provider-network runtimes.
 //! * [`protocol`] — the trusted-party-free two-phase construction
 //!   protocol (SecSumShare + CountBelow) and the pure-MPC baseline.

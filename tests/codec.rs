@@ -1,9 +1,7 @@
-//! Property tests for the index codec and the garbled-circuit backend.
+//! Property tests for the index codec.
 
 use eppi::core::model::{MembershipMatrix, OwnerId, ProviderId, PublishedIndex};
 use eppi::index::codec::{decode, encode};
-use eppi::mpc::builder::{to_bits, CircuitBuilder};
-use eppi::mpc::garble::two_party_run;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,33 +52,6 @@ proptest! {
         let cut = cut.min(bytes.len());
         let _ = decode(&bytes[..cut]); // must not panic
         let _ = decode(&bytes);        // must not panic
-    }
-
-    /// The garbled evaluation of a random arithmetic circuit matches
-    /// cleartext for arbitrary party inputs.
-    #[test]
-    fn garbled_matches_cleartext(
-        a in 0u64..64,
-        b in 0u64..64,
-        seed in any::<u64>(),
-    ) {
-        let mut cb = CircuitBuilder::new();
-        let wa = cb.input_word(6);
-        let wb = cb.input_word(6);
-        let prod = cb.mul_words(&wa, &wb);
-        let bits = prod.bits().to_vec();
-        let parity = bits.iter().copied().reduce(|x, y| cb.xor(x, y)).expect("bits");
-        let lt = cb.lt_words(&wa, &wb);
-        let circuit = cb.finish(vec![parity, lt]);
-
-        let expect = circuit.eval(&{
-            let mut v = to_bits(a, 6);
-            v.extend(to_bits(b, 6));
-            v
-        });
-        let mut rng = StdRng::seed_from_u64(seed);
-        let got = two_party_run(&circuit, &to_bits(a, 6), &to_bits(b, 6), &mut rng);
-        prop_assert_eq!(got, expect);
     }
 }
 
