@@ -514,7 +514,13 @@ mod tests {
     /// and the widest sweep point must beat the lockstep baseline.
     #[test]
     fn pipeline_overlap_beats_the_lockstep_baseline() {
-        let report = run_pipeline(&PipelineBenchConfig::quick());
+        // Best of 5: with one sample per point the neighbouring tests
+        // of this binary, running on the same two cores, decided the
+        // comparison about every other run.
+        let report = run_pipeline(&PipelineBenchConfig {
+            reps: 5,
+            ..PipelineBenchConfig::quick()
+        });
         let widest = report.rows.iter().max_by_key(|r| r.workers).unwrap();
         assert!(
             widest.speedup_vs_lockstep >= 1.0,

@@ -168,13 +168,24 @@ impl DurableStore {
         epoch: &IndexEpoch,
         registry: &Registry,
     ) -> Result<DurableStore, StoreError> {
-        let dir = dir.into();
+        Self::anchor(dir.into(), epoch, Vec::new(), registry)
+    }
+
+    /// Initializes `dir` with `epoch` as its lineage-0 checkpoint and
+    /// an empty log; an unaudited anchor is the audited one with no
+    /// commitments.
+    fn anchor(
+        dir: PathBuf,
+        epoch: &IndexEpoch,
+        commitments: Vec<ColumnCommitment>,
+        registry: &Registry,
+    ) -> Result<DurableStore, StoreError> {
         std::fs::create_dir_all(&dir).map_err(|e| StoreError::io("create_dir", &dir, e))?;
         if !checkpoint::scan(&dir)?.is_empty() {
             return Err(StoreError::AlreadyInitialized { dir });
         }
         let metrics = StoreMetrics::new(registry);
-        let receipt = checkpoint::write_atomic(&dir, 0, epoch, &[])?;
+        let receipt = checkpoint::write_atomic(&dir, 0, epoch, &commitments)?;
         metrics.fsync(receipt.fsync_wall, receipt.fsyncs);
         metrics.checkpoint_bytes.add(receipt.bytes);
         let mut wal = Wal::open(dir.join(WAL_FILE))?;
@@ -183,7 +194,7 @@ impl DurableStore {
             dir,
             lineage: 0,
             head: epoch.clone(),
-            commitments: Vec::new(),
+            commitments,
             wal,
             metrics,
         })
@@ -215,26 +226,7 @@ impl DurableStore {
         anchor: &AuditedEpoch,
         registry: &Registry,
     ) -> Result<DurableStore, StoreError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| StoreError::io("create_dir", &dir, e))?;
-        if !checkpoint::scan(&dir)?.is_empty() {
-            return Err(StoreError::AlreadyInitialized { dir });
-        }
-        let commitments = anchor.commitments();
-        let metrics = StoreMetrics::new(registry);
-        let receipt = checkpoint::write_atomic(&dir, 0, &anchor.epoch, &commitments)?;
-        metrics.fsync(receipt.fsync_wall, receipt.fsyncs);
-        metrics.checkpoint_bytes.add(receipt.bytes);
-        let mut wal = Wal::open(dir.join(WAL_FILE))?;
-        wal.clear()?;
-        Ok(DurableStore {
-            dir,
-            lineage: 0,
-            head: anchor.epoch.clone(),
-            commitments,
-            wal,
-            metrics,
-        })
+        Self::anchor(dir.into(), &anchor.epoch, anchor.commitments(), registry)
     }
 
     /// Recovers the lineage from `dir`: newest decodable checkpoint,
@@ -491,18 +483,33 @@ impl DurableStore {
         delta: &IndexDelta,
         registry: &Registry,
     ) -> Result<DeltaConstruction, StoreError> {
-        let next = self.head.epoch() + 1;
         let built = construct_delta_with_registry(&self.head, matrix, delta, registry)?;
-        let record = WalRecord::capture(self.lineage, next, delta, matrix);
+        // An unaudited advance downgrades the lineage: the old
+        // commitments do not describe the new head.
+        self.install(matrix, delta, &built.epoch, Vec::new())?;
+        Ok(built)
+    }
+
+    /// Journals the replay record of the delta that produced `epoch`
+    /// (append + `fdatasync`) and only then installs `epoch` as the
+    /// head, with the `commitments` its providers certified — none for
+    /// an unaudited advance.
+    fn install(
+        &mut self,
+        matrix: &MembershipMatrix,
+        delta: &IndexDelta,
+        epoch: &IndexEpoch,
+        commitments: Vec<ColumnCommitment>,
+    ) -> Result<(), StoreError> {
+        let mut record = WalRecord::capture(self.lineage, epoch.epoch(), delta, matrix);
+        record.commitments = commitments;
         let receipt = self.wal.append(&record)?;
         self.metrics.wal_records.inc();
         self.metrics.wal_append_bytes.add(receipt.bytes);
         self.metrics.fsync(receipt.fsync_wall, 1);
-        self.head = built.epoch.clone();
-        // An unaudited advance downgrades the lineage: the old
-        // commitments do not describe the new head.
-        self.commitments.clear();
-        Ok(built)
+        self.head = epoch.clone();
+        self.commitments = record.commitments;
+        Ok(())
     }
 
     /// [`advance`](Self::advance) through the audit layer: the
@@ -539,7 +546,6 @@ impl DurableStore {
         audit: &AuditConfig,
         registry: &Registry,
     ) -> Result<AuditedDelta, StoreError> {
-        let next = self.head.epoch() + 1;
         let built = construct_delta_audited_traced(
             &self.head,
             matrix,
@@ -559,15 +565,7 @@ impl DurableStore {
                 reason: "unknown audited-construction failure",
             }),
         })?;
-        let commitments = built.commitments();
-        let mut record = WalRecord::capture(self.lineage, next, delta, matrix);
-        record.commitments = commitments.clone();
-        let receipt = self.wal.append(&record)?;
-        self.metrics.wal_records.inc();
-        self.metrics.wal_append_bytes.add(receipt.bytes);
-        self.metrics.fsync(receipt.fsync_wall, 1);
-        self.head = built.delta.epoch.clone();
-        self.commitments = commitments;
+        self.install(matrix, delta, &built.delta.epoch, built.commitments())?;
         Ok(built)
     }
 

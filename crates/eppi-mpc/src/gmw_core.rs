@@ -11,14 +11,20 @@
 //! * [`deal_packed_triples`] / [`PartyTriples`] — Beaver triples dealt
 //!   as packed words, one triple bit per AND gate, 64 per `u64`.
 //! * [`PartyCore`] — a sans-io state machine holding one party's packed
-//!   wire shares. It produces and consumes
-//!   [`PackedBatch`]es; *how* those batches move is the
-//!   [`Transport`]'s business (`eppi_net::transport`).
-//! * [`run_party`] — the straight-line protocol for one party over a
-//!   blocking transport (what each thread of the threaded backend
-//!   runs); [`run_lockstep`] — the single-threaded driver running all
-//!   parties over lockstep transports (in-process and simulator
-//!   backends).
+//!   wire shares. [`advance`](PartyCore::advance) runs local work up to
+//!   the next exchange and yields its [`PackedBatch`]es,
+//!   [`absorb`](PartyCore::absorb) completes the exchange with the
+//!   peers' batches; *how* those batches move is the [`Transport`]'s
+//!   business (`eppi_net::transport`). The order *share inputs → one
+//!   exchange per AND level → open outputs*, and which of those
+//!   exchanges a lone party or an input-/output-free circuit skips, is
+//!   written in `advance` and nowhere else.
+//! * [`run_party`] — one party's "advance → transport → absorb" loop
+//!   over a blocking transport (what each thread of the threaded
+//!   backend runs); [`run_lockstep`] — the same loop for all parties on
+//!   one thread over lockstep transports (in-process and simulator
+//!   backends). The pipelined runtime (`eppi-protocol`) is the third
+//!   such loop, with the transport on other threads.
 //! * [`mod@reference`] — the frozen pre-refactor `Vec<bool>` executor, kept
 //!   as the equivalence-test oracle and the baseline of the
 //!   packed-vs-unpacked speedup benchmark (`results/BENCH_mpc.json`).
@@ -31,6 +37,7 @@
 
 use crate::circuit::{Circuit, Gate, InputLayout};
 use crate::packed::{mask_tail, words_for, PackedBits};
+use crate::stage::{ChannelTriples, StageOutput, StageStats};
 use eppi_net::transport::{PackedBatch, Transport};
 use rand::Rng;
 use std::time::{Duration, Instant};
@@ -118,17 +125,6 @@ impl Schedule {
         t
     }
 
-    /// The first level at or after `from` that contains AND gates, or
-    /// `None` if only free levels remain. The streaming triple feed of
-    /// the pipelined runtime uses this to know how many levels of
-    /// triples a lane must hold before its next exchange.
-    pub fn next_and_level(&self, from: usize) -> Option<usize> {
-        self.levels[from.min(self.levels.len())..]
-            .iter()
-            .position(|l| !l.ands.is_empty())
-            .map(|i| from + i)
-    }
-
     /// Per level, the gate indices of its AND gates — the layering
     /// [`Circuit::and_layers`] exposes. Only levels containing AND gates
     /// appear (a level without them needs no round).
@@ -158,19 +154,6 @@ pub struct LayerTriples {
 #[derive(Debug, Clone, Default)]
 pub struct PartyTriples {
     layers: Vec<LayerTriples>,
-}
-
-impl PartyTriples {
-    /// Number of schedule levels these triples cover.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// The per-level shares, in schedule order — what a pre-dealt batch
-    /// feeds into the streaming pipeline one layer at a time.
-    pub fn into_layers(self) -> Vec<LayerTriples> {
-        self.layers
-    }
 }
 
 fn random_words<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> Vec<u64> {
@@ -245,11 +228,35 @@ pub fn deal_packed_triples<R: Rng + ?Sized>(
     out
 }
 
+/// Where a party stands in the protocol: between exchanges (`Share`,
+/// `Layers`), parked at one (`Await*`), or finished.
+#[derive(Debug)]
+enum State {
+    /// Inputs not shared yet.
+    Share,
+    /// Input shares scattered; the peers' are outstanding.
+    AwaitInputs,
+    /// Evaluating levels.
+    Layers,
+    /// An AND level's `d`/`e` batch (kept here) is out; the peers' are
+    /// outstanding.
+    AwaitLayer(PackedBatch),
+    /// Own output shares (kept here) are out; the peers' are outstanding.
+    AwaitOutputs(PackedBatch),
+    /// The opened outputs.
+    Done(Vec<bool>),
+}
+
 /// One party's sans-io GMW state machine over packed shares.
 ///
-/// The core never touches a socket, channel or simulator: it emits
-/// [`PackedBatch`]es and absorbs the peers' batches, and the caller
-/// decides how they travel (see [`run_party`] / [`run_lockstep`]).
+/// The core never touches a socket, channel or simulator: call
+/// [`advance`](Self::advance) until it yields an exchange
+/// ([`StageOutput::Scatter`] / [`StageOutput::Broadcast`]), deliver the
+/// peers' batches through [`absorb`](Self::absorb) exactly once, repeat
+/// until [`StageOutput::Done`]. The caller decides how batches travel
+/// (see [`run_party`] / [`run_lockstep`]). The exchange sequence is
+/// deterministic in the circuit structure — never in share values —
+/// which is what keeps a pipelined schedule oblivious (DESIGN.md §15).
 #[derive(Debug)]
 pub struct PartyCore<'c> {
     circuit: &'c Circuit,
@@ -257,16 +264,19 @@ pub struct PartyCore<'c> {
     sched: &'c Schedule,
     me: usize,
     triples: PartyTriples,
+    /// Streamed triple supply: levels beyond `triples` are pulled from
+    /// here as evaluation reaches them.
+    feed: Option<ChannelTriples>,
     /// One packed share bit per circuit wire.
     shares: PackedBits,
     /// Next schedule level to process.
     level: usize,
-    /// My own d/e batch of the pending AND layer.
-    my_de: Option<PackedBatch>,
+    state: State,
 }
 
 impl<'c> PartyCore<'c> {
-    /// Creates the state machine for party `me`.
+    /// Creates the state machine for party `me` with its triples dealt
+    /// up front ([`deal_packed_triples`]).
     ///
     /// # Panics
     ///
@@ -280,34 +290,18 @@ impl<'c> PartyCore<'c> {
         triples: PartyTriples,
     ) -> PartyCore<'c> {
         assert_eq!(
-            layout.total_inputs(),
-            circuit.inputs(),
-            "layout does not cover the circuit inputs"
-        );
-        assert!(me < layout.parties(), "party {me} out of range");
-        assert_eq!(
             triples.layers.len(),
             sched.levels().len(),
             "triples not aligned with the schedule"
         );
-        PartyCore {
-            circuit,
-            layout,
-            sched,
-            me,
-            triples,
-            shares: PackedBits::zeros(circuit.wires()),
-            level: 0,
-            my_de: None,
-        }
+        Self::with_triples(circuit, layout, sched, me, triples, None)
     }
 
-    /// Creates the state machine for party `me` with *no* triples yet:
-    /// the caller streams them in level-by-level through
-    /// [`feed_layer_triples`](Self::feed_layer_triples) ahead of
-    /// consumption (the pipelined runtime's dealer does this from its
-    /// own thread). Every level — including AND-free ones, whose share
-    /// is empty — must be fed, in schedule order.
+    /// Creates the state machine for party `me` with its triples
+    /// streamed level-by-level from `feed` (the pipelined runtime's
+    /// dealer thread) as evaluation reaches each level. The dealer must
+    /// send every level — including AND-free ones, whose share is empty
+    /// and costs no randomness — in schedule order.
     ///
     /// # Panics
     ///
@@ -318,6 +312,25 @@ impl<'c> PartyCore<'c> {
         layout: &'c InputLayout,
         sched: &'c Schedule,
         me: usize,
+        feed: ChannelTriples,
+    ) -> PartyCore<'c> {
+        Self::with_triples(
+            circuit,
+            layout,
+            sched,
+            me,
+            PartyTriples::default(),
+            Some(feed),
+        )
+    }
+
+    fn with_triples(
+        circuit: &'c Circuit,
+        layout: &'c InputLayout,
+        sched: &'c Schedule,
+        me: usize,
+        triples: PartyTriples,
+        feed: Option<ChannelTriples>,
     ) -> PartyCore<'c> {
         assert_eq!(
             layout.total_inputs(),
@@ -330,55 +343,89 @@ impl<'c> PartyCore<'c> {
             layout,
             sched,
             me,
-            triples: PartyTriples::default(),
+            triples,
+            feed,
             shares: PackedBits::zeros(circuit.wires()),
             level: 0,
-            my_de: None,
+            state: State::Share,
         }
     }
 
-    /// Appends the next level's triple share (streaming mode). The
-    /// schedule level it belongs to is implied by the feed order.
+    /// Stall accounting of the streamed triple supply (all zero for a
+    /// core whose triples were dealt up front).
+    pub fn triple_stats(&self) -> StageStats {
+        self.feed
+            .as_ref()
+            .map(ChannelTriples::stats)
+            .unwrap_or_default()
+    }
+
+    /// Runs local computation up to the next exchange and returns what
+    /// to send, or the opened outputs once the protocol is complete.
+    /// `share` is called once, on the first advance, and must return
+    /// this party's [`share_inputs`](Self::share_inputs) batches (the
+    /// caller owns the input bits and the RNG discipline).
+    ///
+    /// This is the one place that orders the protocol. A lone party, a
+    /// circuit without inputs and a circuit without outputs skip the
+    /// exchange they have nothing to send in — the step still runs,
+    /// completed on the spot with no peer batches.
     ///
     /// # Panics
     ///
-    /// Panics if more levels are fed than the schedule has.
-    pub fn feed_layer_triples(&mut self, share: LayerTriples) {
-        assert!(
-            self.triples.layers.len() < self.sched.levels().len(),
-            "fed more triple layers than the schedule has levels"
-        );
-        self.triples.layers.push(share);
+    /// Panics if the previous exchange was not absorbed.
+    pub fn advance(&mut self, share: impl FnOnce(&mut Self) -> Vec<PackedBatch>) -> StageOutput {
+        let exchanging = self.layout.parties() > 1;
+        if matches!(self.state, State::Share) {
+            let batches = share(self);
+            if exchanging && self.layout.total_inputs() > 0 {
+                self.state = State::AwaitInputs;
+                return StageOutput::Scatter(batches);
+            }
+            self.state = State::Layers;
+        }
+        if matches!(self.state, State::Layers) {
+            while let Some(batch) = self.next_layer_batch() {
+                self.state = State::AwaitLayer(batch.clone());
+                if exchanging {
+                    return StageOutput::Broadcast(batch);
+                }
+                self.absorb(&[]);
+            }
+            let mine = self.output_batch();
+            self.state = State::AwaitOutputs(mine.clone());
+            if exchanging && mine.bits > 0 {
+                return StageOutput::Broadcast(mine);
+            }
+            self.absorb(&[]);
+        }
+        match &self.state {
+            State::Done(outputs) => StageOutput::Done(outputs.clone()),
+            _ => panic!("pending exchange not absorbed"),
+        }
     }
 
-    /// Number of triple levels fed (or pre-dealt) so far.
-    pub fn fed_layers(&self) -> usize {
-        self.triples.layers.len()
-    }
-
-    /// The next schedule level to process.
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// This party's id.
-    pub fn me(&self) -> usize {
-        self.me
-    }
-
-    /// Number of parties.
-    pub fn parties(&self) -> usize {
-        self.layout.parties()
-    }
-
-    /// The circuit under evaluation.
-    pub fn circuit(&self) -> &Circuit {
-        self.circuit
-    }
-
-    /// The input layout.
-    pub fn layout(&self) -> &InputLayout {
-        self.layout
+    /// Completes the pending exchange with the peers' batches, in any
+    /// peer order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no exchange is pending or a batch has the wrong size.
+    pub fn absorb(&mut self, peers: &[(usize, PackedBatch)]) {
+        self.state = match std::mem::replace(&mut self.state, State::Layers) {
+            State::AwaitInputs => {
+                for (from, batch) in peers {
+                    self.absorb_inputs(*from, batch);
+                }
+                State::Layers
+            }
+            State::AwaitLayer(mine) => {
+                self.finish_layer(mine, peers);
+                State::Layers
+            }
+            State::AwaitOutputs(mine) => State::Done(Self::open_outputs(mine, peers)),
+            _ => panic!("no pending exchange to absorb"),
+        };
     }
 
     /// Splits this party's private input bits into XOR shares: returns
@@ -400,7 +447,7 @@ impl<'c> PartyCore<'c> {
             "party {} supplied wrong input count",
             self.me
         );
-        let parties = self.parties();
+        let parties = self.layout.parties();
         let mut acc = PackedBits::from_bits(my_bits);
         let mut batches = vec![PackedBatch::empty(); parties];
         for (p, batch) in batches.iter_mut().enumerate() {
@@ -421,11 +468,7 @@ impl<'c> PartyCore<'c> {
 
     /// Installs a peer's input-share batch (dense layout over the
     /// peer's input-wire range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch size disagrees with `from`'s layout range.
-    pub fn absorb_inputs(&mut self, from: usize, batch: &PackedBatch) {
+    fn absorb_inputs(&mut self, from: usize, batch: &PackedBatch) {
         let range = self.layout.range_of(from);
         assert_eq!(batch.bits, range.len(), "input batch size from {from}");
         self.shares
@@ -436,14 +479,20 @@ impl<'c> PartyCore<'c> {
     /// returns this party's `d`/`e` opening batch for it (`d` words then
     /// `e` words, each half word-aligned). Returns `None` once every
     /// gate is evaluated.
-    pub fn next_layer_batch(&mut self) -> Option<PackedBatch> {
-        assert!(self.my_de.is_none(), "pending layer not finished");
+    fn next_layer_batch(&mut self) -> Option<PackedBatch> {
         let n_inputs = self.circuit.inputs();
         // Branchless word-level bit access: the free-gate sweep runs
         // once per party over the whole circuit, so data-dependent
         // branches here dominate the entire evaluation.
         let me0 = (self.me == 0) as u64;
         while self.level < self.sched.levels().len() {
+            // A streamed supply is drained one level per level visited,
+            // AND-free levels included, so it stays balanced with a
+            // dealer that sends every level.
+            if self.triples.layers.len() <= self.level {
+                let feed = self.feed.as_mut().expect("triples cover every level");
+                self.triples.layers.push(feed.next_layer());
+            }
             let layer = &self.sched.levels()[self.level];
             for &k in &layer.free {
                 let v = match self.circuit.gates()[k] {
@@ -473,36 +522,24 @@ impl<'c> PartyCore<'c> {
                 de[words + i / 64] |= self.shares.bit_word(b.index()) << (i % 64);
             }
             // d = x ⊕ a, e = y ⊕ b — masked word-wise.
-            assert!(
-                self.level < self.triples.layers.len(),
-                "triples for level {} not fed yet",
-                self.level
-            );
             let t = &self.triples.layers[self.level];
             for w in 0..words {
                 de[w] ^= t.a[w];
                 de[words + w] ^= t.b[w];
             }
-            let batch = PackedBatch {
+            return Some(PackedBatch {
                 words: de,
                 bits: 2 * g,
-            };
-            self.my_de = Some(batch.clone());
-            return Some(batch);
+            });
         }
         None
     }
 
     /// Completes the pending AND level: XOR-combines the peers' batches
-    /// with the own one into the opened `d`/`e` words and applies the
+    /// with the own one (`mine`) into the opened `d`/`e` words and applies the
     /// Beaver identity `z = c ⊕ (d ∧ b) ⊕ (e ∧ a) ⊕ [party 0](d ∧ e)`
     /// word-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no layer is pending or a batch has the wrong size.
-    pub fn finish_layer(&mut self, peers: &[(usize, PackedBatch)]) {
-        let mine = self.my_de.take().expect("no pending AND layer");
+    fn finish_layer(&mut self, mine: PackedBatch, peers: &[(usize, PackedBatch)]) {
         let layer = &self.sched.levels()[self.level];
         let g = layer.ands.len();
         let words = words_for(g);
@@ -536,7 +573,7 @@ impl<'c> PartyCore<'c> {
     }
 
     /// This party's output shares as a dense batch.
-    pub fn output_batch(&self) -> PackedBatch {
+    fn output_batch(&self) -> PackedBatch {
         let outs = self.circuit.outputs();
         let mut p = PackedBits::zeros(outs.len());
         for (i, o) in outs.iter().enumerate() {
@@ -548,13 +585,8 @@ impl<'c> PartyCore<'c> {
         }
     }
 
-    /// Opens the circuit outputs from the peers' output batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch has the wrong size.
-    pub fn open_outputs(&self, peers: &[(usize, PackedBatch)]) -> Vec<bool> {
-        let mut opened = self.output_batch();
+    /// Opens the circuit outputs: the own output shares XOR the peers'.
+    fn open_outputs(mut opened: PackedBatch, peers: &[(usize, PackedBatch)]) -> Vec<bool> {
         for (from, batch) in peers {
             assert_eq!(
                 batch.words.len(),
@@ -576,38 +608,49 @@ impl<'c> PartyCore<'c> {
 /// Deterministic in the circuit structure, so every backend reports the
 /// identical figure.
 pub fn logical_bits(circuit: &Circuit, layout: &InputLayout) -> u64 {
+    payload_bits(layout, circuit.stats().and_gates, circuit.outputs().len())
+}
+
+/// [`logical_bits`] from an AND-gate count already at hand (a
+/// [`Schedule`] has it; `Circuit::stats` is a full pass over the gates).
+pub(crate) fn payload_bits(layout: &InputLayout, and_gates: usize, outputs: usize) -> u64 {
     let p = layout.parties() as u64;
     if p <= 1 {
         return 0;
     }
-    let stats = circuit.stats();
     let inputs = layout.total_inputs() as u64 * (p - 1);
-    let ands = 2 * stats.and_gates as u64 * p * (p - 1);
-    let outputs = stats.outputs as u64 * p * (p - 1);
+    let ands = 2 * and_gates as u64 * p * (p - 1);
+    let outputs = outputs as u64 * p * (p - 1);
     inputs + ands + outputs
 }
 
-/// Protocol rounds of an evaluation: one input-sharing round (if the
-/// circuit has inputs and more than one party), one per AND level, and
-/// one output-opening round (if it has outputs and more than one
-/// party). Shared by every backend's report.
-pub fn protocol_rounds(circuit: &Circuit, layout: &InputLayout, sched: &Schedule) -> usize {
-    let mut rounds = sched.and_rounds();
-    if layout.parties() > 1 {
-        if circuit.inputs() > 0 {
-            rounds += 1;
-        }
-        if !circuit.outputs().is_empty() {
-            rounds += 1;
-        }
+/// The outputs every party opened, checked to be one answer: a party
+/// that opened something else means a corrupted batch or a protocol
+/// bug, and returning party 0's view would hide it. Every backend
+/// funnels its per-party results through here, in debug and release
+/// builds alike — the check is `O(parties × outputs)`.
+///
+/// # Panics
+///
+/// Panics if `per_party` is empty or two parties disagree.
+pub fn agreed_outputs(per_party: impl IntoIterator<Item = Vec<bool>>) -> Vec<bool> {
+    let mut per_party = per_party.into_iter();
+    let first = per_party.next().expect("at least one party");
+    for (p, opened) in per_party.enumerate() {
+        assert_eq!(
+            opened,
+            first,
+            "party {} disagrees on the opened outputs",
+            p + 1
+        );
     }
-    rounds
+    first
 }
 
-/// Runs the straight-line protocol for one party over a blocking
-/// transport — what each thread of the threaded backend executes.
+/// Runs the protocol for one party over a blocking transport — what
+/// each thread of the threaded backend executes.
 /// `on_round(level_round, elapsed)` fires after each completed AND
-/// round with its wall time (for the `gmw.round_ns` telemetry).
+/// exchange with its wall time (for the `gmw.round_ns` telemetry).
 ///
 /// # Panics
 ///
@@ -625,33 +668,21 @@ where
     R: Rng + ?Sized,
     F: FnMut(usize, Duration),
 {
-    let parties = core.parties();
-    let batches = core.share_inputs(my_bits, rng);
-    if parties > 1 && core.layout().total_inputs() > 0 {
-        transport.scatter(batches);
-        for (from, batch) in transport.collect() {
-            core.absorb_inputs(from, &batch);
-        }
-    }
     let mut round = 0usize;
-    while let Some(batch) = core.next_layer_batch() {
+    loop {
+        let step = core.advance(|core| core.share_inputs(my_bits, rng));
+        let and_exchange = matches!(core.state, State::AwaitLayer(_));
         let started = Instant::now();
-        if parties > 1 {
-            transport.broadcast(batch);
-            let peers = transport.collect();
-            core.finish_layer(&peers);
-        } else {
-            core.finish_layer(&[]);
+        match step {
+            StageOutput::Scatter(batches) => transport.scatter(batches),
+            StageOutput::Broadcast(batch) => transport.broadcast(batch),
+            StageOutput::Done(outputs) => return outputs,
         }
-        on_round(round, started.elapsed());
-        round += 1;
-    }
-    if parties > 1 && !core.circuit().outputs().is_empty() {
-        transport.broadcast(core.output_batch());
-        let peers = transport.collect();
-        core.open_outputs(&peers)
-    } else {
-        core.open_outputs(&[])
+        core.absorb(&transport.collect());
+        if and_exchange {
+            on_round(round, started.elapsed());
+            round += 1;
+        }
     }
 }
 
@@ -675,69 +706,28 @@ where
     T: Transport,
     F: FnMut(usize, &mut PartyCore<'_>) -> Vec<PackedBatch>,
 {
-    let parties = cores.len();
-    assert_eq!(transports.len(), parties, "one transport per party");
-    assert!(parties >= 1, "at least one party required");
-    let has_inputs = cores[0].layout().total_inputs() > 0;
-
-    // Input-sharing exchange.
-    for (p, core) in cores.iter_mut().enumerate() {
-        let batches = share(p, core);
-        if parties > 1 && has_inputs {
-            transports[p].scatter(batches);
-        }
-    }
-    if parties > 1 && has_inputs {
-        for (p, core) in cores.iter_mut().enumerate() {
-            for (from, batch) in transports[p].collect() {
-                core.absorb_inputs(from, &batch);
-            }
-        }
-    }
-
-    // AND levels, one exchange per level.
+    assert_eq!(transports.len(), cores.len(), "one transport per party");
+    assert!(!cores.is_empty(), "at least one party required");
     loop {
-        let mut batches: Vec<Option<PackedBatch>> =
-            cores.iter_mut().map(PartyCore::next_layer_batch).collect();
-        let pending = batches[0].is_some();
-        assert!(
-            batches.iter().all(|b| b.is_some() == pending),
-            "parties disagree on the schedule"
-        );
-        if !pending {
-            break;
-        }
-        if parties == 1 {
-            cores[0].finish_layer(&[]);
-            continue;
-        }
-        for (p, batch) in batches.iter_mut().enumerate() {
-            transports[p].broadcast(batch.take().expect("checked above"));
-        }
-        for (p, core) in cores.iter_mut().enumerate() {
-            let peers = transports[p].collect();
-            core.finish_layer(&peers);
-        }
-    }
-
-    // Output opening.
-    if parties > 1 && !cores[0].circuit().outputs().is_empty() {
-        for (p, core) in cores.iter().enumerate() {
-            transports[p].broadcast(core.output_batch());
-        }
-        let mut result: Option<Vec<bool>> = None;
-        for (p, core) in cores.iter().enumerate() {
-            let opened = core.open_outputs(&transports[p].collect());
-            match &result {
-                None => result = Some(opened),
-                Some(first) => {
-                    assert_eq!(&opened, first, "party {p} disagrees on the opened outputs")
-                }
+        let mut opened = Vec::new();
+        for (p, (core, transport)) in cores.iter_mut().zip(transports.iter_mut()).enumerate() {
+            match core.advance(|core| share(p, core)) {
+                StageOutput::Scatter(batches) => transport.scatter(batches),
+                StageOutput::Broadcast(batch) => transport.broadcast(batch),
+                StageOutput::Done(outputs) => opened.push(outputs),
             }
         }
-        result.expect("at least one party")
-    } else {
-        cores[0].open_outputs(&[])
+        if !opened.is_empty() {
+            assert_eq!(
+                opened.len(),
+                cores.len(),
+                "parties disagree on the schedule"
+            );
+            return agreed_outputs(opened);
+        }
+        for (core, transport) in cores.iter_mut().zip(transports.iter_mut()) {
+            core.absorb(&transport.collect());
+        }
     }
 }
 
@@ -819,7 +809,8 @@ pub mod reference {
             stats.rounds += 1;
         }
 
-        stats.rounds += circuit.and_layers().len();
+        stats.and_rounds = circuit.and_layers().len();
+        stats.rounds += stats.and_rounds;
 
         for gate in circuit.gates() {
             let shares = match *gate {
@@ -855,7 +846,7 @@ pub mod reference {
                         .fold(false, |acc, (&y, &tb)| acc ^ y ^ tb);
                     stats.bits_sent += 2 * (parties * (parties - 1)) as u64;
                     stats.messages += (parties * (parties - 1)) as u64;
-                    stats.triples_used += 1;
+                    stats.and_gates += 1;
                     (0..parties)
                         .map(|p| {
                             let mut z = triple.c[p] ^ (d & triple.b[p]) ^ (e & triple.a[p]);
@@ -890,6 +881,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::builder::{to_bits, word_value, CircuitBuilder};
+    use crate::gmw::GmwStats;
     use eppi_net::transport::InProcessTransport;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -972,9 +964,10 @@ mod tests {
             let (unpacked, stats) =
                 reference::execute_unpacked(&circuit, &layout, &inputs, &mut ref_rng);
             assert_eq!(packed, unpacked, "seed {seed}");
-            assert_eq!(stats.bits_sent, logical_bits(&circuit, &layout));
+            // The oracle's hand-counted cost is the structural record.
             let sched = Schedule::new(&circuit);
-            assert_eq!(stats.rounds, protocol_rounds(&circuit, &layout, &sched));
+            let expect = GmwStats::measured(&circuit, &layout, &sched, stats.messages, stats.bytes);
+            assert_eq!(stats, expect);
         }
     }
 

@@ -68,4 +68,4 @@ pub use gmw::{execute, GmwStats};
 pub use gmw_core::{PartyCore, Schedule};
 pub use packed::PackedBits;
 pub use share::{add_shares, recombine, split, Shares};
-pub use stage::{GmwStages, PartyStages, StageOutput, TripleFeed};
+pub use stage::{ChannelTriples, StageOutput};

@@ -412,6 +412,10 @@ mod tests {
             let (tx, rx) = h.split();
             let mut sender = FrameSender::new(tx);
             let mut per_peer = vec![Vec::new(); 2];
+            // Started before the first send: deadlines count from
+            // `sent_at`, so a clock started after the flushes could read
+            // a hair under one latency.
+            let started = Instant::now();
             // 3 frames back-to-back (separate flushes).
             for step in 0..3u32 {
                 per_peer[1 - me] = vec![LaneItem {
@@ -422,7 +426,6 @@ mod tests {
                 sender.flush(per_peer.clone()).unwrap();
             }
             let mut receiver = FrameReceiver::new(rx, Some(LinkPacing { latency }));
-            let started = Instant::now();
             for _ in 0..3 {
                 receiver.recv(Duration::from_secs(5)).unwrap();
             }

@@ -295,6 +295,22 @@ pub fn verify_commitments(
     Ok(())
 }
 
+/// The audit layer's half of an audited construction: every provider
+/// certifies its column of the freshly built `epoch`, and the auditor
+/// gate checks the certificates before the epoch is handed out.
+fn certified(
+    matrix: &MembershipMatrix,
+    epoch: &IndexEpoch,
+    audit: &AuditConfig,
+    registry: &Registry,
+    tracer: &Tracer,
+    parent: SpanCtx,
+) -> Result<Vec<EpochCertificate>, AuditError> {
+    let certificates = certify_epoch_traced(matrix, epoch, audit, registry, tracer, parent);
+    verify_epoch_traced(epoch, &certificates, audit, registry, tracer, parent)?;
+    Ok(certificates)
+}
+
 /// [`construct_epoch`](crate::construct_epoch) with the audit layer:
 /// constructs epoch 0, certifies every provider column, and runs the
 /// auditor gate before returning.
@@ -337,8 +353,7 @@ pub fn construct_epoch_audited_traced(
     parent: SpanCtx,
 ) -> Result<AuditedEpoch, AuditedConstructError> {
     let epoch = construct_epoch_with_registry(matrix, epsilons, config, registry)?;
-    let certificates = certify_epoch_traced(matrix, &epoch, audit, registry, tracer, parent);
-    verify_epoch_traced(&epoch, &certificates, audit, registry, tracer, parent)?;
+    let certificates = certified(matrix, &epoch, audit, registry, tracer, parent)?;
     Ok(AuditedEpoch {
         epoch,
         certificates,
@@ -385,11 +400,10 @@ pub fn construct_delta_audited_traced(
     tracer: &Tracer,
     parent: SpanCtx,
 ) -> Result<AuditedDelta, AuditedConstructError> {
-    let out = construct_delta_with_registry(prev, matrix, delta, registry)?;
-    let certificates = certify_epoch_traced(matrix, &out.epoch, audit, registry, tracer, parent);
-    verify_epoch_traced(&out.epoch, &certificates, audit, registry, tracer, parent)?;
+    let delta = construct_delta_with_registry(prev, matrix, delta, registry)?;
+    let certificates = certified(matrix, &delta.epoch, audit, registry, tracer, parent)?;
     Ok(AuditedDelta {
-        delta: out,
+        delta,
         certificates,
     })
 }

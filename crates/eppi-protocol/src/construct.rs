@@ -24,18 +24,22 @@
 //! identities — a conservative upper bound of the paper's
 //! `max ε over common identities`, since which identities are common is
 //! exactly what stays hidden from the protocol participants.
+//!
+//! The five steps are code in exactly one place, `construct_columns` in
+//! [`crate::epoch`], which runs them over any set of columns on top of
+//! a previous epoch. [`construct_distributed`] is that routine over
+//! *all* columns on top of the empty state (the genesis delta); this
+//! module holds the configuration, the cost report and the public
+//! cleartext helpers around it.
 
-use crate::countbelow::{run_count_below, run_mix_decision, Backend, StageReport};
+use crate::countbelow::{Backend, StageReport};
+use crate::epoch::construct_genesis;
 use eppi_core::error::EppiError;
-use eppi_core::mixing::lambda_for;
 use eppi_core::model::{Epsilon, MembershipMatrix, PublishedIndex};
 use eppi_core::policy::{BetaPolicy, PolicyKind};
-use eppi_core::publish::publish_vector_at;
-use eppi_mpc::field::Modulus;
-use eppi_mpc::share::recombine_raw;
 use eppi_net::sim::{LinkModel, NetStats};
 use eppi_telemetry::Registry;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of the distributed construction protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,160 +206,19 @@ pub fn construct_distributed_with_registry(
     config: &ProtocolConfig,
     registry: &Registry,
 ) -> Result<DistributedConstruction, EppiError> {
-    construct_full(matrix, epsilons, config, registry).map(|full| full.out)
-}
-
-/// A full construction plus the protocol state the epoch lifecycle
-/// retains between runs (`epoch::IndexEpoch`): the coordinator share
-/// vectors and the public thresholds, which a later `construct_delta`
-/// needs to update the common count incrementally.
-pub(crate) struct FullConstruction {
-    pub out: DistributedConstruction,
-    /// `shares[k][j]`: coordinator `k`'s additive frequency share of
-    /// owner `j`.
-    pub shares: Vec<Vec<u64>>,
-    /// The public per-owner frequency thresholds `t_j`.
-    pub thresholds: Vec<u64>,
-}
-
-pub(crate) fn construct_full(
-    matrix: &MembershipMatrix,
-    epsilons: &[Epsilon],
-    config: &ProtocolConfig,
-    registry: &Registry,
-) -> Result<FullConstruction, EppiError> {
-    if epsilons.len() != matrix.owners() {
-        return Err(EppiError::DimensionMismatch {
-            what: "epsilons",
-            expected: matrix.owners(),
-            actual: epsilons.len(),
-        });
-    }
-    config.policy.validate()?;
-    let m = matrix.providers();
-    let n = matrix.owners();
-    if m < config.c || config.c == 0 {
-        return Err(EppiError::NetworkTooSmall {
-            providers: m,
-            required: config.c.max(1),
-        });
-    }
-
-    let started = Instant::now();
-    let width = share_width(m);
-    let modulus = Modulus::pow2(width as u32);
-
-    // Cleartext: public thresholds from public ε's (Formula 9 push-down).
-    let phase = Instant::now();
-    let thresholds = frequency_thresholds(config.policy, epsilons, m);
-    let thresholds_wall = phase.elapsed();
-
-    // Phase 1.1 — SecSumShare across all m providers.
-    let phase = Instant::now();
-    let vectors: Vec<_> = matrix.provider_ids().map(|p| matrix.row(p)).collect();
-    let secsum = config
-        .backend
-        .secsumshare(&vectors, config.c, modulus, config.link, config.seed);
-    let secsum_wall = phase.elapsed();
-
-    // Phase 1.2a — CountBelow among the c coordinators.
-    let phase = Instant::now();
-    let (common_count, count_stage) = run_count_below(
-        &secsum.coordinator_shares,
-        &thresholds,
-        width,
-        config.backend,
-        config.seed ^ 0xcb,
-    );
-    let count_wall = phase.elapsed();
-
-    // Cleartext: λ from the revealed count (Eq. 7), with the
-    // conservative ξ = max ε over all identities. Timed on its own so
-    // the adjacent MPC phase timings stay pure MPC.
-    let phase = Instant::now();
-    let xi = epsilons.iter().map(|e| e.value()).fold(0.0f64, f64::max);
-    let lambda = lambda_for(common_count as usize, n, xi);
-    let lambda_wall = phase.elapsed();
-
-    // Phase 1.2b — mix decisions among the c coordinators.
-    let phase = Instant::now();
-    let (decisions, mix_stage) = run_mix_decision(
-        &secsum.coordinator_shares,
-        &thresholds,
-        width,
-        config.coin_bits,
-        lambda,
-        config.backend,
-        config.seed ^ 0x313,
-    );
-    let mix_wall = phase.elapsed();
-
-    // Cleartext: reconstruct frequencies only for β*-published
-    // identities; evaluate the policy on the revealed σ.
-    let phase = Instant::now();
-    let betas: Vec<f64> = decisions
-        .iter()
-        .enumerate()
-        .map(|(j, &mixed)| {
-            if mixed {
-                1.0
-            } else {
-                let parts: Vec<u64> = secsum.coordinator_shares.iter().map(|v| v[j]).collect();
-                let freq = recombine_raw(&parts, modulus);
-                let sigma = freq as f64 / m as f64;
-                config.policy.beta(sigma, epsilons[j], m)
-            }
-        })
-        .collect();
-
-    // Phase 2 — randomized publication, locally at every provider,
-    // under the deterministic per-cell coins keyed by (epoch_seed,
-    // provider, owner): cells whose membership bit and β don't change
-    // publish identically in every epoch of the lineage, which is the
-    // anti-intersection invariant (DESIGN.md §10).
-    let mut published = MembershipMatrix::new(m, n);
-    for provider in matrix.provider_ids() {
-        let row = publish_vector_at(&matrix.row(provider), &betas, config.seed);
-        published.set_row(&row);
-    }
-
-    let publish_wall = phase.elapsed();
-
-    let report = ConstructionReport {
-        secsum: secsum.stats,
-        count_stage,
-        mix_stage,
-        phases: PhaseWall {
-            thresholds: thresholds_wall,
-            secsum: secsum_wall,
-            count: count_wall,
-            lambda: lambda_wall,
-            mix: mix_wall,
-            publish: publish_wall,
-        },
-        wall: started.elapsed(),
-        epoch: 0,
-        columns: n,
-    };
-
-    emit_report(registry, &report);
-
-    Ok(FullConstruction {
-        out: DistributedConstruction {
-            index: PublishedIndex::new(published, betas),
-            common_count,
-            lambda,
-            decisions,
-            report,
-        },
-        shares: secsum.coordinator_shares,
-        thresholds,
+    let built = construct_genesis(matrix, epsilons, config, registry)?;
+    let state = built.epoch.into_state();
+    Ok(DistributedConstruction {
+        index: state.index,
+        common_count: state.common_count,
+        lambda: state.lambda,
+        decisions: state.decisions,
+        report: built.report,
     })
 }
 
-/// Writes one run's [`ConstructionReport`] into the registry — shared
-/// by the full and delta construction paths so both land in the same
-/// `construct.*` / `secsum.*` families.
+/// Writes one run's [`ConstructionReport`] into the registry (the
+/// `construct.*` / `secsum.*` families).
 pub(crate) fn emit_report(registry: &Registry, report: &ConstructionReport) {
     for (phase, wall) in report.phases.named() {
         registry

@@ -89,23 +89,12 @@ impl Backend {
             report.simulated_us += simulated_us;
         };
         let outputs = match self {
-            Backend::InProcess => lanes
-                .iter()
-                .map(|l| {
-                    let mut rng = StdRng::seed_from_u64(l.seed);
-                    let (out, g) = gmw::execute(l.circuit, l.layout, l.inputs, &mut rng);
-                    traffic(g.messages, g.bits_sent, g.bytes, 0.0);
-                    out
-                })
-                .collect(),
-            Backend::Threaded => lanes
-                .iter()
-                .map(|l| {
-                    let (out, r) = execute_threaded(l.circuit, l.layout, l.inputs, l.seed);
-                    traffic(r.messages, r.bits_sent, r.bytes, 0.0);
-                    out
-                })
-                .collect(),
+            Backend::Pipelined { workers } => {
+                let (outs, r) = execute_pipelined(lanes, &PipelineConfig::with_workers(workers))
+                    .expect("in-process pipeline cannot lose a party");
+                traffic(r.messages, r.bits_sent, r.bytes, 0.0);
+                outs
+            }
             Backend::Simulated => lanes
                 .iter()
                 .map(|l| {
@@ -115,12 +104,19 @@ impl Backend {
                     out
                 })
                 .collect(),
-            Backend::Pipelined { workers } => {
-                let (outs, r) = execute_pipelined(lanes, &PipelineConfig::with_workers(workers))
-                    .expect("in-process pipeline cannot lose a party");
-                traffic(r.messages, r.bits_sent, r.bytes, 0.0);
-                outs
-            }
+            Backend::InProcess | Backend::Threaded => lanes
+                .iter()
+                .map(|l| {
+                    let (out, g) = if self == Backend::Threaded {
+                        execute_threaded(l.circuit, l.layout, l.inputs, l.seed)
+                    } else {
+                        let mut rng = StdRng::seed_from_u64(l.seed);
+                        gmw::execute(l.circuit, l.layout, l.inputs, &mut rng)
+                    };
+                    traffic(g.messages, g.bits_sent, g.bytes, 0.0);
+                    out
+                })
+                .collect(),
         };
         (outputs, report)
     }
@@ -551,6 +547,81 @@ mod tests {
             for (rc, rm) in &single_lane[1..] {
                 assert_eq!(traffic(rc), traffic(&single_lane[0].0), "{k} columns");
                 assert_eq!(traffic(rm), traffic(&single_lane[0].1), "{k} columns");
+            }
+        }
+    }
+
+    /// The per-adapter "matches cleartext / reports logical bits / a
+    /// lone party sends nothing" checks, once over the four backends
+    /// and arbitrary (non-protocol) circuits.
+    #[test]
+    fn every_backend_evaluates_any_circuit_like_cleartext_and_a_lone_party_sends_nothing() {
+        use eppi_mpc::builder::{to_bits, CircuitBuilder};
+        use rand::Rng;
+
+        // 3 parties, single-bit output: (a + b) ≥ c.
+        let sum_ge = {
+            let mut cb = CircuitBuilder::new();
+            let (a, b, c) = (cb.input_word(6), cb.input_word(6), cb.input_word(7));
+            let sum = cb.add_words_expand(&a, &b);
+            let ge = cb.ge_words(&sum, &c);
+            (cb.finish(vec![ge]), InputLayout::new(vec![6, 6, 7]))
+        };
+        // 2 parties, word + flag outputs, a constant operand.
+        let sum_and_flag = {
+            let mut cb = CircuitBuilder::new();
+            let (a, b) = (cb.input_word(5), cb.input_word(5));
+            let sum = cb.add_words_expand(&a, &b);
+            let twenty = cb.const_word(20, 6);
+            let ge = cb.ge_words(&sum, &twenty);
+            let mut outs = sum.bits().to_vec();
+            outs.push(ge);
+            (cb.finish(outs), InputLayout::new(vec![5, 5]))
+        };
+        // A lone party: multi-level AND depth, but nobody to talk to.
+        let alone = {
+            let mut cb = CircuitBuilder::new();
+            let a = cb.input_word(4);
+            let nine = cb.const_word(9, 4);
+            let ge = cb.ge_words(&a, &nine);
+            (cb.finish(vec![ge]), InputLayout::new(vec![4]))
+        };
+
+        let mut rng = StdRng::seed_from_u64(7);
+        for (circuit, layout) in [sum_ge, sum_and_flag, alone] {
+            let parties = layout.parties();
+            for trial in 0..6u64 {
+                let inputs: Vec<Vec<bool>> = (0..parties)
+                    .map(|p| {
+                        let width = layout.range_of(p).len();
+                        to_bits(rng.gen_range(0..1u64 << width), width)
+                    })
+                    .collect();
+                let clear = circuit.eval(&layout.flatten(&inputs));
+                let lane = LaneSpec {
+                    circuit: &circuit,
+                    layout: &layout,
+                    inputs: &inputs,
+                    seed: 1000 + trial,
+                };
+                for backend in [
+                    Backend::InProcess,
+                    Backend::Threaded,
+                    Backend::Simulated,
+                    Backend::Pipelined { workers: 2 },
+                ] {
+                    let what = format!("{backend:?}, {parties} parties, trial {trial}");
+                    let (outs, report) = backend.execute(&[lane]);
+                    assert_eq!(outs, vec![clear.clone()], "{what}");
+                    assert_eq!(report.circuit, circuit.stats(), "{what}");
+                    assert_eq!(report.bits, logical_bits(&circuit, &layout), "{what}");
+                    if parties == 1 {
+                        let sent = (report.messages, report.bits, report.bytes);
+                        assert_eq!(sent, (0, 0, 0), "{what}: a lone party sends nothing");
+                    } else {
+                        assert!(report.messages > 0 && report.bytes > 0, "{what}");
+                    }
+                }
             }
         }
     }

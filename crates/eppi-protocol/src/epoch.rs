@@ -20,19 +20,25 @@
 //!   instead of one over `n`), so MPC gates and SecSumShare messages
 //!   scale with `k = |delta|`, independent of `n − k`.
 //!
-//! Equivalence contract (asserted by the cross-backend proptests): at
-//! the same lineage seed, every *touched* column of a delta epoch is
-//! bit-identical — published bits, β, mix decision — to a from-scratch
-//! [`construct_distributed`](crate::construct::construct_distributed)
-//! over the new matrix, on every MPC backend.
+//! There is one construction routine, `construct_columns`: thresholds →
+//! SecSumShare → CountBelow → λ → mix → β → publish over a set of
+//! touched columns, spliced into the previous epoch's state. A delta
+//! runs it over the delta's columns; a from-scratch build
+//! ([`construct_epoch`],
+//! [`construct_distributed`](crate::construct::construct_distributed))
+//! is the *genesis delta* — the same routine over all columns on top of
+//! the empty lineage state. So at the same lineage seed every *touched*
+//! column of a delta epoch is bit-identical — published bits, β, mix
+//! decision — to a from-scratch build over the new matrix, on every MPC
+//! backend, by construction; the cross-backend proptests that used to
+//! define that contract now guard it against regressions.
 //! Untouched columns are carried over verbatim from the previous epoch
 //! (the anti-intersection invariant); they coincide with the
 //! from-scratch result whenever λ has not drifted since they were last
 //! constructed, and the epoch tracks λ so callers can detect drift.
 
 use crate::construct::{
-    construct_full, emit_report, frequency_thresholds, share_width, ConstructionReport, PhaseWall,
-    ProtocolConfig,
+    emit_report, frequency_thresholds, share_width, ConstructionReport, PhaseWall, ProtocolConfig,
 };
 use crate::countbelow::{run_count_below, run_mix_decision_for_owners};
 use eppi_core::delta::IndexDelta;
@@ -276,7 +282,8 @@ pub struct DeltaConstruction {
 
 /// Runs a full epoch-0 construction, retaining the protocol state the
 /// delta path needs. The published index is bit-identical to
-/// [`construct_distributed`] under the same config.
+/// [`construct_distributed`] under the same config — both are the
+/// genesis delta.
 ///
 /// # Errors
 ///
@@ -303,18 +310,54 @@ pub fn construct_epoch_with_registry(
     config: &ProtocolConfig,
     registry: &Registry,
 ) -> Result<IndexEpoch, EppiError> {
-    let full = construct_full(matrix, epsilons, config, registry)?;
-    Ok(IndexEpoch {
-        index: full.out.index,
-        decisions: full.out.decisions,
-        lambda: full.out.lambda,
-        common_count: full.out.common_count,
+    construct_genesis(matrix, epsilons, config, registry).map(|built| built.epoch)
+}
+
+/// The genesis delta: epoch 0 is every column of `matrix` constructed
+/// on top of the empty lineage state (no owners, no shares, no
+/// commons) — what both [`construct_epoch`] and `construct_distributed`
+/// run. The SecSumShare seed at epoch 0 is the bare lineage seed.
+pub(crate) fn construct_genesis(
+    matrix: &MembershipMatrix,
+    epsilons: &[Epsilon],
+    config: &ProtocolConfig,
+    registry: &Registry,
+) -> Result<DeltaConstruction, EppiError> {
+    if epsilons.len() != matrix.owners() {
+        return Err(EppiError::DimensionMismatch {
+            what: "epsilons",
+            expected: matrix.owners(),
+            actual: epsilons.len(),
+        });
+    }
+    config.policy.validate()?;
+    let m = matrix.providers();
+    if m < config.c || config.c == 0 {
+        return Err(EppiError::NetworkTooSmall {
+            providers: m,
+            required: config.c.max(1),
+        });
+    }
+    let empty = IndexEpoch {
+        index: PublishedIndex::new(MembershipMatrix::new(m, 0), Vec::new()),
+        decisions: Vec::new(),
+        lambda: 0.0,
+        common_count: 0,
         epoch: 0,
-        thresholds: full.thresholds,
-        epsilons: epsilons.to_vec(),
-        shares: full.shares,
+        thresholds: Vec::new(),
+        epsilons: Vec::new(),
+        shares: vec![Vec::new(); config.c],
         config: *config,
-    })
+    };
+    let every_column: Vec<(OwnerId, Epsilon)> =
+        matrix.owner_ids().zip(epsilons.iter().copied()).collect();
+    Ok(construct_columns(
+        &empty,
+        0,
+        matrix,
+        &every_column,
+        registry,
+    ))
 }
 
 /// Runs the incremental construction for one [`IndexDelta`] on top of
@@ -332,8 +375,8 @@ pub fn construct_epoch_with_registry(
 /// the previous epoch's retained shares of the touched columns (old
 /// thresholds) and one over the fresh shares (new thresholds) — the
 /// exact common count follows by difference — and one mix-decision MPC
-/// keyed by the global owner ids, reproducing precisely the coins a
-/// from-scratch run would use.
+/// keyed by the global owner ids: the very routine, coins included,
+/// that a from-scratch run applies to all `n` columns.
 ///
 /// # Errors
 ///
@@ -360,38 +403,27 @@ pub fn construct_delta_with_registry(
     delta: &IndexDelta,
     registry: &Registry,
 ) -> Result<DeltaConstruction, EppiError> {
-    if delta.base_owners() != prev.owners() {
-        return Err(EppiError::DimensionMismatch {
-            what: "delta base owners",
-            expected: prev.owners(),
-            actual: delta.base_owners(),
-        });
+    for (what, expected, actual) in [
+        ("delta base owners", prev.owners(), delta.base_owners()),
+        ("delta owners", delta.owners(), matrix.owners()),
+        ("providers", prev.providers(), matrix.providers()),
+    ] {
+        if expected != actual {
+            return Err(EppiError::DimensionMismatch {
+                what,
+                expected,
+                actual,
+            });
+        }
     }
-    if matrix.owners() != delta.owners() {
-        return Err(EppiError::DimensionMismatch {
-            what: "delta owners",
-            expected: delta.owners(),
-            actual: matrix.owners(),
-        });
-    }
-    if matrix.providers() != prev.providers() {
-        return Err(EppiError::DimensionMismatch {
-            what: "providers",
-            expected: prev.providers(),
-            actual: matrix.providers(),
-        });
-    }
-    let config = prev.config;
     let started = Instant::now();
     let next_epoch = prev.epoch + 1;
-
     if delta.is_empty() {
         // Nothing changed: the next epoch is the previous one under a
-        // new number; no MPC runs at all.
+        // new number; no protocol message is sent at all.
         let report = ConstructionReport {
             wall: started.elapsed(),
             epoch: next_epoch,
-            columns: 0,
             ..ConstructionReport::default()
         };
         emit_report(registry, &report);
@@ -403,24 +435,49 @@ pub fn construct_delta_with_registry(
             report,
         });
     }
+    let changed: Vec<(OwnerId, Epsilon)> = delta.entries().map(|e| (e.owner, e.epsilon)).collect();
+    Ok(construct_columns(
+        prev, next_epoch, matrix, &changed, registry,
+    ))
+}
 
+/// The ε-PPI construction (Alg. 1 in the Formula 9 order) over the
+/// `touched` columns of `matrix` — `(owner, new ε)` pairs in ascending
+/// owner order — producing epoch number `epoch` by splicing the result
+/// into `prev`. This is the only code that runs SecSumShare, CountBelow
+/// and the mix-decision MPC; callers have validated the dimensions.
+///
+/// Columns of `touched` beyond `prev`'s owner count are new; the rest
+/// existed, and their retained shares give the common count by
+/// difference. With `prev` empty (genesis) every column is new, the
+/// "before" CountBelow has zero columns — zero lanes, free — and the
+/// difference is the plain count.
+fn construct_columns(
+    prev: &IndexEpoch,
+    epoch: u64,
+    matrix: &MembershipMatrix,
+    touched: &[(OwnerId, Epsilon)],
+    registry: &Registry,
+) -> DeltaConstruction {
+    let config = prev.config;
+    let started = Instant::now();
     let m = matrix.providers();
     let n_old = prev.owners();
     let n_new = matrix.owners();
     let width = share_width(m);
     let modulus = Modulus::pow2(width as u32);
-    let touched = delta.touched();
     let k = touched.len();
+    let (owners, touched_eps): (Vec<OwnerId>, Vec<Epsilon>) = touched.iter().copied().unzip();
 
-    // Splice the ε vector, then derive thresholds for the touched
-    // columns only (cleartext, public data).
+    // Cleartext: splice the ε vector, then derive the public thresholds
+    // of the touched columns from their public ε's (Formula 9
+    // push-down).
     let phase = Instant::now();
     let mut epsilons = prev.epsilons.clone();
     epsilons.resize(n_new, Epsilon::ZERO);
-    for entry in delta.entries() {
-        epsilons[entry.owner.index()] = entry.epsilon;
+    for &(owner, epsilon) in touched {
+        epsilons[owner.index()] = epsilon;
     }
-    let touched_eps: Vec<Epsilon> = touched.iter().map(|o| epsilons[o.index()]).collect();
     let new_thresholds = frequency_thresholds(config.policy, &touched_eps, m);
     let thresholds_wall = phase.elapsed();
 
@@ -432,7 +489,7 @@ pub fn construct_delta_with_registry(
         .provider_ids()
         .map(|p| {
             let mut v = LocalVector::new(p, k);
-            for (t, &owner) in touched.iter().enumerate() {
+            for (t, &owner) in owners.iter().enumerate() {
                 if matrix.get(p, owner) {
                     v.set(OwnerId(t as u32), true);
                 }
@@ -440,7 +497,7 @@ pub fn construct_delta_with_registry(
             v
         })
         .collect();
-    let secsum_seed = config.seed ^ next_epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let secsum_seed = config.seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let secsum = config
         .backend
         .secsumshare(&vectors, config.c, modulus, config.link, secsum_seed);
@@ -450,53 +507,55 @@ pub fn construct_delta_with_registry(
     // CountBelow over the *retained* shares of the touched columns
     // that already existed (old thresholds), one over the fresh shares
     // (new thresholds). Untouched columns keep their common status, so
-    // the difference is exact. A delta of added columns only has no
-    // `existing` batch: zero columns, zero lanes, no MPC.
+    // the difference is exact. Added columns have no `existing` entry:
+    // zero columns, zero lanes, no MPC.
     let phase = Instant::now();
-    let existing: Vec<usize> = (0..k).filter(|&t| touched[t].index() < n_old).collect();
+    let existing: Vec<usize> = owners
+        .iter()
+        .map(|o| o.index())
+        .filter(|&j| j < n_old)
+        .collect();
     let old_shares: Vec<Vec<u64>> = prev
         .shares
         .iter()
-        .map(|v| existing.iter().map(|&t| v[touched[t].index()]).collect())
+        .map(|v| existing.iter().map(|&j| v[j]).collect())
         .collect();
-    let old_thresholds: Vec<u64> = existing
-        .iter()
-        .map(|&t| prev.thresholds[touched[t].index()])
-        .collect();
+    let old_thresholds: Vec<u64> = existing.iter().map(|&j| prev.thresholds[j]).collect();
     let (commons_before, count_old) = run_count_below(
         &old_shares,
         &old_thresholds,
         width,
         config.backend,
-        config.seed ^ 0xcb ^ next_epoch.wrapping_mul(0x5851_f42d_4c95_7f2d),
+        config.seed ^ 0xcb ^ epoch.wrapping_mul(0x5851_f42d_4c95_7f2d),
     );
     let (commons_after, count_new) = run_count_below(
         &secsum.coordinator_shares,
         &new_thresholds,
         width,
         config.backend,
-        config.seed ^ 0xcb ^ (next_epoch | 1 << 63).wrapping_mul(0x5851_f42d_4c95_7f2d),
+        config.seed ^ 0xcb ^ (epoch | 1 << 63).wrapping_mul(0x5851_f42d_4c95_7f2d),
     );
     let common_count = prev.common_count - commons_before + commons_after;
     let count_stage = count_old.merge(count_new);
     let count_wall = phase.elapsed();
 
-    // Cleartext λ over the spliced ε vector — O(n) on public data; the
-    // O(k) bound covers the secure stages, not public scans.
+    // Cleartext λ from the revealed count (Eq. 7), with the conservative
+    // ξ = max ε over the whole spliced ε vector — O(n) on public data;
+    // the O(k) bound covers the secure stages, not public scans. Timed
+    // on its own so the adjacent MPC phase timings stay pure MPC.
     let phase = Instant::now();
     let xi = epsilons.iter().map(|e| e.value()).fold(0.0f64, f64::max);
     let lambda = lambda_for(common_count as usize, n_new, xi);
     let lambda_wall = phase.elapsed();
 
     // Phase 1.2b — mix decisions for the touched columns, with coins
-    // keyed by global owner id under the *lineage* seed: the same
-    // coins a from-scratch run at this seed would draw, which is what
-    // makes touched columns bit-identical to a full construction.
+    // keyed by global owner id under the *lineage* seed, so a column's
+    // coins do not depend on which other columns share its batch.
     let phase = Instant::now();
     let (touched_decisions, mix_stage) = run_mix_decision_for_owners(
         &secsum.coordinator_shares,
         &new_thresholds,
-        &touched,
+        &owners,
         width,
         config.coin_bits,
         lambda,
@@ -505,9 +564,9 @@ pub fn construct_delta_with_registry(
     );
     let mix_wall = phase.elapsed();
 
-    // β for the touched columns; splice everything into the previous
-    // epoch's state and re-publish only the touched cells under the
-    // deterministic coins.
+    // Cleartext: reconstruct frequencies only for β*-published
+    // identities and evaluate the policy on the revealed σ; mixed and
+    // common identities' frequencies are never revealed.
     let phase = Instant::now();
     let touched_betas: Vec<f64> = touched_decisions
         .iter()
@@ -524,10 +583,9 @@ pub fn construct_delta_with_registry(
         })
         .collect();
 
+    // Splice everything into the previous epoch's state.
     let mut published = prev.index.matrix().clone();
-    if n_new > n_old {
-        published.grow_owners(n_new);
-    }
+    published.grow_owners(n_new);
     let mut betas = prev.index.betas().to_vec();
     betas.resize(n_new, 0.0);
     let mut decisions = prev.decisions.clone();
@@ -538,7 +596,7 @@ pub fn construct_delta_with_registry(
     for v in &mut shares {
         v.resize(n_new, 0);
     }
-    for (t, &owner) in touched.iter().enumerate() {
+    for (t, &owner) in owners.iter().enumerate() {
         let j = owner.index();
         betas[j] = touched_betas[t];
         decisions[j] = touched_decisions[t];
@@ -546,8 +604,17 @@ pub fn construct_delta_with_registry(
         for (coord, v) in shares.iter_mut().enumerate() {
             v[j] = secsum.coordinator_shares[coord][t];
         }
-        for p in matrix.provider_ids() {
-            let bit = publish_cell(config.seed, p, owner, matrix.get(p, owner), betas[j]);
+    }
+
+    // Phase 2 — randomized publication of the touched cells, locally
+    // at every provider, under the deterministic per-cell coins keyed
+    // by (lineage seed, provider, owner): cells whose membership bit
+    // and β don't change publish identically in every epoch of the
+    // lineage, which is the anti-intersection invariant (DESIGN.md §10).
+    for p in matrix.provider_ids() {
+        for &owner in &owners {
+            let beta = betas[owner.index()];
+            let bit = publish_cell(config.seed, p, owner, matrix.get(p, owner), beta);
             published.set(p, owner, bit);
         }
     }
@@ -566,25 +633,25 @@ pub fn construct_delta_with_registry(
             publish: publish_wall,
         },
         wall: started.elapsed(),
-        epoch: next_epoch,
+        epoch,
         columns: k,
     };
     emit_report(registry, &report);
 
-    Ok(DeltaConstruction {
+    DeltaConstruction {
         epoch: IndexEpoch {
             index: PublishedIndex::new(published, betas),
             decisions,
             lambda,
             common_count,
-            epoch: next_epoch,
+            epoch,
             thresholds,
             epsilons,
             shares,
             config,
         },
         report,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -6,24 +6,32 @@
 //!
 //! * [`secsum`] — the SecSumShare parallel secure-sum protocol (Fig. 3):
 //!   `m` providers → `c` coordinator share vectors, constant rounds,
-//!   `(2c−3)`-secrecy of inputs and `c`-secrecy of outputs.
+//!   `(2c−3)`-secrecy of inputs and `c`-secrecy of outputs. One
+//!   sans-io provider node, two runtimes (round simulator, threads).
 //! * [`countbelow`] — the generic-MPC stage among the `c` coordinators
 //!   (CountBelow of Alg. 2 + the mix-decision pass) and the [`Backend`]
 //!   choice; [`Backend::execute`] is the one place that knows how each
 //!   of the four backends runs a circuit batch.
 //! * [`threaded_gmw`] — the multi-threaded GMW executor behind the
 //!   wall-clock experiments.
-//! * [`pipelined_gmw`] — the stage-based pipelined runtime: many
-//!   independent circuit lanes over one shared network, with streamed
-//!   Beaver dealing, per-peer send coalescing and overlapped exchanges
-//!   (DESIGN.md §15); bit-identical to the lockstep oracle.
+//! * [`pipelined_gmw`] — the pipelined runtime: many independent
+//!   circuit lanes over one shared network, with streamed Beaver
+//!   dealing, per-peer send coalescing and overlapped exchanges
+//!   (DESIGN.md §15); bit-identical to the lockstep backends. All
+//!   three executors, and [`sim_gmw`], drive the one party state
+//!   machine of `eppi_mpc::gmw_core` and report one cost record,
+//!   `eppi_mpc::gmw::GmwStats`.
 //! * [`sim_gmw`] — the same protocol over the round-based network
 //!   simulator, yielding simulated network time under a link model.
-//! * [`construct`] — the end-to-end two-phase construction (Alg. 1).
-//! * [`epoch`] — the versioned epoch lifecycle: [`construct_epoch`]
-//!   retains the protocol state that lets [`construct_delta`] refresh
-//!   only a change batch's columns, with MPC work independent of the
-//!   untouched owner count (DESIGN.md §10).
+//! * [`construct`] — configuration, cost report and the from-scratch
+//!   entry point of the two-phase construction (Alg. 1).
+//! * [`epoch`] — the versioned epoch lifecycle and the construction
+//!   routine itself: Alg. 1's phases are written once, over a set of
+//!   touched columns on top of a previous epoch. [`construct_delta`]
+//!   runs them over a change batch's columns, with MPC work
+//!   independent of the untouched owner count; [`construct_epoch`] and
+//!   [`construct_distributed`] run them over all columns on top of the
+//!   empty state — the genesis delta (DESIGN.md §10).
 //! * [`pure_mpc`] — the paper's *pure MPC* baseline, for the Fig. 6
 //!   comparisons.
 //! * [`audit`] — the verifiable-publication layer: per-provider
@@ -89,4 +97,4 @@ pub use pipelined_gmw::{
 pub use pure_mpc::{construct_pure_mpc, PureMpcConfig, PureMpcConstruction};
 pub use secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
 pub use sim_gmw::execute_simulated;
-pub use threaded_gmw::{execute_threaded, ThreadedGmwReport};
+pub use threaded_gmw::execute_threaded;

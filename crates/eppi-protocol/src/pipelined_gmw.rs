@@ -17,9 +17,10 @@
 //!   bounded per-party channels ahead of consumption, instead of
 //!   materializing the whole run's triples up front.
 //! * **Lane evaluation** — a pool of worker threads drives each lane's
-//!   sans-io [`GmwStages`] state machine: local gate evaluation up to
-//!   the next exchange, then park on the lane's inbox while *other*
-//!   lanes' local work and exchanges proceed.
+//!   sans-io [`PartyCore`] state machine with the same "advance → send
+//!   → absorb" loop as the lockstep drivers (`run_lane`): local gate
+//!   evaluation up to the next exchange, then park on the lane's inbox
+//!   while *other* lanes' local work and exchanges proceed.
 //! * **Coalesced send** — one sender thread per party drains every
 //!   lane's due batches and writes **one frame per peer per flush**
 //!   ([`FrameSender`]), so concurrent lanes share wire messages instead
@@ -42,11 +43,11 @@
 //! [`execute_threaded`]: crate::threaded_gmw::execute_threaded
 
 use eppi_mpc::circuit::{Circuit, InputLayout};
+use eppi_mpc::gmw::GmwStats;
 use eppi_mpc::gmw_core::{
-    deal_layer_triples, deal_packed_triples, logical_bits, protocol_rounds, run_party, PartyCore,
-    Schedule,
+    agreed_outputs, deal_layer_triples, deal_packed_triples, run_party, PartyCore, Schedule,
 };
-use eppi_mpc::stage::{ChannelTriples, GmwStages, PartyStages, StageOutput};
+use eppi_mpc::stage::{ChannelTriples, StageOutput};
 use eppi_net::pipeline::{
     Frame, FrameReceiver, FrameSender, LaneItem, LinkPacing, PacedFrameTransport, PipelineMetrics,
 };
@@ -120,20 +121,6 @@ pub struct LaneSpec<'a> {
     pub seed: u64,
 }
 
-/// Per-lane cost figures (deterministic in the circuit structure, so
-/// they equal the lockstep oracle's report for the same circuit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneReport {
-    /// AND gates evaluated.
-    pub and_gates: usize,
-    /// Synchronized AND-opening rounds (circuit AND-depth).
-    pub and_rounds: usize,
-    /// Protocol rounds including input sharing and output opening.
-    pub rounds: usize,
-    /// Logical payload bits the lane exchanged (all parties summed).
-    pub bits_sent: u64,
-}
-
 /// Aggregate report of a pipelined run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
@@ -147,55 +134,38 @@ pub struct PipelineReport {
     pub messages: u64,
     /// On-the-wire bytes of the frame encoding.
     pub bytes: u64,
-    /// Total logical payload bits (Σ of the lanes' [`LaneReport`]s).
+    /// Total logical payload bits (Σ over `lane_reports`).
     pub bits_sent: u64,
     /// Lane items carried by the frames (`/ messages` = the coalescing
     /// factor).
     pub coalesced_items: u64,
-    /// Per-lane cost figures, in lane order.
-    pub lane_reports: Vec<LaneReport>,
+    /// Per-lane cost records, in lane order — each equal to the
+    /// lockstep oracle's for the same circuit, except that a pipelined
+    /// lane cannot tell its share of the coalesced frames (`messages`
+    /// and `bytes` are 0 there; the run's totals are above).
+    pub lane_reports: Vec<GmwStats>,
 }
 
-/// A worker's message to the coalescing sender stage.
-enum OutMsg {
-    /// One batch for every peer (input sharing).
-    Scatter {
-        lane: u32,
-        step: u32,
-        batches: Vec<PackedBatch>,
-    },
-    /// The same batch for every peer (AND layers, output opening).
-    Broadcast {
-        lane: u32,
-        step: u32,
-        batch: PackedBatch,
-    },
+/// A worker's message to the coalescing sender stage: one lane's
+/// batches for one exchange step, one slot per party (the own slot is
+/// skipped). Input sharing fills the slots with personalized batches,
+/// AND layers and the output opening with copies of one batch.
+struct OutMsg {
+    lane: u32,
+    step: u32,
+    batches: Vec<PackedBatch>,
 }
 
 /// Buckets one worker message into the per-peer staging slots.
 fn stage_msg(msg: OutMsg, per_peer: &mut [Vec<LaneItem>], me: usize) {
-    match msg {
-        OutMsg::Broadcast { lane, step, batch } => {
-            for (to, slot) in per_peer.iter_mut().enumerate() {
-                if to != me {
-                    slot.push(LaneItem {
-                        lane,
-                        step,
-                        batch: batch.clone(),
-                    });
-                }
-            }
-        }
-        OutMsg::Scatter {
-            lane,
-            step,
-            batches,
-        } => {
-            for (to, batch) in batches.into_iter().enumerate() {
-                if to != me {
-                    per_peer[to].push(LaneItem { lane, step, batch });
-                }
-            }
+    let OutMsg {
+        lane,
+        step,
+        batches,
+    } = msg;
+    for (to, batch) in batches.into_iter().enumerate() {
+        if to != me {
+            per_peer[to].push(LaneItem { lane, step, batch });
         }
     }
 }
@@ -273,28 +243,16 @@ pub fn execute_pipelined_traced(
         );
     }
     let scheds: Vec<Schedule> = lanes.iter().map(|l| Schedule::new(l.circuit)).collect();
-    let lane_reports: Vec<LaneReport> = lanes
+    let lane_reports: Vec<GmwStats> = lanes
         .iter()
         .zip(&scheds)
-        .map(|(l, s)| LaneReport {
-            and_gates: s.and_gates(),
-            and_rounds: s.and_rounds(),
-            rounds: protocol_rounds(l.circuit, l.layout, s),
-            bits_sent: logical_bits(l.circuit, l.layout),
-        })
+        .map(|(l, s)| GmwStats::measured(l.circuit, l.layout, s, 0, 0))
         .collect();
     // Exchange steps per lane: what the workers emit and the routers
     // await. A lone party never exchanges.
-    let steps: Vec<usize> = lanes
+    let steps: Vec<usize> = lane_reports
         .iter()
-        .zip(&scheds)
-        .map(|(l, s)| {
-            if parties > 1 {
-                protocol_rounds(l.circuit, l.layout, s)
-            } else {
-                0
-            }
-        })
+        .map(|r| if parties > 1 { r.rounds } else { 0 })
         .collect();
     let metrics = PipelineMetrics::register(registry);
     let workers = config.workers.max(1);
@@ -536,18 +494,15 @@ pub fn execute_pipelined_traced(
         "measured logical bits disagree with the circuit-structure formula"
     );
 
-    let reference = results.swap_remove(0);
-    let mut outputs = Vec::with_capacity(lanes.len());
-    for (lane_idx, out) in reference.lane_outputs.into_iter().enumerate() {
-        let out = out.unwrap_or_else(|| panic!("lane {lane_idx} finished without outputs"));
-        debug_assert!(
-            results
-                .iter()
-                .all(|o| o.lane_outputs[lane_idx].as_ref() == Some(&out)),
-            "parties disagree on lane {lane_idx} outputs"
-        );
-        outputs.push(out);
-    }
+    let outputs = (0..lanes.len())
+        .map(|lane_idx| {
+            agreed_outputs(results.iter_mut().map(|party| {
+                party.lane_outputs[lane_idx]
+                    .take()
+                    .unwrap_or_else(|| panic!("lane {lane_idx} finished without outputs"))
+            }))
+        })
+        .collect();
 
     let report = PipelineReport {
         parties,
@@ -562,7 +517,9 @@ pub fn execute_pipelined_traced(
     Ok((outputs, report))
 }
 
-/// Drives one lane's stage machine to completion on a worker thread.
+/// Drives one lane's party to completion on a worker thread: the same
+/// "advance → send → absorb" loop as `run_party`, with the send handed
+/// to the coalescing stage and the receive parked on the lane's inbox.
 #[allow(clippy::too_many_arguments)]
 fn run_lane(
     lane_idx: usize,
@@ -574,39 +531,32 @@ fn run_lane(
     inbox: &crossbeam::channel::Receiver<(u32, Vec<(usize, PackedBatch)>)>,
     metrics: &PipelineMetrics,
 ) -> Result<Vec<bool>, TransportError> {
-    let feed = ChannelTriples::new(triples.clone());
-    let rng = StdRng::seed_from_u64(lane.seed ^ (me as u64).wrapping_mul(PARTY_SALT));
-    let mut stages = GmwStages::new(
+    let mut rng = StdRng::seed_from_u64(lane.seed ^ (me as u64).wrapping_mul(PARTY_SALT));
+    let mut core = PartyCore::new_streaming(
         lane.circuit,
         lane.layout,
         sched,
         me,
-        lane.inputs[me].clone(),
-        feed,
-        rng,
+        ChannelTriples::new(triples.clone()),
     );
-    let lane_id = lane_idx as u32;
     let mut step = 0u32;
     loop {
-        let msg = match stages.advance() {
+        let batches = match core.advance(|core| core.share_inputs(&lane.inputs[me], &mut rng)) {
             StageOutput::Done(out) => {
-                let stats = stages.stats();
+                let stats = core.triple_stats();
                 metrics.triple_stall_ns.record(stats.triple_stall_ns);
                 if let Some(mean) = stats.triple_buffered_sum.checked_div(stats.triple_pulls) {
                     metrics.triple_buffer.record(mean);
                 }
                 return Ok(out);
             }
-            StageOutput::Scatter(batches) => OutMsg::Scatter {
-                lane: lane_id,
-                step,
-                batches,
-            },
-            StageOutput::Broadcast(batch) => OutMsg::Broadcast {
-                lane: lane_id,
-                step,
-                batch,
-            },
+            StageOutput::Scatter(batches) => batches,
+            StageOutput::Broadcast(batch) => vec![batch; lane.layout.parties()],
+        };
+        let msg = OutMsg {
+            lane: lane_idx as u32,
+            step,
+            batches,
         };
         out_tx.send(msg).map_err(|_| TransportError::Disconnected)?;
         let parked = Instant::now();
@@ -615,20 +565,20 @@ fn run_lane(
             .exchange_stall_ns
             .record(parked.elapsed().as_nanos() as u64);
         assert_eq!(got_step, step, "lane {lane_idx} exchange out of step");
-        stages.absorb(&peers);
+        core.absorb(&peers);
         step += 1;
     }
 }
 
 /// The sequential baseline: the same lanes, the same frame wire format
-/// and pacing ([`PacedFrameTransport`]), but the frozen lockstep
-/// [`run_party`] driver and one lane at a time — no coalescing, no
-/// overlap. `workers` is reported as `0`.
+/// and pacing ([`PacedFrameTransport`]), but the blocking [`run_party`]
+/// driver and one lane at a time — no coalescing, no overlap. `workers`
+/// is reported as `0`.
 ///
 /// # Panics
 ///
-/// Panics if the lanes disagree on the party count or a lane's inputs
-/// disagree with its layout.
+/// Panics if the lanes disagree on the party count, a lane's inputs
+/// disagree with its layout, or the parties open different outputs.
 pub fn execute_lanes_sequential(
     lanes: &[LaneSpec<'_>],
     pacing: Option<LinkPacing>,
@@ -638,17 +588,13 @@ pub fn execute_lanes_sequential(
     }
     let parties = lanes[0].layout.parties();
     let mut outputs = Vec::with_capacity(lanes.len());
-    let mut lane_reports = Vec::with_capacity(lanes.len());
-    let mut messages = 0u64;
-    let mut bytes = 0u64;
-    let mut bits_sent = 0u64;
-    let mut coalesced_items = 0u64;
+    let mut lane_reports: Vec<GmwStats> = Vec::with_capacity(lanes.len());
     for lane in lanes {
         assert_eq!(lane.layout.parties(), parties, "lanes disagree on parties");
         let sched = Schedule::new(lane.circuit);
         let mut dealer = StdRng::seed_from_u64(lane.seed ^ DEALER_SALT);
         let triples = deal_packed_triples(parties, &sched, &mut dealer);
-        let (mut results, counters) = run_parties::<Frame, (Vec<bool>, u64), _>(parties, {
+        let (results, counters) = run_parties::<Frame, (Vec<bool>, u64), _>(parties, {
             let sched = &sched;
             let triples = &triples;
             move |h| {
@@ -669,28 +615,30 @@ pub fn execute_lanes_sequential(
                 (out, transport.bits_sent())
             }
         });
-        let lane_bits: u64 = results.iter().map(|&(_, b)| b).sum();
-        debug_assert_eq!(lane_bits, logical_bits(lane.circuit, lane.layout));
-        lane_reports.push(LaneReport {
-            and_gates: sched.and_gates(),
-            and_rounds: sched.and_rounds(),
-            rounds: protocol_rounds(lane.circuit, lane.layout, &sched),
-            bits_sent: lane_bits,
-        });
-        messages += counters.messages();
-        bytes += counters.bytes();
-        bits_sent += lane_bits;
-        coalesced_items += counters.messages();
-        outputs.push(results.swap_remove(0).0);
+        let report = GmwStats::measured(
+            lane.circuit,
+            lane.layout,
+            &sched,
+            counters.messages(),
+            counters.bytes(),
+        );
+        debug_assert_eq!(
+            results.iter().map(|&(_, b)| b).sum::<u64>(),
+            report.bits_sent
+        );
+        lane_reports.push(report);
+        outputs.push(agreed_outputs(results.into_iter().map(|(out, _)| out)));
     }
+    // One item per message: nothing coalesces.
+    let messages = lane_reports.iter().map(|r| r.messages).sum();
     let report = PipelineReport {
         parties,
         lanes: lanes.len(),
         workers: 0,
         messages,
-        bytes,
-        bits_sent,
-        coalesced_items,
+        bytes: lane_reports.iter().map(|r| r.bytes).sum(),
+        bits_sent: lane_reports.iter().map(|r| r.bits_sent).sum(),
+        coalesced_items: messages,
         lane_reports,
     };
     (outputs, report)
@@ -744,7 +692,10 @@ mod tests {
             assert_eq!(report.lane_reports[i].bits_sent, oracle_report.bits_sent);
         }
         // Coalescing: the wire saw fewer messages than lane items.
-        assert_eq!(report.bits_sent, 5 * logical_bits(&circuit, &layout));
+        assert_eq!(
+            report.bits_sent,
+            5 * eppi_mpc::gmw_core::logical_bits(&circuit, &layout)
+        );
         assert!(report.messages <= report.coalesced_items);
     }
 
@@ -777,27 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn single_party_lanes_run_without_a_network() {
-        let mut cb = CircuitBuilder::new();
-        let a = cb.input_word(4);
-        let b = cb.const_word(5, 4);
-        let lt = cb.lt_words(&a, &b);
-        let circuit = cb.finish(vec![lt]);
-        let layout = InputLayout::new(vec![4]);
-        let inputs = vec![to_bits(3, 4)];
-        let lanes = [LaneSpec {
-            circuit: &circuit,
-            layout: &layout,
-            inputs: &inputs,
-            seed: 5,
-        }];
-        let (outputs, report) = execute_pipelined(&lanes, &PipelineConfig::default()).unwrap();
-        assert_eq!(outputs, vec![vec![true]]);
-        assert_eq!(report.messages, 0);
-        assert_eq!(report.bits_sent, 0);
-    }
-
-    #[test]
     fn empty_lane_list_is_a_noop() {
         let (outputs, report) = execute_pipelined(&[], &PipelineConfig::default()).unwrap();
         assert!(outputs.is_empty());
@@ -826,7 +756,6 @@ mod tests {
             .collect();
         let latency = Duration::from_millis(2);
         let pacing = Some(LinkPacing { latency });
-        let rounds = protocol_rounds(&circuit, &layout, &Schedule::new(&circuit)) as u32;
 
         let started = Instant::now();
         let config = PipelineConfig {
@@ -834,8 +763,9 @@ mod tests {
             pacing,
             ..PipelineConfig::default()
         };
-        let (outputs, _) = execute_pipelined(&lanes, &config).unwrap();
+        let (outputs, report) = execute_pipelined(&lanes, &config).unwrap();
         let pipelined = started.elapsed();
+        let rounds = report.lane_reports[0].rounds as u32;
 
         for (i, inputs) in lane_inputs.iter().enumerate() {
             let (oracle, _) = execute_threaded(&circuit, &layout, inputs, 70 + i as u64);

@@ -19,14 +19,19 @@
 //!    to coordinator `i mod c`; the coordinator sums them into its output
 //!    vector `s(k, ·)`.
 //!
-//! Two backends are provided: the deterministic round-based simulator
-//! (scales to the paper's 10,000-provider networks) and the threaded
-//! runtime (wall-clock experiments).
+//! The four steps are written once, in `ProviderNode` — a sans-io
+//! state machine that turns "started" and "received this message" into
+//! "send these messages". Two runtimes move the messages: the
+//! deterministic round-based simulator ([`secsumshare_sim`], scales to
+//! the paper's 10,000-provider networks and models link time) and one
+//! OS thread per provider ([`secsumshare_threaded_stats`], wall-clock
+//! experiments). Same node, same per-provider seeding, so shares,
+//! message counts and bytes are identical across the two.
 
 use eppi_core::model::{LocalVector, OwnerId};
 use eppi_mpc::field::Modulus;
 use eppi_net::sim::{Context, LinkModel, NetStats, Node, Simulator};
-use eppi_net::threaded::{run_parties, PartyHandle};
+use eppi_net::threaded::run_parties;
 use eppi_net::topology::Ring;
 use eppi_net::NodeId;
 use rand::rngs::StdRng;
@@ -60,8 +65,10 @@ impl eppi_net::WireSize for SecSumMsg {
     }
 }
 
-/// One provider in the round-based simulation.
+/// One provider (and, for the first `c` ids, coordinator) of the
+/// protocol, independent of how its messages travel.
 struct ProviderNode {
+    me: NodeId,
     ring: Ring,
     modulus: Modulus,
     inputs: Vec<u64>,
@@ -73,42 +80,63 @@ struct ProviderNode {
     aggregate: Vec<u64>,
     supers_received: usize,
     supers_expected: usize,
-    done: bool,
 }
 
 impl ProviderNode {
-    fn identities(&self) -> usize {
-        self.inputs.len()
+    /// Provider `me` of the `ring`, holding `vector`, with its share
+    /// randomness derived from the run `seed`.
+    fn new(me: usize, vector: &LocalVector, ring: Ring, modulus: Modulus, seed: u64) -> Self {
+        let n = vector.owners();
+        let (m, c) = (ring.nodes(), ring.coordinators());
+        ProviderNode {
+            me: NodeId(me),
+            ring,
+            modulus,
+            inputs: (0..n)
+                .map(|j| u64::from(vector.get(OwnerId(j as u32))))
+                .collect(),
+            rng: StdRng::seed_from_u64(seed ^ (me as u64).wrapping_mul(0x9e3779b97f4a7c15)),
+            super_share: vec![0; n],
+            shares_received: 0,
+            aggregate: vec![0; n],
+            supers_expected: if me < c {
+                providers_per_coordinator(m, c, me)
+            } else {
+                0
+            },
+            supers_received: 0,
+        }
     }
-}
 
-impl Node<SecSumMsg> for ProviderNode {
-    fn on_start(&mut self, ctx: &mut Context<SecSumMsg>) {
+    /// Steps 1+2: split every input into c shares; keep share 0, send
+    /// share k to the k-th successor. Returns the messages to send.
+    fn start(&mut self) -> Vec<(NodeId, SecSumMsg)> {
         let c = self.ring.coordinators();
-        let n = self.identities();
-        // Step 1+2: split every input into c shares; keep share 0, send
-        // share k to the k-th successor.
-        let mut outgoing: Vec<Vec<u64>> = vec![vec![0; n]; c - 1];
+        let mut outgoing: Vec<Vec<u64>> = vec![vec![0; self.inputs.len()]; c - 1];
         for (j, &input) in self.inputs.iter().enumerate() {
             let shares = eppi_mpc::share::split(input, c, self.modulus, &mut self.rng);
-            self.super_share[j] = self.modulus.add(self.super_share[j], shares.values()[0]);
+            self.super_share[j] = shares.values()[0];
             for k in 1..c {
                 outgoing[k - 1][j] = shares.values()[k];
             }
         }
-        for (k, batch) in outgoing.into_iter().enumerate() {
-            ctx.send(
-                self.ring.successor(ctx.me(), k + 1),
-                SecSumMsg::Share(batch),
-            );
-        }
+        let mut out: Vec<(NodeId, SecSumMsg)> = outgoing
+            .into_iter()
+            .enumerate()
+            .map(|(k, batch)| (self.ring.successor(self.me, k + 1), SecSumMsg::Share(batch)))
+            .collect();
         // Degenerate single-coordinator network: nothing to wait for.
         if c == 1 {
-            self.finish_super_share(ctx);
+            out.push(self.finish_super_share());
         }
+        out
     }
 
-    fn on_message(&mut self, _from: NodeId, msg: SecSumMsg, ctx: &mut Context<SecSumMsg>) {
+    /// Steps 3+4 for one delivered message; returns the super-share to
+    /// route once the last predecessor's share batch is in. Messages may
+    /// arrive in any order (on real threads a fast peer's super-share
+    /// can overtake a slow predecessor's share batch).
+    fn receive(&mut self, msg: SecSumMsg) -> Option<(NodeId, SecSumMsg)> {
         match msg {
             SecSumMsg::Share(batch) => {
                 for (j, &s) in batch.iter().enumerate() {
@@ -116,36 +144,61 @@ impl Node<SecSumMsg> for ProviderNode {
                 }
                 self.shares_received += 1;
                 // Step 3 complete once all c−1 predecessors delivered.
-                if self.shares_received == self.ring.coordinators() - 1 {
-                    self.finish_super_share(ctx);
-                }
+                (self.shares_received == self.ring.coordinators() - 1)
+                    .then(|| self.finish_super_share())
             }
             SecSumMsg::SuperShare(batch) => {
                 for (j, &s) in batch.iter().enumerate() {
                     self.aggregate[j] = self.modulus.add(self.aggregate[j], s);
                 }
                 self.supers_received += 1;
-                if self.supers_received == self.supers_expected {
-                    self.done = true;
-                }
+                None
             }
         }
     }
+
+    /// Step 4: route the finished super-share to coordinator `i mod c`.
+    fn finish_super_share(&mut self) -> (NodeId, SecSumMsg) {
+        let target = NodeId(self.me.index() % self.ring.coordinators());
+        let batch = std::mem::take(&mut self.super_share);
+        (target, SecSumMsg::SuperShare(batch))
+    }
+
+    /// `true` once every message this node is owed has arrived.
+    fn finished(&self) -> bool {
+        self.shares_received == self.ring.coordinators() - 1
+            && self.supers_received == self.supers_expected
+    }
 }
 
-impl ProviderNode {
-    /// Step 4: route the finished super-share to coordinator `i mod c`.
-    fn finish_super_share(&mut self, ctx: &mut Context<SecSumMsg>) {
-        let c = self.ring.coordinators();
-        let target = NodeId(ctx.me().index() % c);
-        let batch = std::mem::take(&mut self.super_share);
-        ctx.send(target, SecSumMsg::SuperShare(batch));
+impl Node<SecSumMsg> for ProviderNode {
+    fn on_start(&mut self, ctx: &mut Context<SecSumMsg>) {
+        for (to, msg) in self.start() {
+            ctx.send(to, msg);
+        }
+    }
+
+    fn on_message(&mut self, _from: NodeId, msg: SecSumMsg, ctx: &mut Context<SecSumMsg>) {
+        if let Some((to, msg)) = self.receive(msg) {
+            ctx.send(to, msg);
+        }
     }
 }
 
 /// Number of providers routing their super-share to coordinator `k`.
 fn providers_per_coordinator(m: usize, c: usize, k: usize) -> usize {
     m / c + usize::from(k < m % c)
+}
+
+/// Checks one run's inputs and lays its providers out on the ring.
+fn ring_over(vectors: &[LocalVector], c: usize) -> Ring {
+    assert!(!vectors.is_empty(), "at least one provider required");
+    let n = vectors[0].owners();
+    assert!(
+        vectors.iter().all(|v| v.owners() == n),
+        "all vectors must cover the same identities"
+    );
+    Ring::new(vectors.len(), c)
 }
 
 /// Runs SecSumShare in the round-based simulator.
@@ -184,39 +237,11 @@ pub fn secsumshare_sim_with_faults(
     seed: u64,
     faults: Option<eppi_net::sim::FaultFilter>,
 ) -> SecSumOutput {
-    assert!(!vectors.is_empty(), "at least one provider required");
-    let n = vectors[0].owners();
-    assert!(
-        vectors.iter().all(|v| v.owners() == n),
-        "all vectors must cover the same identities"
-    );
-    let m = vectors.len();
-    let ring = Ring::new(m, c);
-
+    let ring = ring_over(vectors, c);
     let nodes: Vec<ProviderNode> = vectors
         .iter()
         .enumerate()
-        .map(|(i, v)| {
-            let inputs: Vec<u64> = (0..n)
-                .map(|j| u64::from(v.get(OwnerId(j as u32))))
-                .collect();
-            ProviderNode {
-                ring,
-                modulus,
-                inputs,
-                rng: StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15)),
-                super_share: vec![0; n],
-                shares_received: 0,
-                aggregate: vec![0; n],
-                supers_received: 0,
-                supers_expected: if i < c {
-                    providers_per_coordinator(m, c, i)
-                } else {
-                    0
-                },
-                done: false,
-            }
-        })
+        .map(|(i, v)| ProviderNode::new(i, v, ring, modulus, seed))
         .collect();
 
     let mut sim = Simulator::new(nodes, link);
@@ -232,7 +257,7 @@ pub fn secsumshare_sim_with_faults(
     // instead of returning corrupted sums.
     for (i, node) in nodes.iter().enumerate() {
         assert!(
-            node.shares_received == c - 1 || c == 1,
+            node.shares_received == c - 1,
             "provider p{i} received {}/{} share batches — message lost",
             node.shares_received,
             c - 1
@@ -243,7 +268,7 @@ pub fn secsumshare_sim_with_faults(
         .enumerate()
         .map(|(i, node)| {
             assert!(
-                node.done || node.supers_expected == 0,
+                node.supers_received == node.supers_expected,
                 "coordinator p{i} received {}/{} super-shares — message lost",
                 node.supers_received,
                 node.supers_expected
@@ -258,17 +283,17 @@ pub fn secsumshare_sim_with_faults(
     }
 }
 
-/// Runs SecSumShare on the threaded runtime (wall-clock backend for
-/// Fig. 6a), with traffic statistics shaped like the simulator's
+/// Runs SecSumShare with one OS thread per provider (wall-clock backend
+/// for Fig. 6a), with traffic statistics shaped like the simulator's
 /// [`SecSumOutput`] so the two runtimes are interchangeable at call
 /// sites (see `Backend::secsumshare`).
 ///
-/// Per-provider share seeding matches [`secsumshare_sim`] exactly, so
-/// at the same seed the coordinator share vectors are bit-identical to
-/// the simulator's. `rounds` is the protocol's constant logical depth
-/// (share distribution, then super-share aggregation); `bits` and
-/// `simulated_us` are 0 — the threaded runtime measures real wall
-/// clock, not the link model.
+/// Every thread drives the same `ProviderNode` the simulator does,
+/// seeded the same way, so at the same seed the coordinator share
+/// vectors, `messages` and `bytes` equal the simulator's. `rounds` is
+/// the protocol's constant logical depth (share distribution, then
+/// super-share aggregation); `bits` and `simulated_us` are 0 — this
+/// runtime measures real wall clock, not the link model.
 ///
 /// # Panics
 ///
@@ -279,85 +304,21 @@ pub fn secsumshare_threaded_stats(
     modulus: Modulus,
     seed: u64,
 ) -> SecSumOutput {
-    assert!(!vectors.is_empty(), "at least one provider required");
-    let n = vectors[0].owners();
-    assert!(
-        vectors.iter().all(|v| v.owners() == n),
-        "all vectors must cover the same identities"
-    );
-    let m = vectors.len();
-    let ring = Ring::new(m, c);
-
-    let inputs: Vec<Vec<u64>> = vectors
-        .iter()
-        .map(|v| {
-            (0..n)
-                .map(|j| u64::from(v.get(OwnerId(j as u32))))
-                .collect()
-        })
-        .collect();
-    let inputs = &inputs;
-
+    let ring = ring_over(vectors, c);
     let (results, counters) =
-        run_parties::<SecSumMsg, Option<Vec<u64>>, _>(m, move |mut h: PartyHandle<SecSumMsg>| {
-            let me = h.me();
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (me.index() as u64).wrapping_mul(0x9e3779b97f4a7c15));
-            let mine = &inputs[me.index()];
-            // Steps 1–2.
-            let mut super_share = vec![0u64; n];
-            let mut outgoing: Vec<Vec<u64>> = vec![vec![0; n]; c - 1];
-            for (j, &input) in mine.iter().enumerate() {
-                let shares = eppi_mpc::share::split(input, c, modulus, &mut rng);
-                super_share[j] = shares.values()[0];
-                for k in 1..c {
-                    outgoing[k - 1][j] = shares.values()[k];
-                }
+        run_parties::<SecSumMsg, Option<Vec<u64>>, _>(ring.nodes(), |mut h| {
+            let me = h.me().index();
+            let mut node = ProviderNode::new(me, &vectors[me], ring, modulus, seed);
+            for (to, msg) in node.start() {
+                h.send(to, msg);
             }
-            for (k, batch) in outgoing.into_iter().enumerate() {
-                h.send(ring.successor(me, k + 1), SecSumMsg::Share(batch));
-            }
-
-            // Steps 3–4: parties run asynchronously, so a fast peer's
-            // super-share can overtake a slow predecessor's share batch;
-            // dispatch by message kind rather than arrival order.
-            let mut shares_left = c - 1;
-            let mut supers_left = if me.index() < c {
-                providers_per_coordinator(m, c, me.index())
-            } else {
-                0
-            };
-            let mut aggregate = vec![0u64; n];
-            if shares_left == 0 {
-                h.send(
-                    NodeId(me.index() % c),
-                    SecSumMsg::SuperShare(std::mem::take(&mut super_share)),
-                );
-            }
-            while shares_left > 0 || supers_left > 0 {
+            while !node.finished() {
                 let (_, msg) = h.recv();
-                match msg {
-                    SecSumMsg::Share(batch) => {
-                        for (j, &s) in batch.iter().enumerate() {
-                            super_share[j] = modulus.add(super_share[j], s);
-                        }
-                        shares_left -= 1;
-                        if shares_left == 0 {
-                            h.send(
-                                NodeId(me.index() % c),
-                                SecSumMsg::SuperShare(std::mem::take(&mut super_share)),
-                            );
-                        }
-                    }
-                    SecSumMsg::SuperShare(batch) => {
-                        for (j, &s) in batch.iter().enumerate() {
-                            aggregate[j] = modulus.add(aggregate[j], s);
-                        }
-                        supers_left -= 1;
-                    }
+                if let Some((to, msg)) = node.receive(msg) {
+                    h.send(to, msg);
                 }
             }
-            (me.index() < c).then_some(aggregate)
+            (me < c).then_some(node.aggregate)
         });
 
     SecSumOutput {
@@ -462,6 +423,13 @@ mod tests {
         assert_eq!(out.coordinator_shares.len(), 3);
         let freqs = frequencies_from(&out.coordinator_shares, q, 3);
         assert_eq!(freqs, vec![3, 1, 0]);
+        // Both runtimes move the same node's messages: same shares,
+        // same traffic.
+        let sim = secsumshare_sim(&vectors, 3, q, LinkModel::LAN, 99);
+        assert_eq!(out.coordinator_shares, sim.coordinator_shares);
+        assert_eq!(out.stats.messages, sim.stats.messages);
+        assert_eq!(out.stats.bytes, sim.stats.bytes);
+        assert_eq!(out.stats.rounds, sim.stats.rounds);
     }
 
     #[test]

@@ -77,35 +77,7 @@ pub fn execute_simulated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eppi_mpc::builder::{to_bits, word_value, CircuitBuilder};
-
-    #[test]
-    fn matches_cleartext_and_other_backends() {
-        let mut cb = CircuitBuilder::new();
-        let a = cb.input_word(5);
-        let b = cb.input_word(5);
-        let sum = cb.add_words_expand(&a, &b);
-        let ge = {
-            let c5 = cb.const_word(20, 6);
-            cb.ge_words(&sum, &c5)
-        };
-        let mut outs = sum.bits().to_vec();
-        outs.push(ge);
-        let circuit = cb.finish(outs);
-        let layout = InputLayout::new(vec![5, 5]);
-        for (x, y) in [(0u64, 0u64), (7, 19), (31, 31)] {
-            let inputs = vec![to_bits(x, 5), to_bits(y, 5)];
-            let clear = circuit.eval(&layout.flatten(&inputs));
-            let (sim_out, stats) =
-                execute_simulated(&circuit, &layout, &inputs, LinkModel::LAN, 77);
-            assert_eq!(sim_out, clear, "x={x} y={y}");
-            assert_eq!(word_value(&sim_out[..6]), x + y);
-            assert!(
-                stats.rounds >= circuit.stats().and_depth,
-                "one round per layer"
-            );
-        }
-    }
+    use eppi_mpc::builder::CircuitBuilder;
 
     #[test]
     fn simulated_time_scales_with_and_depth() {
@@ -126,22 +98,6 @@ mod tests {
         let (_, s2) = execute_simulated(&long, &l2, &inputs, LinkModel::LAN, 1);
         assert!(s2.rounds > s1.rounds);
         assert!(s2.simulated_us > s1.simulated_us);
-    }
-
-    #[test]
-    fn reports_logical_bits_alongside_bytes() {
-        use eppi_mpc::gmw_core::logical_bits;
-        let mut cb = CircuitBuilder::new();
-        let a = cb.input_word(6);
-        let b = cb.input_word(6);
-        let lt = cb.lt_words(&a, &b);
-        let circuit = cb.finish(vec![lt]);
-        let layout = InputLayout::new(vec![6, 6]);
-        let inputs = vec![to_bits(9, 6), to_bits(40, 6)];
-        let (out, stats) = execute_simulated(&circuit, &layout, &inputs, LinkModel::LAN, 5);
-        assert_eq!(out, vec![true]);
-        assert_eq!(stats.bits, logical_bits(&circuit, &layout));
-        assert!(stats.bytes > 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! One of the four execution backends of the single packed GMW core
 //! ([`eppi_mpc::gmw_core`]; `Backend::execute` in [`crate::countbelow`]
-//! is where a backend choice turns into a call here): each party runs the straight-line
-//! [`run_party`] protocol on its own OS thread, exchanging real
+//! is where a backend choice turns into a call here): each party runs
+//! the [`run_party`] loop on its own OS thread, exchanging real
 //! messages through a [`ThreadedTransport`] (crossbeam channels). This
 //! is the backend the Fig. 6a / 6c wall-clock execution-time
 //! experiments use — the in-process executor is exact but cannot
@@ -16,14 +16,13 @@
 //! a per-gate bit pair — then combines the received words. Per-party
 //! work per layer is `O(gates/64 · parties)` word operations and total
 //! traffic stays `O(gates · parties²)` logical bits, the super-linear
-//! growth the paper observes for the pure-MPC baseline. The
-//! [`ThreadedGmwReport`] carries both traffic units of the workspace
-//! convention (see `eppi-net`'s crate docs).
+//! growth the paper observes for the pure-MPC baseline. The returned
+//! [`GmwStats`] carries both traffic units of the workspace convention
+//! (see `eppi-net`'s crate docs).
 
 use eppi_mpc::circuit::{Circuit, InputLayout};
-use eppi_mpc::gmw_core::{
-    deal_packed_triples, logical_bits, protocol_rounds, run_party, PartyCore, Schedule,
-};
+use eppi_mpc::gmw::GmwStats;
+use eppi_mpc::gmw_core::{agreed_outputs, deal_packed_triples, run_party, PartyCore, Schedule};
 use eppi_net::threaded::run_parties;
 use eppi_net::traced::TracedTransport;
 use eppi_net::transport::{PackedBatch, ThreadedTransport};
@@ -33,28 +32,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Traffic report of a threaded GMW run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ThreadedGmwReport {
-    /// Number of parties.
-    pub parties: usize,
-    /// AND gates evaluated.
-    pub and_gates: usize,
-    /// Synchronized AND-opening rounds (circuit AND-depth).
-    pub and_rounds: usize,
-    /// Protocol rounds including input sharing and output opening.
-    pub rounds: usize,
-    /// Total messages exchanged.
-    pub messages: u64,
-    /// Total logical payload bits exchanged (the paper's cost model).
-    pub bits_sent: u64,
-    /// Total on-the-wire bytes of the packed batch encoding.
-    pub bytes: u64,
-}
-
 /// Executes `circuit` with one thread per party. Returns the opened
-/// outputs (identical to `circuit.eval` on the flattened inputs) and a
-/// traffic report. Telemetry goes to the process-global registry and
+/// outputs (identical to `circuit.eval` on the flattened inputs) and
+/// the cost record. Telemetry goes to the process-global registry and
 /// nothing is traced; see [`execute_threaded_traced`].
 ///
 /// # Panics
@@ -66,7 +46,7 @@ pub fn execute_threaded(
     layout: &InputLayout,
     inputs: &[Vec<bool>],
     seed: u64,
-) -> (Vec<bool>, ThreadedGmwReport) {
+) -> (Vec<bool>, GmwStats) {
     execute_threaded_traced(
         circuit,
         layout,
@@ -96,8 +76,8 @@ pub fn execute_threaded(
 ///
 /// # Panics
 ///
-/// Panics if the layout does not cover the circuit inputs or `inputs`
-/// disagrees with the layout.
+/// Panics if the layout does not cover the circuit inputs, `inputs`
+/// disagrees with the layout, or the parties open different outputs.
 pub fn execute_threaded_traced(
     circuit: &Circuit,
     layout: &InputLayout,
@@ -106,7 +86,7 @@ pub fn execute_threaded_traced(
     registry: &Registry,
     tracer: &Tracer,
     parent: SpanCtx,
-) -> (Vec<bool>, ThreadedGmwReport) {
+) -> (Vec<bool>, GmwStats) {
     assert_eq!(
         layout.total_inputs(),
         circuit.inputs(),
@@ -118,7 +98,6 @@ pub fn execute_threaded_traced(
 
     let mut dealer_rng = StdRng::seed_from_u64(seed ^ 0xd1a1e5);
     let triples = deal_packed_triples(parties, &sched, &mut dealer_rng);
-    let and_rounds = sched.and_rounds();
     let round_hist = registry.histogram("gmw.round_ns", &[]);
 
     let mut exec_span = if parent.is_none() {
@@ -129,7 +108,7 @@ pub fn execute_threaded_traced(
     exec_span.set_payload(sched.and_gates() as u64);
     let exec_ctx = exec_span.ctx();
 
-    let (mut results, counters) = run_parties::<PackedBatch, (Vec<bool>, u64), _>(parties, {
+    let (results, counters) = run_parties::<PackedBatch, (Vec<bool>, u64), _>(parties, {
         let sched = &sched;
         let triples = &triples;
         let round_hist = Arc::clone(&round_hist);
@@ -164,27 +143,25 @@ pub fn execute_threaded_traced(
         }
     });
 
-    let bits_sent: u64 = results.iter().map(|&(_, bits)| bits).sum();
-    debug_assert_eq!(bits_sent, logical_bits(circuit, layout));
-    let outputs = results.swap_remove(0).0;
-    debug_assert!(
-        results.iter().all(|(r, _)| *r == outputs),
-        "parties disagree on outputs"
+    let stats = GmwStats::measured(
+        circuit,
+        layout,
+        &sched,
+        counters.messages(),
+        counters.bytes(),
     );
+    debug_assert_eq!(
+        results.iter().map(|&(_, bits)| bits).sum::<u64>(),
+        stats.bits_sent
+    );
+    let outputs = agreed_outputs(results.into_iter().map(|(out, _)| out));
     registry
         .counter("gmw.and_gates", &[])
-        .add(sched.and_gates() as u64);
-    registry.counter("gmw.rounds", &[]).add(and_rounds as u64);
-    let report = ThreadedGmwReport {
-        parties,
-        and_gates: sched.and_gates(),
-        and_rounds,
-        rounds: protocol_rounds(circuit, layout, &sched),
-        messages: counters.messages(),
-        bits_sent,
-        bytes: counters.bytes(),
-    };
-    (outputs, report)
+        .add(stats.and_gates as u64);
+    registry
+        .counter("gmw.rounds", &[])
+        .add(stats.and_rounds as u64);
+    (outputs, stats)
 }
 
 #[cfg(test)]
@@ -192,31 +169,7 @@ mod tests {
     use super::*;
     use eppi_mpc::builder::{to_bits, word_value, CircuitBuilder};
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn matches_cleartext_eval() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for trial in 0..10 {
-            let mut cb = CircuitBuilder::new();
-            let a = cb.input_word(5);
-            let b = cb.input_word(5);
-            let c = cb.input_word(5);
-            let sum = cb.add_words_expand(&a, &b);
-            let c6 = cb.resize_word(&c, 6);
-            let lt = cb.lt_words(&sum, &c6);
-            let eq = cb.eq_words(&a, &c);
-            let circuit = cb.finish(vec![lt, eq]);
-            let layout = InputLayout::new(vec![5, 5, 5]);
-
-            let vals: Vec<u64> = (0..3).map(|_| rng.gen_range(0..32)).collect();
-            let inputs: Vec<Vec<bool>> = vals.iter().map(|&v| to_bits(v, 5)).collect();
-            let expect = circuit.eval(&layout.flatten(&inputs));
-            let (got, report) = execute_threaded(&circuit, &layout, &inputs, 1000 + trial);
-            assert_eq!(got, expect, "trial {trial}: vals {vals:?}");
-            assert_eq!(report.parties, 3);
-        }
-    }
+    use rand::SeedableRng;
 
     #[test]
     fn agrees_with_in_process_gmw() {
@@ -235,20 +188,6 @@ mod tests {
         // Both backends report the same analytic traffic/round figures.
         assert_eq!(threaded.bits_sent, in_process.bits_sent);
         assert_eq!(threaded.rounds, in_process.rounds);
-    }
-
-    #[test]
-    fn single_party_runs_without_communication() {
-        let mut cb = CircuitBuilder::new();
-        let a = cb.input_word(4);
-        let b = cb.const_word(9, 4);
-        let ge = cb.ge_words(&a, &b);
-        let circuit = cb.finish(vec![ge]);
-        let layout = InputLayout::new(vec![4]);
-        let (out, report) = execute_threaded(&circuit, &layout, &[to_bits(12, 4)], 5);
-        assert_eq!(out, vec![true]);
-        assert_eq!(report.bytes, 0);
-        assert_eq!(report.bits_sent, 0);
     }
 
     #[test]
@@ -344,6 +283,50 @@ mod tests {
         let (out2, report2) = execute_threaded(&circuit, &layout, &inputs, 11);
         assert_eq!(out2, out);
         assert_eq!(report2, report);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagrees on the opened outputs")]
+    fn corrupted_peer_batch_trips_the_output_agreement_check() {
+        // The threaded path by hand — real threads, `ThreadedTransport`,
+        // the `run_party` loop — so that one link can be made to lie:
+        // in the last exchange (the output opening) party 1 receives
+        // party 0's share with a bit flipped and opens a different
+        // answer. `agreed_outputs`, the check `execute_threaded` ends
+        // with, must refuse to pick one (before, release builds
+        // returned party 0's).
+        use eppi_mpc::stage::StageOutput;
+        use eppi_net::transport::Transport;
+        let mut cb = CircuitBuilder::new();
+        let a = cb.input_word(4);
+        let b = cb.input_word(4);
+        let lt = cb.lt_words(&a, &b);
+        let circuit = cb.finish(vec![lt]);
+        let layout = InputLayout::new(vec![4, 4]);
+        let inputs = [to_bits(3, 4), to_bits(9, 4)];
+        let sched = Schedule::new(&circuit);
+        let rounds = execute_threaded(&circuit, &layout, &inputs, 11).1.rounds;
+        let triples = deal_packed_triples(2, &sched, &mut StdRng::seed_from_u64(5));
+        let (results, _) = run_parties::<PackedBatch, Vec<bool>, _>(2, |h| {
+            let me = h.me().index();
+            let mut transport = ThreadedTransport::new(h);
+            let mut core = PartyCore::new(&circuit, &layout, &sched, me, triples[me].clone());
+            let mut rng = StdRng::seed_from_u64(me as u64);
+            for exchange in 1.. {
+                match core.advance(|core| core.share_inputs(&inputs[me], &mut rng)) {
+                    StageOutput::Scatter(batches) => transport.scatter(batches),
+                    StageOutput::Broadcast(batch) => transport.broadcast(batch),
+                    StageOutput::Done(outputs) => return outputs,
+                }
+                let mut peers = transport.collect();
+                if me == 1 && exchange == rounds {
+                    peers[0].1.words[0] ^= 1;
+                }
+                core.absorb(&peers);
+            }
+            unreachable!("the protocol finishes")
+        });
+        agreed_outputs(results);
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn gmw_stats_track_circuit_structure() {
     let inputs = vec![to_bits(1, 8), to_bits(2, 8), to_bits(3, 8)];
     let mut rng = StdRng::seed_from_u64(1);
     let (_, gstats) = gmw::execute(&circuit, &layout, &inputs, &mut rng);
-    assert_eq!(gstats.triples_used, stats.and_gates);
+    assert_eq!(gstats.and_gates, stats.and_gates);
     assert!(
         gstats.rounds >= stats.and_depth,
         "rounds cover every AND layer"
