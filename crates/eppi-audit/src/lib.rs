@@ -54,7 +54,7 @@ pub use commitment::{decisions_digest, published_digest, ColumnCommitment};
 pub use error::AuditError;
 pub use flip::{decision_words, flip_circuit, mask_tail, tail_mask};
 pub use zkboo::{
-    prove_column, prove_column_forged, prove_column_traced, prove_column_with_registry,
-    verify_column, verify_column_traced, verify_column_with_registry, AuditParams, ColumnProof,
-    ColumnStatement, RepetitionProof, DEFAULT_REPETITIONS,
+    prove_column, prove_column_forged, prove_column_with_registry, verify_column,
+    verify_column_with_registry, AuditParams, ColumnProof, ColumnStatement, RepetitionProof,
+    DEFAULT_REPETITIONS,
 };

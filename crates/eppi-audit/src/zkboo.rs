@@ -41,8 +41,7 @@ use eppi_core::model::ProviderId;
 use eppi_mpc::circuit::{Circuit, Gate};
 use eppi_mpc::gmw_core::Schedule;
 use eppi_mpc::packed::words_for;
-use eppi_telemetry::Registry;
-use eppi_trace::{SpanCtx, Tracer};
+use eppi_trace::Obs;
 use std::time::Instant;
 
 /// Default repetition count: soundness error `(2/3)^40 ≈ 9·10⁻⁸`.
@@ -433,44 +432,33 @@ pub fn prove_column(
     params: &AuditParams,
     prover_seed: u64,
 ) -> ColumnProof {
-    prove_inner(stmt, raw, params, prover_seed, None)
+    prove_column_with_registry(stmt, raw, params, prover_seed, Obs::default())
 }
 
-/// [`prove_column`] reporting telemetry: `audit.proofs`,
-/// `audit.proof_bytes`, and the `audit.prove_ns` histogram.
-pub fn prove_column_with_registry(
+/// [`prove_column`] under a caller's observability context: reports
+/// `audit.proofs`, `audit.proof_bytes` and the `audit.prove_ns`
+/// histogram into `obs.registry`, and runs as an `audit.prove` span
+/// (payload: provider id) under `obs.parent`.
+pub fn prove_column_with_registry<'a>(
     stmt: &ColumnStatement<'_>,
     raw: &[u64],
     params: &AuditParams,
     prover_seed: u64,
-    registry: &Registry,
+    obs: impl Into<Obs<'a>>,
 ) -> ColumnProof {
+    let obs = obs.into();
+    let mut span = obs.tracer.child(obs.parent, "audit.prove");
+    span.set_payload(u64::from(stmt.provider.0));
     let started = Instant::now();
-    let proof = prove_column(stmt, raw, params, prover_seed);
-    registry.counter("audit.proofs", &[]).add(1);
-    registry
+    let proof = prove_inner(stmt, raw, params, prover_seed, None);
+    obs.registry.counter("audit.proofs", &[]).add(1);
+    obs.registry
         .counter("audit.proof_bytes", &[])
         .add(proof.size_bytes() as u64);
-    registry
+    obs.registry
         .histogram("audit.prove_ns", &[])
         .record(started.elapsed().as_nanos() as u64);
     proof
-}
-
-/// [`prove_column_with_registry`] under an `audit.prove` trace span
-/// (payload: provider id).
-pub fn prove_column_traced(
-    stmt: &ColumnStatement<'_>,
-    raw: &[u64],
-    params: &AuditParams,
-    prover_seed: u64,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
-) -> ColumnProof {
-    let mut span = tracer.child(parent, "audit.prove");
-    span.set_payload(u64::from(stmt.provider.0));
-    prove_column_with_registry(stmt, raw, params, prover_seed, registry)
 }
 
 /// A *cheating* prover (the `eppi-attacks` forged-view model): proves
@@ -616,6 +604,49 @@ pub fn verify_column(
     proof: &ColumnProof,
     params: &AuditParams,
 ) -> Result<(), AuditError> {
+    verify_column_with_registry(stmt, commitment, proof, params, Obs::default())
+}
+
+/// [`verify_column`] under a caller's observability context: reports
+/// the `audit.verified` / `audit.rejects{kind=…}` counters and the
+/// `audit.verify_ns` histogram into `obs.registry`, and runs as an
+/// `audit.verify` span (payload: provider id) under `obs.parent`.
+///
+/// # Errors
+///
+/// Same contract as [`verify_column`].
+pub fn verify_column_with_registry<'a>(
+    stmt: &ColumnStatement<'_>,
+    commitment: &ColumnCommitment,
+    proof: &ColumnProof,
+    params: &AuditParams,
+    obs: impl Into<Obs<'a>>,
+) -> Result<(), AuditError> {
+    let obs = obs.into();
+    let mut span = obs.tracer.child(obs.parent, "audit.verify");
+    span.set_payload(u64::from(stmt.provider.0));
+    let started = Instant::now();
+    let out = check_column(stmt, commitment, proof, params);
+    obs.registry
+        .histogram("audit.verify_ns", &[])
+        .record(started.elapsed().as_nanos() as u64);
+    match &out {
+        Ok(()) => obs.registry.counter("audit.verified", &[]).add(1),
+        Err(e) => obs
+            .registry
+            .counter("audit.rejects", &[("kind", e.kind())])
+            .add(1),
+    }
+    out
+}
+
+/// The verifier proper: every check of [`verify_column`], no telemetry.
+fn check_column(
+    stmt: &ColumnStatement<'_>,
+    commitment: &ColumnCommitment,
+    proof: &ColumnProof,
+    params: &AuditParams,
+) -> Result<(), AuditError> {
     let provider = stmt.provider.0;
     let owners = stmt.owners();
     let nw = stmt.words();
@@ -750,54 +781,6 @@ pub fn verify_column(
     Ok(())
 }
 
-/// [`verify_column`] reporting telemetry: `audit.verified` /
-/// `audit.rejects{kind=…}` counters and the `audit.verify_ns`
-/// histogram.
-///
-/// # Errors
-///
-/// Same contract as [`verify_column`].
-pub fn verify_column_with_registry(
-    stmt: &ColumnStatement<'_>,
-    commitment: &ColumnCommitment,
-    proof: &ColumnProof,
-    params: &AuditParams,
-    registry: &Registry,
-) -> Result<(), AuditError> {
-    let started = Instant::now();
-    let out = verify_column(stmt, commitment, proof, params);
-    registry
-        .histogram("audit.verify_ns", &[])
-        .record(started.elapsed().as_nanos() as u64);
-    match &out {
-        Ok(()) => registry.counter("audit.verified", &[]).add(1),
-        Err(e) => registry
-            .counter("audit.rejects", &[("kind", e.kind())])
-            .add(1),
-    }
-    out
-}
-
-/// [`verify_column_with_registry`] under an `audit.verify` trace span
-/// (payload: provider id).
-///
-/// # Errors
-///
-/// Same contract as [`verify_column`].
-pub fn verify_column_traced(
-    stmt: &ColumnStatement<'_>,
-    commitment: &ColumnCommitment,
-    proof: &ColumnProof,
-    params: &AuditParams,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
-) -> Result<(), AuditError> {
-    let mut span = tracer.child(parent, "audit.verify");
-    span.set_payload(u64::from(stmt.provider.0));
-    verify_column_with_registry(stmt, commitment, proof, params, registry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -849,6 +832,39 @@ mod tests {
             let proof = prove_column(&stmt, &raw, &params, prover_seed);
             verify_column(&stmt, &commitment, &proof, &params).unwrap();
         }
+    }
+
+    #[test]
+    fn bare_forms_report_to_the_global_registry_and_explicit_forms_to_the_callers() {
+        use eppi_telemetry::Registry;
+
+        let (betas, raw, published) = sample(70, 5);
+        let stmt = ColumnStatement {
+            epoch_seed: 77,
+            provider: ProviderId(3),
+            betas: &betas,
+            published: &published,
+        };
+        let params = AuditParams { repetitions: 4 };
+        let commitment = ColumnCommitment::compute(77, ProviderId(3), &betas, &published);
+        let counts = |r: &Registry| {
+            let get = |name| r.counter(name, &[]).get();
+            (get("audit.proofs"), get("audit.verified"))
+        };
+
+        // Other tests of this process share the global registry, so the
+        // bare forms can only be seen to move it.
+        let global = eppi_telemetry::global();
+        let before = counts(global);
+        let proof = prove_column(&stmt, &raw, &params, 1);
+        verify_column(&stmt, &commitment, &proof, &params).unwrap();
+        let after = counts(global);
+        assert!(after.0 > before.0 && after.1 > before.1);
+
+        let mine = Registry::new();
+        let proof = prove_column_with_registry(&stmt, &raw, &params, 1, &mine);
+        verify_column_with_registry(&stmt, &commitment, &proof, &params, &mine).unwrap();
+        assert_eq!(counts(&mine), (1, 1));
     }
 
     #[test]

@@ -174,12 +174,12 @@ fn build_index(config: &PrivateLoadConfig) -> PublishedIndex {
 /// replicas' scatter / per-shard scan / gather → recombine, one span
 /// each (DESIGN.md §13).
 pub fn one_query_chrome_trace(config: &PrivateLoadConfig) -> String {
-    use eppi_trace::{chrome, TraceConfig, Tracer};
+    use eppi_trace::{chrome, Obs, TraceConfig, Tracer};
 
     let registry = Registry::new();
     let index = build_index(config);
     let tracer = Tracer::new(TraceConfig::default());
-    let engine = PrivateEngine::start_traced(
+    let engine = PrivateEngine::start_with_registry(
         &index,
         ServeConfig {
             shards: config.shards,
@@ -187,8 +187,10 @@ pub fn one_query_chrome_trace(config: &PrivateLoadConfig) -> String {
             telemetry: config.telemetry,
             backend: eppi_core::rowstore::RowBackend::Dense,
         },
-        &registry,
-        tracer.clone(),
+        Obs {
+            tracer: &tracer,
+            ..Obs::from(&registry)
+        },
     );
     let mut client = engine.client(config.seed ^ 0x7bace);
     let _ = client.query(OwnerId(0));

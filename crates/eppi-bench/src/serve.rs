@@ -36,7 +36,7 @@ use eppi_protocol::construct::{construct_distributed_with_registry, ProtocolConf
 use eppi_serve::{default_shards, ServeConfig, ServeEngine};
 use eppi_telemetry::json::JsonValue;
 use eppi_telemetry::{HistogramSummary, Registry, Snapshot};
-use eppi_trace::{TraceConfig, TraceLog, Tracer};
+use eppi_trace::{Obs, TraceConfig, TraceLog, Tracer};
 use eppi_workload::presets::Preset;
 use eppi_workload::queries::QueryWorkload;
 use rand::rngs::StdRng;
@@ -341,7 +341,11 @@ pub fn trace_overhead(config: &ServeLoadConfig) -> (TraceOverhead, TraceLog) {
 
         let registry = Registry::new();
         let tracer = Tracer::new(TraceConfig::default());
-        let engine = ServeEngine::start_traced(&index, serve_config, &registry, tracer.clone());
+        let obs = Obs {
+            tracer: &tracer,
+            ..Obs::from(&registry)
+        };
+        let engine = ServeEngine::start_with_registry(&index, serve_config, obs);
         let mut pass = closed_loop(&engine, &workload, config, 1, &registry);
         engine.shutdown();
         pass.mode = "closed_loop_traced".into();

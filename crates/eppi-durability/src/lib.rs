@@ -30,6 +30,13 @@
 //!   certified surfaces as a hard [`StoreError::Audit`], never a
 //!   silently installed head (DESIGN.md §16).
 //!
+//! Every [`DurableStore`] operation has a bare form (process-global
+//! telemetry, nothing traced) and one `_with_registry` form taking an
+//! `impl Into<eppi_trace::Obs>`; the context given to `advance*` or
+//! `open` is the one the journaled or replayed construction — MPC
+//! rounds, prover, verifier — reports and traces into (DESIGN.md §8,
+//! §13).
+//!
 //! ```
 //! use eppi_core::delta::{ColumnChange, DeltaEntry, IndexDelta};
 //! use eppi_core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId};

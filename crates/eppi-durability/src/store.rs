@@ -39,12 +39,11 @@ use eppi_audit::ColumnCommitment;
 use eppi_core::delta::IndexDelta;
 use eppi_core::model::MembershipMatrix;
 use eppi_protocol::{
-    construct_delta_audited_traced, construct_delta_with_registry, verify_commitments, AuditConfig,
-    AuditedConstructError, AuditedDelta, AuditedEpoch, DeltaConstruction, IndexEpoch,
+    construct_delta_audited_with_registry, construct_delta_with_registry, verify_commitments,
+    AuditConfig, AuditedConstructError, AuditedDelta, AuditedEpoch, DeltaConstruction, IndexEpoch,
 };
 use eppi_telemetry::{Counter, Histogram, Registry};
-use eppi_trace::SpanCtx;
-use eppi_trace::Tracer;
+use eppi_trace::Obs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -154,21 +153,23 @@ impl DurableStore {
     /// [`StoreError::AlreadyInitialized`] if `dir` already holds a
     /// checkpoint; [`StoreError::Io`] on filesystem failure.
     pub fn create(dir: impl Into<PathBuf>, epoch: &IndexEpoch) -> Result<DurableStore, StoreError> {
-        Self::create_with_registry(dir, epoch, eppi_telemetry::global())
+        Self::create_with_registry(dir, epoch, Obs::default())
     }
 
-    /// [`create`](Self::create) reporting `durability.*` telemetry into
-    /// a caller-owned registry.
+    /// [`create`](Self::create) under a caller's observability
+    /// context: the store's `durability.*` instruments — for this and
+    /// every later operation on the returned store — live in
+    /// `obs.registry`.
     ///
     /// # Errors
     ///
     /// Same contract as [`create`](Self::create).
-    pub fn create_with_registry(
+    pub fn create_with_registry<'a>(
         dir: impl Into<PathBuf>,
         epoch: &IndexEpoch,
-        registry: &Registry,
+        obs: impl Into<Obs<'a>>,
     ) -> Result<DurableStore, StoreError> {
-        Self::anchor(dir.into(), epoch, Vec::new(), registry)
+        Self::anchor(dir.into(), epoch, Vec::new(), obs.into())
     }
 
     /// Initializes `dir` with `epoch` as its lineage-0 checkpoint and
@@ -178,13 +179,13 @@ impl DurableStore {
         dir: PathBuf,
         epoch: &IndexEpoch,
         commitments: Vec<ColumnCommitment>,
-        registry: &Registry,
+        obs: Obs<'_>,
     ) -> Result<DurableStore, StoreError> {
         std::fs::create_dir_all(&dir).map_err(|e| StoreError::io("create_dir", &dir, e))?;
         if !checkpoint::scan(&dir)?.is_empty() {
             return Err(StoreError::AlreadyInitialized { dir });
         }
-        let metrics = StoreMetrics::new(registry);
+        let metrics = StoreMetrics::new(obs.registry);
         let receipt = checkpoint::write_atomic(&dir, 0, epoch, &commitments)?;
         metrics.fsync(receipt.fsync_wall, receipt.fsyncs);
         metrics.checkpoint_bytes.add(receipt.bytes);
@@ -212,21 +213,22 @@ impl DurableStore {
         dir: impl Into<PathBuf>,
         anchor: &AuditedEpoch,
     ) -> Result<DurableStore, StoreError> {
-        Self::create_audited_with_registry(dir, anchor, eppi_telemetry::global())
+        Self::create_audited_with_registry(dir, anchor, Obs::default())
     }
 
-    /// [`create_audited`](Self::create_audited) reporting telemetry
-    /// into a caller-owned registry.
+    /// [`create_audited`](Self::create_audited) under a caller's
+    /// observability context (see
+    /// [`create_with_registry`](Self::create_with_registry)).
     ///
     /// # Errors
     ///
     /// Same contract as [`create`](Self::create).
-    pub fn create_audited_with_registry(
+    pub fn create_audited_with_registry<'a>(
         dir: impl Into<PathBuf>,
         anchor: &AuditedEpoch,
-        registry: &Registry,
+        obs: impl Into<Obs<'a>>,
     ) -> Result<DurableStore, StoreError> {
-        Self::anchor(dir.into(), &anchor.epoch, anchor.commitments(), registry)
+        Self::anchor(dir.into(), &anchor.epoch, anchor.commitments(), obs.into())
     }
 
     /// Recovers the lineage from `dir`: newest decodable checkpoint,
@@ -242,45 +244,39 @@ impl DurableStore {
     /// *log* is never an error — recovery falls back to the longest
     /// valid prefix (reported in [`Recovery`]).
     pub fn open(dir: impl Into<PathBuf>) -> Result<(DurableStore, Recovery), StoreError> {
-        Self::open_with_registry(dir, eppi_telemetry::global())
+        Self::open_with_registry(dir, Obs::default())
     }
 
-    /// [`open`](Self::open) reporting telemetry (both `durability.*`
-    /// and the replayed constructions' `construct.*`) into a
-    /// caller-owned registry.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`open`](Self::open).
-    pub fn open_with_registry(
-        dir: impl Into<PathBuf>,
-        registry: &Registry,
-    ) -> Result<(DurableStore, Recovery), StoreError> {
-        Self::open_traced(dir, registry, &Tracer::disabled())
-    }
-
-    /// [`open_with_registry`](Self::open_with_registry) with causal
-    /// tracing: recovery runs under a `recover.open` root span with one
-    /// child per state of the recovery machine —
-    /// `recover.checkpoint_load` (payload = checkpoint candidates
-    /// scanned), `recover.wal_scan` (payload = valid frames found), one
-    /// `recover.replay_record` per delta re-run through
-    /// `construct_delta` (payload = the record's epoch), and
+    /// [`open`](Self::open) under a caller's observability context.
+    /// Telemetry — `durability.*` and everything the replayed
+    /// constructions report — goes to `obs.registry`. Recovery runs
+    /// under a `recover.open` span (a child of `obs.parent`, or a fresh
+    /// trace root when there is none) with one child per state of the
+    /// recovery machine — `recover.checkpoint_load` (payload =
+    /// checkpoint candidates scanned), `recover.wal_scan` (payload =
+    /// valid frames found), one `recover.replay_record` per delta
+    /// re-run through `construct_delta` (payload = the record's epoch;
+    /// the replayed construction's MPC spans hang under it), and
     /// `recover.truncate` (payload = bytes discarded) when a tail is
     /// cut. A disabled tracer records nothing.
     ///
     /// # Errors
     ///
     /// Same contract as [`open`](Self::open).
-    pub fn open_traced(
+    pub fn open_with_registry<'a>(
         dir: impl Into<PathBuf>,
-        registry: &Registry,
-        tracer: &Tracer,
+        obs: impl Into<Obs<'a>>,
     ) -> Result<(DurableStore, Recovery), StoreError> {
+        let obs = obs.into();
+        let tracer = obs.tracer;
         let dir = dir.into();
-        let metrics = StoreMetrics::new(registry);
+        let metrics = StoreMetrics::new(obs.registry);
         let started = Instant::now();
-        let open_span = tracer.root("recover.open");
+        let open_span = if obs.parent.is_none() {
+            tracer.root("recover.open")
+        } else {
+            tracer.child(obs.parent, "recover.open")
+        };
         let octx = open_span.ctx();
 
         // State 1 — newest decodable checkpoint, newest-first by
@@ -358,7 +354,8 @@ impl DurableStore {
             let matrix = record.matrix();
             let mut replay_span = tracer.child(octx, "recover.replay_record");
             replay_span.set_payload(record.epoch);
-            match construct_delta_with_registry(&head, &matrix, &record.delta, registry) {
+            let replay = obs.under(replay_span.ctx());
+            match construct_delta_with_registry(&head, &matrix, &record.delta, replay) {
                 Ok(out) => {
                     // A journaled audited record must replay to exactly
                     // the columns its providers certified; a corrupted
@@ -468,22 +465,23 @@ impl DurableStore {
         matrix: &MembershipMatrix,
         delta: &IndexDelta,
     ) -> Result<DeltaConstruction, StoreError> {
-        self.advance_with_registry(matrix, delta, eppi_telemetry::global())
+        self.advance_with_registry(matrix, delta, Obs::default())
     }
 
-    /// [`advance`](Self::advance) reporting the construction's
-    /// telemetry into a caller-owned registry.
+    /// [`advance`](Self::advance) with the construction running under
+    /// a caller's observability context (see
+    /// [`construct_delta_with_registry`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`advance`](Self::advance).
-    pub fn advance_with_registry(
+    pub fn advance_with_registry<'a>(
         &mut self,
         matrix: &MembershipMatrix,
         delta: &IndexDelta,
-        registry: &Registry,
+        obs: impl Into<Obs<'a>>,
     ) -> Result<DeltaConstruction, StoreError> {
-        let built = construct_delta_with_registry(&self.head, matrix, delta, registry)?;
+        let built = construct_delta_with_registry(&self.head, matrix, delta, obs)?;
         // An unaudited advance downgrades the lineage: the old
         // commitments do not describe the new head.
         self.install(matrix, delta, &built.epoch, Vec::new())?;
@@ -529,42 +527,34 @@ impl DurableStore {
         delta: &IndexDelta,
         audit: &AuditConfig,
     ) -> Result<AuditedDelta, StoreError> {
-        self.advance_audited_with_registry(matrix, delta, audit, eppi_telemetry::global())
+        self.advance_audited_with_registry(matrix, delta, audit, Obs::default())
     }
 
-    /// [`advance_audited`](Self::advance_audited) reporting telemetry
-    /// (both the construction's and the `audit.*` instruments) into a
-    /// caller-owned registry.
+    /// [`advance_audited`](Self::advance_audited) with the construction
+    /// and the audit layer running under a caller's observability
+    /// context (see [`construct_delta_audited_with_registry`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`advance_audited`](Self::advance_audited).
-    pub fn advance_audited_with_registry(
+    pub fn advance_audited_with_registry<'a>(
         &mut self,
         matrix: &MembershipMatrix,
         delta: &IndexDelta,
         audit: &AuditConfig,
-        registry: &Registry,
+        obs: impl Into<Obs<'a>>,
     ) -> Result<AuditedDelta, StoreError> {
-        let built = construct_delta_audited_traced(
-            &self.head,
-            matrix,
-            delta,
-            audit,
-            registry,
-            &Tracer::disabled(),
-            SpanCtx::NONE,
-        )
-        .map_err(|e| match e {
-            AuditedConstructError::Protocol(e) => StoreError::Protocol(e),
-            AuditedConstructError::Audit(e) => StoreError::Audit(e),
-            // Forward-compatibility arm for the #[non_exhaustive]
-            // source enum.
-            _ => StoreError::Audit(eppi_audit::AuditError::Malformed {
-                provider: u32::MAX,
-                reason: "unknown audited-construction failure",
-            }),
-        })?;
+        let built = construct_delta_audited_with_registry(&self.head, matrix, delta, audit, obs)
+            .map_err(|e| match e {
+                AuditedConstructError::Protocol(e) => StoreError::Protocol(e),
+                AuditedConstructError::Audit(e) => StoreError::Audit(e),
+                // Forward-compatibility arm for the #[non_exhaustive]
+                // source enum.
+                _ => StoreError::Audit(eppi_audit::AuditError::Malformed {
+                    provider: u32::MAX,
+                    reason: "unknown audited-construction failure",
+                }),
+            })?;
         self.install(matrix, delta, &built.delta.epoch, built.commitments())?;
         Ok(built)
     }
@@ -755,7 +745,7 @@ mod tests {
 
     #[test]
     fn traced_recovery_spans_every_state() {
-        use eppi_trace::TraceConfig;
+        use eppi_trace::{TraceConfig, Tracer};
 
         let dir = tmp_dir("traced");
         let (mut mat, e, cfg) = base(7);
@@ -776,7 +766,11 @@ mod tests {
         std::fs::write(&wal_path, &bytes[..bytes.len() - 3]).unwrap();
 
         let tracer = Tracer::new(TraceConfig::default());
-        let (reopened, recovery) = DurableStore::open_traced(&dir, &registry, &tracer).unwrap();
+        let obs = Obs {
+            tracer: &tracer,
+            ..Obs::from(&registry)
+        };
+        let (reopened, recovery) = DurableStore::open_with_registry(&dir, obs).unwrap();
         assert_eq!(recovery.replayed, 2);
         assert!(recovery.discarded_bytes > 0);
         assert_eq!(reopened.head().epoch(), 2);

@@ -407,15 +407,19 @@ mod tests {
     #[test]
     fn paced_delivery_honours_absolute_deadlines() {
         let latency = Duration::from_millis(20);
-        let (results, _) = run_parties::<Frame, Duration, _>(2, move |h| {
+        let both_started = std::sync::Barrier::new(2);
+        let (results, _) = run_parties::<Frame, Duration, _>(2, |h| {
             let me = h.me().index();
             let (tx, rx) = h.split();
             let mut sender = FrameSender::new(tx);
             let mut per_peer = vec![Vec::new(); 2];
-            // Started before the first send: deadlines count from
-            // `sent_at`, so a clock started after the flushes could read
-            // a hair under one latency.
+            // Deadlines count from the *peer's* `sent_at`, so the clock
+            // must be running before the peer's first send: start it,
+            // then hold both parties until both clocks run (a party
+            // whose thread came up late otherwise reads a hair under
+            // one latency).
             let started = Instant::now();
+            both_started.wait();
             // 3 frames back-to-back (separate flushes).
             for step in 0..3u32 {
                 per_peer[1 - me] = vec![LaneItem {

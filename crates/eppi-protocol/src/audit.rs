@@ -23,13 +23,12 @@ use crate::construct::ProtocolConfig;
 use crate::epoch::{
     construct_delta_with_registry, construct_epoch_with_registry, DeltaConstruction, IndexEpoch,
 };
-use eppi_audit::zkboo::{prove_column_traced, verify_column_traced};
+use eppi_audit::zkboo::{prove_column_with_registry, verify_column_with_registry};
 use eppi_audit::{AuditError, AuditParams, ColumnCommitment, ColumnProof, ColumnStatement};
 use eppi_core::delta::IndexDelta;
 use eppi_core::error::EppiError;
 use eppi_core::model::{Epsilon, MembershipMatrix, ProviderId};
-use eppi_telemetry::Registry;
-use eppi_trace::{SpanCtx, Tracer};
+use eppi_trace::Obs;
 use std::error::Error;
 use std::fmt;
 
@@ -157,41 +156,32 @@ pub fn certify_epoch(
     epoch: &IndexEpoch,
     audit: &AuditConfig,
 ) -> Vec<EpochCertificate> {
-    certify_epoch_traced(
-        matrix,
-        epoch,
-        audit,
-        eppi_telemetry::global(),
-        &Tracer::disabled(),
-        SpanCtx::NONE,
-    )
+    certify_epoch_with_registry(matrix, epoch, audit, Obs::default())
 }
 
-/// [`certify_epoch`] with telemetry (`audit.proofs`,
-/// `audit.proof_bytes`, `audit.prove_ns`) and one `audit.prove` span
-/// per provider.
-pub fn certify_epoch_traced(
+/// [`certify_epoch`] under a caller's observability context: telemetry
+/// (`audit.proofs`, `audit.proof_bytes`, `audit.prove_ns`) into
+/// `obs.registry` and one `audit.prove` span per provider under
+/// `obs.parent`.
+pub fn certify_epoch_with_registry<'a>(
     matrix: &MembershipMatrix,
     epoch: &IndexEpoch,
     audit: &AuditConfig,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
+    obs: impl Into<Obs<'a>>,
 ) -> Vec<EpochCertificate> {
+    let obs = obs.into();
     matrix
         .provider_ids()
         .map(|provider| {
             let stmt = statement(epoch, provider);
             let commitment =
                 ColumnCommitment::compute(stmt.epoch_seed, provider, stmt.betas, stmt.published);
-            let proof = prove_column_traced(
+            let proof = prove_column_with_registry(
                 &stmt,
                 matrix.row_words(provider),
                 &audit.params,
                 prover_seed_for(audit, epoch.epoch(), provider),
-                registry,
-                tracer,
-                parent,
+                obs,
             );
             EpochCertificate { commitment, proof }
         })
@@ -212,27 +202,24 @@ pub fn verify_epoch(
     certificates: &[EpochCertificate],
     audit: &AuditConfig,
 ) -> Result<(), AuditError> {
-    verify_epoch_traced(
-        epoch,
-        certificates,
-        audit,
-        eppi_telemetry::global(),
-        &Tracer::disabled(),
-        SpanCtx::NONE,
-    )
+    verify_epoch_with_registry(epoch, certificates, audit, Obs::default())
 }
 
-/// [`verify_epoch`] with telemetry (`audit.verified`,
-/// `audit.rejects{kind=…}`, `audit.verify_ns`) and one `audit.verify`
-/// span per provider.
-pub fn verify_epoch_traced(
+/// [`verify_epoch`] under a caller's observability context: telemetry
+/// (`audit.verified`, `audit.rejects{kind=…}`, `audit.verify_ns`) into
+/// `obs.registry` and one `audit.verify` span per provider under
+/// `obs.parent`.
+///
+/// # Errors
+///
+/// Same contract as [`verify_epoch`].
+pub fn verify_epoch_with_registry<'a>(
     epoch: &IndexEpoch,
     certificates: &[EpochCertificate],
     audit: &AuditConfig,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
+    obs: impl Into<Obs<'a>>,
 ) -> Result<(), AuditError> {
+    let obs = obs.into();
     if certificates.len() != epoch.providers() {
         return Err(AuditError::CertificateSet {
             expected: epoch.providers(),
@@ -248,15 +235,7 @@ pub fn verify_epoch_traced(
             });
         }
         let stmt = statement(epoch, provider);
-        verify_column_traced(
-            &stmt,
-            &cert.commitment,
-            &cert.proof,
-            &audit.params,
-            registry,
-            tracer,
-            parent,
-        )?;
+        verify_column_with_registry(&stmt, &cert.commitment, &cert.proof, &audit.params, obs)?;
     }
     Ok(())
 }
@@ -302,12 +281,10 @@ fn certified(
     matrix: &MembershipMatrix,
     epoch: &IndexEpoch,
     audit: &AuditConfig,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
+    obs: Obs<'_>,
 ) -> Result<Vec<EpochCertificate>, AuditError> {
-    let certificates = certify_epoch_traced(matrix, epoch, audit, registry, tracer, parent);
-    verify_epoch_traced(epoch, &certificates, audit, registry, tracer, parent)?;
+    let certificates = certify_epoch_with_registry(matrix, epoch, audit, obs);
+    verify_epoch_with_registry(epoch, &certificates, audit, obs)?;
     Ok(certificates)
 }
 
@@ -326,34 +303,27 @@ pub fn construct_epoch_audited(
     config: &ProtocolConfig,
     audit: &AuditConfig,
 ) -> Result<AuditedEpoch, AuditedConstructError> {
-    construct_epoch_audited_traced(
-        matrix,
-        epsilons,
-        config,
-        audit,
-        eppi_telemetry::global(),
-        &Tracer::disabled(),
-        SpanCtx::NONE,
-    )
+    construct_epoch_audited_with_registry(matrix, epsilons, config, audit, Obs::default())
 }
 
-/// [`construct_epoch_audited`] with telemetry and `audit.prove` /
-/// `audit.verify` spans under `parent`.
+/// [`construct_epoch_audited`] under a caller's observability context:
+/// the construction's and the audit layer's telemetry go to
+/// `obs.registry`, and the MPC and `audit.prove` / `audit.verify` spans
+/// hang under `obs.parent`.
 ///
 /// # Errors
 ///
 /// Same contract as [`construct_epoch_audited`].
-pub fn construct_epoch_audited_traced(
+pub fn construct_epoch_audited_with_registry<'a>(
     matrix: &MembershipMatrix,
     epsilons: &[Epsilon],
     config: &ProtocolConfig,
     audit: &AuditConfig,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
+    obs: impl Into<Obs<'a>>,
 ) -> Result<AuditedEpoch, AuditedConstructError> {
-    let epoch = construct_epoch_with_registry(matrix, epsilons, config, registry)?;
-    let certificates = certified(matrix, &epoch, audit, registry, tracer, parent)?;
+    let obs = obs.into();
+    let epoch = construct_epoch_with_registry(matrix, epsilons, config, obs)?;
+    let certificates = certified(matrix, &epoch, audit, obs)?;
     Ok(AuditedEpoch {
         epoch,
         certificates,
@@ -375,33 +345,25 @@ pub fn construct_delta_audited(
     delta: &IndexDelta,
     audit: &AuditConfig,
 ) -> Result<AuditedDelta, AuditedConstructError> {
-    construct_delta_audited_traced(
-        prev,
-        matrix,
-        delta,
-        audit,
-        eppi_telemetry::global(),
-        &Tracer::disabled(),
-        SpanCtx::NONE,
-    )
+    construct_delta_audited_with_registry(prev, matrix, delta, audit, Obs::default())
 }
 
-/// [`construct_delta_audited`] with telemetry and trace spans.
+/// [`construct_delta_audited`] under a caller's observability context
+/// (see [`construct_epoch_audited_with_registry`]).
 ///
 /// # Errors
 ///
 /// Same contract as [`construct_epoch_audited`].
-pub fn construct_delta_audited_traced(
+pub fn construct_delta_audited_with_registry<'a>(
     prev: &IndexEpoch,
     matrix: &MembershipMatrix,
     delta: &IndexDelta,
     audit: &AuditConfig,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
+    obs: impl Into<Obs<'a>>,
 ) -> Result<AuditedDelta, AuditedConstructError> {
-    let delta = construct_delta_with_registry(prev, matrix, delta, registry)?;
-    let certificates = certified(matrix, &delta.epoch, audit, registry, tracer, parent)?;
+    let obs = obs.into();
+    let delta = construct_delta_with_registry(prev, matrix, delta, obs)?;
+    let certificates = certified(matrix, &delta.epoch, audit, obs)?;
     Ok(AuditedDelta {
         delta,
         certificates,

@@ -39,6 +39,7 @@ use eppi_core::model::{Epsilon, MembershipMatrix, PublishedIndex};
 use eppi_core::policy::{BetaPolicy, PolicyKind};
 use eppi_net::sim::{LinkModel, NetStats};
 use eppi_telemetry::Registry;
+use eppi_trace::Obs;
 use std::time::Duration;
 
 /// Configuration of the distributed construction protocol.
@@ -187,26 +188,28 @@ pub fn construct_distributed(
     epsilons: &[Epsilon],
     config: &ProtocolConfig,
 ) -> Result<DistributedConstruction, EppiError> {
-    construct_distributed_with_registry(matrix, epsilons, config, eppi_telemetry::global())
+    construct_distributed_with_registry(matrix, epsilons, config, Obs::default())
 }
 
-/// [`construct_distributed`] reporting telemetry into a caller-owned
-/// registry: per-phase wall times land in the
+/// [`construct_distributed`] under a caller's observability context.
+/// Into `obs.registry`: per-phase wall times land in the
 /// `construct.phase_ns{phase=…}` histogram family ([`PhaseWall::named`]
 /// order), the run total in `construct.wall_ns`, MPC circuit sizes in
-/// `construct.gates{stage=…}`, and SecSumShare traffic in
-/// `secsum.messages` / `secsum.bytes`.
+/// `construct.gates{stage=…}`, SecSumShare traffic in
+/// `secsum.messages` / `secsum.bytes`, and the wall-clock backends'
+/// `gmw.*` / `mpc.pipeline.*` families. Their `mpc.execute` /
+/// `mpc.pipeline` spans hang under `obs.parent`.
 ///
 /// # Errors
 ///
 /// Same contract as [`construct_distributed`].
-pub fn construct_distributed_with_registry(
+pub fn construct_distributed_with_registry<'a>(
     matrix: &MembershipMatrix,
     epsilons: &[Epsilon],
     config: &ProtocolConfig,
-    registry: &Registry,
+    obs: impl Into<Obs<'a>>,
 ) -> Result<DistributedConstruction, EppiError> {
-    let built = construct_genesis(matrix, epsilons, config, registry)?;
+    let built = construct_genesis(matrix, epsilons, config, obs.into())?;
     let state = built.epoch.into_state();
     Ok(DistributedConstruction {
         index: state.index,

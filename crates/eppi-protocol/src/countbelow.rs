@@ -1,9 +1,9 @@
 //! The generic-MPC stage among the `c` coordinators (Alg. 1 stage 2).
 //!
 //! Packed GMW (`eppi_mpc::gmw_core`) is the only MPC engine; what
-//! varies is how it is run. [`Backend::execute`] is the single place
-//! that knows, and [`run_count_below`] / [`run_mix_decision_for_owners`]
-//! are written once on top of it: split the columns into the backend's
+//! varies is how it is run. `Backend::execute` is the single place
+//! that knows, and [`run_count_below`] / [`run_mix_decision`] are
+//! written once on top of it: split the columns into the backend's
 //! lanes, compile one circuit per lane, encode, execute, decode. The
 //! four backends:
 //!
@@ -27,16 +27,17 @@
 //! gate counts are summed, depths maxed). The SecSumShare runtime that
 //! goes with each backend is [`Backend::secsumshare`].
 
-use crate::pipelined_gmw::{execute_pipelined, LaneSpec, PipelineConfig};
+use crate::pipelined_gmw::{execute_pipelined_with_registry, LaneSpec, PipelineConfig};
 use crate::secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
 use crate::sim_gmw::execute_simulated;
-use crate::threaded_gmw::execute_threaded;
+use crate::threaded_gmw::execute_threaded_with_registry;
 use eppi_core::model::{LocalVector, OwnerId};
 use eppi_mpc::circuit::{Circuit, CircuitStats, InputLayout};
 use eppi_mpc::circuits::{lambda_threshold, CountBelowCircuit, MixDecisionCircuit};
 use eppi_mpc::field::Modulus;
 use eppi_mpc::gmw;
 use eppi_net::sim::LinkModel;
+use eppi_trace::Obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
@@ -68,13 +69,19 @@ impl Backend {
     /// lanes, `circuit` their [`CircuitStats::merge`]. The lockstep
     /// backends run the lanes one after another, the pipelined backend
     /// concurrently over one shared network; an empty batch costs
-    /// nothing.
+    /// nothing. The wall-clock backends report and trace into `obs` —
+    /// the caller's, handed down unchanged (the in-process evaluator
+    /// and the simulator emit nothing).
     ///
     /// # Panics
     ///
     /// Panics if a lane's inputs disagree with its layout or its layout
     /// with its circuit.
-    pub fn execute(self, lanes: &[LaneSpec<'_>]) -> (Vec<Vec<bool>>, StageReport) {
+    pub(crate) fn execute(
+        self,
+        lanes: &[LaneSpec<'_>],
+        obs: Obs<'_>,
+    ) -> (Vec<Vec<bool>>, StageReport) {
         let mut report = StageReport {
             circuit: lanes
                 .iter()
@@ -90,7 +97,8 @@ impl Backend {
         };
         let outputs = match self {
             Backend::Pipelined { workers } => {
-                let (outs, r) = execute_pipelined(lanes, &PipelineConfig::with_workers(workers))
+                let config = PipelineConfig::with_workers(workers);
+                let (outs, r) = execute_pipelined_with_registry(lanes, &config, obs)
                     .expect("in-process pipeline cannot lose a party");
                 traffic(r.messages, r.bits_sent, r.bytes, 0.0);
                 outs
@@ -108,7 +116,7 @@ impl Backend {
                 .iter()
                 .map(|l| {
                     let (out, g) = if self == Backend::Threaded {
-                        execute_threaded(l.circuit, l.layout, l.inputs, l.seed)
+                        execute_threaded_with_registry(l.circuit, l.layout, l.inputs, l.seed, obs)
                     } else {
                         let mut rng = StdRng::seed_from_u64(l.seed);
                         gmw::execute(l.circuit, l.layout, l.inputs, &mut rng)
@@ -259,6 +267,32 @@ pub fn run_count_below(
     backend: Backend,
     seed: u64,
 ) -> (u64, StageReport) {
+    run_count_below_with_registry(
+        coordinator_shares,
+        thresholds,
+        width,
+        backend,
+        seed,
+        Obs::default(),
+    )
+}
+
+/// [`run_count_below`] under a caller's observability context: the
+/// backend's MPC telemetry and spans (see
+/// [`execute_threaded_with_registry`] and
+/// [`execute_pipelined_with_registry`]) go to `obs`.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`run_count_below`].
+pub fn run_count_below_with_registry<'a>(
+    coordinator_shares: &[Vec<u64>],
+    thresholds: &[u64],
+    width: usize,
+    backend: Backend,
+    seed: u64,
+    obs: impl Into<Obs<'a>>,
+) -> (u64, StageReport) {
     check_shares(coordinator_shares, thresholds.len());
     let c = coordinator_shares.len();
     let ranges = backend.lane_ranges(thresholds.len());
@@ -281,7 +315,7 @@ pub fn run_count_below(
         &inputs,
         seed,
     );
-    let (outs, report) = backend.execute(&lanes);
+    let (outs, report) = backend.execute(&lanes, obs.into());
     let count = outs
         .iter()
         .zip(&circuits)
@@ -341,6 +375,7 @@ pub fn run_mix_decision(
         lambda,
         backend,
         seed,
+        Obs::default(),
     )
 }
 
@@ -352,14 +387,14 @@ pub fn run_mix_decision(
 /// the same decisions — a from-scratch run would produce for them. For
 /// the same reason the split into `backend`'s lanes is exact: each lane
 /// reproduces the coins of its columns, and the decisions concatenate
-/// in column order.
+/// in column order. The backend's MPC telemetry and spans go to `obs`.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`run_count_below`], or if
 /// `owners.len()` disagrees with `thresholds.len()`.
 #[allow(clippy::too_many_arguments)]
-pub fn run_mix_decision_for_owners(
+pub(crate) fn run_mix_decision_for_owners(
     coordinator_shares: &[Vec<u64>],
     thresholds: &[u64],
     owners: &[OwnerId],
@@ -368,6 +403,7 @@ pub fn run_mix_decision_for_owners(
     lambda: f64,
     backend: Backend,
     seed: u64,
+    obs: Obs<'_>,
 ) -> (Vec<bool>, StageReport) {
     check_shares(coordinator_shares, thresholds.len());
     assert_eq!(
@@ -404,7 +440,7 @@ pub fn run_mix_decision_for_owners(
         &inputs,
         seed ^ 0xdec,
     );
-    let (outs, report) = backend.execute(&lanes);
+    let (outs, report) = backend.execute(&lanes, obs);
     let decisions = outs
         .iter()
         .zip(&circuits)
@@ -536,6 +572,7 @@ mod tests {
                     lambda,
                     backend,
                     mix_seed,
+                    Obs::default(),
                 );
                 let expect: Vec<bool> = idx.iter().map(|&j| decisions[j]).collect();
                 assert_eq!(part, expect, "{what}: sliced owners {idx:?}");
@@ -611,7 +648,7 @@ mod tests {
                     Backend::Pipelined { workers: 2 },
                 ] {
                     let what = format!("{backend:?}, {parties} parties, trial {trial}");
-                    let (outs, report) = backend.execute(&[lane]);
+                    let (outs, report) = backend.execute(&[lane], Obs::default());
                     assert_eq!(outs, vec![clear.clone()], "{what}");
                     assert_eq!(report.circuit, circuit.stats(), "{what}");
                     assert_eq!(report.bits, logical_bits(&circuit, &layout), "{what}");

@@ -40,7 +40,7 @@
 use crate::construct::{
     emit_report, frequency_thresholds, share_width, ConstructionReport, PhaseWall, ProtocolConfig,
 };
-use crate::countbelow::{run_count_below, run_mix_decision_for_owners};
+use crate::countbelow::{run_count_below_with_registry, run_mix_decision_for_owners};
 use eppi_core::delta::IndexDelta;
 use eppi_core::error::EppiError;
 use eppi_core::mixing::lambda_for;
@@ -49,7 +49,7 @@ use eppi_core::policy::BetaPolicy;
 use eppi_core::publish::publish_cell;
 use eppi_mpc::field::Modulus;
 use eppi_mpc::share::recombine_raw;
-use eppi_telemetry::Registry;
+use eppi_trace::Obs;
 use std::time::Instant;
 
 /// One versioned construction: the published index plus the retained
@@ -295,22 +295,24 @@ pub fn construct_epoch(
     epsilons: &[Epsilon],
     config: &ProtocolConfig,
 ) -> Result<IndexEpoch, EppiError> {
-    construct_epoch_with_registry(matrix, epsilons, config, eppi_telemetry::global())
+    construct_epoch_with_registry(matrix, epsilons, config, Obs::default())
 }
 
-/// [`construct_epoch`] reporting telemetry into a caller-owned
-/// registry.
+/// [`construct_epoch`] under a caller's observability context (same
+/// metric families and spans as [`construct_distributed_with_registry`]).
+///
+/// [`construct_distributed_with_registry`]: crate::construct::construct_distributed_with_registry
 ///
 /// # Errors
 ///
 /// Same contract as [`construct_epoch`].
-pub fn construct_epoch_with_registry(
+pub fn construct_epoch_with_registry<'a>(
     matrix: &MembershipMatrix,
     epsilons: &[Epsilon],
     config: &ProtocolConfig,
-    registry: &Registry,
+    obs: impl Into<Obs<'a>>,
 ) -> Result<IndexEpoch, EppiError> {
-    construct_genesis(matrix, epsilons, config, registry).map(|built| built.epoch)
+    construct_genesis(matrix, epsilons, config, obs.into()).map(|built| built.epoch)
 }
 
 /// The genesis delta: epoch 0 is every column of `matrix` constructed
@@ -321,7 +323,7 @@ pub(crate) fn construct_genesis(
     matrix: &MembershipMatrix,
     epsilons: &[Epsilon],
     config: &ProtocolConfig,
-    registry: &Registry,
+    obs: Obs<'_>,
 ) -> Result<DeltaConstruction, EppiError> {
     if epsilons.len() != matrix.owners() {
         return Err(EppiError::DimensionMismatch {
@@ -351,13 +353,7 @@ pub(crate) fn construct_genesis(
     };
     let every_column: Vec<(OwnerId, Epsilon)> =
         matrix.owner_ids().zip(epsilons.iter().copied()).collect();
-    Ok(construct_columns(
-        &empty,
-        0,
-        matrix,
-        &every_column,
-        registry,
-    ))
+    Ok(construct_columns(&empty, 0, matrix, &every_column, obs))
 }
 
 /// Runs the incremental construction for one [`IndexDelta`] on top of
@@ -387,22 +383,22 @@ pub fn construct_delta(
     matrix: &MembershipMatrix,
     delta: &IndexDelta,
 ) -> Result<DeltaConstruction, EppiError> {
-    construct_delta_with_registry(prev, matrix, delta, eppi_telemetry::global())
+    construct_delta_with_registry(prev, matrix, delta, Obs::default())
 }
 
-/// [`construct_delta`] reporting telemetry into a caller-owned
-/// registry (same `construct.*` / `secsum.*` families as the full
-/// path).
+/// [`construct_delta`] under a caller's observability context (same
+/// metric families and spans as the full path).
 ///
 /// # Errors
 ///
 /// Same contract as [`construct_delta`].
-pub fn construct_delta_with_registry(
+pub fn construct_delta_with_registry<'a>(
     prev: &IndexEpoch,
     matrix: &MembershipMatrix,
     delta: &IndexDelta,
-    registry: &Registry,
+    obs: impl Into<Obs<'a>>,
 ) -> Result<DeltaConstruction, EppiError> {
+    let obs = obs.into();
     for (what, expected, actual) in [
         ("delta base owners", prev.owners(), delta.base_owners()),
         ("delta owners", delta.owners(), matrix.owners()),
@@ -426,7 +422,7 @@ pub fn construct_delta_with_registry(
             epoch: next_epoch,
             ..ConstructionReport::default()
         };
-        emit_report(registry, &report);
+        emit_report(obs.registry, &report);
         return Ok(DeltaConstruction {
             epoch: IndexEpoch {
                 epoch: next_epoch,
@@ -436,9 +432,7 @@ pub fn construct_delta_with_registry(
         });
     }
     let changed: Vec<(OwnerId, Epsilon)> = delta.entries().map(|e| (e.owner, e.epsilon)).collect();
-    Ok(construct_columns(
-        prev, next_epoch, matrix, &changed, registry,
-    ))
+    Ok(construct_columns(prev, next_epoch, matrix, &changed, obs))
 }
 
 /// The ε-PPI construction (Alg. 1 in the Formula 9 order) over the
@@ -457,7 +451,7 @@ fn construct_columns(
     epoch: u64,
     matrix: &MembershipMatrix,
     touched: &[(OwnerId, Epsilon)],
-    registry: &Registry,
+    obs: Obs<'_>,
 ) -> DeltaConstruction {
     let config = prev.config;
     let started = Instant::now();
@@ -521,19 +515,21 @@ fn construct_columns(
         .map(|v| existing.iter().map(|&j| v[j]).collect())
         .collect();
     let old_thresholds: Vec<u64> = existing.iter().map(|&j| prev.thresholds[j]).collect();
-    let (commons_before, count_old) = run_count_below(
+    let (commons_before, count_old) = run_count_below_with_registry(
         &old_shares,
         &old_thresholds,
         width,
         config.backend,
         config.seed ^ 0xcb ^ epoch.wrapping_mul(0x5851_f42d_4c95_7f2d),
+        obs,
     );
-    let (commons_after, count_new) = run_count_below(
+    let (commons_after, count_new) = run_count_below_with_registry(
         &secsum.coordinator_shares,
         &new_thresholds,
         width,
         config.backend,
         config.seed ^ 0xcb ^ (epoch | 1 << 63).wrapping_mul(0x5851_f42d_4c95_7f2d),
+        obs,
     );
     let common_count = prev.common_count - commons_before + commons_after;
     let count_stage = count_old.merge(count_new);
@@ -561,6 +557,7 @@ fn construct_columns(
         lambda,
         config.backend,
         config.seed ^ 0x313,
+        obs,
     );
     let mix_wall = phase.elapsed();
 
@@ -636,7 +633,7 @@ fn construct_columns(
         epoch,
         columns: k,
     };
-    emit_report(registry, &report);
+    emit_report(obs.registry, &report);
 
     DeltaConstruction {
         epoch: IndexEpoch {

@@ -10,7 +10,7 @@
 //!   sans-io provider node, two runtimes (round simulator, threads).
 //! * [`countbelow`] — the generic-MPC stage among the `c` coordinators
 //!   (CountBelow of Alg. 2 + the mix-decision pass) and the [`Backend`]
-//!   choice; [`Backend::execute`] is the one place that knows how each
+//!   choice; `Backend::execute` is the one place that knows how each
 //!   of the four backends runs a circuit batch.
 //! * [`threaded_gmw`] — the multi-threaded GMW executor behind the
 //!   wall-clock experiments.
@@ -41,6 +41,19 @@
 //!   it is installed (DESIGN.md §16).
 //!
 //! [`ColumnCommitment`]: eppi_audit::ColumnCommitment
+//!
+//! ## Observability
+//!
+//! Every operation has a bare form — telemetry to the process-global
+//! registry, nothing traced — and one `<op>_with_registry` form whose
+//! last parameter is an `impl Into<eppi_trace::Obs>`: a `&Registry` for
+//! isolated metrics, or a full `Obs { registry, tracer, parent }`. The
+//! context a caller gives [`construct_epoch_with_registry`] (or any
+//! other entry point) is handed down unchanged to the MPC executors and
+//! the audit layer, so `gmw.*` / `mpc.pipeline.*` / `audit.*` metrics
+//! and the `mpc.execute → mpc.party → net.exchange`, `mpc.pipeline →
+//! mpc.party → mpc.lane` and `audit.prove` / `audit.verify` spans all
+//! belong to that caller (DESIGN.md §8, §13).
 //!
 //! ## Example
 //!
@@ -75,9 +88,10 @@ pub mod sim_gmw;
 pub mod threaded_gmw;
 
 pub use audit::{
-    certify_epoch, certify_epoch_traced, construct_delta_audited, construct_delta_audited_traced,
-    construct_epoch_audited, construct_epoch_audited_traced, verify_commitments, verify_epoch,
-    verify_epoch_traced, AuditConfig, AuditedConstructError, AuditedDelta, AuditedEpoch,
+    certify_epoch, certify_epoch_with_registry, construct_delta_audited,
+    construct_delta_audited_with_registry, construct_epoch_audited,
+    construct_epoch_audited_with_registry, verify_commitments, verify_epoch,
+    verify_epoch_with_registry, AuditConfig, AuditedConstructError, AuditedDelta, AuditedEpoch,
     EpochCertificate,
 };
 pub use construct::{
@@ -85,7 +99,7 @@ pub use construct::{
     DistributedConstruction, PhaseWall, ProtocolConfig,
 };
 pub use countbelow::{
-    run_count_below, run_mix_decision, run_mix_decision_for_owners, Backend, StageReport,
+    run_count_below, run_count_below_with_registry, run_mix_decision, Backend, StageReport,
 };
 pub use epoch::{
     construct_delta, construct_delta_with_registry, construct_epoch, construct_epoch_with_registry,

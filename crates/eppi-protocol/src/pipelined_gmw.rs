@@ -53,8 +53,7 @@ use eppi_net::pipeline::{
 };
 use eppi_net::threaded::{run_parties, TransportError};
 use eppi_net::transport::PackedBatch;
-use eppi_telemetry::Registry;
-use eppi_trace::{SpanCtx, Tracer};
+use eppi_trace::Obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -196,21 +195,16 @@ pub fn execute_pipelined(
     lanes: &[LaneSpec<'_>],
     config: &PipelineConfig,
 ) -> Result<(Vec<Vec<bool>>, PipelineReport), TransportError> {
-    execute_pipelined_traced(
-        lanes,
-        config,
-        eppi_telemetry::global(),
-        &Tracer::disabled(),
-        SpanCtx::NONE,
-    )
+    execute_pipelined_with_registry(lanes, config, Obs::default())
 }
 
-/// [`execute_pipelined`] reporting telemetry into a caller-owned
-/// registry (the `mpc.pipeline.*` family — see [`PipelineMetrics`]) and
-/// with causal tracing: the run is one `mpc.pipeline` span (payload =
-/// lane count), each party runs under an `mpc.party` child span, and
-/// every lane evaluation is an `mpc.lane` span (payload = lane index)
-/// under its party.
+/// [`execute_pipelined`] under a caller's observability context:
+/// telemetry goes to `obs.registry` (the `mpc.pipeline.*` family — see
+/// [`PipelineMetrics`]), and the run is one `mpc.pipeline` span (a
+/// child of `obs.parent`, or a fresh trace root when there is none;
+/// payload = lane count), each party runs under an `mpc.party` child
+/// span, and every lane evaluation is an `mpc.lane` span (payload =
+/// lane index) under its party.
 ///
 /// # Errors
 ///
@@ -219,13 +213,12 @@ pub fn execute_pipelined(
 /// # Panics
 ///
 /// Panics under the same conditions as [`execute_pipelined`].
-pub fn execute_pipelined_traced(
+pub fn execute_pipelined_with_registry<'a>(
     lanes: &[LaneSpec<'_>],
     config: &PipelineConfig,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
+    obs: impl Into<Obs<'a>>,
 ) -> Result<(Vec<Vec<bool>>, PipelineReport), TransportError> {
+    let obs = obs.into();
     if lanes.is_empty() {
         return Ok((Vec::new(), PipelineReport::default()));
     }
@@ -254,13 +247,13 @@ pub fn execute_pipelined_traced(
         .iter()
         .map(|r| if parties > 1 { r.rounds } else { 0 })
         .collect();
-    let metrics = PipelineMetrics::register(registry);
+    let metrics = PipelineMetrics::register(obs.registry);
     let workers = config.workers.max(1);
 
-    let mut exec_span = if parent.is_none() {
-        tracer.root("mpc.pipeline")
+    let mut exec_span = if obs.parent.is_none() {
+        obs.tracer.root("mpc.pipeline")
     } else {
-        tracer.child(parent, "mpc.pipeline")
+        obs.tracer.child(obs.parent, "mpc.pipeline")
     };
     exec_span.set_payload(lanes.len() as u64);
     let exec_ctx = exec_span.ctx();
@@ -312,7 +305,7 @@ pub fn execute_pipelined_traced(
             let triple_rxs = &triple_rxs;
             let metrics = &metrics;
             let config = &config;
-            let tracer = tracer.clone();
+            let tracer = obs.tracer.clone();
             move |h| {
                 let me = h.me().index();
                 let mut party_span = tracer.child(exec_ctx, "mpc.party");

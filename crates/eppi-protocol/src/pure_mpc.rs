@@ -23,6 +23,7 @@ use eppi_core::publish::publish_vector;
 use eppi_mpc::circuits::{
     lambda_threshold, FixedPoint, NaiveConstructionCircuit, PureConstructionCircuit,
 };
+use eppi_trace::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -180,12 +181,15 @@ pub fn construct_pure_mpc(
         .collect();
 
     // The whole-construction circuit is one monolithic lane.
-    let (mut outs, stage) = config.backend.execute(&[LaneSpec {
-        circuit,
-        layout,
-        inputs: &inputs,
-        seed: config.seed,
-    }]);
+    let (mut outs, stage) = config.backend.execute(
+        &[LaneSpec {
+            circuit,
+            layout,
+            inputs: &inputs,
+            seed: config.seed,
+        }],
+        Obs::default(),
+    );
     let out = outs.swap_remove(0);
     let (common_count, decisions, masked_freqs) = match &compiled {
         Compiled::Compare(c) => c.decode(&out),

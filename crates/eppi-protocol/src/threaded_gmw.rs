@@ -26,8 +26,7 @@ use eppi_mpc::gmw_core::{agreed_outputs, deal_packed_triples, run_party, PartyCo
 use eppi_net::threaded::run_parties;
 use eppi_net::traced::TracedTransport;
 use eppi_net::transport::{PackedBatch, ThreadedTransport};
-use eppi_telemetry::Registry;
-use eppi_trace::{SpanCtx, Tracer};
+use eppi_trace::Obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -35,7 +34,7 @@ use std::sync::Arc;
 /// Executes `circuit` with one thread per party. Returns the opened
 /// outputs (identical to `circuit.eval` on the flattened inputs) and
 /// the cost record. Telemetry goes to the process-global registry and
-/// nothing is traced; see [`execute_threaded_traced`].
+/// nothing is traced; see [`execute_threaded_with_registry`].
 ///
 /// # Panics
 ///
@@ -47,46 +46,36 @@ pub fn execute_threaded(
     inputs: &[Vec<bool>],
     seed: u64,
 ) -> (Vec<bool>, GmwStats) {
-    execute_threaded_traced(
-        circuit,
-        layout,
-        inputs,
-        seed,
-        eppi_telemetry::global(),
-        &Tracer::disabled(),
-        SpanCtx::NONE,
-    )
+    execute_threaded_with_registry(circuit, layout, inputs, seed, Obs::default())
 }
 
-/// [`execute_threaded`] reporting telemetry into a caller-owned
-/// registry and with causal tracing.
+/// [`execute_threaded`] under a caller's observability context.
 ///
 /// Telemetry: the `gmw.round_ns` histogram gets one sample per
 /// synchronized AND round (wall time observed by party 0), and the
 /// `gmw.and_gates` / `gmw.rounds` counters accumulate circuit work
 /// across runs.
 ///
-/// Tracing: the run is one `mpc.execute` span (a child of `parent`, or
-/// a fresh trace root when `parent` is [`SpanCtx::NONE`], payload = AND
-/// gates), each party thread runs under its own `mpc.party` child span
-/// (payload = party id), every protocol exchange is a `net.exchange`
-/// span via [`TracedTransport`], and each completed AND round drops an
-/// `mpc.and_round` instant (payload = round index) per party. Passing a
+/// Tracing: the run is one `mpc.execute` span (a child of `obs.parent`,
+/// or a fresh trace root when there is none, payload = AND gates), each
+/// party thread runs under its own `mpc.party` child span (payload =
+/// party id), every protocol exchange is a `net.exchange` span via
+/// [`TracedTransport`], and each completed AND round drops an
+/// `mpc.and_round` instant (payload = round index) per party. A
 /// disabled tracer makes this identical to the untraced entry point.
 ///
 /// # Panics
 ///
 /// Panics if the layout does not cover the circuit inputs, `inputs`
 /// disagrees with the layout, or the parties open different outputs.
-pub fn execute_threaded_traced(
+pub fn execute_threaded_with_registry<'a>(
     circuit: &Circuit,
     layout: &InputLayout,
     inputs: &[Vec<bool>],
     seed: u64,
-    registry: &Registry,
-    tracer: &Tracer,
-    parent: SpanCtx,
+    obs: impl Into<Obs<'a>>,
 ) -> (Vec<bool>, GmwStats) {
+    let obs = obs.into();
     assert_eq!(
         layout.total_inputs(),
         circuit.inputs(),
@@ -98,12 +87,12 @@ pub fn execute_threaded_traced(
 
     let mut dealer_rng = StdRng::seed_from_u64(seed ^ 0xd1a1e5);
     let triples = deal_packed_triples(parties, &sched, &mut dealer_rng);
-    let round_hist = registry.histogram("gmw.round_ns", &[]);
+    let round_hist = obs.registry.histogram("gmw.round_ns", &[]);
 
-    let mut exec_span = if parent.is_none() {
-        tracer.root("mpc.execute")
+    let mut exec_span = if obs.parent.is_none() {
+        obs.tracer.root("mpc.execute")
     } else {
-        tracer.child(parent, "mpc.execute")
+        obs.tracer.child(obs.parent, "mpc.execute")
     };
     exec_span.set_payload(sched.and_gates() as u64);
     let exec_ctx = exec_span.ctx();
@@ -112,7 +101,7 @@ pub fn execute_threaded_traced(
         let sched = &sched;
         let triples = &triples;
         let round_hist = Arc::clone(&round_hist);
-        let tracer = tracer.clone();
+        let tracer = obs.tracer.clone();
         move |h| {
             let me = h.me().index();
             let mut party_span = tracer.child(exec_ctx, "mpc.party");
@@ -155,10 +144,10 @@ pub fn execute_threaded_traced(
         stats.bits_sent
     );
     let outputs = agreed_outputs(results.into_iter().map(|(out, _)| out));
-    registry
+    obs.registry
         .counter("gmw.and_gates", &[])
         .add(stats.and_gates as u64);
-    registry
+    obs.registry
         .counter("gmw.rounds", &[])
         .add(stats.and_rounds as u64);
     (outputs, stats)
@@ -168,6 +157,7 @@ pub fn execute_threaded_traced(
 mod tests {
     use super::*;
     use eppi_mpc::builder::{to_bits, word_value, CircuitBuilder};
+    use eppi_telemetry::Registry;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -202,15 +192,8 @@ mod tests {
         let layout = InputLayout::new(vec![4, 4]);
         let inputs = vec![to_bits(3, 4), to_bits(9, 4)];
         let registry = Registry::new();
-        let (out, report) = execute_threaded_traced(
-            &circuit,
-            &layout,
-            &inputs,
-            11,
-            &registry,
-            &Tracer::disabled(),
-            SpanCtx::NONE,
-        );
+        let (out, report) =
+            execute_threaded_with_registry(&circuit, &layout, &inputs, 11, &registry);
         assert_eq!(out, vec![true]);
         assert!(report.and_rounds >= 1);
         assert!(report.and_rounds <= report.and_gates);
@@ -245,15 +228,11 @@ mod tests {
         let registry = Registry::new();
         let tracer = Tracer::new(TraceConfig::default());
 
-        let (out, report) = execute_threaded_traced(
-            &circuit,
-            &layout,
-            &inputs,
-            11,
-            &registry,
-            &tracer,
-            eppi_trace::SpanCtx::NONE,
-        );
+        let obs = Obs {
+            tracer: &tracer,
+            ..Obs::from(&registry)
+        };
+        let (out, report) = execute_threaded_with_registry(&circuit, &layout, &inputs, 11, obs);
         assert_eq!(out, vec![true]);
 
         let log = tracer.collect();

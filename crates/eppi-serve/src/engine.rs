@@ -32,6 +32,7 @@
 //! shutdown, and every [`FLUSH_EVERY`](eppi_telemetry::FLUSH_EVERY)
 //! observations.
 
+use crate::private::PrivateQueryError;
 use crate::shard::{shard_of, EpochOrderError, ShardedIndex};
 use crate::snapshot::SnapshotCell;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -41,7 +42,7 @@ use eppi_durability::serve_cache::{load_serve_snapshot, save_serve_snapshot};
 use eppi_durability::{DurableStore, StoreError};
 use eppi_pir::SelectionVector;
 use eppi_telemetry::{Counter, Gauge, Histogram, Recorder, Registry};
-use eppi_trace::{SpanCtx, SpanGuard, Tracer};
+use eppi_trace::{Obs, SpanCtx, SpanGuard, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -140,6 +141,8 @@ pub struct ServeStats {
     pir_scanned_words: Arc<Counter>,
     pir_answer_bytes: Arc<Counter>,
     pir_version_retries: Arc<Counter>,
+    pir_failed_replica_gone: Arc<Counter>,
+    pir_failed_version_race: Arc<Counter>,
 }
 
 impl ServeStats {
@@ -155,6 +158,12 @@ impl ServeStats {
             pir_scanned_words: registry.counter("pir.scanned_words", &[]),
             pir_answer_bytes: registry.counter("pir.answer_bytes", &[]),
             pir_version_retries: registry.counter("pir.version_retries", &[]),
+            pir_failed_replica_gone: registry
+                .counter("pir.failed_batches", &[("reason", "replica_gone")]),
+            pir_failed_version_race: registry.counter(
+                "pir.failed_batches",
+                &[("reason", "version_race_exhausted")],
+            ),
         }
     }
 
@@ -220,6 +229,15 @@ impl ServeStats {
     /// Counts one replica-version mismatch retry (private client side).
     pub(crate) fn note_version_retry(&self) {
         self.pir_version_retries.inc();
+    }
+
+    /// Counts one private batch that was not answered (private client
+    /// side): `pir.failed_batches{reason=…}`.
+    pub(crate) fn note_failed_batch(&self, error: &PrivateQueryError) {
+        match error {
+            PrivateQueryError::ReplicaGone => self.pir_failed_replica_gone.inc(),
+            PrivateQueryError::VersionRaceExhausted { .. } => self.pir_failed_version_race.inc(),
+        }
     }
 }
 
@@ -331,40 +349,28 @@ impl ServeEngine {
     ///
     /// Panics if `config.shards == 0`.
     pub fn start(index: &PublishedIndex, config: ServeConfig) -> Self {
-        Self::start_with_registry(index, config, eppi_telemetry::global())
+        Self::start_with_registry(index, config, Obs::default())
     }
 
-    /// [`start`](Self::start) reporting into a caller-owned registry —
-    /// used by the bench harness so each run snapshots only its own
-    /// metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards == 0`.
-    pub fn start_with_registry(
-        index: &PublishedIndex,
-        config: ServeConfig,
-        registry: &Registry,
-    ) -> Self {
-        Self::start_traced(index, config, registry, Tracer::disabled())
-    }
-
-    /// [`start_with_registry`](Self::start_with_registry) with causal
-    /// span tracing: requests submitted through this engine's clients
-    /// open root spans, and shard workers hang per-job child spans
-    /// under whatever [`SpanCtx`] arrives in the job — so traced
-    /// requests produce complete cross-thread span trees while
-    /// untraced ones (a [`Tracer::disabled`] handle, or jobs carrying
+    /// [`start`](Self::start) under a caller's observability context.
+    /// The engine registers its instruments in `obs.registry` — the
+    /// bench harness passes its own `&registry` so each run snapshots
+    /// only its own metrics — and keeps a clone of `obs.tracer` for its
+    /// lifetime: requests submitted through this engine's clients open
+    /// their own root spans (`obs.parent` is not used), and shard
+    /// workers hang per-job child spans under whatever [`SpanCtx`]
+    /// arrives in the job — so traced requests produce complete
+    /// cross-thread span trees while untraced ones (a
+    /// [`Tracer::disabled`] handle, or jobs carrying
     /// [`SpanCtx::NONE`]) record nothing.
     ///
     /// # Panics
     ///
     /// Panics if `config.shards == 0`.
-    pub fn start_traced(
+    pub fn start_with_registry<'a>(
         index: &PublishedIndex,
         config: ServeConfig,
-        registry: &Registry,
-        tracer: Tracer,
+        obs: impl Into<Obs<'a>>,
     ) -> Self {
         let initial = Arc::new(ShardedIndex::from_index_with(
             index,
@@ -372,7 +378,7 @@ impl ServeEngine {
             config.backend,
             0,
         ));
-        Self::boot(initial, config, registry, tracer)
+        Self::boot(initial, config, obs.into())
     }
 
     /// Common boot tail: wraps an already-built serving layout in the
@@ -380,12 +386,9 @@ impl ServeEngine {
     /// pool. The engine's version counter starts at the layout's own
     /// snapshot version (0 for cold boots, the cached version for warm
     /// ones).
-    fn boot(
-        initial: Arc<ShardedIndex>,
-        config: ServeConfig,
-        registry: &Registry,
-        tracer: Tracer,
-    ) -> Self {
+    fn boot(initial: Arc<ShardedIndex>, config: ServeConfig, obs: Obs<'_>) -> Self {
+        let registry = obs.registry;
+        let tracer = obs.tracer.clone();
         let snapshot = Arc::new(SnapshotCell::new(Arc::clone(&initial)));
         let stats = ServeStats::register(registry);
         let backend_labels: &[(&str, &str)] = &[("backend", config.backend.name())];
@@ -454,36 +457,22 @@ impl ServeEngine {
     ///
     /// Panics if `config.shards == 0`.
     pub fn from_store(store: &DurableStore, config: ServeConfig) -> Self {
-        Self::from_store_with_registry(store, config, eppi_telemetry::global())
+        Self::from_store_with_registry(store, config, Obs::default())
     }
 
-    /// [`from_store`](Self::from_store) reporting into a caller-owned
-    /// registry.
+    /// [`from_store`](Self::from_store) under a caller's observability
+    /// context (see [`start_with_registry`](Self::start_with_registry)).
     ///
     /// # Panics
     ///
     /// Panics if `config.shards == 0`.
-    pub fn from_store_with_registry(
+    pub fn from_store_with_registry<'a>(
         store: &DurableStore,
         config: ServeConfig,
-        registry: &Registry,
+        obs: impl Into<Obs<'a>>,
     ) -> Self {
-        Self::from_store_traced(store, config, registry, Tracer::disabled())
-    }
-
-    /// [`from_store_with_registry`](Self::from_store_with_registry)
-    /// with causal span tracing (see
-    /// [`start_traced`](Self::start_traced)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards == 0`.
-    pub fn from_store_traced(
-        store: &DurableStore,
-        config: ServeConfig,
-        registry: &Registry,
-        tracer: Tracer,
-    ) -> Self {
+        let obs = obs.into();
+        let registry = obs.registry;
         assert!(config.shards > 0, "at least one shard required");
         let head = store.head();
         if let Ok(Some(record)) = load_serve_snapshot(store.dir()) {
@@ -501,12 +490,12 @@ impl ServeEngine {
             if usable {
                 if let Ok(restored) = ShardedIndex::from_record(&record) {
                     registry.counter("serve.boots", &[("mode", "warm")]).inc();
-                    return Self::boot(Arc::new(restored), config, registry, tracer);
+                    return Self::boot(Arc::new(restored), config, obs);
                 }
             }
         }
         registry.counter("serve.boots", &[("mode", "cold")]).inc();
-        Self::start_traced(head.index(), config, registry, tracer)
+        Self::start_with_registry(head.index(), config, obs)
     }
 
     /// Persists the currently serving layout as the store directory's
@@ -537,8 +526,8 @@ impl ServeEngine {
         }
     }
 
-    /// The engine's tracer ([`Tracer::disabled`] unless started via
-    /// [`start_traced`](Self::start_traced)).
+    /// The engine's tracer ([`Tracer::disabled`] unless the engine was
+    /// started with a live one in its [`Obs`]).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -665,22 +654,15 @@ impl ServeEngine {
     /// ([`SelectionVector::mask`] is 0 out of range), which keeps a
     /// client that generated its vectors against a slightly stale owner
     /// count consistent across both replicas of a 2-server deployment.
-    pub fn pir_submit(&self, queries: Arc<Vec<SelectionVector>>) -> PendingPir {
-        self.pir_submit_traced(queries, SpanCtx::NONE)
-    }
-
-    /// [`pir_submit`](Self::pir_submit) under a trace: opens a
-    /// `pir.scatter` span (closed when [`PendingPir::gather`] returns,
-    /// so it covers the whole replica round trip) whose children are
-    /// the per-shard `pir.scan` worker spans. The scatter span's
-    /// payload is the answer-share byte count — like every payload on
-    /// the private path, a function of the snapshot shape only, never
-    /// of what the vectors select.
-    pub fn pir_submit_traced(
-        &self,
-        queries: Arc<Vec<SelectionVector>>,
-        parent: SpanCtx,
-    ) -> PendingPir {
+    ///
+    /// Under a traced request (`parent` not [`SpanCtx::NONE`], engine
+    /// tracer live) the submission opens a `pir.scatter` span (closed
+    /// when [`PendingPir::gather`] returns, so it covers the whole
+    /// replica round trip) whose children are the per-shard `pir.scan`
+    /// worker spans. The scatter span's payload is the answer-share
+    /// byte count — like every payload on the private path, a function
+    /// of the snapshot shape only, never of what the vectors select.
+    pub fn pir_submit(&self, queries: Arc<Vec<SelectionVector>>, parent: SpanCtx) -> PendingPir {
         let span = self.tracer.child(parent, "pir.scatter");
         let scan_ctx = span.ctx();
         let snapshot = self.current();
@@ -1209,8 +1191,8 @@ mod tests {
             .collect();
         let a: Arc<Vec<SelectionVector>> = Arc::new(pairs.iter().map(|p| p.a.clone()).collect());
         let b: Arc<Vec<SelectionVector>> = Arc::new(pairs.iter().map(|p| p.b.clone()).collect());
-        let answer_a = engine.pir_submit(a).gather().unwrap();
-        let answer_b = engine.pir_submit(b).gather().unwrap();
+        let answer_a = engine.pir_submit(a, SpanCtx::NONE).gather().unwrap();
+        let answer_b = engine.pir_submit(b, SpanCtx::NONE).gather().unwrap();
         assert_eq!(answer_a.version, answer_b.version);
         for (i, &t) in targets.iter().enumerate() {
             let row: Vec<u64> = answer_a.shares[i]
@@ -1234,7 +1216,7 @@ mod tests {
         assert_eq!(engine.stats().pir_answer_bytes(), (6 * wpr * 8) as u64);
         engine.shutdown();
         // After shutdown the scatter fails fast: gather reports the miss.
-        let dead = engine.pir_submit(Arc::new(vec![SelectionVector::zero(rows)]));
+        let dead = engine.pir_submit(Arc::new(vec![SelectionVector::zero(rows)]), SpanCtx::NONE);
         assert!(dead.gather().is_none());
     }
 
@@ -1461,8 +1443,14 @@ mod tests {
         // Recover an appended owner's row privately.
         let target = 123usize;
         let pair = eppi_pir::QueryPair::generate(rows, target, &mut rng);
-        let a = engine.pir_submit(Arc::new(vec![pair.a])).gather().unwrap();
-        let b = engine.pir_submit(Arc::new(vec![pair.b])).gather().unwrap();
+        let a = engine
+            .pir_submit(Arc::new(vec![pair.a]), SpanCtx::NONE)
+            .gather()
+            .unwrap();
+        let b = engine
+            .pir_submit(Arc::new(vec![pair.b]), SpanCtx::NONE)
+            .gather()
+            .unwrap();
         let row: Vec<u64> = a.shares[0]
             .iter()
             .zip(&b.shares[0])

@@ -17,7 +17,17 @@
 //! * [`private::PrivateEngine`] / [`private::PrivateClient`] — the
 //!   oblivious serve mode: two non-colluding replicas answer XOR-PIR
 //!   queries (`eppi-pir`) so neither ever learns which owner a query
-//!   targets, with answers bit-identical to the plaintext path.
+//!   targets, with answers bit-identical to the plaintext path. A
+//!   private query that could not be answered is a typed
+//!   [`PrivateQueryError`] from `try_query*`, never mistaken for "no
+//!   provider holds this owner".
+//!
+//! Observability enters through one handle: [`ServeEngine::start`],
+//! [`ServeEngine::from_store`] and [`PrivateEngine::start`] report to
+//! the process-global registry and trace nothing; their
+//! `_with_registry` forms take an `impl Into<eppi_trace::Obs>` — a
+//! `&Registry`, or a full `Obs` whose tracer the engine then keeps for
+//! its per-request span trees (DESIGN.md §8, §13).
 //!
 //! Query results are bit-for-bit identical to
 //! [`PpiServer::query`](eppi_index::server::PpiServer::query); the
@@ -36,6 +46,6 @@ pub use engine::{
     default_shards, default_shards_for, PendingPir, PirServerAnswer, ServeClient, ServeConfig,
     ServeEngine, ServeStats,
 };
-pub use private::{PrivateClient, PrivateEngine};
+pub use private::{PrivateClient, PrivateEngine, PrivateQueryError};
 pub use shard::{shard_of, EpochOrderError, ShardMap, ShardedIndex, DEFAULT_APPEND_CAPACITY};
 pub use snapshot::SnapshotCell;

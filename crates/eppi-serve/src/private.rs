@@ -41,22 +41,68 @@
 //! against a slightly stale owner count stay safe either way:
 //! [`SelectionVector::mask`] is zero beyond the vector span on both
 //! replicas, so the XOR still cancels cleanly.
+//!
+//! ## Failure is not "nobody holds this owner"
+//!
+//! An empty answer is a statement about the index — no provider
+//! publishes the owner — and the paper's 100 %-recall contract rests on
+//! it. A query that could not be answered is a different thing:
+//! [`PrivateClient::try_query`] / [`PrivateClient::try_query_batch`]
+//! return a typed [`PrivateQueryError`] when a replica is gone or the
+//! version race outlasts the retry budget, count it in
+//! `pir.failed_batches{reason=…}` and mark the trace with a
+//! `pir.failed` instant. [`PrivateClient::query`] /
+//! [`PrivateClient::query_batch`] are the fail-closed wrappers that
+//! turn such an error into empty answers.
 
 use crate::engine::{PirServerAnswer, ServeConfig, ServeEngine, ServeStats};
 use crate::shard::EpochOrderError;
 use eppi_core::model::{OwnerId, ProviderId, PublishedIndex};
 use eppi_core::rows::providers_in_row;
 use eppi_pir::{QueryPair, SelectionVector};
-use eppi_telemetry::Registry;
-use eppi_trace::Tracer;
+use eppi_trace::{Obs, SpanCtx, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::error::Error;
+use std::fmt;
 use std::sync::Arc;
 
 /// Retry budget for replica-version mismatches. Installs are rare
 /// relative to queries; two replicas settle on the same version as soon
 /// as the install drains, so even 2 would almost always do.
 const MAX_VERSION_RETRIES: usize = 64;
+
+/// Why a private query produced no answer — as opposed to the empty
+/// answer, which says no provider publishes the owner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum PrivateQueryError {
+    /// A replica did not deliver its share: the engine was shut down,
+    /// or a shard worker died mid-scan.
+    ReplicaGone,
+    /// Installs kept landing between the two replicas' scatters, so
+    /// their answers never carried the same snapshot version.
+    VersionRaceExhausted {
+        /// Attempts made, each a full scatter to both replicas.
+        retries: usize,
+    },
+}
+
+impl fmt::Display for PrivateQueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PrivateQueryError::ReplicaGone => {
+                f.write_str("a private-serve replica is gone (engine shut down)")
+            }
+            PrivateQueryError::VersionRaceExhausted { retries } => write!(
+                f,
+                "the two replicas answered from different snapshot versions {retries} times in a row"
+            ),
+        }
+    }
+}
+
+impl Error for PrivateQueryError {}
 
 /// Two non-colluding serve replicas behind one handle.
 ///
@@ -94,24 +140,12 @@ impl PrivateEngine {
     ///
     /// Panics if `config.shards == 0`.
     pub fn start(index: &PublishedIndex, config: ServeConfig) -> Self {
-        Self::start_with_registry(index, config, eppi_telemetry::global())
+        Self::start_with_registry(index, config, Obs::default())
     }
 
-    /// [`start`](Self::start) reporting into a caller-owned registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards == 0`.
-    pub fn start_with_registry(
-        index: &PublishedIndex,
-        config: ServeConfig,
-        registry: &Registry,
-    ) -> Self {
-        Self::start_traced(index, config, registry, Tracer::disabled())
-    }
-
-    /// [`start_with_registry`](Self::start_with_registry) with causal
-    /// span tracing: both replicas share `tracer`, and every client
+    /// [`start`](Self::start) under a caller's observability context
+    /// (see [`ServeEngine::start_with_registry`]): both replicas report
+    /// into `obs.registry` and share `obs.tracer`, and every client
     /// query opens a `private.query` root span whose children cover
     /// vector generation, each replica's scatter / per-shard oblivious
     /// scan / gather, and the final recombine. The traced tree is
@@ -129,24 +163,19 @@ impl PrivateEngine {
     /// # Panics
     ///
     /// Panics if `config.shards == 0`.
-    pub fn start_traced(
+    pub fn start_with_registry<'a>(
         index: &PublishedIndex,
         config: ServeConfig,
-        registry: &Registry,
-        tracer: Tracer,
+        obs: impl Into<Obs<'a>>,
     ) -> Self {
+        let obs = obs.into();
         let config = ServeConfig {
             backend: eppi_core::rowstore::RowBackend::Dense,
             ..config
         };
         PrivateEngine {
-            a: Arc::new(ServeEngine::start_traced(
-                index,
-                config,
-                registry,
-                tracer.clone(),
-            )),
-            b: Arc::new(ServeEngine::start_traced(index, config, registry, tracer)),
+            a: Arc::new(ServeEngine::start_with_registry(index, config, obs)),
+            b: Arc::new(ServeEngine::start_with_registry(index, config, obs)),
         }
     }
 
@@ -163,8 +192,8 @@ impl PrivateEngine {
         }
     }
 
-    /// The engines' shared tracer ([`Tracer::disabled`] unless started
-    /// via [`start_traced`](Self::start_traced)).
+    /// The engines' shared tracer ([`Tracer::disabled`] unless the
+    /// engine was started with a live one in its [`Obs`]).
     pub fn tracer(&self) -> &Tracer {
         self.a.tracer()
     }
@@ -241,20 +270,53 @@ impl PrivateClient {
     /// plaintext [`ServeClient::query`](crate::ServeClient::query) on
     /// the same snapshot, while neither replica learns `owner`. Unknown
     /// owners cost exactly one real query (a null pair scans the same
-    /// rows) and answer empty; a shut-down engine answers empty.
+    /// rows) and answer empty. Fails closed: a query that could not be
+    /// answered ([`try_query`](Self::try_query)'s error) also answers
+    /// empty.
     pub fn query(&mut self, owner: OwnerId) -> Vec<ProviderId> {
-        self.query_batch(std::slice::from_ref(&owner))
-            .pop()
-            .unwrap_or_default()
+        self.try_query(owner).unwrap_or_default()
+    }
+
+    /// [`query`](Self::query) that tells "no provider publishes this
+    /// owner" (`Ok` of an empty list) from "the query was not
+    /// answered".
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`try_query_batch`](Self::try_query_batch).
+    pub fn try_query(&mut self, owner: OwnerId) -> Result<Vec<ProviderId>, PrivateQueryError> {
+        let mut answers = self.try_query_batch(std::slice::from_ref(&owner))?;
+        Ok(answers.pop().unwrap_or_default())
     }
 
     /// Privately evaluates a batch: one oblivious pass per replica
     /// serves every vector in the batch (`result[i]` answers
     /// `owners[i]`), amortizing the linear scan that single-shot
-    /// private queries pay per query.
+    /// private queries pay per query. Fails closed like
+    /// [`query`](Self::query): an unanswered batch is all-empty.
     pub fn query_batch(&mut self, owners: &[OwnerId]) -> Vec<Vec<ProviderId>> {
+        self.try_query_batch(owners)
+            .unwrap_or_else(|_| vec![Vec::new(); owners.len()])
+    }
+
+    /// [`query_batch`](Self::query_batch) with failure kept apart from
+    /// the empty answer.
+    ///
+    /// # Errors
+    ///
+    /// [`PrivateQueryError::ReplicaGone`] when a replica does not
+    /// deliver its share (engine shut down);
+    /// [`PrivateQueryError::VersionRaceExhausted`] when installs kept
+    /// the two replicas on different snapshot versions for the whole
+    /// retry budget. Either one bumps `pir.failed_batches{reason=…}`
+    /// and drops a `pir.failed` instant (payload = batch length) under
+    /// the query's root span.
+    pub fn try_query_batch(
+        &mut self,
+        owners: &[OwnerId],
+    ) -> Result<Vec<Vec<ProviderId>>, PrivateQueryError> {
         if owners.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         // Every span and payload below is owner-independent: the root
         // and generate/recombine payloads are the public batch length,
@@ -287,11 +349,11 @@ impl PrivateClient {
                 Arc::new(pairs.iter().map(|p| p.b.clone()).collect());
             // Scatter to both replicas before gathering either, so the
             // two scans overlap.
-            let pending_a = self.a.pir_submit_traced(to_a, rctx);
-            let pending_b = self.b.pir_submit_traced(to_b, rctx);
+            let pending_a = self.a.pir_submit(to_a, rctx);
+            let pending_b = self.b.pir_submit(to_b, rctx);
             let (share_a, share_b) = match (pending_a.gather(), pending_b.gather()) {
                 (Some(x), Some(y)) => (x, y),
-                _ => return vec![Vec::new(); owners.len()],
+                _ => return Err(self.failed(rctx, owners.len(), PrivateQueryError::ReplicaGone)),
             };
             if share_a.version != share_b.version {
                 self.a.stats().note_version_retry();
@@ -300,11 +362,23 @@ impl PrivateClient {
             }
             let mut rec = self.tracer.child(rctx, "pir.recombine");
             rec.set_payload(owners.len() as u64);
-            return recombine(&share_a, &share_b);
+            return Ok(recombine(&share_a, &share_b));
         }
-        // Installs outpaced the retry budget; fail closed like a
-        // shut-down engine rather than mixing versions.
-        vec![Vec::new(); owners.len()]
+        // Installs outpaced the retry budget; fail rather than mix
+        // versions.
+        let exhausted = PrivateQueryError::VersionRaceExhausted {
+            retries: MAX_VERSION_RETRIES,
+        };
+        Err(self.failed(rctx, owners.len(), exhausted))
+    }
+
+    /// Records an unanswered batch — counter and trace mark, both
+    /// functions of the public batch length only — and hands the error
+    /// back.
+    fn failed(&self, root: SpanCtx, batch: usize, error: PrivateQueryError) -> PrivateQueryError {
+        self.a.stats().note_failed_batch(&error);
+        self.tracer.instant(root, "pir.failed", batch as u64);
+        error
     }
 }
 
@@ -327,6 +401,7 @@ fn recombine(a: &PirServerAnswer, b: &PirServerAnswer) -> Vec<Vec<ProviderId>> {
 mod tests {
     use super::*;
     use eppi_core::model::MembershipMatrix;
+    use eppi_telemetry::{MetricValue, Registry};
     use rand::Rng;
 
     fn random_index(seed: u64, providers: usize, owners: usize, p: f64) -> PublishedIndex {
@@ -490,7 +565,11 @@ mod tests {
         let index = random_index(48, 48, 96, 0.3);
         let registry = Registry::new();
         let tracer = Tracer::new(TraceConfig::default());
-        let engine = PrivateEngine::start_traced(&index, config(), &registry, tracer.clone());
+        let obs = Obs {
+            tracer: &tracer,
+            ..Obs::from(&registry)
+        };
+        let engine = PrivateEngine::start_with_registry(&index, config(), obs);
         let mut client = engine.client(6);
         // Probe the extremes, the middle, and an owner beyond the
         // universe (the unknown-owner null pair). If trace structure
@@ -545,5 +624,89 @@ mod tests {
             .query_batch(&[OwnerId(0), OwnerId(1)])
             .iter()
             .all(Vec::is_empty));
+    }
+
+    fn failed_batches(registry: &Registry, reason: &str) -> u64 {
+        match registry
+            .snapshot()
+            .expect("pir.failed_batches", &[("reason", reason)])
+        {
+            Ok(m) => match m.value {
+                MetricValue::Counter(v) => v,
+                ref other => panic!("unexpected metric {other:?}"),
+            },
+            Err(miss) => panic!("{miss:?}"),
+        }
+    }
+
+    #[test]
+    fn shut_down_engine_is_replica_gone_not_an_empty_answer() {
+        // Every provider holds owner 0: an empty answer would be a
+        // recall violation.
+        let mut matrix = MembershipMatrix::new(6, 2);
+        for p in 0..6 {
+            matrix.set(ProviderId(p), OwnerId(0), true);
+        }
+        let index = PublishedIndex::new(matrix, vec![0.0; 2]);
+        let registry = Registry::new();
+        let engine = PrivateEngine::start_with_registry(&index, config(), &registry);
+        let mut client = engine.client(8);
+        assert_eq!(client.try_query(OwnerId(0)).unwrap().len(), 6);
+        assert_eq!(failed_batches(&registry, "replica_gone"), 0);
+        engine.shutdown();
+
+        assert_eq!(
+            client.try_query_batch(&[OwnerId(0), OwnerId(1)]),
+            Err(PrivateQueryError::ReplicaGone)
+        );
+        assert_eq!(failed_batches(&registry, "replica_gone"), 1);
+        assert_eq!(failed_batches(&registry, "version_race_exhausted"), 0);
+        // The infallible form still fails closed, and still counts.
+        assert!(client.query(OwnerId(0)).is_empty());
+        assert_eq!(failed_batches(&registry, "replica_gone"), 2);
+    }
+
+    #[test]
+    fn one_sided_refresh_exhausts_the_version_race() {
+        use eppi_trace::TraceConfig;
+
+        let index = random_index(50, 12, 16, 0.5);
+        let registry = Registry::new();
+        let tracer = Tracer::new(TraceConfig::default());
+        let obs = Obs {
+            tracer: &tracer,
+            ..Obs::from(&registry)
+        };
+        let engine = PrivateEngine::start_with_registry(&index, config(), obs);
+        let mut client = engine.client(9);
+        // Replica A moves to version 1, B stays at 0: the versions
+        // never meet, whatever the client retries.
+        engine.replica_a().refresh(&index);
+        let owners = [OwnerId(1), OwnerId(2), OwnerId(3)];
+        assert_eq!(
+            client.try_query_batch(&owners),
+            Err(PrivateQueryError::VersionRaceExhausted { retries: 64 })
+        );
+        assert_eq!(engine.stats().pir_version_retries(), 64);
+        assert_eq!(failed_batches(&registry, "version_race_exhausted"), 1);
+        assert_eq!(failed_batches(&registry, "replica_gone"), 0);
+        engine.shutdown();
+
+        // The trace says so too: one `pir.failed` mark carrying the
+        // batch length under the query root, and no recombine.
+        let log = tracer.collect();
+        let traces = log.trace_ids();
+        assert_eq!(traces.len(), 1);
+        let tree = log.span_tree(traces[0]).unwrap();
+        assert_eq!(tree.name, "private.query");
+        assert_eq!(tree.count("pir.version_retry"), 64);
+        assert_eq!(tree.count("pir.recombine"), 0);
+        let marks: Vec<u64> = tree
+            .children
+            .iter()
+            .filter(|c| c.name == "pir.failed")
+            .map(|c| c.payload)
+            .collect();
+        assert_eq!(marks, vec![3], "{}", log.render(traces[0]));
     }
 }

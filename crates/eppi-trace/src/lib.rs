@@ -26,6 +26,20 @@
 //! costs one branch per call site, so production paths take a `Tracer`
 //! unconditionally.
 //!
+//! ## One observability context
+//!
+//! [`Obs`] is the one handle through which observability context — the
+//! metrics [`Registry`], the [`Tracer`] and the parent [`SpanCtx`] —
+//! enters and moves through `eppi-audit`, `eppi-protocol`,
+//! `eppi-durability` and `eppi-serve`. Every operation there has two
+//! forms: the bare one (`= Obs::default()`: process-global registry,
+//! disabled tracer, no parent) and `<op>_with_registry`, whose last
+//! parameter is `impl Into<Obs<'_>>` — pass `&registry` for isolated
+//! metrics, or a full `Obs { registry, tracer, parent }` to also hang
+//! the operation's spans under a caller-owned span. Below an entry
+//! point the handle is only ever passed down (re-parented with
+//! [`Obs::under`]), never replaced.
+//!
 //! ```
 //! use eppi_trace::{TraceConfig, Tracer};
 //!
@@ -51,10 +65,11 @@ pub mod ring;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 pub use collect::{SpanKind, SpanNode, TraceLog, TraceShape};
+use eppi_telemetry::Registry;
 
 use collect::ThreadEvents;
 use ring::{RawEvent, RingBuffer, KIND_BEGIN, KIND_END, KIND_INSTANT};
@@ -93,6 +108,69 @@ impl SpanCtx {
 impl Default for SpanCtx {
     fn default() -> SpanCtx {
         SpanCtx::NONE
+    }
+}
+
+/// The observability context of one operation: where its metrics go,
+/// who records its spans, and which span they hang under.
+///
+/// `Copy`, three words; see the crate docs for the two-form rule. An
+/// operation that opens a span passes `obs.under(span.ctx())` to what
+/// it calls, so a caller's `parent` becomes the root of everything
+/// beneath the entry point.
+///
+/// ```
+/// use eppi_telemetry::Registry;
+/// use eppi_trace::{Obs, SpanCtx, TraceConfig, Tracer};
+///
+/// let (registry, tracer) = (Registry::new(), Tracer::new(TraceConfig::default()));
+/// let root = tracer.root("epoch");
+/// let obs = Obs { registry: &registry, tracer: &tracer, parent: root.ctx() };
+/// drop(obs.tracer.child(obs.parent, "phase"));
+/// // `&registry` alone isolates metrics and traces nothing.
+/// let quiet: Obs<'_> = (&registry).into();
+/// assert!(!quiet.tracer.enabled() && quiet.parent == SpanCtx::NONE);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Obs<'a> {
+    /// Where metrics are reported.
+    pub registry: &'a Registry,
+    /// Who records spans ([`Tracer::disabled`] records nothing).
+    pub tracer: &'a Tracer,
+    /// The span the operation's spans hang under. Sites that open a
+    /// fresh trace root when there is no parent say so in their docs;
+    /// everywhere else [`SpanCtx::NONE`] records nothing.
+    pub parent: SpanCtx,
+}
+
+impl Default for Obs<'_> {
+    /// The bare form of every operation: process-global registry,
+    /// disabled tracer, no parent.
+    fn default() -> Self {
+        static DISABLED: Tracer = Tracer { inner: None };
+        Obs {
+            registry: eppi_telemetry::global(),
+            tracer: &DISABLED,
+            parent: SpanCtx::NONE,
+        }
+    }
+}
+
+impl<'a> From<&'a Registry> for Obs<'a> {
+    /// Metrics into `registry`, nothing traced.
+    fn from(registry: &'a Registry) -> Self {
+        Obs {
+            registry,
+            ..Obs::default()
+        }
+    }
+}
+
+impl<'a> Obs<'a> {
+    /// The same context with its spans hanging under `parent`.
+    #[must_use]
+    pub fn under(self, parent: SpanCtx) -> Obs<'a> {
+        Obs { parent, ..self }
     }
 }
 
@@ -191,6 +269,9 @@ const SPAN_ID_BLOCK: u64 = 512;
 /// event.
 struct ThreadSlot {
     tracer_id: u64,
+    /// Dead once the tracer and every guard it handed out are gone; the
+    /// slot (and its ring) is then dropped on this thread's next miss.
+    tracer: Weak<TracerInner>,
     ring: Arc<RingBuffer>,
     /// Next span id in this thread's private block (`0..0` = empty).
     next_span: u64,
@@ -223,8 +304,9 @@ impl ThreadSlot {
 }
 
 thread_local! {
-    /// This thread's slot per tracer. A Vec scan: a thread rarely sees
-    /// more than one live tracer.
+    /// This thread's slot per live tracer. A Vec scan: a thread rarely
+    /// sees more than one live tracer, and slots of dead tracers are
+    /// reclaimed on the next miss.
     static TRACE_TLS: RefCell<Vec<ThreadSlot>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -560,13 +642,16 @@ fn note_slow(inner: &TracerInner, exemplar: SlowExemplar) {
 
 /// Runs `f` against this thread's slot for `inner`'s tracer, creating
 /// and registering the slot (and its ring) on first use — the only
-/// time a tracing thread allocates.
+/// time a tracing thread allocates, and so also when it lets go of the
+/// slots of tracers that no longer exist: a long-lived thread keeps one
+/// ring per *live* tracer, not one per tracer it ever saw.
 fn with_slot<R>(inner: &Arc<TracerInner>, f: impl FnOnce(&mut ThreadSlot) -> R) -> R {
     TRACE_TLS.with(|slots| {
         let mut slots = slots.borrow_mut();
         if let Some(slot) = slots.iter_mut().find(|s| s.tracer_id == inner.id) {
             return f(slot);
         }
+        slots.retain(|s| s.tracer.strong_count() > 0);
         let ring = Arc::new(RingBuffer::new(inner.config.capacity_per_thread));
         let mut threads = inner.threads.lock().unwrap();
         let label = std::thread::current()
@@ -580,6 +665,7 @@ fn with_slot<R>(inner: &Arc<TracerInner>, f: impl FnOnce(&mut ThreadSlot) -> R) 
         drop(threads);
         slots.push(ThreadSlot {
             tracer_id: inner.id,
+            tracer: Arc::downgrade(inner),
             ring,
             next_span: 0,
             span_end: 0,
@@ -644,6 +730,45 @@ mod tests {
         drop(child);
         tracer.instant(SpanCtx::NONE, "tick", 0);
         assert_eq!(tracer.collect().total_events(), 0);
+    }
+
+    #[test]
+    fn dead_tracers_release_their_thread_slots() {
+        // Own thread: the slot list is per thread and other tests'
+        // tracers must not be counted.
+        std::thread::spawn(|| {
+            let mut rings = Vec::new();
+            for _ in 0..1_000 {
+                let tracer = Tracer::new(TraceConfig::default());
+                drop(tracer.root("round"));
+                TRACE_TLS.with(|slots| {
+                    let slots = slots.borrow();
+                    // The previous tracer's slot goes on this one's
+                    // first event; nothing older survives.
+                    assert!(slots.len() <= 2, "{} slots", slots.len());
+                    rings.push(Arc::downgrade(&slots.last().unwrap().ring));
+                });
+            }
+            let live = rings.iter().filter(|r| r.strong_count() > 0).count();
+            assert_eq!(live, 1, "only the last tracer's ring is still held");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn obs_defaults_to_global_and_disabled_and_reparents() {
+        let bare = Obs::default();
+        assert!(std::ptr::eq(bare.registry, eppi_telemetry::global()));
+        assert!(!bare.tracer.enabled() && bare.parent.is_none());
+
+        let registry = Registry::new();
+        let tracer = Tracer::new(TraceConfig::default());
+        let root = tracer.root("request");
+        let obs = Obs::from(&registry).under(root.ctx());
+        assert!(std::ptr::eq(obs.registry, &registry));
+        assert!(!obs.tracer.enabled(), "`&registry` alone traces nothing");
+        assert_eq!(obs.parent, root.ctx());
     }
 
     #[test]

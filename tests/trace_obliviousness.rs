@@ -14,7 +14,7 @@ use eppi::core::rowstore::RowBackend;
 use eppi::serve::{PrivateEngine, ServeConfig};
 use eppi::telemetry::json::JsonValue;
 use eppi::telemetry::Registry;
-use eppi::trace::{chrome, TraceConfig, Tracer};
+use eppi::trace::{chrome, Obs, TraceConfig, Tracer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,11 +57,10 @@ proptest! {
         let index = random_index(seed, providers, owners, 25);
         let registry = Registry::new();
         let tracer = tracer();
-        let engine = PrivateEngine::start_traced(
+        let engine = PrivateEngine::start_with_registry(
             &index,
             ServeConfig { shards, queue_depth: 16, telemetry: false, backend: RowBackend::Dense },
-            &registry,
-            tracer.clone(),
+            Obs { tracer: &tracer, ..Obs::from(&registry) },
         );
         let mut client = engine.client(seed ^ 0x7ace);
         let probes = [
@@ -105,11 +104,10 @@ proptest! {
         let index = random_index(seed, 30, owners, 30);
         let registry = Registry::new();
         let tracer = tracer();
-        let engine = PrivateEngine::start_traced(
+        let engine = PrivateEngine::start_with_registry(
             &index,
             ServeConfig { shards, queue_depth: 16, telemetry: false, backend: RowBackend::Dense },
-            &registry,
-            tracer.clone(),
+            Obs { tracer: &tracer, ..Obs::from(&registry) },
         );
         let mut client = engine.client(seed ^ 0xba7c);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0b5e);
@@ -150,7 +148,7 @@ fn single_private_query_exports_complete_chrome_trace() {
     let index = random_index(1234, 40, 64, 30);
     let registry = Registry::new();
     let tracer = tracer();
-    let engine = PrivateEngine::start_traced(
+    let engine = PrivateEngine::start_with_registry(
         &index,
         ServeConfig {
             shards,
@@ -158,8 +156,10 @@ fn single_private_query_exports_complete_chrome_trace() {
             telemetry: true,
             backend: RowBackend::Dense,
         },
-        &registry,
-        tracer.clone(),
+        Obs {
+            tracer: &tracer,
+            ..Obs::from(&registry)
+        },
     );
     let mut client = engine.client(5);
     let plain = engine.replica_a().client();
