@@ -12,36 +12,27 @@
 //! | `table2` | Table II — privacy degrees under both attacks |
 //! | `fig4a`, `fig4b` | Fig. 4 — ε-PPI vs grouping PPIs |
 //! | `fig5a`, `fig5b` | Fig. 5 — the three β policies |
-//! | `fig6a`, `fig6b`, `fig6c` | Fig. 6 — construction performance |
+//! | `fig6a`, `fig6a_sim`, `fig6b`, `fig6c` | Fig. 6 — construction performance |
 //! | `search_cost` | supplementary search-overhead numbers |
 //! | `ablation_c` | collusion-tolerance trade-off |
 //! | `collusion` | coalition-assisted attack sweep (tech-report analysis) |
 //! | `theory_check` | measured vs exact-Binomial vs Theorem 3.1 bound |
-//! | `serve_load` | eppi-serve front-end throughput/latency (`results/BENCH_serve.json`) |
-//! | `bench_private` | private (XOR-PIR) vs plaintext serve, single and batched (`results/BENCH_private.json`) |
-//! | `bench_mpc` | packed GMW core vs unpacked reference (`results/BENCH_mpc.json`) |
-//! | `bench_refresh` | delta refresh vs full rebuild sweep (`results/BENCH_refresh.json`) |
-//! | `bench_recovery` | crash recovery vs log length (`results/BENCH_recovery.json`) |
-//! | `bench_audit` | publication-audit prove/verify cost + cheater detection (`results/BENCH_audit.json`) |
 //! | `all_experiments` | everything above, in order |
+//!
+//! Performance measurement is not here: the lifecycle benchmark in
+//! `bench/` (its own workspace, declared by `BENCHMARK.json`, documented
+//! in `bench/README.md`) is the repository's only performance harness.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod ablation;
-pub mod audit;
 pub mod collusion;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod mpc_speed;
-pub mod private;
-pub mod recovery;
-pub mod refresh;
 pub mod report;
-pub mod scale;
 pub mod search_cost;
-pub mod serve;
 pub mod table2;
 pub mod theory;
 
@@ -64,27 +55,6 @@ impl Scale {
             _ => Scale::Paper,
         }
     }
-}
-
-/// Reads the `--trace-out <path>` (or `--trace-out=<path>`) argument
-/// the traced binaries (`serve_load`, `bench_private`) accept: where to
-/// write the run's Chrome `trace_event` JSON. `None` when absent.
-///
-/// # Panics
-///
-/// Panics if `--trace-out` is given without a path.
-pub fn trace_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace-out" {
-            let path = args.next().expect("--trace-out requires a path");
-            return Some(path.into());
-        }
-        if let Some(path) = arg.strip_prefix("--trace-out=") {
-            return Some(path.into());
-        }
-    }
-    None
 }
 
 /// Prints a table as markdown, or as CSV when `EPPI_CSV=1` — for piping

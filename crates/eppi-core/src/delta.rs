@@ -16,6 +16,7 @@
 //! delta is just `{owner, kind, ε}` triples plus the owner-count pair
 //! it bridges.
 
+use crate::error::EppiError;
 use crate::model::{Epsilon, OwnerId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -73,17 +74,31 @@ impl IndexDelta {
     ///
     /// # Panics
     ///
-    /// Panics if the entry violates the `Added ⇔ new column` invariant
-    /// or if an added column would leave a gap above the current owner
-    /// count (columns must be appended densely).
+    /// Panics where [`IndexDelta::try_record`] errs — for callers whose
+    /// entries are correct by construction.
     pub fn record(&mut self, entry: DeltaEntry) {
+        self.try_record(entry)
+            .expect("entry violates the delta invariants");
+    }
+
+    /// Records one owner-column change, or leaves the delta untouched
+    /// and says which invariant the entry breaks — the form for entries
+    /// read from outside the program (the WAL decoder).
+    ///
+    /// # Errors
+    ///
+    /// [`EppiError::InvalidDelta`] if the entry violates the
+    /// `Added ⇔ new column` invariant or if an added column would leave
+    /// a gap above the current owner count (columns must be appended
+    /// densely).
+    pub fn try_record(&mut self, entry: DeltaEntry) -> Result<(), EppiError> {
         let idx = entry.owner.index();
         if idx >= self.base_owners {
-            assert!(
-                idx <= self.owners,
-                "added owner {idx} would leave a gap (owners = {})",
-                self.owners
-            );
+            if idx > self.owners {
+                return Err(EppiError::InvalidDelta {
+                    what: "added owner would leave a gap above the owner count",
+                });
+            }
             self.owners = self.owners.max(idx + 1);
             // A column born in this batch is Added for the whole batch,
             // whatever happens to it afterwards.
@@ -95,13 +110,14 @@ impl IndexDelta {
                 },
             );
         } else {
-            assert!(
-                entry.change != ColumnChange::Added,
-                "owner {idx} predates the base epoch ({} owners) but is marked Added",
-                self.base_owners
-            );
+            if entry.change == ColumnChange::Added {
+                return Err(EppiError::InvalidDelta {
+                    what: "owner predates the base epoch but is marked Added",
+                });
+            }
             self.entries.insert(entry.owner, entry);
         }
+        Ok(())
     }
 
     /// Owner count of the epoch this delta builds on.

@@ -44,6 +44,12 @@ pub enum EppiError {
         /// Which invariant the state violates.
         what: &'static str,
     },
+    /// An entry offered to an
+    /// [`IndexDelta`](crate::delta::IndexDelta) breaks its invariants.
+    InvalidDelta {
+        /// Which invariant the entry violates.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for EppiError {
@@ -83,6 +89,9 @@ impl fmt::Display for EppiError {
             }
             EppiError::InvalidResumeState { what } => {
                 write!(f, "recovered epoch state is invalid: {what}")
+            }
+            EppiError::InvalidDelta { what } => {
+                write!(f, "delta entry is invalid: {what}")
             }
         }
     }

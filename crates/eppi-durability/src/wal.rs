@@ -314,26 +314,31 @@ impl WalRecord {
                 });
             }
             prev_owner = Some(owner);
-            let idx = owner as usize;
-            // Mirror IndexDelta::record's invariants as errors: Added
-            // exactly for new columns, appended densely, final owner
-            // count matching the header.
-            if (change == ColumnChange::Added) != (idx >= base_owners) {
+            // The encoder writes the canonical kind; `try_record` would
+            // quietly normalize a new column to Added.
+            let new_column = owner as usize >= base_owners;
+            if new_column && change != ColumnChange::Added {
                 return Err(CodecError::InvalidField {
                     field: "wal change kind",
                 });
             }
-            if idx >= owners || (idx >= base_owners && idx > delta.owners()) {
-                return Err(CodecError::InvalidField {
-                    field: "wal owner index",
-                });
-            }
             let epsilon = Epsilon::new(raw).map_err(|_| CodecError::InvalidEpsilon { owner })?;
-            delta.record(DeltaEntry {
+            let entry = DeltaEntry {
                 owner: OwnerId(owner),
                 change,
                 epsilon,
-            });
+            };
+            // An old column can only be mis-marked Added, a new one can
+            // only leave a gap.
+            delta
+                .try_record(entry)
+                .map_err(|_| CodecError::InvalidField {
+                    field: if new_column {
+                        "wal owner index"
+                    } else {
+                        "wal change kind"
+                    },
+                })?;
         }
         if delta.owners() != owners {
             return Err(CodecError::InvalidField {
@@ -657,6 +662,26 @@ mod tests {
             WalRecord::decode_payload(&bad),
             Err(CodecError::InvalidEpsilon { .. })
         ));
+        // An added column that skips an index (base 4, first add at 5).
+        let mut bad = good.clone();
+        bad[45..49].copy_from_slice(&5u32.to_le_bytes());
+        assert!(matches!(
+            WalRecord::decode_payload(&bad),
+            Err(CodecError::InvalidField {
+                field: "wal owner index"
+            })
+        ));
+        // An old column marked Added, and a new one marked Changed.
+        for (tag_at, tag) in [(32 + 4, 0u8), (45 + 4, 1u8)] {
+            let mut bad = good.clone();
+            bad[tag_at] = tag;
+            assert!(matches!(
+                WalRecord::decode_payload(&bad),
+                Err(CodecError::InvalidField {
+                    field: "wal change kind"
+                })
+            ));
+        }
         // Truncated and oversized payloads.
         assert!(WalRecord::decode_payload(&good[..good.len() - 1]).is_err());
         let mut long = good.clone();

@@ -26,8 +26,7 @@
 //!   backends). The pipelined runtime (`eppi-protocol`) is the third
 //!   such loop, with the transport on other threads.
 //! * [`mod@reference`] — the frozen pre-refactor `Vec<bool>` executor, kept
-//!   as the equivalence-test oracle and the baseline of the
-//!   packed-vs-unpacked speedup benchmark (`results/BENCH_mpc.json`).
+//!   as the equivalence-test oracle.
 //!
 //! Per AND layer the packed protocol opens `d = x ⊕ a`, `e = y ⊕ b` for
 //! all gates of the layer in one word-aligned batch (`d` words then `e`
@@ -736,13 +735,9 @@ pub mod reference {
     //!
     //! This is the original single-threaded GMW evaluator, byte-for-byte
     //! in behaviour: one heap bool per wire per party, per-bit triple
-    //! dealing, per-gate Beaver opening. It exists for two reasons and
-    //! must not be "improved":
-    //!
-    //! 1. It is the oracle of the cross-backend equivalence property
-    //!    test (packed vs. unpacked outputs must be bit-identical).
-    //! 2. It is the baseline of the packed-core speedup benchmark
-    //!    (`results/BENCH_mpc.json`).
+    //! dealing, per-gate Beaver opening. It is the oracle of the
+    //! cross-backend equivalence property test (packed vs. unpacked
+    //! outputs must be bit-identical) and must not be "improved".
 
     use crate::circuit::{Circuit, Gate, InputLayout};
     use crate::gmw::GmwStats;

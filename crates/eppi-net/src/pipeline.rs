@@ -21,15 +21,11 @@
 //!   of every item are tallied per peer, keeping the workspace's
 //!   bits/bytes accounting convention intact.
 //! * [`FrameReceiver`] — the paced reader feeding a router thread.
-//! * [`PacedFrameTransport`] — a classic lockstep [`Transport`] over
-//!   the *same* frame format and pacing, so the frozen sequential
-//!   driver can serve as an apples-to-apples baseline for the pipeline
-//!   benchmarks.
 //! * [`PipelineMetrics`] — the `mpc.pipeline.*` telemetry instruments
 //!   (lane occupancy, stage stall time, triple-buffer depth).
 
 use crate::threaded::{PartyReceiver, PartySender, TransportError};
-use crate::transport::{PackedBatch, Transport};
+use crate::transport::PackedBatch;
 use crate::{NodeId, WireSize};
 use eppi_telemetry::{Counter, Histogram, Registry};
 use std::sync::Arc;
@@ -205,114 +201,6 @@ impl FrameReceiver {
     }
 }
 
-/// A lockstep [`Transport`] over the frame wire format and pacing —
-/// the sequential baseline the pipeline is benchmarked against.
-///
-/// Each exchange writes one single-item frame per peer and gathers one
-/// per peer back, waiting out every frame's pacing deadline — exactly
-/// the network conditions the pipelined driver sees, minus the
-/// cross-lane coalescing and overlap. Runs under the frozen
-/// [`run_party`](../../eppi_mpc/gmw_core/fn.run_party.html) driver.
-#[derive(Debug)]
-pub struct PacedFrameTransport {
-    tx: PartySender<Frame>,
-    rx: PartyReceiver<Frame>,
-    pacing: Option<LinkPacing>,
-    step: u32,
-    bits_sent: u64,
-}
-
-impl PacedFrameTransport {
-    /// Wraps a party's split endpoint halves.
-    pub fn new(
-        tx: PartySender<Frame>,
-        rx: PartyReceiver<Frame>,
-        pacing: Option<LinkPacing>,
-    ) -> Self {
-        PacedFrameTransport {
-            tx,
-            rx,
-            pacing,
-            step: 0,
-            bits_sent: 0,
-        }
-    }
-
-    /// Logical payload bits this endpoint has sent.
-    pub fn bits_sent(&self) -> u64 {
-        self.bits_sent
-    }
-
-    fn item(&self, batch: PackedBatch) -> LaneItem {
-        LaneItem {
-            lane: 0,
-            step: self.step,
-            batch,
-        }
-    }
-}
-
-impl Transport for PacedFrameTransport {
-    fn me(&self) -> usize {
-        self.tx.me().index()
-    }
-
-    fn parties(&self) -> usize {
-        self.tx.parties()
-    }
-
-    fn scatter(&mut self, batches: Vec<PackedBatch>) {
-        assert_eq!(batches.len(), self.parties(), "one batch per destination");
-        let me = self.me();
-        let now = Instant::now();
-        for (to, batch) in batches.into_iter().enumerate() {
-            if to == me {
-                continue;
-            }
-            self.bits_sent += batch.bits as u64;
-            let frame = Frame {
-                sent_at: now,
-                items: vec![self.item(batch)],
-            };
-            self.tx.send(NodeId(to), frame);
-        }
-    }
-
-    fn broadcast(&mut self, batch: PackedBatch) {
-        let me = self.me();
-        let now = Instant::now();
-        for to in 0..self.parties() {
-            if to == me {
-                continue;
-            }
-            self.bits_sent += batch.bits as u64;
-            let frame = Frame {
-                sent_at: now,
-                items: vec![self.item(batch.clone())],
-            };
-            self.tx.send(NodeId(to), frame);
-        }
-    }
-
-    fn collect(&mut self) -> Vec<(usize, PackedBatch)> {
-        let step = self.step;
-        self.step += 1;
-        let frames = self.rx.gather();
-        let mut out = Vec::with_capacity(frames.len());
-        for (from, frame) in frames {
-            if let Some(pacing) = self.pacing {
-                pacing.wait_for(frame.sent_at);
-            }
-            let mut items = frame.items;
-            assert_eq!(items.len(), 1, "sequential frames carry one item");
-            let item = items.pop().expect("one item");
-            assert_eq!(item.step, step, "frame from {from} out of step");
-            out.push((from.index(), item.batch));
-        }
-        out
-    }
-}
-
 /// The `mpc.pipeline.*` telemetry instruments of one pipelined run.
 #[derive(Debug, Clone)]
 pub struct PipelineMetrics {
@@ -442,32 +330,6 @@ mod tests {
                 "elapsed {elapsed:?}"
             );
         }
-    }
-
-    #[test]
-    fn paced_frame_transport_exchanges_like_a_hub() {
-        let (results, counters) = run_parties::<Frame, (u64, u64), _>(3, |h| {
-            let me = h.me().index();
-            let (tx, rx) = h.split();
-            let mut t = PacedFrameTransport::new(
-                tx,
-                rx,
-                Some(LinkPacing {
-                    latency: Duration::from_micros(200),
-                }),
-            );
-            t.broadcast(batch(1 << me, 8));
-            let xor = t
-                .collect()
-                .into_iter()
-                .fold(1u64 << me, |acc, (_, b)| acc ^ b.words[0]);
-            (xor, t.bits_sent())
-        });
-        for (xor, bits) in &results {
-            assert_eq!(*xor, 0b111);
-            assert_eq!(*bits, 2 * 8);
-        }
-        assert_eq!(counters.messages(), 3 * 2);
     }
 
     #[test]

@@ -5,14 +5,10 @@
 //! the communication patterns the ε-PPI construction protocol needs.
 //! Traffic is counted with atomics — totals plus a per-peer split
 //! (messages, bytes, and gather rounds) — so wall-clock experiments
-//! (Fig. 6a/6c) can report bandwidth, and
-//! [`TrafficCounters::publish_to`] exports the split into an
-//! `eppi-telemetry` registry as `<prefix>.messages{peer}` /
-//! `<prefix>.bytes{peer}` / `<prefix>.rounds{peer}` families.
+//! (Fig. 6a/6c) can report bandwidth.
 
 use crate::{NodeId, WireSize};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use eppi_telemetry::Registry;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,26 +103,6 @@ impl TrafficCounters {
     /// The per-peer traffic split, indexed by party id.
     pub fn per_party(&self) -> &[PartyTraffic] {
         &self.per_party
-    }
-
-    /// Adds this run's traffic to `registry` as the counter families
-    /// `<prefix>.messages` / `<prefix>.bytes` / `<prefix>.rounds` — one
-    /// unlabeled total per family plus one `peer="i"` member per party.
-    /// Counters are cumulative, so publishing several runs under the
-    /// same prefix sums them.
-    pub fn publish_to(&self, registry: &Registry, prefix: &str) {
-        let messages = format!("{prefix}.messages");
-        let bytes = format!("{prefix}.bytes");
-        let rounds = format!("{prefix}.rounds");
-        registry.counter(&messages, &[]).add(self.messages());
-        registry.counter(&bytes, &[]).add(self.bytes());
-        for (i, party) in self.per_party.iter().enumerate() {
-            let peer = i.to_string();
-            let labels: &[(&str, &str)] = &[("peer", &peer)];
-            registry.counter(&messages, labels).add(party.messages());
-            registry.counter(&bytes, labels).add(party.bytes());
-            registry.counter(&rounds, labels).add(party.rounds());
-        }
     }
 }
 
@@ -519,43 +495,6 @@ mod tests {
             assert_eq!(party.bytes(), 24);
             assert_eq!(party.rounds(), 1);
         }
-    }
-
-    #[test]
-    fn publish_to_exports_totals_and_per_peer_families() {
-        use eppi_telemetry::MetricValue;
-
-        let (_, counters) = run_parties::<u64, (), _>(3, |mut h| {
-            h.broadcast(h.me().index() as u64);
-            h.gather();
-        });
-        let registry = Registry::new();
-        counters.publish_to(&registry, "net");
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.expect("net.messages", &[]).unwrap().value,
-            MetricValue::Counter(6)
-        );
-        assert_eq!(
-            snap.expect("net.bytes", &[("peer", "1")]).unwrap().value,
-            MetricValue::Counter(16)
-        );
-        assert_eq!(
-            snap.expect("net.rounds", &[("peer", "2")]).unwrap().value,
-            MetricValue::Counter(1)
-        );
-        // One total + one member per peer, per family.
-        assert_eq!(snap.family("net.messages").len(), 4);
-        // Publishing again accumulates rather than replacing.
-        counters.publish_to(&registry, "net");
-        assert_eq!(
-            registry
-                .snapshot()
-                .expect("net.messages", &[])
-                .unwrap()
-                .value,
-            MetricValue::Counter(12)
-        );
     }
 
     #[test]

@@ -105,9 +105,7 @@ pub use epoch::{
     construct_delta, construct_delta_with_registry, construct_epoch, construct_epoch_with_registry,
     DeltaConstruction, EpochState, IndexEpoch,
 };
-pub use pipelined_gmw::{
-    execute_lanes_sequential, execute_pipelined, LaneSpec, PipelineConfig, PipelineReport,
-};
+pub use pipelined_gmw::{execute_pipelined, LaneSpec, PipelineConfig, PipelineReport};
 pub use pure_mpc::{construct_pure_mpc, PureMpcConfig, PureMpcConstruction};
 pub use secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
 pub use sim_gmw::execute_simulated;

@@ -44,12 +44,10 @@
 
 use eppi_mpc::circuit::{Circuit, InputLayout};
 use eppi_mpc::gmw::GmwStats;
-use eppi_mpc::gmw_core::{
-    agreed_outputs, deal_layer_triples, deal_packed_triples, run_party, PartyCore, Schedule,
-};
+use eppi_mpc::gmw_core::{agreed_outputs, deal_layer_triples, PartyCore, Schedule};
 use eppi_mpc::stage::{ChannelTriples, StageOutput};
 use eppi_net::pipeline::{
-    Frame, FrameReceiver, FrameSender, LaneItem, LinkPacing, PacedFrameTransport, PipelineMetrics,
+    Frame, FrameReceiver, FrameSender, LaneItem, LinkPacing, PipelineMetrics,
 };
 use eppi_net::threaded::{run_parties, TransportError};
 use eppi_net::transport::PackedBatch;
@@ -127,7 +125,7 @@ pub struct PipelineReport {
     pub parties: usize,
     /// Lanes evaluated.
     pub lanes: usize,
-    /// Worker threads per party (`0` for the sequential baseline).
+    /// Worker threads per party.
     pub workers: usize,
     /// Messages on the wire — coalesced frames, not lane items.
     pub messages: u64,
@@ -563,80 +561,6 @@ fn run_lane(
     }
 }
 
-/// The sequential baseline: the same lanes, the same frame wire format
-/// and pacing ([`PacedFrameTransport`]), but the blocking [`run_party`]
-/// driver and one lane at a time — no coalescing, no overlap. `workers`
-/// is reported as `0`.
-///
-/// # Panics
-///
-/// Panics if the lanes disagree on the party count, a lane's inputs
-/// disagree with its layout, or the parties open different outputs.
-pub fn execute_lanes_sequential(
-    lanes: &[LaneSpec<'_>],
-    pacing: Option<LinkPacing>,
-) -> (Vec<Vec<bool>>, PipelineReport) {
-    if lanes.is_empty() {
-        return (Vec::new(), PipelineReport::default());
-    }
-    let parties = lanes[0].layout.parties();
-    let mut outputs = Vec::with_capacity(lanes.len());
-    let mut lane_reports: Vec<GmwStats> = Vec::with_capacity(lanes.len());
-    for lane in lanes {
-        assert_eq!(lane.layout.parties(), parties, "lanes disagree on parties");
-        let sched = Schedule::new(lane.circuit);
-        let mut dealer = StdRng::seed_from_u64(lane.seed ^ DEALER_SALT);
-        let triples = deal_packed_triples(parties, &sched, &mut dealer);
-        let (results, counters) = run_parties::<Frame, (Vec<bool>, u64), _>(parties, {
-            let sched = &sched;
-            let triples = &triples;
-            move |h| {
-                let me = h.me().index();
-                let (tx, rx) = h.split();
-                let mut transport = PacedFrameTransport::new(tx, rx, pacing);
-                let mut core =
-                    PartyCore::new(lane.circuit, lane.layout, sched, me, triples[me].clone());
-                let mut rng =
-                    StdRng::seed_from_u64(lane.seed ^ (me as u64).wrapping_mul(PARTY_SALT));
-                let out = run_party(
-                    &mut core,
-                    &lane.inputs[me],
-                    &mut rng,
-                    &mut transport,
-                    |_, _| {},
-                );
-                (out, transport.bits_sent())
-            }
-        });
-        let report = GmwStats::measured(
-            lane.circuit,
-            lane.layout,
-            &sched,
-            counters.messages(),
-            counters.bytes(),
-        );
-        debug_assert_eq!(
-            results.iter().map(|&(_, b)| b).sum::<u64>(),
-            report.bits_sent
-        );
-        lane_reports.push(report);
-        outputs.push(agreed_outputs(results.into_iter().map(|(out, _)| out)));
-    }
-    // One item per message: nothing coalesces.
-    let messages = lane_reports.iter().map(|r| r.messages).sum();
-    let report = PipelineReport {
-        parties,
-        lanes: lanes.len(),
-        workers: 0,
-        messages,
-        bytes: lane_reports.iter().map(|r| r.bytes).sum(),
-        bits_sent: lane_reports.iter().map(|r| r.bits_sent).sum(),
-        coalesced_items: messages,
-        lane_reports,
-    };
-    (outputs, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,14 +634,21 @@ mod tests {
                 seed: 45,
             },
         ];
-        let (seq_out, seq_report) = execute_lanes_sequential(&lanes, None);
         let (pipe_out, pipe_report) =
             execute_pipelined(&lanes, &PipelineConfig::default()).unwrap();
-        assert_eq!(seq_out, pipe_out);
-        assert_eq!(seq_report.bits_sent, pipe_report.bits_sent);
-        assert_eq!(seq_report.coalesced_items, seq_report.messages);
+        // The lockstep oracle, one lane after another: one item per
+        // message, nothing coalesces.
+        let mut seq_messages = 0;
+        let mut seq_bits = 0;
+        for (lane, out) in lanes.iter().zip(&pipe_out) {
+            let (oracle, stats) = execute_threaded(&circuit, &layout, &inputs, lane.seed);
+            assert_eq!(out, &oracle);
+            seq_messages += stats.messages;
+            seq_bits += stats.bits_sent;
+        }
+        assert_eq!(seq_bits, pipe_report.bits_sent);
         // The pipeline coalesces, the baseline cannot.
-        assert!(pipe_report.messages <= seq_report.messages);
+        assert!(pipe_report.messages <= seq_messages);
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!
 //! [`Registry::snapshot`] yields a point-in-time [`Snapshot`] that
 //! serializes to an aligned text report ([`Snapshot::to_text`]) or JSON
-//! ([`Snapshot::to_json`]) and parses back ([`Snapshot::from_json`]) —
-//! the exporter surface the bench harness embeds into
-//! `results/BENCH_serve.json`.
+//! ([`Snapshot::to_json`]) and parses back ([`Snapshot::from_json`]).
 
 use crate::hist::{Histogram, HistogramSummary, Recorder};
 use crate::json::JsonValue;
@@ -288,7 +286,7 @@ impl Snapshot {
     }
 
     /// The snapshot as a JSON document tree (for embedding into larger
-    /// reports, e.g. `results/BENCH_serve.json`).
+    /// reports).
     pub fn to_json_value(&self) -> JsonValue {
         let metrics = self
             .metrics

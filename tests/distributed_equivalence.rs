@@ -306,6 +306,14 @@ fn delta_cost_is_independent_of_untouched_owner_count() {
         }
         let built = construct_delta(&epoch0, &next, &delta).expect("delta");
         assert_eq!(built.report.columns, touched.len());
+        // A from-scratch build of the same network runs the same
+        // stages over all n columns, so it must cost more.
+        let full = construct_distributed(&next, &epsilons, &config)
+            .expect("full build")
+            .report;
+        assert!(built.report.circuit_size() < full.circuit_size());
+        assert!(built.report.secsum.bytes < full.secsum.bytes);
+        assert_eq!(built.report.secsum.messages, full.secsum.messages);
         reports.push(built.report);
     }
 

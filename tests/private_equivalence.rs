@@ -4,7 +4,7 @@
 //! like the plaintext serve path, and must keep doing so while delta
 //! epochs install mid-stream. A final property pins the obliviousness
 //! invariant: the servers' scan volume never depends on which owner a
-//! query targets.
+//! query targets, and a batch costs the scan of a single query.
 
 use eppi::core::model::{MembershipMatrix, OwnerId, ProviderId, PublishedIndex};
 use eppi::core::rowstore::RowBackend;
@@ -157,6 +157,14 @@ proptest! {
             volumes.windows(2).all(|w| w[0] == w[1]),
             "scan volume leaks the target: {:?}", volumes
         );
+        // One query is one full pass over each replica's packed rows …
+        let snapshot = engine.replica_a().current();
+        let pass = (snapshot.owners() * snapshot.words_per_row()) as u64;
+        prop_assert_eq!(volumes[0], 2 * pass);
+        // … and so is a whole batch: the scan amortizes over its members.
+        let before = engine.stats().pir_scanned_words();
+        client.query_batch(&probes);
+        prop_assert_eq!(engine.stats().pir_scanned_words() - before, volumes[0]);
         engine.shutdown();
     }
 }

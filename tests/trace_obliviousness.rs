@@ -7,7 +7,8 @@
 //! sizes. A trailing test checks the acceptance-level export: one
 //! private query yields valid Chrome `trace_event` JSON whose span tree
 //! covers client submit → scatter → both replicas' per-shard PIR scans
-//! → gather → recombine.
+//! → gather → recombine, and the plaintext query beside it is one
+//! `serve.query` root over one `serve.shard_query`.
 
 use eppi::core::model::{MembershipMatrix, OwnerId, ProviderId, PublishedIndex};
 use eppi::core::rowstore::RowBackend;
@@ -228,5 +229,18 @@ fn single_private_query_exports_complete_chrome_trace() {
     assert_eq!(count("pir.recombine"), 1);
     for e in events {
         assert!(e.get("ph").is_some() && e.get("pid").is_some() && e.get("tid").is_some());
+        if e.get("ph").and_then(JsonValue::as_str) == Some("X") {
+            assert!(e.get("dur").is_some(), "complete slice without a duration");
+        }
     }
+
+    // The plaintext cross-check was traced into the same log: one
+    // `serve.query` root whose row came from exactly one shard.
+    let plain_tree = log
+        .trace_ids()
+        .into_iter()
+        .filter_map(|t| log.span_tree(t))
+        .find(|n| n.name == "serve.query")
+        .expect("plaintext query trace");
+    assert_eq!(plain_tree.count("serve.shard_query"), 1);
 }
