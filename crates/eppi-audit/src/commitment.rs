@@ -70,16 +70,23 @@ impl ColumnCommitment {
         betas: &[f64],
         published: &[u64],
     ) -> ColumnCommitment {
-        let owners = betas.len();
+        let decisions = decision_words(epoch_seed, provider, betas);
+        Self::over(provider, betas.len(), published, &decisions)
+    }
+
+    /// [`compute`](Self::compute) over decision words the caller has
+    /// already derived (the prover feeds the same words to the circuit).
+    pub(crate) fn over(
+        provider: ProviderId,
+        owners: usize,
+        published: &[u64],
+        decisions: &[u64],
+    ) -> ColumnCommitment {
         ColumnCommitment {
             provider,
             owners: owners as u32,
             published: published_digest(provider, owners, published),
-            decisions: decisions_digest(
-                provider,
-                owners,
-                &decision_words(epoch_seed, provider, betas),
-            ),
+            decisions: decisions_digest(provider, owners, decisions),
         }
     }
 
@@ -98,7 +105,18 @@ impl ColumnCommitment {
         betas: &[f64],
         published: &[u64],
     ) -> Result<(), AuditError> {
-        let owners = betas.len();
+        let official = decision_words(epoch_seed, self.provider, betas);
+        self.check(betas.len(), published, &official)
+    }
+
+    /// [`verify`](Self::verify) against `official` decision words the
+    /// caller has already derived from public state for `owners` owners.
+    pub(crate) fn check(
+        &self,
+        owners: usize,
+        published: &[u64],
+        official: &[u64],
+    ) -> Result<(), AuditError> {
         if self.owners as usize != owners {
             return Err(AuditError::Malformed {
                 provider: self.provider.0,
@@ -116,8 +134,7 @@ impl ColumnCommitment {
                 provider: self.provider.0,
             });
         }
-        let official = decision_words(epoch_seed, self.provider, betas);
-        if decisions_digest(self.provider, owners, &official) != self.decisions {
+        if decisions_digest(self.provider, owners, official) != self.decisions {
             return Err(AuditError::DecisionsDigest {
                 provider: self.provider.0,
             });

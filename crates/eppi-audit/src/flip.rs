@@ -1,51 +1,44 @@
 //! The flip circuit: the publication rule as a Boolean relation.
 //!
-//! One circuit instance decides one cell. The witness is the
-//! provider's raw membership bit; the public inputs are the cell's
-//! deterministic coin bits and the β-derived decision threshold; the
-//! output is the published bit:
+//! One circuit instance decides one cell. The paper's construction rule
+//! (§IV-A, Formula 9) keeps inside the secure computation only what
+//! touches a secret, and the proven relation follows it: the one
+//! secret is the provider's raw membership bit, so the circuit is the
+//! one gate that bit enters —
 //!
 //! ```text
-//! decision  = coin_bits < threshold        (54-bit borrow-chain compare)
 //! published = raw ∨ decision               (the truthful-OR of Eq. 2)
 //! ```
 //!
-//! The comparison is the *exact* integer form of `coin < β`
-//! ([`eppi_core::publish::publication_threshold`]), so the circuit
-//! output agrees bit-for-bit with [`eppi_core::publish::publish_cell`]
-//! for every cell — pinned by `circuit_matches_publish_cell`.
+//! — and `decision = coin < T(β)` is a *public input*: prover and
+//! verifier each derive it from public state ([`decision_words`], the
+//! exact [`eppi_core::publish::publish_cell`] rule on a non-member
+//! cell), and the verifier never reads it from a proof. The circuit
+//! output therefore agrees bit-for-bit with `publish_cell` for every
+//! cell — pinned by `circuit_matches_publish_cell`.
 //!
 //! The prover evaluates the circuit bitsliced: every wire carries one
 //! 64-bit word per owner block, i.e. 64 cell instances per word
 //! (`PackedBits` packing), which is the same trick the GMW core uses.
 
 use eppi_core::model::{OwnerId, ProviderId};
-use eppi_core::publish::{publication_coin_bits, publication_threshold, publish_cell};
+use eppi_core::publish::publish_cell;
 use eppi_mpc::builder::CircuitBuilder;
 use eppi_mpc::circuit::Circuit;
 use eppi_mpc::packed::words_for;
 
-/// Width of the coin input: the 53 mantissa bits of the publication
-/// coin.
-pub const COIN_BITS: usize = 53;
+/// Input-wire count of the flip circuit: the secret raw bit and the
+/// public decision bit.
+pub const FLIP_INPUTS: usize = 2;
 
-/// Width of the threshold input: β = 1 needs `T = 2^53`, one bit more
-/// than any coin.
-pub const THRESHOLD_BITS: usize = 54;
-
-/// Input-wire count of the flip circuit: raw bit + coin + threshold.
-pub const FLIP_INPUTS: usize = 1 + COIN_BITS + THRESHOLD_BITS;
-
-/// Builds the flip circuit. Input order: wire 0 is the secret raw bit;
-/// wires `1..=53` the coin bits (LSB first); wires `54..=107` the
-/// threshold bits (LSB first). One output wire: the published bit.
+/// Builds the flip circuit. Wire 0 is the secret raw bit, wire 1 the
+/// public decision bit; the one output wire is the published bit. Its
+/// only AND gate (the OR's product term) has the witness in its fan-in:
+/// an AND of public values alone would be proven 3·R times for nothing.
 pub fn flip_circuit() -> Circuit {
     let mut b = CircuitBuilder::new();
     let raw = b.input();
-    let coin = b.input_word(COIN_BITS);
-    let threshold = b.input_word(THRESHOLD_BITS);
-    let coin = b.resize_word(&coin, THRESHOLD_BITS);
-    let decision = b.lt_words(&coin, &threshold);
+    let decision = b.input();
     let published = b.or(raw, decision);
     b.finish(vec![published])
 }
@@ -66,37 +59,10 @@ pub fn mask_tail(words: &mut [u64], owners: usize) {
     }
 }
 
-/// The bitsliced public input words of one provider column: for each
-/// non-witness input wire (coin and threshold bits), one word per owner
-/// block whose lane `j % 64` is that bit for owner `j`.
-///
-/// Both prover and verifier derive these from public data only — the
-/// epoch seed, the provider id, and the *official* per-owner β's — so a
-/// prover that ran the flip with any other β or coin stream is proving
-/// a different circuit than the verifier checks.
-pub fn public_input_words(epoch_seed: u64, provider: ProviderId, betas: &[f64]) -> Vec<Vec<u64>> {
-    let owners = betas.len();
-    let nw = words_for(owners);
-    let mut words = vec![vec![0u64; nw]; COIN_BITS + THRESHOLD_BITS];
-    for (j, &beta) in betas.iter().enumerate() {
-        let coin = publication_coin_bits(epoch_seed, provider, OwnerId(j as u32));
-        let threshold = publication_threshold(beta);
-        let (block, lane) = (j / 64, j % 64);
-        for (b, w) in words.iter_mut().enumerate() {
-            let bit = if b < COIN_BITS {
-                coin >> b & 1
-            } else {
-                threshold >> (b - COIN_BITS) & 1
-            };
-            w[block] |= bit << lane;
-        }
-    }
-    words
-}
-
 /// The packed per-owner publication *decision* bits of one provider
 /// column under the official β's: lane `j` is `coin_j < T(β_j)` — what
-/// the provider's committed decisions must equal.
+/// the provider's committed decisions must equal, and the flip
+/// circuit's public input word.
 pub fn decision_words(epoch_seed: u64, provider: ProviderId, betas: &[f64]) -> Vec<u64> {
     let mut words = vec![0u64; words_for(betas.len())];
     for (j, &beta) in betas.iter().enumerate() {
@@ -112,15 +78,39 @@ pub fn decision_words(epoch_seed: u64, provider: ProviderId, betas: &[f64]) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eppi_mpc::circuit::Gate;
 
     #[test]
     fn circuit_shape() {
         let c = flip_circuit();
         assert_eq!(c.inputs(), FLIP_INPUTS);
         assert_eq!(c.outputs().len(), 1);
-        let stats = c.stats();
-        // 2 ANDs per comparator bit + 1 for the OR.
-        assert_eq!(stats.and_gates, 2 * THRESHOLD_BITS + 1);
+        // The OR's product term, and nothing else.
+        assert_eq!(c.stats().and_gates, 1);
+    }
+
+    /// Taint analysis from the witness wire: an AND whose fan-in is
+    /// public-only would cost a decomposed slot in every repetition while
+    /// proving nothing the verifier cannot compute itself — the public
+    /// comparator must never re-enter the circuit unnoticed.
+    #[test]
+    fn every_and_gate_depends_on_the_witness() {
+        let c = flip_circuit();
+        let mut tainted = vec![false; c.wires()];
+        tainted[0] = true;
+        for (g, gate) in c.gates().iter().enumerate() {
+            tainted[c.inputs() + g] = match *gate {
+                Gate::Xor(a, b) => tainted[a.index()] || tainted[b.index()],
+                Gate::Not(a) => tainted[a.index()],
+                Gate::Const(_) => false,
+                Gate::And(a, b) => {
+                    let secret = tainted[a.index()] || tainted[b.index()];
+                    assert!(secret, "gate {g} is an AND of public wires only");
+                    secret
+                }
+            };
+        }
+        assert!(tainted[c.outputs()[0].index()]);
     }
 
     #[test]
@@ -128,15 +118,12 @@ mod tests {
         let circuit = flip_circuit();
         for seed in [0u64, 7, 0xdead_beef] {
             for p in 0..6u32 {
-                for o in 0..6u32 {
-                    for beta in [0.0, 0.2, 0.5, 0.93, 1.0] {
+                for beta in [0.0, 0.2, 0.5, 0.93, 1.0] {
+                    let decisions = decision_words(seed, ProviderId(p), &[beta; 6]);
+                    for o in 0..6u32 {
                         for member in [false, true] {
-                            let coin = publication_coin_bits(seed, ProviderId(p), OwnerId(o));
-                            let threshold = publication_threshold(beta);
-                            let mut inputs = vec![member];
-                            inputs.extend((0..COIN_BITS).map(|b| coin >> b & 1 == 1));
-                            inputs.extend((0..THRESHOLD_BITS).map(|b| threshold >> b & 1 == 1));
-                            let out = circuit.eval(&inputs);
+                            let decision = decisions[0] >> o & 1 == 1;
+                            let out = circuit.eval(&[member, decision]);
                             let expect =
                                 publish_cell(seed, ProviderId(p), OwnerId(o), member, beta);
                             assert_eq!(
@@ -154,14 +141,14 @@ mod tests {
     #[test]
     fn public_words_slice_per_lane() {
         let betas = vec![0.3; 70];
-        let words = public_input_words(5, ProviderId(2), &betas);
-        assert_eq!(words.len(), COIN_BITS + THRESHOLD_BITS);
-        assert_eq!(words[0].len(), 2);
-        // Lane 65 of each input word is owner 65's bit.
-        let coin = publication_coin_bits(5, ProviderId(2), OwnerId(65));
-        for (b, w) in words.iter().take(COIN_BITS).enumerate() {
-            assert_eq!(w[1] >> 1 & 1, coin >> b & 1, "coin bit {b}");
-        }
+        let words = decision_words(5, ProviderId(2), &betas);
+        assert_eq!(words.len(), 2);
+        // Lane 65 of the public input word is owner 65's decision bit.
+        let expect = publish_cell(5, ProviderId(2), OwnerId(65), false, 0.3);
+        assert_eq!(words[1] >> 1 & 1 == 1, expect);
+        // Lanes past the owner count carry nothing.
+        assert_eq!(words[1] & !tail_mask(70), 0);
+        assert!(decision_words(5, ProviderId(2), &[]).is_empty());
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //!   ([`ColumnCommitment`], built on the shared
 //!   [`eppi_core::commit::Hasher256`]);
 //! * it then proves, in zero knowledge, that the published column is
-//!   the flip circuit's output on its private raw column — `decision =
-//!   coin < T(β)`, `published = raw ∨ decision` — under a 2-out-of-3
-//!   XOR decomposition evaluated by three virtual parties, with
-//!   Fiat–Shamir-chosen view openings ([`prove_column`] /
+//!   the flip circuit's output on its private raw column — `published =
+//!   raw ∨ decision`, where `decision = coin < T(β)` is a *public*
+//!   input both sides derive from public state ([`decision_words`]),
+//!   so the one gate the secret enters is all that is proven — under a
+//!   2-out-of-3 XOR decomposition evaluated by three virtual parties,
+//!   with Fiat–Shamir-chosen view openings ([`prove_column`] /
 //!   [`verify_column`]);
 //! * an auditor checks the certificate against *public data only* —
 //!   the epoch seed, the official β's, and the column entering the
@@ -54,7 +56,7 @@ pub use commitment::{decisions_digest, published_digest, ColumnCommitment};
 pub use error::AuditError;
 pub use flip::{decision_words, flip_circuit, mask_tail, tail_mask};
 pub use zkboo::{
-    prove_column, prove_column_forged, prove_column_with_registry, verify_column,
+    certify_column_with_registry, prove_column, prove_column_forged, verify_column,
     verify_column_with_registry, AuditParams, ColumnProof, ColumnStatement, RepetitionProof,
     DEFAULT_REPETITIONS,
 };

@@ -17,6 +17,14 @@
 //! so opening *two* adjacent views lets a verifier recompute one of
 //! them completely while the third share keeps the witness hidden.
 //!
+//! Only the circuit's one secret gate is decomposed: `raw ∧ decision`,
+//! the product term of the output OR. The decision word is a public
+//! input that prover and verifier each derive from public state
+//! ([`decision_words`]) — never shipped in, or read from, a proof —
+//! and a proof's size is linear in the AND slots of the decomposed
+//! circuit, so each repetition carries `nw` partner AND words, not one
+//! per comparator gate.
+//!
 //! Everything is word-level: a wire's share is one 64-bit word per
 //! owner block (64 circuit instances per word — [`PackedBits`]
 //! packing), and tape words are indexed by the dense AND-slot order of
@@ -35,7 +43,7 @@
 
 use crate::commitment::ColumnCommitment;
 use crate::error::AuditError;
-use crate::flip::{flip_circuit, public_input_words, tail_mask, FLIP_INPUTS};
+use crate::flip::{decision_words, flip_circuit, mask_tail, tail_mask, FLIP_INPUTS};
 use eppi_core::commit::{Digest256, Hasher256};
 use eppi_core::model::ProviderId;
 use eppi_mpc::circuit::{Circuit, Gate};
@@ -154,10 +162,11 @@ fn prg_word(seed: u64, domain: u64, index: u64) -> u64 {
     )
 }
 
-fn prg_words(seed: u64, domain: u64, count: usize) -> Vec<u64> {
-    (0..count as u64)
-        .map(|i| prg_word(seed, domain, i))
-        .collect()
+/// Fills `out` with the leading words of PRG stream `(seed, domain)`.
+fn prg_fill(seed: u64, domain: u64, out: &mut [u64]) {
+    for (i, word) in out.iter_mut().enumerate() {
+        *word = prg_word(seed, domain, i as u64);
+    }
 }
 
 /// The per-(repetition, party) PRG seed of one proving session.
@@ -197,10 +206,10 @@ fn commit_view(
 
 /// The Fiat–Shamir transcript digest: statement, column commitment,
 /// then every repetition's view commitments and output shares.
-fn challenge_root(
+fn challenge_root<'a>(
     stmt: &ColumnStatement<'_>,
     commitment: &ColumnCommitment,
-    reps: &[([Digest256; 3], [Vec<u64>; 3])],
+    reps: impl ExactSizeIterator<Item = (&'a [Digest256; 3], &'a [Vec<u64>; 3])>,
 ) -> Digest256 {
     let mut h = Hasher256::new("eppi.audit.challenge.v1");
     h.absorb_u64(stmt.epoch_seed);
@@ -235,184 +244,138 @@ fn challenge_for(root: Digest256, rep: usize) -> usize {
     (mix64(root.0[0] ^ (rep as u64 + 1).wrapping_mul(GAMMA)) % 3) as usize
 }
 
-/// Input share words of one party: wire 0 is its witness share, the
-/// public coin/threshold wires follow the public-input rule — party 0
-/// carries the public word, parties 1 and 2 carry zero, so the XOR of
-/// the three shares is the public value and the verifier can derive
-/// every opened party's public wires without any proof data.
-fn input_share_words(
-    party: usize,
+/// The per-column evaluation context plus the tape and wire buffers of
+/// up to three virtual parties, allocated once and refilled every
+/// repetition.
+struct Head<'a> {
+    circuit: Circuit,
+    schedule: Schedule,
+    /// Packed words per wire.
     nw: usize,
-    witness: &[u64],
-    public: &[Vec<u64>],
-) -> Vec<Vec<u64>> {
-    let mut shares = Vec::with_capacity(FLIP_INPUTS);
-    shares.push(witness.to_vec());
-    for word in public {
-        shares.push(if party == 0 {
-            word.clone()
+    /// The public decision word — input wire 1.
+    decisions: &'a [u64],
+    /// Per loaded party: its AND-slot tape words.
+    tapes: [Vec<u64>; 3],
+    /// Per loaded party: its wire share words, wire-major.
+    vals: [Vec<u64>; 3],
+}
+
+impl<'a> Head<'a> {
+    fn new(decisions: &'a [u64]) -> Self {
+        let circuit = flip_circuit();
+        let schedule = Schedule::new(&circuit);
+        let nw = decisions.len();
+        Head {
+            tapes: std::array::from_fn(|_| vec![0u64; schedule.and_gates() * nw]),
+            vals: std::array::from_fn(|_| vec![0u64; circuit.wires() * nw]),
+            circuit,
+            schedule,
+            nw,
+            decisions,
+        }
+    }
+
+    /// Words of one party's AND outputs, slot-major (`slot * nw + word`).
+    fn and_words(&self) -> usize {
+        self.schedule.and_gates() * self.nw
+    }
+
+    /// Loads virtual party `party` into buffer `slot`: its tape and its
+    /// witness share (wire 0) expand from `seed` — except party 2, whose
+    /// share is the explicit remainder `witness2` — and wire 1 follows
+    /// the public-input rule: party 0 carries the decision word, parties
+    /// 1 and 2 carry zero, so the three shares XOR to the public value
+    /// and no opened party's public wire needs any proof data.
+    fn load(&mut self, slot: usize, party: usize, seed: u64, witness2: &[u64]) {
+        let nw = self.nw;
+        prg_fill(seed, TAPE_DOMAIN, &mut self.tapes[slot]);
+        let (witness, public) = self.vals[slot][..FLIP_INPUTS * nw].split_at_mut(nw);
+        if party == 2 {
+            witness.copy_from_slice(witness2);
         } else {
-            vec![0u64; nw]
-        });
-    }
-    shares
-}
-
-/// Word-level evaluation of all three virtual parties at once (prover
-/// side).
-struct Evaluated {
-    /// Per party: AND outputs, slot-major (`slot * nw + word`).
-    and_words: [Vec<u64>; 3],
-    /// Per party: output-wire share words.
-    outputs: [Vec<u64>; 3],
-}
-
-fn evaluate_all(
-    circuit: &Circuit,
-    schedule: &Schedule,
-    nw: usize,
-    inputs: &[Vec<Vec<u64>>; 3],
-    tapes: &[Vec<u64>; 3],
-) -> Evaluated {
-    let wires = circuit.wires();
-    let mut vals: [Vec<u64>; 3] = std::array::from_fn(|_| vec![0u64; wires * nw]);
-    for (party, shares) in inputs.iter().enumerate() {
-        for (i, words) in shares.iter().enumerate() {
-            vals[party][i * nw..(i + 1) * nw].copy_from_slice(words);
+            prg_fill(seed, WITNESS_DOMAIN, witness);
+        }
+        if party == 0 {
+            public.copy_from_slice(self.decisions);
+        } else {
+            public.fill(0);
         }
     }
-    let mut and_words: [Vec<u64>; 3] =
-        std::array::from_fn(|_| vec![0u64; schedule.and_gates() * nw]);
-    for (g, gate) in circuit.gates().iter().enumerate() {
-        let out = (circuit.inputs() + g) * nw;
-        match *gate {
-            Gate::Xor(a, b) => {
-                let (a, b) = (a.index() * nw, b.index() * nw);
-                for val in vals.iter_mut() {
-                    for w in 0..nw {
-                        val[out + w] = val[a + w] ^ val[b + w];
+
+    /// Word-level evaluation of the loaded `parties` — all three on the
+    /// prover side, the opened pair `(e, e+1)` on the verifier side.
+    /// `ands[i]` receives party `parties[i]`'s AND outputs, computed
+    /// from its own and its successor's wires and tapes; the verifier's
+    /// party `e+1` has no successor in the opened pair, so its `ands`
+    /// entry is read as given (the proof's `partner_ands`).
+    fn evaluate(&mut self, parties: &[usize], ands: &mut [Vec<u64>]) {
+        let (nw, k) = (self.nw, parties.len());
+        let recomputed = if k == 3 { 3 } else { k - 1 };
+        let vals = &mut self.vals[..k];
+        for (g, gate) in self.circuit.gates().iter().enumerate() {
+            let out = (self.circuit.inputs() + g) * nw;
+            match *gate {
+                Gate::Xor(a, b) => {
+                    let (a, b) = (a.index() * nw, b.index() * nw);
+                    for val in vals.iter_mut() {
+                        for w in 0..nw {
+                            val[out + w] = val[a + w] ^ val[b + w];
+                        }
                     }
                 }
-            }
-            Gate::Not(a) => {
-                // Flipping is a public affine offset: party 0 alone
-                // absorbs it so the share XOR flips exactly once.
-                let a = a.index() * nw;
-                for (party, val) in vals.iter_mut().enumerate() {
-                    let flip = if party == 0 { !0u64 } else { 0 };
-                    for w in 0..nw {
-                        val[out + w] = val[a + w] ^ flip;
+                Gate::Not(a) => {
+                    // Flipping is a public affine offset: party 0 alone
+                    // absorbs it so the share XOR flips exactly once.
+                    let a = a.index() * nw;
+                    for (val, &party) in vals.iter_mut().zip(parties) {
+                        let flip = if party == 0 { !0u64 } else { 0 };
+                        for w in 0..nw {
+                            val[out + w] = val[a + w] ^ flip;
+                        }
                     }
                 }
-            }
-            Gate::Const(v) => {
-                let value = if v { !0u64 } else { 0 };
-                for (party, val) in vals.iter_mut().enumerate() {
-                    let word = if party == 0 { value } else { 0 };
-                    val[out..out + nw].fill(word);
-                }
-            }
-            Gate::And(a, b) => {
-                let slot = schedule.triple_index(g) * nw;
-                let (a, b) = (a.index() * nw, b.index() * nw);
-                for party in 0..3 {
-                    let next = (party + 1) % 3;
-                    for w in 0..nw {
-                        let (ai, bi) = (vals[party][a + w], vals[party][b + w]);
-                        let (an, bn) = (vals[next][a + w], vals[next][b + w]);
-                        let z = (ai & bi)
-                            ^ (an & bi)
-                            ^ (ai & bn)
-                            ^ tapes[party][slot + w]
-                            ^ tapes[next][slot + w];
-                        and_words[party][slot + w] = z;
+                Gate::Const(v) => {
+                    for (val, &party) in vals.iter_mut().zip(parties) {
+                        val[out..out + nw].fill(if v && party == 0 { !0u64 } else { 0 });
                     }
                 }
-                for party in 0..3 {
-                    for w in 0..nw {
-                        vals[party][out + w] = and_words[party][slot + w];
+                Gate::And(a, b) => {
+                    let slot = self.schedule.triple_index(g) * nw;
+                    let (a, b) = (a.index() * nw, b.index() * nw);
+                    for i in 0..recomputed {
+                        let next = (i + 1) % k;
+                        for w in 0..nw {
+                            let (ai, bi) = (vals[i][a + w], vals[i][b + w]);
+                            let (an, bn) = (vals[next][a + w], vals[next][b + w]);
+                            ands[i][slot + w] = (ai & bi)
+                                ^ (an & bi)
+                                ^ (ai & bn)
+                                ^ self.tapes[i][slot + w]
+                                ^ self.tapes[next][slot + w];
+                        }
+                    }
+                    for (val, and) in vals.iter_mut().zip(ands.iter()) {
+                        val[out..out + nw].copy_from_slice(&and[slot..slot + nw]);
                     }
                 }
             }
         }
     }
-    let o = circuit.outputs()[0].index() * nw;
-    Evaluated {
-        outputs: std::array::from_fn(|party| vals[party][o..o + nw].to_vec()),
-        and_words,
+
+    /// The output-wire share words of the party loaded in `slot`.
+    fn output(&self, slot: usize) -> &[u64] {
+        let o = self.circuit.outputs()[0].index() * self.nw;
+        &self.vals[slot][o..o + self.nw]
     }
 }
 
-/// Verifier-side recomputation of the opened pair `(e, e+1)`: party
-/// `e+1`'s AND wires come from the proof, party `e`'s are recomputed
-/// from both tapes and both parties' wires. Returns party `e`'s AND
-/// words and both parties' output share words.
-#[allow(clippy::too_many_arguments)]
-fn recompute_pair(
-    circuit: &Circuit,
-    schedule: &Schedule,
-    nw: usize,
-    e: usize,
-    inputs_e: &[Vec<u64>],
-    inputs_e1: &[Vec<u64>],
-    tape_e: &[u64],
-    tape_e1: &[u64],
-    partner_ands: &[u64],
-) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-    let wires = circuit.wires();
-    let mut val_e = vec![0u64; wires * nw];
-    let mut val_e1 = vec![0u64; wires * nw];
-    for (i, words) in inputs_e.iter().enumerate() {
-        val_e[i * nw..(i + 1) * nw].copy_from_slice(words);
-    }
-    for (i, words) in inputs_e1.iter().enumerate() {
-        val_e1[i * nw..(i + 1) * nw].copy_from_slice(words);
-    }
-    let e1 = (e + 1) % 3;
-    let mut and_e = vec![0u64; schedule.and_gates() * nw];
-    for (g, gate) in circuit.gates().iter().enumerate() {
-        let out = (circuit.inputs() + g) * nw;
-        match *gate {
-            Gate::Xor(a, b) => {
-                let (a, b) = (a.index() * nw, b.index() * nw);
-                for w in 0..nw {
-                    val_e[out + w] = val_e[a + w] ^ val_e[b + w];
-                    val_e1[out + w] = val_e1[a + w] ^ val_e1[b + w];
-                }
-            }
-            Gate::Not(a) => {
-                let a = a.index() * nw;
-                let (flip_e, flip_e1) = (
-                    if e == 0 { !0u64 } else { 0 },
-                    if e1 == 0 { !0u64 } else { 0 },
-                );
-                for w in 0..nw {
-                    val_e[out + w] = val_e[a + w] ^ flip_e;
-                    val_e1[out + w] = val_e1[a + w] ^ flip_e1;
-                }
-            }
-            Gate::Const(v) => {
-                let value = if v { !0u64 } else { 0 };
-                val_e[out..out + nw].fill(if e == 0 { value } else { 0 });
-                val_e1[out..out + nw].fill(if e1 == 0 { value } else { 0 });
-            }
-            Gate::And(a, b) => {
-                let slot = schedule.triple_index(g) * nw;
-                let (a, b) = (a.index() * nw, b.index() * nw);
-                for w in 0..nw {
-                    let (ai, bi) = (val_e[a + w], val_e[b + w]);
-                    let (an, bn) = (val_e1[a + w], val_e1[b + w]);
-                    let z =
-                        (ai & bi) ^ (an & bi) ^ (ai & bn) ^ tape_e[slot + w] ^ tape_e1[slot + w];
-                    and_e[slot + w] = z;
-                    val_e[out + w] = z;
-                    val_e1[out + w] = partner_ands[slot + w];
-                }
-            }
-        }
-    }
-    let o = circuit.outputs()[0].index() * nw;
-    (and_e, val_e[o..o + nw].to_vec(), val_e1[o..o + nw].to_vec())
+/// The prover's public work, done once per column: the official
+/// decision words and the commitment over them and the served column.
+fn committed(stmt: &ColumnStatement<'_>) -> (Vec<u64>, ColumnCommitment) {
+    let decisions = decision_words(stmt.epoch_seed, stmt.provider, stmt.betas);
+    let commitment =
+        ColumnCommitment::over(stmt.provider, stmt.owners(), stmt.published, &decisions);
+    (decisions, commitment)
 }
 
 /// Produces the honest proof that `stmt.published` is the flip-circuit
@@ -420,37 +383,49 @@ fn recompute_pair(
 ///
 /// `prover_seed` drives all proving randomness (views, tapes); honest
 /// proofs verify for *every* seed, and distinct seeds yield
-/// independent transcripts.
+/// independent transcripts. An empty column proves vacuously (every
+/// word vector of the proof is empty).
 ///
 /// # Panics
 ///
 /// Panics when `raw` or `stmt.published` is not `words_for(owners)`
-/// words, or the column is empty.
+/// words.
 pub fn prove_column(
     stmt: &ColumnStatement<'_>,
     raw: &[u64],
     params: &AuditParams,
     prover_seed: u64,
 ) -> ColumnProof {
-    prove_column_with_registry(stmt, raw, params, prover_seed, Obs::default())
+    certify_column_with_registry(stmt, raw, params, prover_seed, Obs::default()).1
 }
 
-/// [`prove_column`] under a caller's observability context: reports
-/// `audit.proofs`, `audit.proof_bytes` and the `audit.prove_ns`
-/// histogram into `obs.registry`, and runs as an `audit.prove` span
-/// (payload: provider id) under `obs.parent`.
-pub fn prove_column_with_registry<'a>(
+/// [`prove_column`] together with the column's [`ColumnCommitment`]
+/// (the decision words are derived once and feed both), under a
+/// caller's observability context: reports `audit.proofs`,
+/// `audit.proof_bytes` and the `audit.prove_ns` histogram into
+/// `obs.registry`, and runs as an `audit.prove` span (payload: provider
+/// id) under `obs.parent`.
+pub fn certify_column_with_registry<'a>(
     stmt: &ColumnStatement<'_>,
     raw: &[u64],
     params: &AuditParams,
     prover_seed: u64,
     obs: impl Into<Obs<'a>>,
-) -> ColumnProof {
+) -> (ColumnCommitment, ColumnProof) {
     let obs = obs.into();
     let mut span = obs.tracer.child(obs.parent, "audit.prove");
     span.set_payload(u64::from(stmt.provider.0));
     let started = Instant::now();
-    let proof = prove_inner(stmt, raw, params, prover_seed, None);
+    let (decisions, commitment) = committed(stmt);
+    let proof = prove_inner(
+        stmt,
+        &commitment,
+        &decisions,
+        raw,
+        params,
+        prover_seed,
+        None,
+    );
     obs.registry.counter("audit.proofs", &[]).add(1);
     obs.registry
         .counter("audit.proof_bytes", &[])
@@ -458,7 +433,7 @@ pub fn prove_column_with_registry<'a>(
     obs.registry
         .histogram("audit.prove_ns", &[])
         .record(started.elapsed().as_nanos() as u64);
-    proof
+    (commitment, proof)
 }
 
 /// A *cheating* prover (the `eppi-attacks` forged-view model): proves
@@ -481,46 +456,46 @@ pub fn prove_column_forged(
     deflip: &[u64],
 ) -> ColumnProof {
     assert_eq!(deflip.len(), stmt.words(), "deflip width mismatch");
-    prove_inner(stmt, raw, params, prover_seed, Some(deflip))
+    let (decisions, commitment) = committed(stmt);
+    prove_inner(
+        stmt,
+        &commitment,
+        &decisions,
+        raw,
+        params,
+        prover_seed,
+        Some(deflip),
+    )
 }
 
+/// The prover proper. `commitment` enters the Fiat–Shamir transcript and
+/// `decisions` is the public word the virtual parties evaluate under —
+/// both are the caller's, computed once ([`committed`]).
 fn prove_inner(
     stmt: &ColumnStatement<'_>,
+    commitment: &ColumnCommitment,
+    decisions: &[u64],
     raw: &[u64],
     params: &AuditParams,
     prover_seed: u64,
     tamper: Option<&[u64]>,
 ) -> ColumnProof {
-    let owners = stmt.owners();
     let nw = stmt.words();
-    assert!(owners > 0, "empty column");
     assert_eq!(raw.len(), nw, "raw column width mismatch");
     assert_eq!(stmt.published.len(), nw, "published column width mismatch");
 
-    let circuit = flip_circuit();
-    let schedule = Schedule::new(&circuit);
-    let slots = schedule.and_gates();
-    let public = public_input_words(stmt.epoch_seed, stmt.provider, stmt.betas);
-    // The forged-view tamper lands on the final AND (the output OR's
-    // AND term): flipping its z-word flips the party's output share.
-    let last_and_slot = circuit
-        .gates()
-        .iter()
-        .enumerate()
-        .rev()
-        .find_map(|(g, gate)| matches!(gate, Gate::And(..)).then(|| schedule.triple_index(g)))
-        .expect("flip circuit has AND gates");
-
     let mut masked_raw = raw.to_vec();
-    crate::flip::mask_tail(&mut masked_raw, owners);
-
-    let commitment =
-        ColumnCommitment::compute(stmt.epoch_seed, stmt.provider, stmt.betas, stmt.published);
+    mask_tail(&mut masked_raw, stmt.owners());
+    let mut head = Head::new(decisions);
+    // The forged-view tamper lands on the final AND slot (the output
+    // OR's product term; slots follow gate order): flipping its z-word
+    // flips the party's output share.
+    let forged = head.and_words() - nw;
 
     struct RepState {
         seeds: [u64; 3],
         witness2: Vec<u64>,
-        and_words: [Vec<u64>; 3],
+        ands: [Vec<u64>; 3],
         commits: [Digest256; 3],
         outputs: [Vec<u64>; 3],
     }
@@ -528,60 +503,50 @@ fn prove_inner(
     let mut states = Vec::with_capacity(params.repetitions);
     for rep in 0..params.repetitions {
         let seeds: [u64; 3] = std::array::from_fn(|party| rep_seed(prover_seed, stmt, rep, party));
-        let tapes: [Vec<u64>; 3] =
-            std::array::from_fn(|party| prg_words(seeds[party], TAPE_DOMAIN, slots * nw));
-        let w0 = prg_words(seeds[0], WITNESS_DOMAIN, nw);
-        let w1 = prg_words(seeds[1], WITNESS_DOMAIN, nw);
-        let witness2: Vec<u64> = (0..nw).map(|w| masked_raw[w] ^ w0[w] ^ w1[w]).collect();
-        let inputs: [Vec<Vec<u64>>; 3] = [
-            input_share_words(0, nw, &w0, &public),
-            input_share_words(1, nw, &w1, &public),
-            input_share_words(2, nw, &witness2, &public),
-        ];
-        let mut eval = evaluate_all(&circuit, &schedule, nw, &inputs, &tapes);
+        head.load(0, 0, seeds[0], &[]);
+        head.load(1, 1, seeds[1], &[]);
+        let witness2: Vec<u64> = (0..nw)
+            .map(|w| masked_raw[w] ^ head.vals[0][w] ^ head.vals[1][w])
+            .collect();
+        head.load(2, 2, seeds[2], &witness2);
+        let mut ands: [Vec<u64>; 3] = std::array::from_fn(|_| vec![0u64; head.and_words()]);
+        head.evaluate(&[0, 1, 2], &mut ands);
+        let mut outputs: [Vec<u64>; 3] = std::array::from_fn(|party| head.output(party).to_vec());
         if let Some(delta) = tamper {
-            for (w, &d) in delta.iter().enumerate().take(nw) {
-                eval.and_words[2][last_and_slot * nw + w] ^= d;
-                eval.outputs[2][w] ^= d;
+            for (w, &d) in delta.iter().enumerate() {
+                ands[2][forged + w] ^= d;
+                outputs[2][w] ^= d;
             }
         }
         let commits: [Digest256; 3] = std::array::from_fn(|party| {
             let witness: &[u64] = if party == 2 { &witness2 } else { &[] };
-            commit_view(
-                stmt,
-                rep,
-                party,
-                seeds[party],
-                witness,
-                &eval.and_words[party],
-            )
+            commit_view(stmt, rep, party, seeds[party], witness, &ands[party])
         });
         states.push(RepState {
             seeds,
             witness2,
-            and_words: eval.and_words,
+            ands,
             commits,
-            outputs: eval.outputs,
+            outputs,
         });
     }
 
-    let transcript: Vec<([Digest256; 3], [Vec<u64>; 3])> = states
-        .iter()
-        .map(|s| (s.commits, s.outputs.clone()))
-        .collect();
-    let root = challenge_root(stmt, &commitment, &transcript);
-
+    let root = challenge_root(
+        stmt,
+        commitment,
+        states.iter().map(|s| (&s.commits, &s.outputs)),
+    );
     let reps = states
         .into_iter()
         .enumerate()
-        .map(|(rep, state)| {
+        .map(|(rep, mut state)| {
             let e = challenge_for(root, rep);
             let e1 = (e + 1) % 3;
             RepetitionProof {
                 commits: state.commits,
                 outputs: state.outputs,
                 seeds: [state.seeds[e], state.seeds[e1]],
-                partner_ands: state.and_words[e1].clone(),
+                partner_ands: std::mem::take(&mut state.ands[e1]),
                 witness_share: if e == 0 { Vec::new() } else { state.witness2 },
             }
         })
@@ -650,25 +615,16 @@ fn check_column(
     let provider = stmt.provider.0;
     let owners = stmt.owners();
     let nw = stmt.words();
-    if owners == 0 {
-        return Err(AuditError::Malformed {
-            provider,
-            reason: "empty column",
-        });
-    }
-    if stmt.published.len() != nw {
-        return Err(AuditError::Malformed {
-            provider,
-            reason: "published column width",
-        });
-    }
     if commitment.provider != stmt.provider {
         return Err(AuditError::Malformed {
             provider,
             reason: "commitment provider",
         });
     }
-    commitment.verify(stmt.epoch_seed, stmt.betas, stmt.published)?;
+    // The circuit's public operand comes from public state, never from
+    // the proof; the same words re-check the committed decisions digest.
+    let decisions = decision_words(stmt.epoch_seed, stmt.provider, stmt.betas);
+    commitment.check(owners, stmt.published, &decisions)?;
     if proof.reps.len() != params.repetitions {
         return Err(AuditError::Malformed {
             provider,
@@ -676,99 +632,66 @@ fn check_column(
         });
     }
 
-    let circuit = flip_circuit();
-    let schedule = Schedule::new(&circuit);
-    let slots = schedule.and_gates();
-    let public = public_input_words(stmt.epoch_seed, stmt.provider, stmt.betas);
-
-    let transcript: Vec<([Digest256; 3], [Vec<u64>; 3])> = proof
-        .reps
-        .iter()
-        .map(|r| (r.commits, r.outputs.clone()))
-        .collect();
-    let root = challenge_root(stmt, commitment, &transcript);
-
+    let root = challenge_root(
+        stmt,
+        commitment,
+        proof.reps.iter().map(|r| (&r.commits, &r.outputs)),
+    );
+    let mut head = Head::new(&decisions);
+    let mut ands: [Vec<u64>; 2] = std::array::from_fn(|_| vec![0u64; head.and_words()]);
     let mask = tail_mask(owners);
     for (rep, r) in proof.reps.iter().enumerate() {
         let e = challenge_for(root, rep);
-        let e1 = (e + 1) % 3;
+        let pair = [e, (e + 1) % 3];
         if r.outputs.iter().any(|y| y.len() != nw) {
             return Err(AuditError::Malformed {
                 provider,
                 reason: "output share width",
             });
         }
-        if r.partner_ands.len() != slots * nw {
+        if r.partner_ands.len() != head.and_words() {
             return Err(AuditError::Malformed {
                 provider,
                 reason: "partner AND words",
             });
         }
-        let needs_witness = e != 0;
-        if r.witness_share.len() != if needs_witness { nw } else { 0 } {
+        // Party 2's explicit witness share is opened iff party 2 is;
+        // parties 0/1 expand theirs from their seeds.
+        if r.witness_share.len() != if e == 0 { 0 } else { nw } {
             return Err(AuditError::Malformed {
                 provider,
                 reason: "witness share width",
             });
         }
 
-        let tape_e = prg_words(r.seeds[0], TAPE_DOMAIN, slots * nw);
-        let tape_e1 = prg_words(r.seeds[1], TAPE_DOMAIN, slots * nw);
-        // Witness shares of the opened parties: parties 0/1 expand
-        // their seed, party 2's explicit words come from the proof.
-        let wit_e: Vec<u64> = if e == 2 {
-            r.witness_share.clone()
-        } else {
-            prg_words(r.seeds[0], WITNESS_DOMAIN, nw)
-        };
-        let wit_e1: Vec<u64> = if e1 == 2 {
-            r.witness_share.clone()
-        } else {
-            prg_words(r.seeds[1], WITNESS_DOMAIN, nw)
-        };
-        let inputs_e = input_share_words(e, nw, &wit_e, &public);
-        let inputs_e1 = input_share_words(e1, nw, &wit_e1, &public);
-        let (and_e, out_e, out_e1) = recompute_pair(
-            &circuit,
-            &schedule,
-            nw,
-            e,
-            &inputs_e,
-            &inputs_e1,
-            &tape_e,
-            &tape_e1,
-            &r.partner_ands,
-        );
+        // Party `e+1`'s AND wires come from the proof, party `e`'s are
+        // recomputed from both tapes and both parties' wires.
+        for (slot, &party) in pair.iter().enumerate() {
+            head.load(slot, party, r.seeds[slot], &r.witness_share);
+        }
+        ands[1].copy_from_slice(&r.partner_ands);
+        head.evaluate(&pair, &mut ands);
 
-        let wit_commit_e: &[u64] = if e == 2 { &wit_e } else { &[] };
-        if commit_view(stmt, rep, e, r.seeds[0], wit_commit_e, &and_e) != r.commits[e] {
-            return Err(AuditError::ViewDigest {
-                provider,
-                rep,
-                party: e,
-            });
+        for (slot, &party) in pair.iter().enumerate() {
+            let witness: &[u64] = if party == 2 { &r.witness_share } else { &[] };
+            if commit_view(stmt, rep, party, r.seeds[slot], witness, &ands[slot])
+                != r.commits[party]
+            {
+                return Err(AuditError::ViewDigest {
+                    provider,
+                    rep,
+                    party,
+                });
+            }
         }
-        let wit_commit_e1: &[u64] = if e1 == 2 { &wit_e1 } else { &[] };
-        if commit_view(stmt, rep, e1, r.seeds[1], wit_commit_e1, &r.partner_ands) != r.commits[e1] {
-            return Err(AuditError::ViewDigest {
-                provider,
-                rep,
-                party: e1,
-            });
-        }
-        if out_e != r.outputs[e] {
-            return Err(AuditError::OutputShare {
-                provider,
-                rep,
-                party: e,
-            });
-        }
-        if out_e1 != r.outputs[e1] {
-            return Err(AuditError::OutputShare {
-                provider,
-                rep,
-                party: e1,
-            });
+        for (slot, &party) in pair.iter().enumerate() {
+            if head.output(slot) != r.outputs[party] {
+                return Err(AuditError::OutputShare {
+                    provider,
+                    rep,
+                    party,
+                });
+            }
         }
         for w in 0..nw {
             let recon = r.outputs[0][w] ^ r.outputs[1][w] ^ r.outputs[2][w];
@@ -787,47 +710,55 @@ mod tests {
     use eppi_core::model::OwnerId;
     use eppi_core::publish::publish_cell;
 
-    fn published_from(
-        raw: &[u64],
-        stmt_seed: u64,
-        provider: ProviderId,
-        betas: &[f64],
-    ) -> Vec<u64> {
-        let nw = words_for(betas.len());
-        let mut out = vec![0u64; nw];
-        for (j, &beta) in betas.iter().enumerate() {
-            let member = raw[j / 64] >> (j % 64) & 1 == 1;
-            if publish_cell(stmt_seed, provider, OwnerId(j as u32), member, beta) {
-                out[j / 64] |= 1 << (j % 64);
-            }
-        }
-        out
-    }
+    const SEED: u64 = 77;
+    const PROVIDER: ProviderId = ProviderId(3);
 
+    /// Per-owner β's, a raw column, and the column they honestly publish.
     fn sample(owners: usize, seed: u64) -> (Vec<f64>, Vec<u64>, Vec<u64>) {
         let betas: Vec<f64> = (0..owners).map(|j| (j % 10) as f64 / 10.0).collect();
-        let nw = words_for(owners);
-        let mut raw = vec![0u64; nw];
-        for j in 0..owners {
-            if mix64(seed ^ j as u64) & 1 == 1 {
-                raw[j / 64] |= 1 << (j % 64);
-            }
+        let mut raw = vec![0u64; words_for(owners)];
+        let mut published = raw.clone();
+        for (j, &beta) in betas.iter().enumerate() {
+            let member = mix64(seed ^ j as u64) & 1 == 1;
+            raw[j / 64] |= u64::from(member) << (j % 64);
+            let bit = publish_cell(SEED, PROVIDER, OwnerId(j as u32), member, beta);
+            published[j / 64] |= u64::from(bit) << (j % 64);
         }
-        let published = published_from(&raw, 77, ProviderId(3), &betas);
         (betas, raw, published)
+    }
+
+    /// The statement serving `published`, with its honest commitment.
+    fn statement<'a>(
+        betas: &'a [f64],
+        published: &'a [u64],
+    ) -> (ColumnStatement<'a>, ColumnCommitment) {
+        let stmt = ColumnStatement {
+            epoch_seed: SEED,
+            provider: PROVIDER,
+            betas,
+            published,
+        };
+        let commitment = ColumnCommitment::compute(SEED, PROVIDER, betas, published);
+        (stmt, commitment)
+    }
+
+    /// `published` with its first decoy (published 1, raw 0) cleared,
+    /// and the one-bit difference.
+    fn drop_one_decoy(published: &[u64], raw: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        let mut delta = vec![0u64; published.len()];
+        let w = (0..published.len())
+            .find(|&w| published[w] & !raw[w] != 0)
+            .expect("some decoy exists");
+        delta[w] = 1 << (published[w] & !raw[w]).trailing_zeros();
+        let deflipped = published.iter().zip(&delta).map(|(p, d)| p ^ d).collect();
+        (deflipped, delta)
     }
 
     #[test]
     fn honest_proof_verifies() {
         let (betas, raw, published) = sample(100, 1);
-        let stmt = ColumnStatement {
-            epoch_seed: 77,
-            provider: ProviderId(3),
-            betas: &betas,
-            published: &published,
-        };
+        let (stmt, commitment) = statement(&betas, &published);
         let params = AuditParams { repetitions: 8 };
-        let commitment = ColumnCommitment::compute(77, ProviderId(3), &betas, &published);
         for prover_seed in 0..4 {
             let proof = prove_column(&stmt, &raw, &params, prover_seed);
             verify_column(&stmt, &commitment, &proof, &params).unwrap();
@@ -839,14 +770,8 @@ mod tests {
         use eppi_telemetry::Registry;
 
         let (betas, raw, published) = sample(70, 5);
-        let stmt = ColumnStatement {
-            epoch_seed: 77,
-            provider: ProviderId(3),
-            betas: &betas,
-            published: &published,
-        };
+        let (stmt, commitment) = statement(&betas, &published);
         let params = AuditParams { repetitions: 4 };
-        let commitment = ColumnCommitment::compute(77, ProviderId(3), &betas, &published);
         let counts = |r: &Registry| {
             let get = |name| r.counter(name, &[]).get();
             (get("audit.proofs"), get("audit.verified"))
@@ -862,7 +787,8 @@ mod tests {
         assert!(after.0 > before.0 && after.1 > before.1);
 
         let mine = Registry::new();
-        let proof = prove_column_with_registry(&stmt, &raw, &params, 1, &mine);
+        let (certified, proof) = certify_column_with_registry(&stmt, &raw, &params, 1, &mine);
+        assert_eq!(certified, commitment);
         verify_column_with_registry(&stmt, &commitment, &proof, &params, &mine).unwrap();
         assert_eq!(counts(&mine), (1, 1));
     }
@@ -870,20 +796,9 @@ mod tests {
     #[test]
     fn deflipped_column_fails_output_check() {
         let (betas, raw, published) = sample(100, 2);
-        // Drop one decoy: a lane where published = 1 but raw = 0.
-        let mut deflipped = published.clone();
-        let lane = (0..100)
-            .find(|&j| published[j / 64] >> (j % 64) & 1 == 1 && raw[j / 64] >> (j % 64) & 1 == 0)
-            .expect("some decoy exists");
-        deflipped[lane / 64] ^= 1 << (lane % 64);
-        let stmt = ColumnStatement {
-            epoch_seed: 77,
-            provider: ProviderId(3),
-            betas: &betas,
-            published: &deflipped,
-        };
+        let (deflipped, _) = drop_one_decoy(&published, &raw);
+        let (stmt, commitment) = statement(&betas, &deflipped);
         let params = AuditParams { repetitions: 8 };
-        let commitment = ColumnCommitment::compute(77, ProviderId(3), &betas, &deflipped);
         let proof = prove_column(&stmt, &raw, &params, 9);
         assert!(matches!(
             verify_column(&stmt, &commitment, &proof, &params),
@@ -897,23 +812,8 @@ mod tests {
     #[test]
     fn forged_view_sometimes_escapes_one_repetition_never_forty() {
         let (betas, raw, published) = sample(80, 3);
-        let mut deflipped = published.clone();
-        let lane = (0..80)
-            .find(|&j| published[j / 64] >> (j % 64) & 1 == 1 && raw[j / 64] >> (j % 64) & 1 == 0)
-            .expect("some decoy exists");
-        deflipped[lane / 64] ^= 1 << (lane % 64);
-        let delta: Vec<u64> = published
-            .iter()
-            .zip(&deflipped)
-            .map(|(a, b)| a ^ b)
-            .collect();
-        let stmt = ColumnStatement {
-            epoch_seed: 77,
-            provider: ProviderId(3),
-            betas: &betas,
-            published: &deflipped,
-        };
-        let commitment = ColumnCommitment::compute(77, ProviderId(3), &betas, &deflipped);
+        let (deflipped, delta) = drop_one_decoy(&published, &raw);
+        let (stmt, commitment) = statement(&betas, &deflipped);
         // At R = 1 some prover seeds hit a lucky challenge; at the
         // default R = 40 none of them do.
         let one = AuditParams { repetitions: 1 };
@@ -926,9 +826,7 @@ mod tests {
         }
         assert!(escapes > 20, "≈2/3 of single reps escape, saw {escapes}/60");
         assert!(escapes < 60, "pair (2,0) must catch the forgery");
-        let full = AuditParams {
-            repetitions: DEFAULT_REPETITIONS,
-        };
+        let full = AuditParams::default();
         for seed in 0..3 {
             let proof = prove_column_forged(&stmt, &raw, &full, seed, &delta);
             assert!(
@@ -938,23 +836,72 @@ mod tests {
         }
     }
 
+    /// The verifier's public operand comes from public state, not from
+    /// the prover: a prover that commits honestly but evaluates under a
+    /// decision word of its own (one decoy cleared, so its shares
+    /// reconstruct the deflipped column) is internally consistent, and
+    /// is still exposed whenever party 0 — the carrier of the public
+    /// word — is in the opened pair.
+    #[test]
+    fn own_decision_word_is_caught_whenever_party_zero_opens() {
+        let (betas, raw, published) = sample(80, 6);
+        let (deflipped, delta) = drop_one_decoy(&published, &raw);
+        let (stmt, commitment) = statement(&betas, &deflipped);
+        let (official, _) = committed(&stmt);
+        let own: Vec<u64> = official.iter().zip(&delta).map(|(o, d)| o ^ d).collect();
+
+        let one = AuditParams { repetitions: 1 };
+        let mut escapes = 0;
+        for seed in 0..60 {
+            let proof = prove_inner(&stmt, &commitment, &own, &raw, &one, seed, None);
+            let transcript = proof.reps.iter().map(|r| (&r.commits, &r.outputs));
+            let e = challenge_for(challenge_root(&stmt, &commitment, transcript), 0);
+            let verdict = verify_column(&stmt, &commitment, &proof, &one);
+            assert_eq!(
+                verdict.is_err(),
+                e != 1,
+                "seed {seed}, e = {e}: {verdict:?}"
+            );
+            assert!(matches!(
+                verdict,
+                Ok(()) | Err(AuditError::ViewDigest { .. } | AuditError::OutputShare { .. })
+            ));
+            escapes += usize::from(verdict.is_ok());
+        }
+        assert!((5..=35).contains(&escapes), "pair (1,2) is ≈1/3 of 60");
+        let full = AuditParams::default();
+        for seed in 0..8 {
+            let proof = prove_inner(&stmt, &commitment, &own, &raw, &full, seed, None);
+            assert!(
+                verify_column(&stmt, &commitment, &proof, &full).is_err(),
+                "own decision word survived 40 repetitions (seed {seed})"
+            );
+        }
+    }
+
     #[test]
     fn tampered_proof_fields_are_rejected() {
         let (betas, raw, published) = sample(70, 4);
-        let stmt = ColumnStatement {
-            epoch_seed: 77,
-            provider: ProviderId(3),
-            betas: &betas,
-            published: &published,
-        };
+        let (stmt, commitment) = statement(&betas, &published);
         let params = AuditParams { repetitions: 4 };
-        let commitment = ColumnCommitment::compute(77, ProviderId(3), &betas, &published);
         let proof = prove_column(&stmt, &raw, &params, 5);
         verify_column(&stmt, &commitment, &proof, &params).unwrap();
 
+        // One AND slot: a repetition opens exactly `nw` partner words.
+        assert!(proof.reps.iter().all(|r| r.partner_ands.len() == 2));
         let mut bad = proof.clone();
-        bad.reps[1].partner_ands[3] ^= 1;
-        assert!(verify_column(&stmt, &commitment, &bad, &params).is_err());
+        bad.reps[1].partner_ands[1] ^= 1;
+        assert!(matches!(
+            verify_column(&stmt, &commitment, &bad, &params),
+            Err(AuditError::ViewDigest { rep: 1, .. })
+        ));
+
+        let mut bad = proof.clone();
+        bad.reps[1].partner_ands.push(0);
+        assert!(matches!(
+            verify_column(&stmt, &commitment, &bad, &params),
+            Err(AuditError::Malformed { .. })
+        ));
 
         let mut bad = proof.clone();
         bad.reps[2].seeds[0] ^= 1;
@@ -973,14 +920,28 @@ mod tests {
     }
 
     #[test]
+    fn empty_column_certifies_and_verifies_vacuously() {
+        let (stmt, commitment) = statement(&[], &[]);
+        let params = AuditParams { repetitions: 4 };
+        let (certified, proof) =
+            certify_column_with_registry(&stmt, &[], &params, 1, Obs::default());
+        assert_eq!(certified, commitment);
+        assert_eq!(proof.reps.len(), 4);
+        assert_eq!(proof.size_bytes(), 4 * (96 + 16));
+        verify_column(&stmt, &commitment, &proof, &params).unwrap();
+        // Vacuous is not unchecked: the views are still committed.
+        let mut bad = proof;
+        bad.reps[2].seeds[1] ^= 1;
+        assert!(matches!(
+            verify_column(&stmt, &commitment, &bad, &params),
+            Err(AuditError::ViewDigest { rep: 2, .. })
+        ));
+    }
+
+    #[test]
     fn proof_size_scales_with_repetitions() {
         let (betas, raw, published) = sample(64, 5);
-        let stmt = ColumnStatement {
-            epoch_seed: 77,
-            provider: ProviderId(3),
-            betas: &betas,
-            published: &published,
-        };
+        let (stmt, _) = statement(&betas, &published);
         let p2 = prove_column(&stmt, &raw, &AuditParams { repetitions: 2 }, 1);
         let p4 = prove_column(&stmt, &raw, &AuditParams { repetitions: 4 }, 1);
         assert!(p4.size_bytes() > p2.size_bytes());

@@ -32,11 +32,11 @@ pub fn publication_coin(epoch_seed: u64, provider: ProviderId, owner: OwnerId) -
 }
 
 /// The integer form of the publication coin: the top 53 bits of the
-/// cell hash, i.e. `k` with `coin = k / 2^53`. This is the value the
-/// audit layer's flip circuit compares bit-by-bit against
-/// [`publication_threshold`] — the pair is *exactly* equivalent to the
-/// floating-point comparison in [`publish_cell`] (see
-/// `integer_threshold_matches_float_comparison`).
+/// cell hash, i.e. `k` with `coin = k / 2^53`. Compared against
+/// [`publication_threshold`] it is the integer form of the decision
+/// bit the audit layer derives from public state — *exactly*
+/// equivalent to the floating-point comparison in [`publish_cell`]
+/// (see `integer_threshold_matches_float_comparison`).
 pub fn publication_coin_bits(epoch_seed: u64, provider: ProviderId, owner: OwnerId) -> u64 {
     let mut h = epoch_seed
         ^ (u64::from(provider.0) + 1).wrapping_mul(0x2545_f491_4f6c_dd1d)
@@ -57,8 +57,7 @@ pub fn publication_coin_bits(epoch_seed: u64, provider: ProviderId, owner: Owner
 /// in `f64`, and `k` is an integer, so rounding the bound up never
 /// crosses an achievable `k`). `β ≤ 0 → T = 0` (never decoys, matching
 /// the `beta > 0.0` guard) and `β ≥ 1 → T = 2^53` (always), so `T`
-/// always fits in 54 bits — the width of the audit circuit's
-/// comparator.
+/// always fits in 54 bits.
 pub fn publication_threshold(beta: f64) -> u64 {
     (beta.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
 }

@@ -23,11 +23,14 @@ use crate::construct::ProtocolConfig;
 use crate::epoch::{
     construct_delta_with_registry, construct_epoch_with_registry, DeltaConstruction, IndexEpoch,
 };
-use eppi_audit::zkboo::{prove_column_with_registry, verify_column_with_registry};
-use eppi_audit::{AuditError, AuditParams, ColumnCommitment, ColumnProof, ColumnStatement};
+use eppi_audit::{
+    certify_column_with_registry, verify_column_with_registry, AuditError, AuditParams,
+    ColumnCommitment, ColumnProof, ColumnStatement,
+};
 use eppi_core::delta::IndexDelta;
 use eppi_core::error::EppiError;
 use eppi_core::model::{Epsilon, MembershipMatrix, ProviderId};
+use eppi_mpc::packed::words_for;
 use eppi_trace::Obs;
 use std::error::Error;
 use std::fmt;
@@ -137,13 +140,20 @@ fn prover_seed_for(audit: &AuditConfig, epoch: u64, provider: ProviderId) -> u64
         ^ u64::from(provider.0).wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
+/// One provider's packed column, at the audit layer's width: exactly
+/// `words_for(owners)` words (a matrix row keeps one word even when the
+/// lineage has no owners yet).
+fn column(matrix: &MembershipMatrix, provider: ProviderId) -> &[u64] {
+    &matrix.row_words(provider)[..words_for(matrix.owners())]
+}
+
 /// The public statement of one provider column of `epoch`.
 fn statement<'a>(epoch: &'a IndexEpoch, provider: ProviderId) -> ColumnStatement<'a> {
     ColumnStatement {
         epoch_seed: epoch.config().seed,
         provider,
         betas: epoch.index().betas(),
-        published: epoch.index().matrix().row_words(provider),
+        published: column(epoch.index().matrix(), provider),
     }
 }
 
@@ -173,12 +183,9 @@ pub fn certify_epoch_with_registry<'a>(
     matrix
         .provider_ids()
         .map(|provider| {
-            let stmt = statement(epoch, provider);
-            let commitment =
-                ColumnCommitment::compute(stmt.epoch_seed, provider, stmt.betas, stmt.published);
-            let proof = prove_column_with_registry(
-                &stmt,
-                matrix.row_words(provider),
+            let (commitment, proof) = certify_column_with_registry(
+                &statement(epoch, provider),
+                column(matrix, provider),
                 &audit.params,
                 prover_seed_for(audit, epoch.epoch(), provider),
                 obs,
@@ -332,9 +339,9 @@ pub fn construct_epoch_audited_with_registry<'a>(
 
 /// [`construct_delta`](crate::construct_delta) with the audit layer:
 /// runs the incremental construction, re-certifies every provider
-/// column of the *new* epoch (commitments cover whole columns, so
-/// untouched providers re-certify cheaply against unchanged bits), and
-/// runs the auditor gate.
+/// column of the *new* epoch in full (a commitment covers a whole
+/// column, so the audit's cost is that of a fresh epoch however few
+/// columns the delta touched), and runs the auditor gate.
 ///
 /// # Errors
 ///

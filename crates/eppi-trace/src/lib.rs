@@ -366,8 +366,10 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return SpanGuard::noop();
         };
-        let t_ns = elapsed_ns(inner);
         with_slot(inner, |slot| {
+            // Read the clock once the slot exists: a thread's first span
+            // must not absorb the allocation of its ring.
+            let t_ns = elapsed_ns(inner);
             let id = slot.span_id(inner);
             let name = slot.intern(inner, name);
             slot.ring.push(&RawEvent {
@@ -406,8 +408,8 @@ impl Tracer {
         if parent.is_none() {
             return SpanGuard::noop();
         }
-        let t_ns = elapsed_ns(inner);
         with_slot(inner, |slot| {
+            let t_ns = elapsed_ns(inner);
             let span = slot.span_id(inner);
             let name = slot.intern(inner, name);
             slot.ring.push(&RawEvent {
@@ -440,8 +442,8 @@ impl Tracer {
         if parent.is_none() {
             return;
         }
-        let t_ns = elapsed_ns(inner);
         with_slot(inner, |slot| {
+            let t_ns = elapsed_ns(inner);
             let span = slot.span_id(inner);
             let name = slot.intern(inner, name);
             slot.ring.push(&RawEvent {

@@ -10,7 +10,10 @@ use eppi::core::delta::{ColumnChange, DeltaEntry, IndexDelta};
 use eppi::core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId};
 use eppi::durability::{encode_epoch, DurableStore};
 use eppi::protocol::construct::construct_distributed_with_registry;
-use eppi::protocol::{construct_delta, construct_epoch, Backend, ProtocolConfig};
+use eppi::protocol::{
+    construct_delta, construct_epoch, construct_epoch_audited, verify_commitments, verify_epoch,
+    AuditConfig, Backend, ProtocolConfig,
+};
 use eppi::telemetry::Registry;
 use std::path::PathBuf;
 
@@ -158,4 +161,57 @@ fn post_recovery_advance_runs_the_delta_circuit_only() {
     );
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An audited lineage may start with no owners at all (it grows by
+/// deltas): every provider's empty column certifies and verifies
+/// vacuously, the store persists and re-checks the commitments, and the
+/// first audited delta certifies real cells. The audited build of an
+/// empty lineage used to panic on the column width.
+#[test]
+fn audited_empty_lineage_certifies_persists_and_grows() {
+    let mut matrix = MembershipMatrix::new(5, 0);
+    let cfg = ProtocolConfig {
+        seed: 31,
+        ..ProtocolConfig::default()
+    };
+    let audit = AuditConfig::default();
+    let anchor = construct_epoch_audited(&matrix, &[], &cfg, &audit).expect("empty audited build");
+    assert_eq!(anchor.certificates.len(), 5);
+    for cert in &anchor.certificates {
+        assert_eq!(cert.commitment.owners, 0);
+        assert_eq!(cert.proof.reps.len(), audit.params.repetitions);
+        assert!(cert.proof.reps.iter().all(|r| r.outputs[0].is_empty()
+            && r.partner_ands.is_empty()
+            && r.witness_share.is_empty()));
+    }
+    verify_epoch(&anchor.epoch, &anchor.certificates, &audit).expect("vacuous gate");
+    verify_commitments(&anchor.epoch, &anchor.commitments()).expect("commitments");
+    // Vacuous is not unchecked: certificates still have to be the epoch's own.
+    assert!(verify_epoch(&anchor.epoch, &anchor.certificates[..4], &audit).is_err());
+
+    let dir = tmp_dir("audited-empty");
+    drop(DurableStore::create_audited(&dir, &anchor).expect("create_audited"));
+    let (mut store, recovery) = DurableStore::open(&dir).expect("open");
+    assert_eq!(recovery.audited, 1);
+    assert_eq!(store.commitments(), anchor.commitments());
+    assert_eq!(encode_epoch(store.head()), encode_epoch(&anchor.epoch));
+
+    matrix.grow_owners(1);
+    matrix.set(ProviderId(2), OwnerId(0), true);
+    let mut delta = IndexDelta::new(0);
+    delta.record(DeltaEntry {
+        owner: OwnerId(0),
+        change: ColumnChange::Added,
+        epsilon: Epsilon::new(0.5).unwrap(),
+    });
+    store
+        .advance_audited(&matrix, &delta, &audit)
+        .expect("first audited delta");
+    assert!(store.commitments().iter().all(|c| c.owners == 1));
+    drop(store);
+    let (store, recovery) = DurableStore::open(&dir).expect("reopen");
+    assert_eq!((recovery.replayed, recovery.audited), (1, 2));
+    assert!(store.head().index().matrix().get(ProviderId(2), OwnerId(0)));
+    let _ = std::fs::remove_dir_all(&dir);
 }
