@@ -5,6 +5,23 @@
 //! written against these combinators and compiled to a flat Boolean
 //! [`Circuit`]. Words are little-endian bit vectors; arithmetic is
 //! unsigned with power-of-two wraparound (the share group `Z_{2^w}`).
+//!
+//! **Public constants fold.** The primitive gates ([`xor`], [`and`],
+//! [`not`]) look at their operands: an operand that is a constant wire
+//! yields a constant, the other operand, or its negation instead of a
+//! gate, and [`constant`] emits at most one wire per value. So no
+//! emitted gate ever takes a constant operand, and no Beaver AND is
+//! spent on public data — a comparison, addition or subtraction of a
+//! `w`-bit secret and a public constant costs at most `w − 1` ANDs
+//! instead of about `2w`. The costs quoted on the combinators below are
+//! for secret operands; constant ones only make them cheaper. The
+//! circuit's shape therefore depends on the public constants it was
+//! built with, never on a secret.
+//!
+//! [`xor`]: CircuitBuilder::xor
+//! [`and`]: CircuitBuilder::and
+//! [`not`]: CircuitBuilder::not
+//! [`constant`]: CircuitBuilder::constant
 
 use crate::circuit::{Circuit, Gate, WireId};
 
@@ -38,6 +55,8 @@ impl Word {
 pub struct CircuitBuilder {
     inputs: usize,
     gates: Vec<Gate>,
+    /// The wire of each constant emitted so far, indexed by its value.
+    constants: [Option<WireId>; 2],
 }
 
 impl CircuitBuilder {
@@ -72,28 +91,67 @@ impl CircuitBuilder {
         w
     }
 
-    /// Emits a constant bit.
+    /// The value of `w` if it is a constant wire.
+    fn constant_value(&self, w: WireId) -> Option<bool> {
+        match self.gates.get(w.index().checked_sub(self.inputs)?) {
+            Some(&Gate::Const(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The constant bit `value`: emitted on first use, then reused.
     pub fn constant(&mut self, value: bool) -> WireId {
-        self.push(Gate::Const(value))
+        if let Some(w) = self.constants[usize::from(value)] {
+            return w;
+        }
+        let w = self.push(Gate::Const(value));
+        self.constants[usize::from(value)] = Some(w);
+        w
     }
 
-    /// Emits `a XOR b`.
+    /// `a XOR b`; free. A constant operand folds to the other operand
+    /// or its negation.
     pub fn xor(&mut self, a: WireId, b: WireId) -> WireId {
-        self.push(Gate::Xor(a, b))
+        match (self.constant_value(a), self.constant_value(b)) {
+            (Some(k), _) => self.xor_constant(b, k),
+            (None, Some(k)) => self.xor_constant(a, k),
+            (None, None) => self.push(Gate::Xor(a, b)),
+        }
     }
 
-    /// Emits `a AND b`.
+    fn xor_constant(&mut self, a: WireId, k: bool) -> WireId {
+        if k {
+            self.not(a)
+        } else {
+            a
+        }
+    }
+
+    /// `a AND b`: one Beaver AND when both operands are secret; a
+    /// constant operand folds to `false` or the other operand.
     pub fn and(&mut self, a: WireId, b: WireId) -> WireId {
-        self.push(Gate::And(a, b))
+        match (self.constant_value(a), self.constant_value(b)) {
+            (Some(false), _) | (_, Some(false)) => self.constant(false),
+            (Some(true), _) => b,
+            (_, Some(true)) => a,
+            (None, None) => self.push(Gate::And(a, b)),
+        }
     }
 
-    /// Emits `NOT a`.
+    /// `NOT a`; free. A constant operand folds to the opposite constant.
     pub fn not(&mut self, a: WireId) -> WireId {
-        self.push(Gate::Not(a))
+        match self.constant_value(a) {
+            Some(v) => self.constant(!v),
+            None => self.push(Gate::Not(a)),
+        }
     }
 
-    /// Emits `a OR b` (costs one AND: `a⊕b⊕(a∧b)`).
+    /// `a OR b` as `a⊕b⊕(a∧b)`: one AND when both operands are secret,
+    /// none when either is constant.
     pub fn or(&mut self, a: WireId, b: WireId) -> WireId {
+        if self.constant_value(a) == Some(true) || self.constant_value(b) == Some(true) {
+            return self.constant(true);
+        }
         let x = self.xor(a, b);
         let n = self.and(a, b);
         self.xor(x, n)
@@ -145,7 +203,8 @@ impl CircuitBuilder {
         }
     }
 
-    /// Emits a constant word.
+    /// The constant word `value` (low `bits` bits), built from the two
+    /// shared constant wires.
     pub fn const_word(&mut self, value: u64, bits: usize) -> Word {
         Word(
             (0..bits)
@@ -167,7 +226,8 @@ impl CircuitBuilder {
         Word(out)
     }
 
-    /// Ripple-carry addition with the carry dropped: `(a + b) mod 2^w`.
+    /// Ripple-carry addition with the carry dropped: `(a + b) mod 2^w`,
+    /// `2w − 1` ANDs for secret operands.
     ///
     /// This is exactly the share-group reduction for a power-of-two
     /// modulus, which is why CountBelow needs no explicit mod-q circuit.
@@ -251,8 +311,10 @@ impl CircuitBuilder {
     }
 
     /// Schoolbook multiplication: exact product of width
-    /// `a.width() + b.width()` (O(w²) gates — this is why the paper
-    /// pushes arithmetic out of the secure computation).
+    /// `a.width() + b.width()` (O(w²) gates for secret operands — this
+    /// is why the paper pushes arithmetic out of the secure
+    /// computation; a constant multiplier leaves only the adders of its
+    /// set bits).
     pub fn mul_words(&mut self, a: &Word, b: &Word) -> Word {
         let total = a.width() + b.width();
         let mut acc = self.const_word(0, total);
@@ -343,7 +405,10 @@ impl CircuitBuilder {
         self.resize_word(&root, half)
     }
 
-    /// Unsigned comparison `a < b` via the borrow chain of `a − b`.
+    /// Unsigned comparison `a < b` via the borrow chain of `a − b`:
+    /// `2w − 1` ANDs for secret operands, at most `w − 1` when one of
+    /// them is a constant word (one AND per bit once the borrow
+    /// depends on the secret).
     ///
     /// # Panics
     ///
@@ -479,8 +544,268 @@ pub fn to_bits(value: u64, bits: usize) -> Vec<bool> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// What constant folding guarantees of every built circuit: no gate
+    /// but a constant takes a constant operand, and each constant value
+    /// has at most one wire.
+    pub(crate) fn assert_folded(c: &Circuit) {
+        let is_const = |w: WireId| {
+            w.index() >= c.inputs() && matches!(c.gates()[w.index() - c.inputs()], Gate::Const(_))
+        };
+        for (k, gate) in c.gates().iter().enumerate() {
+            let operands = match *gate {
+                Gate::Xor(a, b) | Gate::And(a, b) => vec![a, b],
+                Gate::Not(a) => vec![a],
+                Gate::Const(_) => Vec::new(),
+            };
+            assert!(
+                !operands.into_iter().any(is_const),
+                "gate {k} ({gate:?}) takes a constant operand"
+            );
+        }
+        let stats = c.stats();
+        assert!(
+            stats.const_gates <= 2,
+            "{} constant gates",
+            stats.const_gates
+        );
+    }
+
+    /// `f(x, k)` (or `f(k, x)` when `const_first`) over a secret `w`-bit
+    /// word `x` and the constant word `k`, checked for folding.
+    fn mixed_circuit(
+        f: &impl Fn(&mut CircuitBuilder, &Word, &Word) -> Vec<WireId>,
+        k: u64,
+        w: usize,
+        const_first: bool,
+    ) -> Circuit {
+        let mut cb = CircuitBuilder::new();
+        let secret = cb.input_word(w);
+        let constant = cb.const_word(k, w);
+        let out = if const_first {
+            f(&mut cb, &constant, &secret)
+        } else {
+            f(&mut cb, &secret, &constant)
+        };
+        let c = cb.finish(out);
+        assert_folded(&c);
+        c
+    }
+
+    /// Exhaustively compares `f` with one operand a constant word
+    /// against `want` (as u64 semantics) for widths 1..=4, both operand
+    /// orders; returns the largest AND count any of the circuits had,
+    /// per width.
+    fn check_mixed(
+        f: impl Fn(&mut CircuitBuilder, &Word, &Word) -> Vec<WireId>,
+        want: impl Fn(u64, u64, usize) -> u64,
+        what: &str,
+    ) -> Vec<usize> {
+        (1..=4usize)
+            .map(|w| {
+                let mut most_ands = 0;
+                for k in 0..1u64 << w {
+                    for const_first in [false, true] {
+                        let c = mixed_circuit(&f, k, w, const_first);
+                        most_ands = most_ands.max(c.stats().and_gates);
+                        for x in 0..1u64 << w {
+                            let (a, b) = if const_first { (k, x) } else { (x, k) };
+                            let got = word_value(&c.eval(&to_bits(x, w)));
+                            assert_eq!(got, want(a, b, w), "{what}({a}, {b}) at w = {w}");
+                        }
+                    }
+                }
+                most_ands
+            })
+            .collect()
+    }
+
+    /// Adders, subtractor and comparators with a constant operand: u64
+    /// semantics, at most `w − 1` ANDs.
+    #[test]
+    fn linear_combinators_with_a_constant_operand_match_u64_and_cost_under_w() {
+        let mask = |w: usize| (1u64 << w) - 1;
+        let checks: [(&str, Vec<usize>); 6] = [
+            (
+                "add",
+                check_mixed(
+                    |cb, a, b| cb.add_words(a, b).bits().to_vec(),
+                    |a, b, w| (a + b) & mask(w),
+                    "add",
+                ),
+            ),
+            (
+                "add_expand",
+                check_mixed(
+                    |cb, a, b| cb.add_words_expand(a, b).bits().to_vec(),
+                    |a, b, _| a + b,
+                    "add_expand",
+                ),
+            ),
+            (
+                "sub",
+                check_mixed(
+                    |cb, a, b| cb.sub_words(a, b).bits().to_vec(),
+                    |a, b, w| a.wrapping_sub(b) & mask(w),
+                    "sub",
+                ),
+            ),
+            (
+                "lt",
+                check_mixed(
+                    |cb, a, b| vec![cb.lt_words(a, b)],
+                    |a, b, _| u64::from(a < b),
+                    "lt",
+                ),
+            ),
+            (
+                "ge",
+                check_mixed(
+                    |cb, a, b| vec![cb.ge_words(a, b)],
+                    |a, b, _| u64::from(a >= b),
+                    "ge",
+                ),
+            ),
+            (
+                "eq",
+                check_mixed(
+                    |cb, a, b| vec![cb.eq_words(a, b)],
+                    |a, b, _| u64::from(a == b),
+                    "eq",
+                ),
+            ),
+        ];
+        for (what, most_ands) in checks {
+            for (w, ands) in (1..).zip(most_ands) {
+                assert!(ands < w, "{what} at w = {w}: {ands} ANDs");
+            }
+        }
+    }
+
+    #[test]
+    fn multiplier_and_divider_with_a_constant_operand_match_u64() {
+        check_mixed(
+            |cb, a, b| cb.mul_words(a, b).bits().to_vec(),
+            |a, b, _| a * b,
+            "mul",
+        );
+        // Division by zero: all-ones quotient, the dividend as remainder.
+        let div = |a: u64, b: u64, w: usize| match b {
+            0 => ((1u64 << w) - 1, a),
+            _ => (a / b, a % b),
+        };
+        check_mixed(
+            |cb, a, b| cb.div_words(a, b).0.bits().to_vec(),
+            |a, b, w| div(a, b, w).0,
+            "div quotient",
+        );
+        check_mixed(
+            |cb, a, b| cb.div_words(a, b).1.bits().to_vec(),
+            |a, b, w| div(a, b, w).1,
+            "div remainder",
+        );
+    }
+
+    /// `mux` with a secret selector and one constant arm, and with a
+    /// constant selector over secret arms.
+    #[test]
+    fn mux_with_constant_operands_matches_u64() {
+        for w in 1..=4usize {
+            for k in 0..1u64 << w {
+                for const_arm in [0usize, 1] {
+                    let mut cb = CircuitBuilder::new();
+                    let sel = cb.input();
+                    let secret = cb.input_word(w);
+                    let constant = cb.const_word(k, w);
+                    let (a, b) = if const_arm == 0 {
+                        (&constant, &secret)
+                    } else {
+                        (&secret, &constant)
+                    };
+                    let out = cb.mux_word(sel, a, b);
+                    let c = cb.finish_word(out);
+                    assert_folded(&c);
+                    for x in 0..1u64 << w {
+                        for s in [false, true] {
+                            let mut inputs = vec![s];
+                            inputs.extend(to_bits(x, w));
+                            let (va, vb) = if const_arm == 0 { (k, x) } else { (x, k) };
+                            let want = if s { va } else { vb };
+                            assert_eq!(word_value(&c.eval(&inputs)), want, "w={w} k={k}");
+                        }
+                    }
+                }
+            }
+            for s in [false, true] {
+                let mut cb = CircuitBuilder::new();
+                let a = cb.input_word(w);
+                let b = cb.input_word(w);
+                let sel = cb.constant(s);
+                let out = cb.mux_word(sel, &a, &b);
+                let c = cb.finish_word(out);
+                assert_folded(&c);
+                assert_eq!(c.stats().and_gates, 0, "a public selector costs no AND");
+                for x in 0..1u64 << (2 * w) {
+                    let (va, vb) = (x & ((1 << w) - 1), x >> w);
+                    let want = if s { va } else { vb };
+                    assert_eq!(word_value(&c.eval(&to_bits(x, 2 * w))), want);
+                }
+            }
+        }
+    }
+
+    /// `sqrt` and `popcount` over words whose high bits are public.
+    #[test]
+    fn sqrt_and_popcount_with_constant_bits_match_u64() {
+        for w in 1..=4usize {
+            for k in 0..1u64 << w {
+                let mut cb = CircuitBuilder::new();
+                let secret = cb.input_word(w);
+                let constant = cb.const_word(k, w);
+                let mut bits = secret.bits().to_vec();
+                bits.extend_from_slice(constant.bits());
+                let root = cb.sqrt_word(&Word::from_bits(bits.clone()));
+                let count = cb.popcount(&bits);
+                let mut outs = root.bits().to_vec();
+                let root_width = outs.len();
+                outs.extend_from_slice(count.bits());
+                let c = cb.finish(outs);
+                assert_folded(&c);
+                for x in 0..1u64 << w {
+                    let v = x | k << w;
+                    let out = c.eval(&to_bits(x, w));
+                    let want_root = (v as f64).sqrt().floor() as u64;
+                    assert_eq!(word_value(&out[..root_width]), want_root, "sqrt({v})");
+                    let want_count = u64::from(v.count_ones());
+                    assert_eq!(word_value(&out[root_width..]), want_count, "popcount({v})");
+                }
+            }
+        }
+    }
+
+    /// A circuit over constants alone folds to constants: no gate but
+    /// the two constant wires.
+    #[test]
+    fn all_constant_operands_fold_away() {
+        let mut cb = CircuitBuilder::new();
+        let a = cb.const_word(11, 5);
+        let b = cb.const_word(6, 5);
+        let sum = cb.add_words_expand(&a, &b);
+        let prod = cb.mul_words(&a, &b);
+        let lt = cb.lt_words(&b, &a);
+        let or = cb.or(lt, sum.bits()[0]);
+        let mut outs = sum.bits().to_vec();
+        outs.extend_from_slice(prod.bits());
+        outs.push(or);
+        let c = cb.finish(outs);
+        assert_eq!(c.gates().len(), 2, "{:?}", c.gates());
+        let out = c.eval(&[]);
+        assert_eq!(word_value(&out[..6]), 17);
+        assert_eq!(word_value(&out[6..16]), 66);
+        assert!(out[16]);
+    }
 
     fn eval_binop(
         f: impl Fn(&mut CircuitBuilder, &Word, &Word) -> Word,

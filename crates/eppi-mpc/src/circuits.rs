@@ -22,6 +22,16 @@
 //! All circuits work over the power-of-two share group `Z_{2^w}`: the
 //! ripple-carry adders drop the carry, which *is* the mod-`2^w`
 //! reduction.
+//!
+//! The thresholds `t_j` and the λ threshold are public constants, and
+//! the builder folds them (see [`crate::builder`]): the comparison of a
+//! `w`-bit share sum against `t_j` costs at most `w − 1` ANDs, the
+//! `k + 1`-bit coin comparison at most `k`, and a λ of 0 or 1 decides
+//! the coin without any. So per identity CountBelow costs at most
+//! `(c−1)(2w−1) + (w−1)` ANDs plus its share of the popcount, and the
+//! mix decision at most `(c−1)(2w−1) + (w−1) + k + 1`. A circuit's
+//! shape is a function of `c`, `w`, the thresholds and λ — public data
+//! every coordinator already holds — and of nothing secret.
 
 use crate::builder::{to_bits, word_value, CircuitBuilder, Word};
 use crate::circuit::{Circuit, InputLayout};
@@ -56,7 +66,8 @@ pub struct CountBelowCircuit {
 
 impl CountBelowCircuit {
     /// Compiles the circuit for `parties` coordinators, per-identity
-    /// public thresholds `t_j = σ'_j · m` and a `width`-bit share group
+    /// public thresholds `t_j = σ'_j · m` (clamped to `2^width − 1`,
+    /// folded into the comparators) and a `width`-bit share group
     /// `Z_{2^width}`.
     ///
     /// # Panics
@@ -895,6 +906,96 @@ mod tests {
             naive > 10 * compare_only,
             "in-circuit β ({naive} gates) must dwarf the compare-only circuit ({compare_only})"
         );
+    }
+
+    /// Every circuit the builder makes folds its public constants: no
+    /// gate takes a constant operand, there are at most two constant
+    /// wires, and a public comparison stays inside its per-identity AND
+    /// budget — across party counts, share widths, thresholds at the
+    /// bit-pattern edges (0, 1, powers of two, 2^w − 1, clamped) and λ
+    /// from 0 to 1. CountBelow and mix also still compute what they
+    /// should on those edges.
+    #[test]
+    fn circuits_fold_public_constants_within_their_and_budgets() {
+        use crate::builder::tests::assert_folded;
+        let k = 8usize;
+        let lambdas = [0.0, 2f64.powi(-(k as i32)), 0.1656, 1.0];
+        let mut rng = StdRng::seed_from_u64(8);
+        for c in [2usize, 3, 5] {
+            for w in [1usize, 4, 7, 9] {
+                let top = (1u64 << w) - 1;
+                let mut thresholds = vec![0, 1, top, top + 1, top + 100];
+                thresholds.extend((1..w).map(|i| 1u64 << i));
+                let n = thresholds.len();
+                let popcount_ands = {
+                    let mut cb = CircuitBuilder::new();
+                    let bits = cb.input_word(n);
+                    let count = cb.popcount(bits.bits());
+                    cb.finish_word(count).stats().and_gates
+                };
+                let compare = (c - 1) * (2 * w - 1) + (w - 1);
+                let what = format!("c={c} w={w}");
+
+                let freqs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=top)).collect();
+                let shares = share_frequencies(&freqs, c, w, &mut rng);
+                let common: Vec<bool> = freqs
+                    .iter()
+                    .zip(&thresholds)
+                    .map(|(&f, &t)| f >= t.min(top))
+                    .collect();
+
+                let cc = CountBelowCircuit::build(c, &thresholds, w);
+                assert_folded(cc.circuit());
+                let ands = cc.circuit().stats().and_gates;
+                assert!(ands <= n * compare + popcount_ands, "{what}: {ands} ANDs");
+                let inputs: Vec<Vec<bool>> =
+                    shares.iter().map(|s| cc.encode_party_input(s)).collect();
+                let count = cc.decode_count(&cc.circuit().eval(&cc.layout().flatten(&inputs)));
+                assert_eq!(
+                    count,
+                    common.iter().filter(|&&b| b).count() as u64,
+                    "{what}"
+                );
+
+                for lambda in lambdas {
+                    let lam = lambda_threshold(lambda, k);
+                    let what = format!("{what} λ={lambda}");
+                    let mc = MixDecisionCircuit::build(c, &thresholds, w, k, lam);
+                    assert_folded(mc.circuit());
+                    let ands = mc.circuit().stats().and_gates;
+                    assert!(ands <= n * (compare + k + 1), "{what}: {ands} ANDs");
+                    let coins: Vec<Vec<u64>> = (0..c)
+                        .map(|_| (0..n).map(|_| rng.gen_range(0..1 << k)).collect())
+                        .collect();
+                    let inputs: Vec<Vec<bool>> = shares
+                        .iter()
+                        .zip(&coins)
+                        .map(|(s, coins)| mc.encode_party_input(s, coins))
+                        .collect();
+                    let decisions =
+                        mc.decode_decisions(&mc.circuit().eval(&mc.layout().flatten(&inputs)));
+                    for j in 0..n {
+                        let coin = coins.iter().fold(0, |u, party| u ^ party[j]);
+                        assert_eq!(decisions[j], common[j] || coin < lam, "{what} identity {j}");
+                    }
+
+                    let pc = PureConstructionCircuit::build(c, &thresholds, k, lam);
+                    assert_folded(pc.circuit());
+                }
+            }
+        }
+        let fp = FixedPoint { frac_bits: 4 };
+        for providers in [2usize, 3, 5] {
+            let nc = NaiveConstructionCircuit::build(
+                providers,
+                &[0, 1, fp.encode(1.0), fp.encode(2.5)],
+                fp.encode(2.3),
+                fp,
+                4,
+                lambda_threshold(0.1656, 4),
+            );
+            assert_folded(nc.circuit());
+        }
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! * [`transport`] — the [`transport::Transport`] trait the packed GMW
 //!   core (`eppi-mpc::gmw_core`) runs over, with in-process-, simulator-
 //!   and thread-backed implementations.
-//! * [`pipeline`] — lane framing, per-peer send coalescing and paced
-//!   link emulation for the pipelined multi-lane MPC runtime
-//!   (`eppi-protocol::pipelined_gmw`), plus its `mpc.pipeline.*`
-//!   telemetry instruments.
+//! * [`pipeline`] — lane framing and per-peer send coalescing for the
+//!   pipelined multi-lane MPC runtime (`eppi-protocol::pipelined_gmw`),
+//!   plus its `mpc.pipeline.*` telemetry instruments.
 //! * [`topology`] — ring successor maps and coordinator selection used by
 //!   the SecSumShare share-distribution step (Fig. 3).
 //! * [`traced`] — a [`transport::Transport`] decorator emitting one

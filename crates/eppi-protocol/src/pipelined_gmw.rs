@@ -46,9 +46,7 @@ use eppi_mpc::circuit::{Circuit, InputLayout};
 use eppi_mpc::gmw::GmwStats;
 use eppi_mpc::gmw_core::{agreed_outputs, deal_layer_triples, PartyCore, Schedule};
 use eppi_mpc::stage::{ChannelTriples, StageOutput};
-use eppi_net::pipeline::{
-    Frame, FrameReceiver, FrameSender, LaneItem, LinkPacing, PipelineMetrics,
-};
+use eppi_net::pipeline::{Frame, FrameSender, LaneItem, PipelineMetrics};
 use eppi_net::threaded::{run_parties, TransportError};
 use eppi_net::transport::PackedBatch;
 use eppi_trace::Obs;
@@ -69,14 +67,12 @@ const PARTY_SALT: u64 = 0x9e3779b97f4a7c15;
 /// Tuning of the pipelined runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Lane-evaluation worker threads per party. On a paced link this
-    /// is the number of lane round-trips kept in flight concurrently.
+    /// Lane-evaluation worker threads per party: the number of lane
+    /// round trips kept in flight concurrently.
     pub workers: usize,
     /// Bounded depth (in schedule levels) of each lane's streaming
     /// triple channel — how far the dealer may run ahead.
     pub triple_buffer: usize,
-    /// Optional emulated link latency (absolute delivery deadlines).
-    pub pacing: Option<LinkPacing>,
     /// How long a router waits for the next frame before declaring the
     /// network dead.
     pub recv_timeout: Duration,
@@ -87,7 +83,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             workers: 2,
             triple_buffer: 4,
-            pacing: None,
             recv_timeout: Duration::from_secs(30),
         }
     }
@@ -309,7 +304,7 @@ pub fn execute_pipelined_with_registry<'a>(
                 let mut party_span = tracer.child(exec_ctx, "mpc.party");
                 party_span.set_payload(me as u64);
                 let pctx = party_span.ctx();
-                let (net_tx, net_rx) = h.split();
+                let (net_tx, mut net_rx) = h.split();
 
                 let (out_tx, out_rx) = crossbeam::channel::bounded::<OutMsg>(lanes.len() * 2);
                 let mut inbox_txs = Vec::with_capacity(lanes.len());
@@ -370,16 +365,15 @@ pub fn execute_pipelined_with_registry<'a>(
                     // unblocks every parked worker) once all expected
                     // sets are delivered or the network goes silent.
                     let router = ps.spawn(move |_| -> Option<TransportError> {
-                        let mut fr = FrameReceiver::new(net_rx, config.pacing);
                         let mut outstanding: u64 = steps.iter().map(|&n| n as u64).sum();
                         let mut waiting: HashMap<(u32, u32), Vec<(usize, PackedBatch)>> =
                             HashMap::new();
                         while outstanding > 0 {
-                            let (from, arrived) = match fr.recv(config.recv_timeout) {
-                                Ok(v) => v,
+                            let (from, frame) = match net_rx.recv_timeout(config.recv_timeout) {
+                                Ok((from, frame)) => (from.index(), frame),
                                 Err(e) => return Some(e),
                             };
-                            for item in arrived {
+                            for item in frame.items {
                                 let key = (item.lane, item.step);
                                 let set = waiting
                                     .entry(key)
@@ -656,52 +650,5 @@ mod tests {
         let (outputs, report) = execute_pipelined(&[], &PipelineConfig::default()).unwrap();
         assert!(outputs.is_empty());
         assert_eq!(report.lanes, 0);
-    }
-
-    #[test]
-    fn paced_pipeline_overlaps_lane_round_trips() {
-        // With a paced link, 4 lanes × 4 workers should take far less
-        // than 4× one lane's serial latency budget. Keep the margin
-        // loose: this is a correctness-of-overlap check, not a bench.
-        let (circuit, layout) = sum_lt_circuit(4);
-        let mut rng = StdRng::seed_from_u64(3);
-        let lane_inputs: Vec<Vec<Vec<bool>>> = (0..4)
-            .map(|_| (0..3).map(|_| to_bits(rng.gen_range(0..16), 4)).collect())
-            .collect();
-        let lanes: Vec<LaneSpec<'_>> = lane_inputs
-            .iter()
-            .enumerate()
-            .map(|(i, inputs)| LaneSpec {
-                circuit: &circuit,
-                layout: &layout,
-                inputs,
-                seed: 70 + i as u64,
-            })
-            .collect();
-        let latency = Duration::from_millis(2);
-        let pacing = Some(LinkPacing { latency });
-
-        let started = Instant::now();
-        let config = PipelineConfig {
-            workers: 4,
-            pacing,
-            ..PipelineConfig::default()
-        };
-        let (outputs, report) = execute_pipelined(&lanes, &config).unwrap();
-        let pipelined = started.elapsed();
-        let rounds = report.lane_reports[0].rounds as u32;
-
-        for (i, inputs) in lane_inputs.iter().enumerate() {
-            let (oracle, _) = execute_threaded(&circuit, &layout, inputs, 70 + i as u64);
-            assert_eq!(outputs[i], oracle);
-        }
-        // Serial would cost ≥ lanes × rounds × latency; overlapped
-        // should stay well under that (allow 3× headroom for the
-        // single-core box this runs on).
-        let serial_floor = latency * rounds * 4;
-        assert!(
-            pipelined < serial_floor,
-            "no overlap: {pipelined:?} ≥ {serial_floor:?}"
-        );
     }
 }

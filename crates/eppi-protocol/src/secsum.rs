@@ -27,6 +27,17 @@
 //! OS thread per provider ([`secsumshare_threaded_stats`], wall-clock
 //! experiments). Same node, same per-provider seeding, so shares,
 //! message counts and bytes are identical across the two.
+//!
+//! **Wire format.** A share is an element of `Z_q` and travels at
+//! `w = ⌈log₂ q⌉` bits (`Modulus::bits`; 7 bits at the paper's
+//! m = 64), not as a `u64`: a batch of `n` shares is a 1-byte message
+//! tag, a 4-byte element count and `⌈n·w/8⌉` bytes holding element `j`
+//! in bits `[j·w, (j+1)·w)`, little-endian, with the bits above `n·w`
+//! zero. So a message costs `5 + ⌈n·w/8⌉` bytes, and a run
+//! `(c−1)·m + m` such messages. The receiver checks the count, the byte
+//! length, the padding and that every element is below `q`, and stops
+//! loudly, naming the sender, on a malformed batch — it never sums a
+//! partial one.
 
 use eppi_core::model::{LocalVector, OwnerId};
 use eppi_mpc::field::Modulus;
@@ -48,20 +59,97 @@ pub struct SecSumOutput {
     pub stats: NetStats,
 }
 
+/// A batch of `Z_q` elements, one per identity, packed at
+/// `modulus.bits()` bits each (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+struct PackedShares {
+    /// Number of elements.
+    len: u32,
+    /// The elements, little-endian, `⌈len·w/8⌉` bytes.
+    bytes: Vec<u8>,
+}
+
+impl PackedShares {
+    /// Packs `values` (each below `2^w`, `1 ≤ w ≤ 64`) word-wise: each
+    /// element is shifted into a 128-bit accumulator, which is drained
+    /// a `u64` at a time.
+    fn pack(values: &[u64], w: u32) -> Self {
+        let mut bytes = Vec::with_capacity((values.len() * w as usize).div_ceil(8));
+        let (mut acc, mut held) = (0u128, 0u32);
+        for &v in values {
+            acc |= u128::from(v) << held;
+            held += w;
+            if held >= 64 {
+                bytes.extend_from_slice(&(acc as u64).to_le_bytes());
+                acc >>= 64;
+                held -= 64;
+            }
+        }
+        bytes.extend_from_slice(&(acc as u64).to_le_bytes()[..held.div_ceil(8) as usize]);
+        PackedShares {
+            len: values.len() as u32,
+            bytes,
+        }
+    }
+
+    /// Unpacks exactly `n` elements of `Z_q`, refilling the accumulator
+    /// a `u64` at a time. Fails, saying why, unless the batch holds `n`
+    /// elements in `⌈n·w/8⌉` bytes with zero padding bits, each below
+    /// `q`.
+    fn unpack(&self, n: usize, modulus: Modulus) -> Result<Vec<u64>, String> {
+        let w = modulus.bits();
+        if self.len as usize != n {
+            return Err(format!("{} elements, expected {n}", self.len));
+        }
+        let expected = (n * w as usize).div_ceil(8);
+        if self.bytes.len() != expected {
+            return Err(format!("{} bytes, expected {expected}", self.bytes.len()));
+        }
+        let mask = u64::MAX >> (64 - w);
+        let mut chunks = self.bytes.chunks(8);
+        let (mut acc, mut held) = (0u128, 0u32);
+        let mut values = Vec::with_capacity(n);
+        for j in 0..n {
+            if held < w {
+                // The length check guarantees the bytes cover n·w bits.
+                let chunk = chunks.next().expect("length checked");
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                acc |= u128::from(u64::from_le_bytes(word)) << held;
+                held += 8 * chunk.len() as u32;
+            }
+            let v = acc as u64 & mask;
+            if v >= modulus.value() {
+                return Err(format!(
+                    "element {j} = {v} is not below q = {}",
+                    modulus.value()
+                ));
+            }
+            values.push(v);
+            acc >>= w;
+            held -= w;
+        }
+        if acc != 0 {
+            return Err("non-zero padding bits".to_string());
+        }
+        Ok(values)
+    }
+}
+
 /// Protocol message: a batch of share values, one per identity.
 #[derive(Debug, Clone, PartialEq)]
 enum SecSumMsg {
     /// Step-2 share distribution to a ring successor.
-    Share(Vec<u64>),
+    Share(PackedShares),
     /// Step-4 super-share aggregation at a coordinator.
-    SuperShare(Vec<u64>),
+    SuperShare(PackedShares),
 }
 
 impl eppi_net::WireSize for SecSumMsg {
     fn wire_size(&self) -> usize {
-        match self {
-            SecSumMsg::Share(v) | SecSumMsg::SuperShare(v) => v.wire_size() + 1,
-        }
+        let (SecSumMsg::Share(batch) | SecSumMsg::SuperShare(batch)) = self;
+        // Tag, element count, packed elements.
+        1 + 4 + batch.bytes.len()
     }
 }
 
@@ -120,10 +208,14 @@ impl ProviderNode {
                 outgoing[k - 1][j] = shares.values()[k];
             }
         }
+        let w = self.modulus.bits();
         let mut out: Vec<(NodeId, SecSumMsg)> = outgoing
-            .into_iter()
+            .iter()
             .enumerate()
-            .map(|(k, batch)| (self.ring.successor(self.me, k + 1), SecSumMsg::Share(batch)))
+            .map(|(k, batch)| {
+                let to = self.ring.successor(self.me, k + 1);
+                (to, SecSumMsg::Share(PackedShares::pack(batch, w)))
+            })
             .collect();
         // Degenerate single-coordinator network: nothing to wait for.
         if c == 1 {
@@ -132,24 +224,43 @@ impl ProviderNode {
         out
     }
 
-    /// Steps 3+4 for one delivered message; returns the super-share to
-    /// route once the last predecessor's share batch is in. Messages may
-    /// arrive in any order (on real threads a fast peer's super-share
-    /// can overtake a slow predecessor's share batch).
-    fn receive(&mut self, msg: SecSumMsg) -> Option<(NodeId, SecSumMsg)> {
+    /// Steps 3+4 for one message delivered from `from`; returns the
+    /// super-share to route once the last predecessor's share batch is
+    /// in. Messages may arrive in any order (on real threads a fast
+    /// peer's super-share can overtake a slow predecessor's share
+    /// batch).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the sender, if the batch is malformed (see
+    /// [`PackedShares::unpack`]).
+    fn receive(&mut self, from: NodeId, msg: SecSumMsg) -> Option<(NodeId, SecSumMsg)> {
+        let (kind, batch) = match &msg {
+            SecSumMsg::Share(batch) => ("share", batch),
+            SecSumMsg::SuperShare(batch) => ("super-share", batch),
+        };
+        let values = batch
+            .unpack(self.inputs.len(), self.modulus)
+            .unwrap_or_else(|why| {
+                panic!(
+                    "provider p{} received a malformed {kind} batch from p{}: {why}",
+                    self.me.index(),
+                    from.index()
+                )
+            });
         match msg {
-            SecSumMsg::Share(batch) => {
-                for (j, &s) in batch.iter().enumerate() {
-                    self.super_share[j] = self.modulus.add(self.super_share[j], s);
+            SecSumMsg::Share(_) => {
+                for (sum, s) in self.super_share.iter_mut().zip(values) {
+                    *sum = self.modulus.add(*sum, s);
                 }
                 self.shares_received += 1;
                 // Step 3 complete once all c−1 predecessors delivered.
                 (self.shares_received == self.ring.coordinators() - 1)
                     .then(|| self.finish_super_share())
             }
-            SecSumMsg::SuperShare(batch) => {
-                for (j, &s) in batch.iter().enumerate() {
-                    self.aggregate[j] = self.modulus.add(self.aggregate[j], s);
+            SecSumMsg::SuperShare(_) => {
+                for (sum, s) in self.aggregate.iter_mut().zip(values) {
+                    *sum = self.modulus.add(*sum, s);
                 }
                 self.supers_received += 1;
                 None
@@ -160,7 +271,8 @@ impl ProviderNode {
     /// Step 4: route the finished super-share to coordinator `i mod c`.
     fn finish_super_share(&mut self) -> (NodeId, SecSumMsg) {
         let target = NodeId(self.me.index() % self.ring.coordinators());
-        let batch = std::mem::take(&mut self.super_share);
+        let super_share = std::mem::take(&mut self.super_share);
+        let batch = PackedShares::pack(&super_share, self.modulus.bits());
         (target, SecSumMsg::SuperShare(batch))
     }
 
@@ -178,8 +290,8 @@ impl Node<SecSumMsg> for ProviderNode {
         }
     }
 
-    fn on_message(&mut self, _from: NodeId, msg: SecSumMsg, ctx: &mut Context<SecSumMsg>) {
-        if let Some((to, msg)) = self.receive(msg) {
+    fn on_message(&mut self, from: NodeId, msg: SecSumMsg, ctx: &mut Context<SecSumMsg>) {
+        if let Some((to, msg)) = self.receive(from, msg) {
             ctx.send(to, msg);
         }
     }
@@ -313,8 +425,8 @@ pub fn secsumshare_threaded_stats(
                 h.send(to, msg);
             }
             while !node.finished() {
-                let (_, msg) = h.recv();
-                if let Some((to, msg)) = node.receive(msg) {
+                let (from, msg) = h.recv();
+                if let Some((to, msg)) = node.receive(from, msg) {
                     h.send(to, msg);
                 }
             }
@@ -480,6 +592,91 @@ mod tests {
             1,
             Some(faults),
         );
+    }
+
+    #[test]
+    fn packed_batches_round_trip_at_every_width_and_cost_their_bits() {
+        use eppi_net::WireSize;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(3);
+        let moduli = (1..=63).map(Modulus::pow2).chain([Modulus::new(5)]);
+        for modulus in moduli {
+            let w = modulus.bits();
+            for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 2048] {
+                let values: Vec<u64> = (0..n).map(|_| modulus.random(&mut rng)).collect();
+                let batch = PackedShares::pack(&values, w);
+                assert_eq!(batch.unpack(n, modulus), Ok(values), "w={w} n={n}");
+                let msg = if rng.gen() {
+                    SecSumMsg::Share(batch)
+                } else {
+                    SecSumMsg::SuperShare(batch)
+                };
+                assert_eq!(
+                    msg.wire_size(),
+                    5 + (n * w as usize).div_ceil(8),
+                    "w={w} n={n}"
+                );
+            }
+        }
+    }
+
+    /// Provider p1 of a 4-provider, c = 3 ring over 5 identities in
+    /// `Z_q`, ready to receive.
+    fn receiving_node(modulus: Modulus) -> ProviderNode {
+        let vectors = vectors_from_columns(4, &[vec![1], vec![], vec![1, 2], vec![0], vec![3]]);
+        ProviderNode::new(1, &vectors[1], Ring::new(4, 3), modulus, 9)
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "p1 received a malformed share batch from p0: 4 elements, expected 5"
+    )]
+    fn short_share_batch_is_rejected_naming_the_sender() {
+        let q = Modulus::pow2(4);
+        let mut node = receiving_node(q);
+        node.receive(
+            NodeId(0),
+            SecSumMsg::Share(PackedShares::pack(&[1, 2, 3, 4], 4)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed super-share batch from p3: 6 elements, expected 5")]
+    fn long_super_share_batch_is_rejected_naming_the_sender() {
+        let q = Modulus::pow2(4);
+        let mut node = receiving_node(q);
+        let batch = PackedShares::pack(&[1, 2, 3, 4, 5, 6], 4);
+        node.receive(NodeId(3), SecSumMsg::SuperShare(batch));
+    }
+
+    #[test]
+    fn malformed_bytes_are_rejected() {
+        let q = Modulus::pow2(3);
+        let good = PackedShares::pack(&[1, 2, 3, 4, 5], 3);
+        assert_eq!(good.bytes.len(), 2);
+        let mut long = good.clone();
+        long.bytes.push(0);
+        assert_eq!(long.unpack(5, q), Err("3 bytes, expected 2".to_string()));
+        let mut dirty = good.clone();
+        dirty.bytes[1] |= 0x80; // bit 15, above the 15 share bits
+        assert_eq!(dirty.unpack(5, q), Err("non-zero padding bits".to_string()));
+        // Modulus 5 also packs at 3 bits, where 7 is not an element.
+        let five = Modulus::new(5);
+        let over = PackedShares::pack(&[1, 2, 7, 4, 0], 3);
+        assert_eq!(
+            over.unpack(5, five),
+            Err("element 2 = 7 is not below q = 5".to_string())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed share batch from p2: non-zero padding bits")]
+    fn dirty_padding_is_rejected_naming_the_sender() {
+        let q = Modulus::pow2(4);
+        let mut node = receiving_node(q);
+        let mut batch = PackedShares::pack(&[1, 2, 3, 4, 5], 4);
+        batch.bytes[2] |= 0x10; // bit 20, above the 20 share bits
+        node.receive(NodeId(2), SecSumMsg::Share(batch));
     }
 
     #[test]

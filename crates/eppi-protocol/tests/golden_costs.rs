@@ -1,9 +1,11 @@
 //! Golden cost table: the traffic, circuit and state figures of one
 //! fixed small lifecycle (m = 8, n = 16, c = 3, seed 7: build, then a
-//! 3-column delta) on each of the four backends, pinned to the values
-//! the pre-unification code produced. `bench/`'s `wire_kb` is the sum
-//! of exactly these byte counters at a larger scale, so a refactor that
-//! would move it fails here first.
+//! 3-column delta) on each of the four backends. The state digests are
+//! the values the pre-unification code produced; the costs are those of
+//! shares packed at the share width and circuits with their public
+//! constants folded. `bench/`'s `wire_kb` is the sum of exactly these
+//! byte counters at a larger scale, so a refactor that would move it
+//! fails here first.
 //!
 //! The pipelined backend coalesces lane items into frames by arrival
 //! timing, so its GMW `messages` (frames) vary from run to run and
@@ -26,21 +28,25 @@ const N: usize = 16;
 /// mix) `[messages, bits, bytes, gates, AND gates, AND depth]`.
 type Costs = [u64; 15];
 
+/// SecSumShare: 24 messages of `5 + ⌈n·w/8⌉` bytes at the share width
+/// `w = 4` — 13 bytes for the 16-column build, 7 for the 3-column delta.
 const LOCKSTEP_BUILD: Costs = [
-    2, 24, 3192, 60, 5082, 1488, 1109, 389, 8, 120, 12960, 3360, 3520, 912, 18,
+    2, 24, 312, 60, 4038, 1200, 838, 302, 8, 36, 5196, 912, 1777, 265, 4,
 ];
 const LOCKSTEP_DELTA: Costs = [
-    2, 24, 696, 90, 1530, 1608, 332, 115, 6, 120, 2430, 2400, 660, 171, 18,
+    2, 24, 168, 90, 1170, 1608, 243, 85, 6, 36, 966, 624, 333, 49, 4,
 ];
 /// `Pipelined { workers: 2 }`: 4 lanes for the 16-column build, 3 (+ 2
 /// over the retained shares, CountBelow only) for the 3-column delta.
 /// A stage's `messages` slot holds its lane count and its `bytes` slot
 /// the frame-header-free payload.
+/// Each lane compiles its own circuit, so each has its own constant
+/// wires: the lane gate counts sum to a little more than one circuit's.
 const PIPELINED_BUILD: Costs = [
-    2, 24, 3192, 4, 4920, 4992, 1068, 372, 6, 4, 12960, 13632, 3520, 912, 18,
+    2, 24, 312, 4, 3876, 4992, 803, 285, 6, 4, 5196, 3840, 1783, 265, 4,
 ];
 const PIPELINED_DELTA: Costs = [
-    2, 24, 696, 5, 1470, 4560, 320, 110, 4, 3, 2430, 9792, 660, 171, 18,
+    2, 24, 168, 5, 1122, 4560, 241, 81, 4, 3, 966, 2736, 337, 49, 4,
 ];
 /// State digests are backend-independent: every backend publishes the
 /// same bits from the same shares.

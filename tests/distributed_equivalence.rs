@@ -7,12 +7,16 @@ use eppi::core::delta::{ColumnChange, DeltaEntry, IndexDelta};
 use eppi::core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId};
 use eppi::core::policy::{BetaPolicy, PolicyKind};
 use eppi::core::privacy::success_ratio;
+use eppi::mpc::builder::CircuitBuilder;
+use eppi::mpc::circuits::{lambda_threshold, CountBelowCircuit, MixDecisionCircuit};
 use eppi::mpc::field::Modulus;
 use eppi::mpc::share::recombine_raw;
 use eppi::net::sim::LinkModel;
-use eppi::protocol::construct::{construct_distributed, frequency_thresholds, ProtocolConfig};
+use eppi::protocol::construct::{
+    construct_distributed, frequency_thresholds, share_width, ProtocolConfig,
+};
 use eppi::protocol::countbelow::Backend;
-use eppi::protocol::epoch::{construct_delta, construct_epoch};
+use eppi::protocol::epoch::{construct_delta, construct_epoch, IndexEpoch};
 use eppi::protocol::pure_mpc::{construct_pure_mpc, PureMpcConfig};
 use eppi::protocol::secsum::secsumshare_sim;
 
@@ -272,8 +276,11 @@ fn delta_construction_reproduces_full_construction_columns() {
 }
 
 /// The secure stages of a delta run are sized by the change batch `k`
-/// alone: growing the untouched owner population tenfold changes
-/// neither the MPC circuits nor the SecSumShare message count.
+/// and the public constants of its columns alone. Growing the untouched
+/// owner population tenfold moves λ, so the mix circuit may change
+/// shape — but each stage is exactly a fresh compile over the `k`
+/// touched columns' thresholds (and λ), inside the per-identity AND
+/// budget, and the SecSumShare traffic does not move at all.
 #[test]
 fn delta_cost_is_independent_of_untouched_owner_count() {
     let m = 60usize;
@@ -282,8 +289,16 @@ fn delta_cost_is_independent_of_untouched_owner_count() {
         ..ProtocolConfig::default()
     };
     let touched = [OwnerId(0), OwnerId(1), OwnerId(2)];
+    let (c, k, width) = (config.c, touched.len(), share_width(m));
+    let compare_ands = (c - 1) * (2 * width - 1) + (width - 1);
+    let popcount_ands = {
+        let mut cb = CircuitBuilder::new();
+        let bits = cb.input_word(k);
+        let count = cb.popcount(bits.bits());
+        cb.finish_word(count).stats().and_gates
+    };
 
-    let mut reports = Vec::new();
+    let mut secsum = Vec::new();
     for n in [12usize, 120] {
         let freqs: Vec<usize> = (0..n).map(|j| (j * 13) % 50 + 1).collect();
         let matrix = matrix_with_freqs(m, &freqs);
@@ -305,30 +320,50 @@ fn delta_cost_is_independent_of_untouched_owner_count() {
             });
         }
         let built = construct_delta(&epoch0, &next, &delta).expect("delta");
-        assert_eq!(built.report.columns, touched.len());
+        let report = &built.report;
+        assert_eq!(report.columns, k);
         // A from-scratch build of the same network runs the same
         // stages over all n columns, so it must cost more.
         let full = construct_distributed(&next, &epsilons, &config)
             .expect("full build")
             .report;
-        assert!(built.report.circuit_size() < full.circuit_size());
-        assert!(built.report.secsum.bytes < full.secsum.bytes);
-        assert_eq!(built.report.secsum.messages, full.secsum.messages);
-        reports.push(built.report);
-    }
+        assert!(report.circuit_size() < full.circuit_size());
+        assert!(report.secsum.bytes < full.secsum.bytes);
+        assert_eq!(report.secsum.messages, full.secsum.messages);
 
-    let (small, large) = (&reports[0], &reports[1]);
+        // CountBelow before (old thresholds, retained shares) and after
+        // (new thresholds), then mix under the new λ: each exactly a
+        // fresh compile over the touched columns.
+        let thresholds = |epoch: &IndexEpoch| -> Vec<u64> {
+            touched
+                .iter()
+                .map(|o| epoch.thresholds()[o.index()])
+                .collect()
+        };
+        let (old_t, new_t) = (thresholds(&epoch0), thresholds(&built.epoch));
+        let count = |t: &[u64]| CountBelowCircuit::build(c, t, width).circuit().stats();
+        let what = format!("n = {n}");
+        assert_eq!(
+            report.count_stage.circuit,
+            count(&old_t).merge(count(&new_t)),
+            "{what}"
+        );
+        let lam = lambda_threshold(built.epoch.lambda(), config.coin_bits);
+        let mix = MixDecisionCircuit::build(c, &new_t, width, config.coin_bits, lam);
+        assert_eq!(report.mix_stage.circuit, mix.circuit().stats(), "{what}");
+        assert!(
+            report.count_stage.circuit.and_gates <= 2 * (k * compare_ands + popcount_ands),
+            "{what}"
+        );
+        assert!(
+            report.mix_stage.circuit.and_gates <= k * (compare_ands + config.coin_bits + 1),
+            "{what}"
+        );
+        secsum.push((report.secsum.messages, report.secsum.bytes));
+    }
     assert_eq!(
-        small.count_stage.circuit.total_gates, large.count_stage.circuit.total_gates,
-        "CountBelow circuit must be sized by k, not n"
-    );
-    assert_eq!(
-        small.mix_stage.circuit.total_gates, large.mix_stage.circuit.total_gates,
-        "mix-decision circuit must be sized by k, not n"
-    );
-    assert_eq!(
-        small.secsum.messages, large.secsum.messages,
-        "SecSumShare messages depend on m and c only"
+        secsum[0], secsum[1],
+        "SecSumShare traffic depends on m, c and k only"
     );
 }
 
