@@ -121,111 +121,6 @@ pub fn construct<R: Rng + ?Sized>(
     })
 }
 
-/// Extends a previously published index with newly delegated owners
-/// **without touching the existing rows** — the incremental path behind
-/// a growing network's `Delegate` stream.
-///
-/// Per-identity independence (each column's β and coin flips are its
-/// own) makes this sound for the *new* owners: they get fresh β values
-/// computed against the current network and fresh randomized
-/// publication. Existing owners keep their published bits verbatim —
-/// re-randomizing them would enable the intersection attack
-/// (`eppi-attacks::refresh`). The mixing probability λ is recomputed over
-/// the full identity set; existing mix decisions stand, so after many
-/// common newcomers the decoy fraction can drift below ξ — run a full
-/// [`construct`] periodically to restore the exact common-identity
-/// guarantee.
-///
-/// # Errors
-///
-/// Returns [`EppiError::DimensionMismatch`] if `matrix`/`epsilons` do
-/// not extend the published index (fewer owners than before, different
-/// provider count, or ε count mismatch).
-pub fn extend_construction<R: Rng + ?Sized>(
-    previous: &PublishedIndex,
-    matrix: &MembershipMatrix,
-    epsilons: &[Epsilon],
-    config: ConstructionConfig,
-    rng: &mut R,
-) -> Result<PublishedIndex, EppiError> {
-    let old_n = previous.matrix().owners();
-    let n = matrix.owners();
-    if n < old_n {
-        return Err(EppiError::DimensionMismatch {
-            what: "owners (extension cannot shrink)",
-            expected: old_n,
-            actual: n,
-        });
-    }
-    if matrix.providers() != previous.matrix().providers() {
-        return Err(EppiError::DimensionMismatch {
-            what: "providers",
-            expected: previous.matrix().providers(),
-            actual: matrix.providers(),
-        });
-    }
-    if epsilons.len() != n {
-        return Err(EppiError::DimensionMismatch {
-            what: "epsilons",
-            expected: n,
-            actual: epsilons.len(),
-        });
-    }
-    config.policy.validate()?;
-
-    let m = matrix.providers();
-    let frequencies = matrix.frequencies();
-    let raw_betas: Vec<f64> = frequencies
-        .iter()
-        .zip(epsilons)
-        .map(|(&f, &e)| config.policy.raw_beta(f as f64 / m.max(1) as f64, e, m))
-        .collect();
-
-    // λ over the full identity set; coin flips only for the newcomers.
-    let commons = raw_betas.iter().filter(|&&b| b >= 1.0).count();
-    let xi = raw_betas
-        .iter()
-        .zip(epsilons)
-        .filter(|(&b, _)| b >= 1.0)
-        .map(|(_, e)| e.value())
-        .fold(0.0f64, f64::max);
-    let lambda = crate::mixing::lambda_for(commons, n, xi);
-
-    let mut betas: Vec<f64> = previous.betas().to_vec();
-    for &raw in &raw_betas[old_n..n] {
-        let beta = if raw >= 1.0 || (lambda > 0.0 && rng.gen::<f64>() < lambda) {
-            1.0
-        } else {
-            raw.clamp(0.0, 1.0)
-        };
-        betas.push(beta);
-    }
-
-    // Copy the existing published rows, publish only the new columns.
-    let mut published = MembershipMatrix::new(m, n);
-    for p in matrix.provider_ids() {
-        for o in previous.matrix().owner_ids() {
-            if previous.matrix().get(p, o) {
-                published.set(p, o, true);
-            }
-        }
-    }
-    for (j, &beta) in betas.iter().enumerate().take(n).skip(old_n) {
-        let owner = crate::model::OwnerId(j as u32);
-        for p in matrix.provider_ids() {
-            let bit = if matrix.get(p, owner) {
-                true
-            } else {
-                beta > 0.0 && rng.gen::<f64>() < beta
-            };
-            if bit {
-                published.set(p, owner, true);
-            }
-        }
-    }
-    Ok(PublishedIndex::new(published, betas))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,104 +241,6 @@ mod tests {
         assert!(c.mix_plan.is_none());
         assert_eq!(c.betas()[0], 1.0);
         assert!(c.betas()[1] < 1.0);
-    }
-
-    #[test]
-    fn extension_preserves_old_rows_bit_for_bit() {
-        let mat = matrix_with_freqs(120, &[8, 20]);
-        let e = vec![eps(0.6); 2];
-        let mut rng = StdRng::seed_from_u64(31);
-        let first = construct(&mat, &e, ConstructionConfig::default(), &mut rng).unwrap();
-
-        // Two new owners delegate.
-        let mut grown = mat.clone();
-        grown.grow_owners(4);
-        for p in 0..15u32 {
-            grown.set(ProviderId(p), OwnerId(2), true);
-        }
-        grown.set(ProviderId(40), OwnerId(3), true);
-        let e2 = vec![eps(0.6), eps(0.6), eps(0.4), eps(0.9)];
-        let extended = extend_construction(
-            &first.index,
-            &grown,
-            &e2,
-            ConstructionConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
-
-        // Old columns identical (no re-randomization = no intersection
-        // attack surface).
-        for p in mat.provider_ids() {
-            for o in [OwnerId(0), OwnerId(1)] {
-                assert_eq!(
-                    extended.matrix().get(p, o),
-                    first.index.matrix().get(p, o),
-                    "old cell ({p}, {o}) changed"
-                );
-            }
-        }
-        assert_eq!(&extended.betas()[..2], first.index.betas());
-        // New owners: full recall + β in range.
-        for o in [OwnerId(2), OwnerId(3)] {
-            for p in grown.providers_of(o) {
-                assert!(extended.matrix().get(p, o), "recall for {o}");
-            }
-        }
-        assert!((0.0..=1.0).contains(&extended.betas()[2]));
-    }
-
-    #[test]
-    fn extension_meets_new_owner_privacy() {
-        let mat = matrix_with_freqs(800, &[10]);
-        let e = vec![eps(0.5)];
-        let mut rng = StdRng::seed_from_u64(32);
-        let first = construct(&mat, &e, ConstructionConfig::default(), &mut rng).unwrap();
-
-        let mut grown = mat.clone();
-        grown.grow_owners(2);
-        for p in 0..25u32 {
-            grown.set(ProviderId(p * 3), OwnerId(1), true);
-        }
-        let e2 = vec![eps(0.5), eps(0.7)];
-        let extended = extend_construction(
-            &first.index,
-            &grown,
-            &e2,
-            ConstructionConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
-        let p = crate::privacy::owner_privacy(&grown, &extended, OwnerId(1));
-        assert!(p.satisfies(e2[1]) || p.false_positive_rate.unwrap_or(0.0) > 0.6);
-    }
-
-    #[test]
-    fn extension_validates_dimensions() {
-        let mat = matrix_with_freqs(20, &[3, 4]);
-        let e = vec![eps(0.5); 2];
-        let mut rng = StdRng::seed_from_u64(33);
-        let first = construct(&mat, &e, ConstructionConfig::default(), &mut rng).unwrap();
-        // Shrinking is rejected.
-        let small = matrix_with_freqs(20, &[3]);
-        assert!(extend_construction(
-            &first.index,
-            &small,
-            &[eps(0.5)],
-            ConstructionConfig::default(),
-            &mut rng
-        )
-        .is_err());
-        // Provider mismatch is rejected.
-        let other = matrix_with_freqs(21, &[3, 4]);
-        assert!(extend_construction(
-            &first.index,
-            &other,
-            &e,
-            ConstructionConfig::default(),
-            &mut rng
-        )
-        .is_err());
     }
 
     #[test]

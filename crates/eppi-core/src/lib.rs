@@ -80,7 +80,7 @@ pub mod rowstore;
 pub mod sensitivity;
 
 pub use commit::{digest_words, Digest256, Hasher256};
-pub use construct::{construct, extend_construction, Construction, ConstructionConfig};
+pub use construct::{construct, Construction, ConstructionConfig};
 pub use delta::{ColumnChange, DeltaEntry, IndexDelta};
 pub use error::EppiError;
 pub use model::{Epsilon, LocalVector, MembershipMatrix, OwnerId, ProviderId, PublishedIndex};

@@ -1,11 +1,14 @@
 //! Atomic epoch checkpoints.
 //!
-//! A checkpoint is one EPPI v2 epoch record written atomically:
-//! serialize to `checkpoint.tmp`, `fsync` the file, `rename(2)` it into
-//! place, `fsync` the directory. A crash at any byte boundary leaves
-//! either the old file set intact or the new file fully present — never
-//! a half-written checkpoint under a valid name (the temp file is
-//! ignored by recovery and clobbered by the next attempt).
+//! A checkpoint is one EPPI v2 epoch record written atomically by
+//! `write_file_atomic` (which the serve cache shares): serialize to
+//! `checkpoint.tmp`, `fsync` the file, `rename(2)` it into place,
+//! `fsync` the directory. A crash at any byte boundary leaves either
+//! the old file set intact or the new file fully present — never a
+//! half-written checkpoint under a valid name (the temp file is ignored
+//! by recovery and clobbered by the next attempt). An audited lineage
+//! wraps the record in the `EPAC` envelope with its `ADT1` commitment
+//! section.
 //!
 //! File names carry the full recovery ordering:
 //!
@@ -23,8 +26,9 @@
 
 use crate::epoch_codec::{decode_epoch, encode_epoch};
 use crate::error::StoreError;
-use crate::wal::{decode_commitments, encode_commitments};
+use crate::wal::{read_commitments, write_commitments};
 use eppi_audit::ColumnCommitment;
+use eppi_index::codec::{Reader, Writer};
 use eppi_protocol::IndexEpoch;
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
@@ -43,7 +47,7 @@ const TMP_NAME: &str = "checkpoint.tmp";
 /// A legacy checkpoint is the bare epoch record (which starts with the
 /// v2 codec's own `"EPPI"` magic, so the two are unambiguous); the
 /// loader accepts both.
-const ENVELOPE_MAGIC: u32 = u32::from_le_bytes(*b"EPAC");
+const ENVELOPE_MAGIC: &[u8; 4] = b"EPAC";
 
 /// One checkpoint file candidate found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,11 +87,40 @@ pub struct WriteReceipt {
     pub epoch: u64,
 }
 
-pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     File::open(dir)
         .map_err(|e| StoreError::io("open", dir, e))?
         .sync_all()
         .map_err(|e| StoreError::io("fsync", dir, e))
+}
+
+/// Writes `bytes` as `dir/name` atomically — temp file `dir/tmp_name`,
+/// `fsync`, `rename(2)`, directory `fsync` — and returns the wall time
+/// spent in the two `fsync`s.
+///
+/// # Errors
+///
+/// [`StoreError::Io`]; an existing `dir/name` is untouched unless the
+/// rename succeeded.
+pub(crate) fn write_file_atomic(
+    dir: &Path,
+    tmp_name: &str,
+    name: &str,
+    bytes: &[u8],
+) -> Result<Duration, StoreError> {
+    let tmp = dir.join(tmp_name);
+    let fin = dir.join(name);
+    fs::write(&tmp, bytes).map_err(|e| StoreError::io("write", &tmp, e))?;
+    let t = Instant::now();
+    File::open(&tmp)
+        .map_err(|e| StoreError::io("open", &tmp, e))?
+        .sync_all()
+        .map_err(|e| StoreError::io("fsync", &tmp, e))?;
+    let file_sync = t.elapsed();
+    fs::rename(&tmp, &fin).map_err(|e| StoreError::io("rename", &fin, e))?;
+    let t = Instant::now();
+    sync_dir(dir)?;
+    Ok(file_sync + t.elapsed())
 }
 
 /// Atomically writes `epoch` as the `(lineage, epoch)` checkpoint of
@@ -107,27 +140,15 @@ pub fn write_atomic(
     let bytes = if commitments.is_empty() {
         record
     } else {
-        let mut out = Vec::with_capacity(record.len() + 16 + commitments.len() * 72);
-        out.extend_from_slice(&ENVELOPE_MAGIC.to_le_bytes());
-        out.extend_from_slice(&(record.len() as u32).to_le_bytes());
-        out.extend_from_slice(&record);
-        encode_commitments(&mut out, commitments);
-        out
+        let mut w = Writer::with_capacity(8 + record.len() + 8 + 72 * commitments.len());
+        w.bytes(ENVELOPE_MAGIC);
+        w.len32(record.len());
+        w.bytes(&record);
+        write_commitments(&mut w, commitments);
+        w.finish()
     };
-    let tmp = dir.join(TMP_NAME);
-    let fin = dir.join(file_name(lineage, epoch.epoch()));
-    fs::write(&tmp, &bytes).map_err(|e| StoreError::io("write", &tmp, e))?;
-    let mut fsync_wall = Duration::ZERO;
-    let t = Instant::now();
-    File::open(&tmp)
-        .map_err(|e| StoreError::io("open", &tmp, e))?
-        .sync_all()
-        .map_err(|e| StoreError::io("fsync", &tmp, e))?;
-    fsync_wall += t.elapsed();
-    fs::rename(&tmp, &fin).map_err(|e| StoreError::io("rename", &fin, e))?;
-    let t = Instant::now();
-    sync_dir(dir)?;
-    fsync_wall += t.elapsed();
+    let name = file_name(lineage, epoch.epoch());
+    let fsync_wall = write_file_atomic(dir, TMP_NAME, &name, &bytes)?;
     Ok(WriteReceipt {
         bytes: bytes.len() as u64,
         fsyncs: 2,
@@ -174,21 +195,16 @@ pub fn scan(dir: &Path) -> Result<Vec<Candidate>, StoreError> {
 /// [`StoreError::Protocol`] on corrupt or invalid content.
 pub fn load(path: &Path) -> Result<(IndexEpoch, Vec<ColumnCommitment>), StoreError> {
     let bytes = fs::read(path).map_err(|e| StoreError::io("read", path, e))?;
-    if bytes.len() >= 8 && bytes[..4] == ENVELOPE_MAGIC.to_le_bytes() {
-        let record_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        let body = &bytes[8..];
-        if record_len > body.len() {
-            return Err(StoreError::Codec(eppi_index::CodecError::Truncated {
-                expected: 8 + record_len,
-                actual: bytes.len(),
-            }));
-        }
-        let epoch = decode_epoch(&body[..record_len])?;
-        let commitments = decode_commitments(&body[record_len..])?;
-        Ok((epoch, commitments))
-    } else {
-        Ok((decode_epoch(&bytes)?, Vec::new()))
+    if !bytes.starts_with(ENVELOPE_MAGIC) {
+        return Ok((decode_epoch(&bytes)?, Vec::new()));
     }
+    let mut r = Reader::new(&bytes);
+    r.magic(ENVELOPE_MAGIC)?;
+    let record_len = r.u32()? as usize;
+    let epoch = decode_epoch(r.take(record_len)?)?;
+    let commitments = read_commitments(&mut r)?;
+    r.finish()?;
+    Ok((epoch, commitments))
 }
 
 /// Deletes all but the newest `keep` checkpoints; returns how many were

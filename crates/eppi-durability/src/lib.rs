@@ -13,7 +13,10 @@
 //!   the touched membership columns, CRC-framed, fsync'd) *before* the
 //!   produced epoch is installed.
 //! * **Atomic checkpoints** ([`checkpoint`]) — full EPPI v2 epoch
-//!   snapshots written temp-file-then-rename, retained two deep.
+//!   snapshots ([`epoch_codec`]) written temp-file-then-rename, retained
+//!   two deep. Every byte the crate reads back goes through
+//!   `eppi_index::codec`'s bounded `Reader`: hostile counts are typed
+//!   errors, never an abort.
 //! * **Recovery** ([`store`]) — newest decodable checkpoint + replay of
 //!   the log's valid prefix; torn tails are detected, discarded and
 //!   truncated. Replay re-runs the journaled constructions under the
@@ -75,6 +78,9 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Fail-closed parsing: every byte this crate reads back may be hostile.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::indexing_slicing))]
 
 pub mod checkpoint;
 pub mod epoch_codec;
@@ -84,7 +90,7 @@ pub mod store;
 pub mod wal;
 
 pub use checkpoint::Candidate;
-pub use epoch_codec::{decode_epoch, encode_epoch, epoch_to_record};
+pub use epoch_codec::{decode_epoch, encode_epoch};
 pub use error::StoreError;
 pub use serve_cache::{
     invalidate_serve_snapshot, load_serve_snapshot, save_serve_snapshot, SERVE_CACHE_FILE,

@@ -9,19 +9,19 @@
 //! per-shard owner lists, and the physical row blocks in whichever
 //! backend the engine runs.
 //!
-//! Writes follow the checkpoint discipline (DESIGN.md §11): serialize
-//! to a temp file, `fsync`, `rename(2)` into place, `fsync` the
-//! directory. The cache is *advisory* — a missing, torn, or corrupt
+//! Writes go through the checkpoint's atomic write (DESIGN.md §11):
+//! serialize to a temp file, `fsync`, `rename(2)` into place, `fsync`
+//! the directory. The cache is *advisory* — a missing, torn, or corrupt
 //! file means a cold (re-shard) boot, never a wrong answer — so
 //! [`load_serve_snapshot`] reports corruption as `Ok(None)` after the
 //! codec rejects it, and only surfaces real I/O failures as errors. The
 //! caller is responsible for checking the restored snapshot's version
 //! against its lineage before serving it.
 
-use crate::checkpoint::sync_dir;
+use crate::checkpoint::write_file_atomic;
 use crate::error::StoreError;
 use eppi_index::codec::{decode_serve_snapshot, encode_serve_snapshot, ServeSnapshotRecord};
-use std::fs::{self, File};
+use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -44,15 +44,7 @@ pub fn cache_path(dir: &Path) -> PathBuf {
 /// file (if any) is untouched unless the final rename succeeded.
 pub fn save_serve_snapshot(dir: &Path, record: &ServeSnapshotRecord) -> Result<u64, StoreError> {
     let bytes = encode_serve_snapshot(record);
-    let tmp = dir.join(TMP_NAME);
-    let fin = cache_path(dir);
-    fs::write(&tmp, &bytes).map_err(|e| StoreError::io("write", &tmp, e))?;
-    File::open(&tmp)
-        .map_err(|e| StoreError::io("open", &tmp, e))?
-        .sync_all()
-        .map_err(|e| StoreError::io("fsync", &tmp, e))?;
-    fs::rename(&tmp, &fin).map_err(|e| StoreError::io("rename", &fin, e))?;
-    sync_dir(dir)?;
+    write_file_atomic(dir, TMP_NAME, SERVE_CACHE_FILE, &bytes)?;
     Ok(bytes.len() as u64)
 }
 

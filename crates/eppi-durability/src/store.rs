@@ -21,8 +21,9 @@
 //! **Recovery** — [`open`](DurableStore::open) walks the recovery state
 //! machine (DESIGN.md §11): newest decodable checkpoint → replay the
 //! log's valid frame prefix in epoch order → discard and truncate
-//! whatever is left (torn tail, foreign lineage, epoch gap or a record
-//! the protocol layer rejects). Replay re-runs the journaled
+//! whatever is left (torn tail, foreign lineage, epoch gap, or a record
+//! whose dimensions do not fit the head or that the protocol layer
+//! rejects). Replay re-runs the journaled
 //! constructions, so a recovered head is bit-identical to the
 //! uninterrupted run — no rebuild, no re-randomized coins, no
 //! intersection-attack surface.
@@ -349,6 +350,13 @@ impl DurableStore {
             }
             if record.epoch != head.epoch() + 1 {
                 tail_defect = Some(TailDefect::EpochGap);
+                break;
+            }
+            // The record's dimensions size the replay matrix: a record
+            // that does not fit the head is discarded before anything
+            // is allocated for it.
+            if record.providers != head.providers() || record.delta.base_owners() != head.owners() {
+                tail_defect = Some(TailDefect::InvalidState);
                 break;
             }
             let matrix = record.matrix();

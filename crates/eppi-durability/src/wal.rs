@@ -9,7 +9,10 @@
 //! └───────────┴───────────┴────────────────────┘
 //! ```
 //!
-//! The CRC-32 covers the payload only, so a frame is self-validating:
+//! Frames, payloads and the `ADT1` audit trailer are written and read
+//! through `eppi_index::codec`'s one `Writer` / `Reader` (DESIGN.md
+//! §11), so no count is trusted past the input's allocation cap. The
+//! CRC-32 covers the payload only, so a frame is self-validating:
 //! recovery walks frames from the start and stops at the first defect —
 //! a header cut short, a payload longer than the remaining file, a
 //! checksum mismatch or a malformed payload. Everything before the
@@ -33,10 +36,11 @@ use eppi_audit::ColumnCommitment;
 use eppi_core::commit::Digest256;
 use eppi_core::delta::{ColumnChange, DeltaEntry, IndexDelta};
 use eppi_core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId};
-use eppi_index::{crc32, CodecError};
-use std::fmt;
+use eppi_index::codec::{ensure, for_each_one, from_tag, pack_bits, Reader, Writer};
+use eppi_index::CodecError;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::mem::size_of;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -59,24 +63,9 @@ pub enum TailDefect {
     ForeignLineage,
     /// A structurally valid record skips ahead in the epoch sequence.
     EpochGap,
-    /// The record replayed onto the recovered epoch was rejected by the
-    /// protocol layer (dimensions no longer fit the lineage).
+    /// The record does not fit the recovered epoch: its dimensions
+    /// disagree with the head's, or the protocol layer rejected it.
     InvalidState,
-}
-
-impl fmt::Display for TailDefect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TailDefect::TornHeader => "torn frame header",
-            TailDefect::TornPayload => "torn payload",
-            TailDefect::Checksum => "checksum mismatch",
-            TailDefect::Malformed => "malformed payload",
-            TailDefect::ForeignLineage => "foreign lineage generation",
-            TailDefect::EpochGap => "epoch sequence gap",
-            TailDefect::InvalidState => "record rejected by the protocol layer",
-        };
-        f.write_str(s)
-    }
 }
 
 /// One journaled delta: everything replay needs to re-run its
@@ -102,66 +91,49 @@ pub struct WalRecord {
     pub commitments: Vec<ColumnCommitment>,
 }
 
-/// Magic tag opening a record's trailing audit section. Chosen so it
-/// cannot be confused with the `TrailingBytes` garbage the strict
-/// decoder otherwise rejects.
-const AUDIT_MAGIC: u32 = u32::from_le_bytes(*b"ADT1");
+/// Magic opening a record's trailing audit section (`ADT1`, shared with
+/// the audited checkpoint envelope):
+///
+/// ```text
+/// "ADT1" count u32, count × (provider u32, owners u32, published [32], decisions [32])
+/// ```
+const AUDIT_MAGIC: &[u8; 4] = b"ADT1";
 
-/// Bytes per commitment entry: provider + owners + two 32-byte digests.
-const COMMITMENT_BYTES: usize = 4 + 4 + 32 + 32;
-
-pub(crate) fn encode_commitments(out: &mut Vec<u8>, commitments: &[ColumnCommitment]) {
-    out.extend_from_slice(&AUDIT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(commitments.len() as u32).to_le_bytes());
+pub(crate) fn write_commitments(w: &mut Writer, commitments: &[ColumnCommitment]) {
+    w.bytes(AUDIT_MAGIC);
+    w.len32(commitments.len());
     for c in commitments {
-        out.extend_from_slice(&c.provider.0.to_le_bytes());
-        out.extend_from_slice(&c.owners.to_le_bytes());
-        out.extend_from_slice(&c.published.to_bytes());
-        out.extend_from_slice(&c.decisions.to_bytes());
+        w.u32(c.provider.0);
+        w.u32(c.owners);
+        w.bytes(&c.published.to_bytes());
+        w.bytes(&c.decisions.to_bytes());
     }
 }
 
-pub(crate) fn decode_commitments(bytes: &[u8]) -> Result<Vec<ColumnCommitment>, CodecError> {
-    const HEADER: usize = 8;
-    if bytes.len() < HEADER {
-        return Err(CodecError::Truncated {
-            expected: HEADER,
-            actual: bytes.len(),
+pub(crate) fn read_commitments(r: &mut Reader<'_>) -> Result<Vec<ColumnCommitment>, CodecError> {
+    r.magic(AUDIT_MAGIC)?;
+    let count = r.u32()? as usize;
+    let mut out = Vec::with_capacity(r.reserve(count, size_of::<ColumnCommitment>())?);
+    for _ in 0..count {
+        out.push(ColumnCommitment {
+            provider: ProviderId(r.u32()?),
+            owners: r.u32()?,
+            published: Digest256::from_bytes(&r.array()?),
+            decisions: Digest256::from_bytes(&r.array()?),
         });
     }
-    if u32::from_le_bytes(bytes[..4].try_into().unwrap()) != AUDIT_MAGIC {
-        return Err(CodecError::InvalidField {
-            field: "audit magic",
-        });
-    }
-    let count = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    let need = HEADER as u128 + count as u128 * COMMITMENT_BYTES as u128;
-    if need != bytes.len() as u128 {
-        return Err(if need > bytes.len() as u128 {
-            CodecError::Truncated {
-                expected: need.min(usize::MAX as u128) as usize,
-                actual: bytes.len(),
-            }
-        } else {
-            CodecError::TrailingBytes(bytes.len() - need as usize)
-        });
-    }
-    Ok((0..count)
-        .map(|i| {
-            let at = HEADER + i * COMMITMENT_BYTES;
-            ColumnCommitment {
-                provider: ProviderId(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())),
-                owners: u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()),
-                published: Digest256::from_bytes(bytes[at + 8..at + 40].try_into().unwrap()),
-                decisions: Digest256::from_bytes(bytes[at + 40..at + 72].try_into().unwrap()),
-            }
-        })
-        .collect())
+    Ok(out)
 }
 
-fn column_bytes(providers: usize) -> usize {
-    providers.div_ceil(8)
-}
+/// Bytes per journaled delta entry: owner u32, change tag u8, ε f64.
+const ENTRY_BYTES: usize = 4 + 1 + 8;
+
+/// The change kinds in tag order.
+const CHANGES: [ColumnChange; 3] = [
+    ColumnChange::Added,
+    ColumnChange::Changed,
+    ColumnChange::Withdrawn,
+];
 
 impl WalRecord {
     /// Captures the replay input of one delta from the new full matrix
@@ -176,16 +148,8 @@ impl WalRecord {
         let m = matrix.providers();
         let columns = delta
             .touched()
-            .iter()
-            .map(|&owner| {
-                let mut col = vec![0u8; column_bytes(m)];
-                for p in 0..m {
-                    if matrix.get(ProviderId(p as u32), owner) {
-                        col[p / 8] |= 1 << (p % 8);
-                    }
-                }
-                col
-            })
+            .into_iter()
+            .map(|owner| pack_bits(m, matrix.provider_ids().map(|p| matrix.get(p, owner))))
             .collect();
         WalRecord {
             lineage,
@@ -199,15 +163,16 @@ impl WalRecord {
 
     /// Synthesizes the matrix replay hands to `construct_delta`: full
     /// dimensions, with only the touched columns populated (exactly the
-    /// columns the incremental construction reads).
+    /// columns the incremental construction reads). Allocates
+    /// `providers × owners` bits: check both against the lineage first.
     pub fn matrix(&self) -> MembershipMatrix {
         let mut matrix = MembershipMatrix::new(self.providers, self.delta.owners());
-        for (col, &owner) in self.columns.iter().zip(self.delta.touched().iter()) {
-            for p in 0..self.providers {
-                if col[p / 8] & (1 << (p % 8)) != 0 {
+        for (col, owner) in self.columns.iter().zip(self.delta.touched()) {
+            for_each_one(col, |p| {
+                if p < self.providers {
                     matrix.set(ProviderId(p as u32), owner, true);
                 }
-            }
+            });
         }
         matrix
     }
@@ -215,32 +180,28 @@ impl WalRecord {
     /// Serializes the payload (the frame header is added by
     /// [`Wal::append`]).
     pub fn encode_payload(&self) -> Vec<u8> {
-        let k = self.delta.len();
-        let cb = column_bytes(self.providers);
-        debug_assert!(self.columns.iter().all(|c| c.len() == cb));
-        let mut out = Vec::with_capacity(32 + k * (13 + cb));
-        out.extend_from_slice(&self.lineage.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.providers as u32).to_le_bytes());
-        out.extend_from_slice(&(self.delta.base_owners() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.delta.owners() as u32).to_le_bytes());
-        out.extend_from_slice(&(k as u32).to_le_bytes());
+        let cb = self.providers.div_ceil(8);
+        let mut w = Writer::with_capacity(32 + self.delta.len() * (ENTRY_BYTES + cb));
+        w.u64(self.lineage);
+        w.u64(self.epoch);
+        w.len32(self.providers);
+        w.len32(self.delta.base_owners());
+        w.len32(self.delta.owners());
+        w.len32(self.delta.len());
         for entry in self.delta.entries() {
-            out.extend_from_slice(&entry.owner.0.to_le_bytes());
-            out.push(match entry.change {
+            w.u32(entry.owner.0);
+            w.u8(match entry.change {
                 ColumnChange::Added => 0,
                 ColumnChange::Changed => 1,
                 ColumnChange::Withdrawn => 2,
             });
-            out.extend_from_slice(&entry.epsilon.value().to_le_bytes());
+            w.f64(entry.epsilon.value());
         }
-        for col in &self.columns {
-            out.extend_from_slice(col);
-        }
+        self.columns.iter().for_each(|col| w.bytes(col));
         if !self.commitments.is_empty() {
-            encode_commitments(&mut out, &self.commitments);
+            write_commitments(&mut w, &self.commitments);
         }
-        out
+        w.finish()
     }
 
     /// Decodes one payload, re-validating every structural invariant a
@@ -252,102 +213,56 @@ impl WalRecord {
     ///
     /// [`CodecError`] naming the defect.
     pub fn decode_payload(bytes: &[u8]) -> Result<WalRecord, CodecError> {
-        const HEADER: usize = 8 + 8 + 4 + 4 + 4 + 4;
-        if bytes.len() < HEADER {
-            return Err(CodecError::Truncated {
-                expected: HEADER,
-                actual: bytes.len(),
-            });
-        }
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
-        let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
-        let lineage = u64_at(0);
-        let epoch = u64_at(8);
-        let providers = u32_at(16) as usize;
-        let base_owners = u32_at(20) as usize;
-        let owners = u32_at(24) as usize;
-        let k = u32_at(28) as usize;
-        if owners < base_owners {
-            return Err(CodecError::InvalidField {
-                field: "wal owners",
-            });
-        }
-        let cb = column_bytes(providers);
-        let need = HEADER as u128 + k as u128 * (13 + cb as u128);
-        if need > bytes.len() as u128 {
-            return Err(CodecError::Truncated {
-                expected: need.min(usize::MAX as u128) as usize,
-                actual: bytes.len(),
-            });
-        }
+        let mut r = Reader::new(bytes);
+        let lineage = r.u64()?;
+        let epoch = r.u64()?;
+        let providers = r.u32()? as usize;
+        let base_owners = r.u32()? as usize;
+        let owners = r.u32()? as usize;
+        let k = r.u32()? as usize;
+        ensure(owners >= base_owners, "wal owners")?;
+        let cb = providers.div_ceil(8);
+        let mut entries = Reader::new(r.take(k.saturating_mul(ENTRY_BYTES))?);
+        let columns = r.take(k.saturating_mul(cb))?;
+        r.reserve(k, size_of::<Vec<u8>>() + cb)?;
         // Anything past the columns is either a magic-tagged audit
         // section or trailing garbage; the latter stays an error.
-        let trailer = &bytes[need as usize..];
-        let commitments = if trailer.is_empty() {
+        let commitments = if r.remaining() == 0 {
             Vec::new()
-        } else if trailer.len() >= 4 && trailer[..4] == AUDIT_MAGIC.to_le_bytes() {
-            decode_commitments(trailer)?
+        } else if r.clone().magic(AUDIT_MAGIC).is_ok() {
+            read_commitments(&mut r)?
         } else {
-            return Err(CodecError::TrailingBytes(trailer.len()));
+            return Err(CodecError::TrailingBytes(r.remaining()));
         };
+        r.finish()?;
         let mut delta = IndexDelta::new(base_owners);
-        let mut cursor = HEADER;
         let mut prev_owner: Option<u32> = None;
         for _ in 0..k {
-            let owner = u32_at(cursor);
-            let change = match bytes[cursor + 4] {
-                0 => ColumnChange::Added,
-                1 => ColumnChange::Changed,
-                2 => ColumnChange::Withdrawn,
-                tag => {
-                    return Err(CodecError::UnknownTag {
-                        field: "wal change",
-                        tag,
-                    })
-                }
-            };
-            let raw = f64::from_le_bytes(bytes[cursor + 5..cursor + 13].try_into().unwrap());
-            cursor += 13;
-            if prev_owner.is_some_and(|p| owner <= p) {
-                return Err(CodecError::InvalidField {
-                    field: "wal owner order",
-                });
-            }
+            let owner = entries.u32()?;
+            let change = from_tag("wal change", entries.u8()?, &CHANGES)?;
+            let raw = entries.f64()?;
+            ensure(prev_owner.is_none_or(|p| owner > p), "wal owner order")?;
             prev_owner = Some(owner);
             // The encoder writes the canonical kind; `try_record` would
             // quietly normalize a new column to Added.
             let new_column = owner as usize >= base_owners;
-            if new_column && change != ColumnChange::Added {
-                return Err(CodecError::InvalidField {
-                    field: "wal change kind",
-                });
-            }
+            let canonical = !new_column || change == ColumnChange::Added;
+            ensure(canonical, "wal change kind")?;
             let epsilon = Epsilon::new(raw).map_err(|_| CodecError::InvalidEpsilon { owner })?;
-            let entry = DeltaEntry {
-                owner: OwnerId(owner),
-                change,
-                epsilon,
-            };
+            let owner = OwnerId(owner);
             // An old column can only be mis-marked Added, a new one can
             // only leave a gap.
-            delta
-                .try_record(entry)
-                .map_err(|_| CodecError::InvalidField {
-                    field: if new_column {
-                        "wal owner index"
-                    } else {
-                        "wal change kind"
-                    },
-                })?;
-        }
-        if delta.owners() != owners {
-            return Err(CodecError::InvalidField {
-                field: "wal owner count",
+            let recorded = delta.try_record(DeltaEntry {
+                owner,
+                change,
+                epsilon,
             });
+            ensure(recorded.is_ok() || new_column, "wal change kind")?;
+            ensure(recorded.is_ok(), "wal owner index")?;
         }
-        let columns = (0..k)
-            .map(|t| bytes[cursor + t * cb..cursor + (t + 1) * cb].to_vec())
-            .collect();
+        ensure(delta.owners() == owners, "wal owner count")?;
+        let column = |t: usize| columns.get(t * cb..(t + 1) * cb).unwrap_or_default();
+        let columns = (0..k).map(|t| column(t).to_vec()).collect();
         Ok(WalRecord {
             lineage,
             epoch,
@@ -417,11 +332,6 @@ impl Wal {
         Ok(Wal { path, file })
     }
 
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current log length in bytes.
     ///
     /// # Errors
@@ -452,10 +362,9 @@ impl Wal {
     /// [`StoreError::Io`].
     pub fn append(&mut self, record: &WalRecord) -> Result<AppendReceipt, StoreError> {
         let payload = record.encode_payload();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Writer::with_capacity(8 + payload.len());
+        frame.frame(&payload);
+        let frame = frame.finish();
         self.file
             .write_all(&frame)
             .map_err(|e| StoreError::io("append", &self.path, e))?;
@@ -506,52 +415,33 @@ impl Wal {
     /// [`StoreError::Io`] for read failures only — corruption is
     /// reported in [`WalScan::defect`], not as an error.
     pub fn scan(path: &Path) -> Result<WalScan, StoreError> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)
-                    .map_err(|e| StoreError::io("read", path, e))?;
-            }
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(WalScan::default());
             }
-            Err(e) => return Err(StoreError::io("open", path, e)),
-        }
+            Err(e) => return Err(StoreError::io("read", path, e)),
+        };
         let mut scan = WalScan {
             file_len: bytes.len() as u64,
             ..WalScan::default()
         };
-        let mut at = 0usize;
-        while at < bytes.len() {
-            if bytes.len() - at < 8 {
-                scan.defect = Some(TailDefect::TornHeader);
-                break;
+        let mut r = Reader::new(&bytes);
+        scan.defect = loop {
+            match r.remaining() {
+                0 => break None,
+                1..8 => break Some(TailDefect::TornHeader),
+                _ => {}
             }
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            let stored = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-            if bytes.len() - at - 8 < len {
-                scan.defect = Some(TailDefect::TornPayload);
-                break;
-            }
-            let payload = &bytes[at + 8..at + 8 + len];
-            if crc32(payload) != stored {
-                scan.defect = Some(TailDefect::Checksum);
-                break;
-            }
-            match WalRecord::decode_payload(payload) {
-                Ok(record) => {
-                    at += 8 + len;
-                    scan.frames.push(ScannedFrame {
-                        record,
-                        end: at as u64,
-                    });
-                }
-                Err(_) => {
-                    scan.defect = Some(TailDefect::Malformed);
-                    break;
-                }
-            }
-        }
+            let record = match r.frame().map(WalRecord::decode_payload) {
+                Ok(Ok(record)) => record,
+                Ok(Err(_)) => break Some(TailDefect::Malformed),
+                Err(CodecError::BadChecksum { .. }) => break Some(TailDefect::Checksum),
+                Err(_) => break Some(TailDefect::TornPayload),
+            };
+            let end = (bytes.len() - r.remaining()) as u64;
+            scan.frames.push(ScannedFrame { record, end });
+        };
         Ok(scan)
     }
 }

@@ -1,15 +1,39 @@
-//! Compact binary serialization of the published index and of full
-//! epoch snapshots.
+//! Compact binary serialization: the one bounded reader/writer every
+//! persisted format goes through, and the two index formats that live
+//! here.
 //!
 //! A real locator service persists and ships the index: the PPI server
-//! loads it at boot, providers can mirror it, auditors archive it. The
-//! allowed dependency set has no serialization backend, so the format is
-//! hand-rolled: a fixed little-endian header, the row-major matrix
-//! bitmap, then the per-owner β values — versioned and fully validated
-//! on load (truncated, oversized or inconsistent input is rejected, not
-//! trusted).
+//! loads it at boot, providers can mirror it, auditors archive it, and
+//! coordinators resume the next epoch from retained shares. The allowed
+//! dependency set has no serialization backend, so the formats are
+//! hand-rolled — but they share **one frame**:
 //!
-//! **Version 1** serializes a bare [`PublishedIndex`]:
+//! * little-endian fields written by a [`Writer`] and read back by a
+//!   [`Reader`] whose every read is length-checked;
+//! * a header — [`Writer::open`] / [`Reader::open`] write and check the
+//!   magic and version of the EPPI family;
+//! * a CRC-32 trailer — [`Writer::seal`] appends it over everything
+//!   written, [`Reader::unseal`] checks it before the content is
+//!   trusted; the write-ahead log's `[len][crc][payload]` frames use
+//!   [`Writer::frame`] / [`Reader::frame`];
+//! * [`Reader::finish`] rejects trailing bytes;
+//! * an **allocation cap**: before allocating, a reader refuses
+//!   ([`CodecError::OverCap`]) any count whose decoded structure would
+//!   take more than [`ALLOC_FACTOR`] bytes per input byte (with a floor
+//!   of [`ALLOC_FLOOR`], see [`alloc_cap`]). The densest legitimate
+//!   case, a one-owner matrix bitmap, decodes to 64× its bytes; a few
+//!   hostile bytes can no longer ask for gigabytes.
+//!
+//! Where each format lives: EPPI v1 (published index) and v3 (serving
+//! snapshot) here; the EPPI v2 epoch record beside its only user in
+//! `eppi-durability::epoch_codec`; the write-ahead log frame, its
+//! payload and the `ADT1` commitment trailer in `eppi-durability::wal`;
+//! the `EPAC` audited checkpoint envelope in
+//! `eppi-durability::checkpoint`. Every bitmap in them — index
+//! matrices, mix decisions, membership columns — is packed by
+//! [`pack_bits`] and read back by [`for_each_one`].
+//!
+//! **Version 1** serializes a bare [`PublishedIndex`] (no checksum):
 //!
 //! ```text
 //! magic  "EPPI"      4 bytes
@@ -19,37 +43,12 @@
 //! betas   owners × f64 (little-endian bits)
 //! ```
 //!
-//! **Version 2** serializes a full epoch snapshot ([`EpochRecord`]):
-//! the published index plus the retained protocol state a delta
-//! construction resumes from — mix decisions, thresholds, ε's, the
-//! coordinator share vectors, λ, the common-identity count and the
-//! lineage configuration — CRC-32 checksummed so on-disk corruption is
-//! detected, not served:
-//!
-//! ```text
-//! magic  "EPPI"      4 bytes
-//! version u16        = 2
-//! epoch u64, lambda f64, common_count u64
-//! coordinators u32
-//! policy_tag u8, policy_param f64, coin_bits u32
-//! link_latency_us f64, link_bandwidth f64
-//! backend_tag u8, seed u64
-//! providers u32, owners u32
-//! bitmap      ⌈providers·owners / 8⌉ bytes (as v1)
-//! betas       owners × f64
-//! decisions   ⌈owners / 8⌉ bytes, LSB-first
-//! thresholds  owners × u64
-//! epsilons    owners × f64
-//! shares      coordinators × owners × u64
-//! crc32 u32          (IEEE, over every preceding byte)
-//! ```
-//!
 //! **Version 3** serializes a *serving layout* ([`ServeSnapshotRecord`]):
 //! the sharded, physically laid-out form a serve node boots from — the
 //! extendable shard-map manifest plus each shard's owner list and its
 //! row block in the backend it was built with (flat dense words, or the
 //! EWAH-style compressed token stream and offset table of
-//! `eppi_core::rowstore::CompressedRows`) — CRC-32 checksummed like v2:
+//! `eppi_core::rowstore::CompressedRows`) — CRC-32 sealed:
 //!
 //! ```text
 //! magic  "EPPI"      4 bytes
@@ -70,28 +69,45 @@
 //! crc32 u32          (IEEE, over every preceding byte)
 //! ```
 //!
-//! **Compatibility rule (v1 → v2):** v2 is a strict superset — the
-//! matrix bitmap and β block keep their v1 layout byte for byte — but
-//! the two versions are *not* interchangeable on the wire. [`decode`]
-//! accepts only version 1 and rejects a v2 snapshot with
-//! [`CodecError::UnsupportedVersion`], so a plain serve node can never
-//! mistake a coordinator checkpoint (which carries share vectors) for a
-//! public index; [`decode_epoch_record`] likewise accepts only version
-//! 2, and [`decode_serve_snapshot`] only version 3. Readers of any
-//! version reject the others loudly instead of guessing.
+//! **Compatibility rule:** the versions are *not* interchangeable.
+//! [`decode`] accepts only version 1 and [`decode_serve_snapshot`] only
+//! version 3, so a plain serve node can never mistake a coordinator
+//! checkpoint (v2, which carries share vectors) for a public index.
+//! Readers of any version reject the others loudly instead of guessing.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::indexing_slicing))]
 
 use eppi_core::model::{MembershipMatrix, OwnerId, ProviderId, PublishedIndex};
 use eppi_core::rows::row_words;
 use eppi_core::rowstore::RowBackend;
 use std::error::Error;
 use std::fmt;
+use std::mem::size_of;
 
-const MAGIC: &[u8; 4] = b"EPPI";
+/// Magic opening every EPPI record (v1, v2 and v3).
+pub const MAGIC: &[u8; 4] = b"EPPI";
 const VERSION: u16 = 1;
-const VERSION_EPOCH: u16 = 2;
 const VERSION_SERVE: u16 = 3;
 
+/// Decoded bytes one input byte may cost: the densest legitimate
+/// structure, a one-owner matrix bitmap, decodes each bit to a padded
+/// 64-bit row word.
+pub const ALLOC_FACTOR: usize = 64;
+
+/// Decoded bytes any input may cost, however short: a zero-owner index
+/// carries no bytes per provider yet still pads one word per row, and
+/// a lineage may legitimately start empty.
+pub const ALLOC_FLOOR: usize = 1 << 20;
+
+/// The allocation cap of a `len`-byte input: the most its decoded
+/// structure may occupy.
+pub fn alloc_cap(len: usize) -> usize {
+    len.saturating_mul(ALLOC_FACTOR).max(ALLOC_FLOOR)
+}
+
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
+#[allow(clippy::indexing_slicing)] // const-evaluated: a miss fails the build
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -99,11 +115,7 @@ const CRC_TABLE: [u32; 256] = {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xedb8_8320
-            } else {
-                crc >> 1
-            };
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
         table[i] = crc;
@@ -112,17 +124,34 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `bytes` — the checksum guarding v2 epoch records
-/// and the durability layer's write-ahead log frames.
+/// CRC-32 (IEEE) of `bytes` — the checksum of sealed records and of the
+/// write-ahead log's frames.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
     for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
+        #[allow(clippy::indexing_slicing)] // a u8 index into 256 entries
+        let entry = CRC_TABLE[usize::from(crc as u8 ^ b)];
+        crc = (crc >> 8) ^ entry;
     }
     !crc
 }
 
-/// Errors raised when decoding a serialized index.
+fn check_crc(stored: u32, content: &[u8]) -> Result<(), CodecError> {
+    let computed = crc32(content);
+    let mismatch = CodecError::BadChecksum { stored, computed };
+    (stored == computed).then_some(()).ok_or(mismatch)
+}
+
+/// `Ok` when `ok`, else [`CodecError::InvalidField`] naming `field`.
+///
+/// # Errors
+///
+/// [`CodecError::InvalidField`].
+pub fn ensure(ok: bool, field: &'static str) -> Result<(), CodecError> {
+    ok.then_some(()).ok_or(CodecError::InvalidField { field })
+}
+
+/// Errors raised when decoding any persisted format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CodecError {
@@ -144,7 +173,7 @@ pub enum CodecError {
     },
     /// Trailing bytes after the declared content.
     TrailingBytes(usize),
-    /// The CRC-32 stored in a v2 record disagrees with the content.
+    /// The stored CRC-32 disagrees with the content.
     BadChecksum {
         /// Checksum declared by the record.
         stored: u32,
@@ -175,38 +204,44 @@ pub enum CodecError {
         /// What was wrong with it.
         reason: &'static str,
     },
+    /// A declared count would decode to more memory than the input's
+    /// [`alloc_cap`] leaves; refused before anything was allocated.
+    OverCap {
+        /// Bytes the declared structure needs.
+        requested: usize,
+        /// Bytes of the cap still unspent.
+        remaining: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::Truncated { expected, actual } => {
+            Self::Truncated { expected, actual } => {
+                write!(f, "truncated: need {expected} bytes, got {actual}")
+            }
+            Self::BadMagic => write!(f, "missing magic header"),
+            Self::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            Self::InvalidBeta { owner } => write!(f, "invalid β for owner {owner}"),
+            Self::TrailingBytes(n) => write!(f, "{n} trailing bytes after the content"),
+            Self::BadChecksum { stored, computed } => {
                 write!(
                     f,
-                    "truncated index: need at least {expected} bytes, got {actual}"
+                    "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
                 )
             }
-            CodecError::BadMagic => write!(f, "missing EPPI magic header"),
-            CodecError::UnsupportedVersion(v) => write!(f, "unsupported index version {v}"),
-            CodecError::InvalidBeta { owner } => {
-                write!(f, "invalid β for owner {owner}: not a probability")
-            }
-            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after index content"),
-            CodecError::BadChecksum { stored, computed } => write!(
-                f,
-                "checksum mismatch: record declares {stored:#010x}, content is {computed:#010x}"
-            ),
-            CodecError::InvalidField { field } => {
-                write!(f, "field {field} decoded outside its valid domain")
-            }
-            CodecError::InvalidEpsilon { owner } => {
-                write!(f, "invalid ε for owner {owner}: not in [0, 1]")
-            }
-            CodecError::UnknownTag { field, tag } => {
-                write!(f, "unknown {field} tag {tag}")
-            }
-            CodecError::InvalidShard { shard, reason } => {
-                write!(f, "invalid shard {shard}: {reason}")
+            Self::InvalidField { field } => write!(f, "field {field} outside its valid domain"),
+            Self::InvalidEpsilon { owner } => write!(f, "invalid ε for owner {owner}"),
+            Self::UnknownTag { field, tag } => write!(f, "unknown {field} tag {tag}"),
+            Self::InvalidShard { shard, reason } => write!(f, "invalid shard {shard}: {reason}"),
+            Self::OverCap {
+                requested,
+                remaining,
+            } => {
+                write!(
+                    f,
+                    "declared content needs {requested} bytes, the allocation cap leaves {remaining}"
+                )
             }
         }
     }
@@ -214,431 +249,431 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
-/// Packs the matrix as the shared row-major LSB-first bitmap (the
-/// layout both format versions use).
-fn pack_matrix(matrix: &MembershipMatrix) -> Vec<u8> {
-    let (m, n) = (matrix.providers(), matrix.owners());
-    let mut bitmap = vec![0u8; (m * n).div_ceil(8)];
-    for p in 0..m {
-        for o in 0..n {
-            if matrix.get(ProviderId(p as u32), OwnerId(o as u32)) {
-                let bit = p * n + o;
-                bitmap[bit / 8] |= 1 << (bit % 8);
-            }
-        }
-    }
-    bitmap
+/// Packs `len` bits LSB-first into `⌈len/8⌉` bytes (missing bits are
+/// zero) — the one bit layout of every bitmap the formats carry.
+pub fn pack_bits(len: usize, bits: impl IntoIterator<Item = bool>) -> Vec<u8> {
+    let mut bits = bits.into_iter().take(len);
+    let byte = |_| (0..8).fold(0u8, |acc, b| acc | u8::from(bits.next() == Some(true)) << b);
+    (0..len.div_ceil(8)).map(byte).collect()
 }
 
-/// Rebuilds a matrix from the shared bitmap layout. `bitmap` must hold
-/// exactly `⌈m·n/8⌉` bytes (the caller has already length-checked).
-fn unpack_matrix(bitmap: &[u8], m: usize, n: usize) -> MembershipMatrix {
-    let mut matrix = MembershipMatrix::new(m, n);
-    for p in 0..m {
-        for o in 0..n {
-            let bit = p * n + o;
-            if bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
-                matrix.set(ProviderId(p as u32), OwnerId(o as u32), true);
-            }
-        }
-    }
-    matrix
-}
-
-/// Serializes a published index to the versioned binary format.
-pub fn encode(index: &PublishedIndex) -> Vec<u8> {
-    let matrix = index.matrix();
-    let (m, n) = (matrix.providers(), matrix.owners());
-    let bitmap = pack_matrix(matrix);
-    let mut out = Vec::with_capacity(4 + 2 + 8 + bitmap.len() + n * 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(m as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    out.extend_from_slice(&bitmap);
-    for &beta in index.betas() {
-        out.extend_from_slice(&beta.to_le_bytes());
-    }
-    out
-}
-
-/// Deserializes an index, validating structure and every β.
+/// The entry `tag` indexes in `table` — the values of a tagged field in
+/// tag order — else [`CodecError::UnknownTag`].
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] for any malformed input; never panics on
-/// untrusted bytes.
-pub fn decode(bytes: &[u8]) -> Result<PublishedIndex, CodecError> {
-    let need_header = 4 + 2 + 8;
-    if bytes.len() < need_header {
-        return Err(CodecError::Truncated {
-            expected: need_header,
-            actual: bytes.len(),
+/// [`CodecError::UnknownTag`].
+pub fn from_tag<T: Copy>(field: &'static str, tag: u8, table: &[T]) -> Result<T, CodecError> {
+    let unknown = CodecError::UnknownTag { field, tag };
+    table.get(usize::from(tag)).copied().ok_or(unknown)
+}
+
+/// Calls `one(i)` for every set bit `i` of an LSB-first bitmap.
+pub fn for_each_one(bitmap: &[u8], mut one: impl FnMut(usize)) {
+    for (at, &byte) in bitmap.iter().enumerate() {
+        let mut rest = byte;
+        while rest != 0 {
+            one(at * 8 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// Builds one record: little-endian fields, optionally opened with an
+/// EPPI header and sealed with a CRC-32 trailer.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: Vec<u8>,
+}
+
+impl Writer {
+    /// An empty writer with room for `bytes` (headerless formats: log
+    /// payloads and frames, envelopes).
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            out: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// Starts a record with `magic` and `version`.
+    pub fn open(magic: &[u8; 4], version: u16) -> Self {
+        let mut w = Self::default();
+        w.bytes(magic);
+        w.u16(version);
+        w
+    }
+
+    /// Appends raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+    }
+
+    /// Appends a count as a `u32`.
+    #[inline]
+    pub fn len32(&mut self, n: usize) {
+        self.u32(n as u32);
+    }
+
+    /// Appends every value as a little-endian `u32`.
+    pub fn u32s(&mut self, values: &[u32]) {
+        self.out.reserve(values.len() * 4);
+        values.iter().for_each(|&v| self.u32(v));
+    }
+
+    /// Appends every value as a little-endian `u64`.
+    pub fn u64s(&mut self, values: &[u64]) {
+        self.out.reserve(values.len() * 8);
+        values.iter().for_each(|&v| self.u64(v));
+    }
+
+    /// Appends every value as its little-endian bits.
+    pub fn f64s(&mut self, values: &[f64]) {
+        self.out.reserve(values.len() * 8);
+        values.iter().for_each(|&v| self.f64(v));
+    }
+
+    /// Appends the matrix bitmap (row-major) and the β's of `index` —
+    /// the body v1 and v2 share after their dimension fields.
+    pub fn index(&mut self, index: &PublishedIndex) {
+        let matrix = index.matrix();
+        let n = matrix.owners();
+        let rows = matrix.provider_ids().flat_map(|p| {
+            let words = matrix.row_words(p).iter();
+            words
+                .flat_map(|&w| (0..64).map(move |b| (w >> b) & 1 != 0))
+                .take(n)
         });
-    }
-    if &bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let m = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes")) as usize;
-    let n = u32::from_le_bytes(bytes[10..14].try_into().expect("4 bytes")) as usize;
-    let bitmap_len = (m * n).div_ceil(8);
-    let total = need_header + bitmap_len + n * 8;
-    if bytes.len() < total {
-        return Err(CodecError::Truncated {
-            expected: total,
-            actual: bytes.len(),
-        });
-    }
-    if bytes.len() > total {
-        return Err(CodecError::TrailingBytes(bytes.len() - total));
+        self.bytes(&pack_bits(matrix.providers() * n, rows));
+        self.f64s(index.betas());
     }
 
-    let matrix = unpack_matrix(&bytes[need_header..need_header + bitmap_len], m, n);
-
-    let mut betas = Vec::with_capacity(n);
-    let beta_bytes = &bytes[need_header + bitmap_len..];
-    for (o, chunk) in beta_bytes.chunks_exact(8).enumerate() {
-        let beta = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        if !beta.is_finite() || !(0.0..=1.0).contains(&beta) {
-            return Err(CodecError::InvalidBeta { owner: o as u32 });
-        }
-        betas.push(beta);
+    /// Appends one `[len u32][crc32 u32][payload]` frame.
+    pub fn frame(&mut self, payload: &[u8]) {
+        self.len32(payload.len());
+        self.u32(crc32(payload));
+        self.bytes(payload);
     }
-    Ok(PublishedIndex::new(matrix, betas))
+
+    /// Appends the CRC-32 of everything written and returns the record.
+    pub fn seal(mut self) -> Vec<u8> {
+        let crc = crc32(&self.out);
+        self.u32(crc);
+        self.out
+    }
+
+    /// Returns the record as written (no checksum).
+    pub fn finish(self) -> Vec<u8> {
+        self.out
+    }
 }
 
-/// The lineage configuration of a v2 epoch record, as plain tagged
-/// scalars.
-///
-/// The codec layer stores protocol configuration structurally (tags
-/// plus parameters) rather than by type, so this crate stays free of a
-/// protocol dependency; the durability layer maps these fields onto the
-/// real `ProtocolConfig` and rejects tags it does not know.
-/// Tag meanings: policy `0` = basic, `1` = incremented (`param` = Δ),
-/// `2` = Chernoff (`param` = γ); backend `0` = in-process, `1` =
-/// threaded, `2` = simulated, low-bits `3` = pipelined with the worker
-/// count in the high five bits (which must then be non-zero).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConfigRecord {
-    /// Coordinator count `c`.
-    pub coordinators: u32,
-    /// β-policy discriminant (0, 1 or 2 — see the type docs).
-    pub policy_tag: u8,
-    /// The policy's parameter (Δ or γ; 0 for the basic policy).
-    pub policy_param: f64,
-    /// Bits per Bernoulli(λ) mixing coin.
-    pub coin_bits: u32,
-    /// Link latency in µs (traffic accounting model).
-    pub link_latency_us: f64,
-    /// Link bandwidth in bytes/µs.
-    pub link_bandwidth: f64,
-    /// MPC backend discriminant (low bits 0–3 — see the type docs; the
-    /// pipelined backend packs its worker count into the high bits).
-    pub backend_tag: u8,
-    /// The lineage seed keying every publication and mix coin.
-    pub seed: u64,
-}
-
-/// A full epoch snapshot: everything a crashed coordinator set needs to
-/// resume the delta lineage without a rebuild (DESIGN.md §10–11).
-///
-/// ε's are carried as raw `f64` here; the protocol layer re-wraps them
-/// (the codec still validates the `\[0, 1\]` range on load).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochRecord {
-    /// The published, obscured index.
-    pub index: PublishedIndex,
-    /// Per-owner mix decisions (`true` ⇒ published with β = 1).
-    pub decisions: Vec<bool>,
-    /// The mixing probability λ of the epoch.
-    pub lambda: f64,
-    /// The exact common-identity count.
-    pub common_count: u64,
-    /// The epoch number in the lineage.
-    pub epoch: u64,
-    /// Public per-owner frequency thresholds.
-    pub thresholds: Vec<u64>,
-    /// Per-owner privacy degrees.
-    pub epsilons: Vec<f64>,
-    /// `shares[k][j]`: coordinator `k`'s additive frequency share of
-    /// owner `j`.
-    pub shares: Vec<Vec<u64>>,
-    /// The lineage configuration.
-    pub config: ConfigRecord,
-}
-
-/// Fixed byte length of the v2 header (everything before the bitmap).
-const EPOCH_HEADER: usize = 4 + 2 + 8 + 8 + 8 + 4 + 1 + 8 + 4 + 8 + 8 + 1 + 8 + 4 + 4;
-
-/// Serializes an epoch snapshot to the version-2 format, CRC-32
-/// checksummed.
-///
-/// # Panics
-///
-/// Panics if the record's vector lengths are inconsistent with its
-/// index dimensions (`decisions`, `thresholds`, `epsilons` and every
-/// share vector must have one entry per owner) — an `EpochRecord`
-/// assembled from a live `IndexEpoch` always satisfies this.
-pub fn encode_epoch_record(record: &EpochRecord) -> Vec<u8> {
-    let matrix = record.index.matrix();
-    let (m, n) = (matrix.providers(), matrix.owners());
-    assert_eq!(record.decisions.len(), n, "decisions per owner");
-    assert_eq!(record.thresholds.len(), n, "thresholds per owner");
-    assert_eq!(record.epsilons.len(), n, "epsilons per owner");
-    for shares in &record.shares {
-        assert_eq!(shares.len(), n, "share vector per owner");
-    }
-    assert_eq!(
-        record.shares.len(),
-        record.config.coordinators as usize,
-        "one share vector per coordinator"
-    );
-
-    let bitmap = pack_matrix(matrix);
-    let decisions_len = n.div_ceil(8);
-    let shares_len = record.shares.len() * n * 8;
-    let mut out =
-        Vec::with_capacity(EPOCH_HEADER + bitmap.len() + decisions_len + n * 24 + shares_len + 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_EPOCH.to_le_bytes());
-    out.extend_from_slice(&record.epoch.to_le_bytes());
-    out.extend_from_slice(&record.lambda.to_le_bytes());
-    out.extend_from_slice(&record.common_count.to_le_bytes());
-    out.extend_from_slice(&record.config.coordinators.to_le_bytes());
-    out.push(record.config.policy_tag);
-    out.extend_from_slice(&record.config.policy_param.to_le_bytes());
-    out.extend_from_slice(&record.config.coin_bits.to_le_bytes());
-    out.extend_from_slice(&record.config.link_latency_us.to_le_bytes());
-    out.extend_from_slice(&record.config.link_bandwidth.to_le_bytes());
-    out.push(record.config.backend_tag);
-    out.extend_from_slice(&record.config.seed.to_le_bytes());
-    out.extend_from_slice(&(m as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    out.extend_from_slice(&bitmap);
-    for &beta in record.index.betas() {
-        out.extend_from_slice(&beta.to_le_bytes());
-    }
-    let mut decisions = vec![0u8; decisions_len];
-    for (o, &mixed) in record.decisions.iter().enumerate() {
-        if mixed {
-            decisions[o / 8] |= 1 << (o % 8);
-        }
-    }
-    out.extend_from_slice(&decisions);
-    for &t in &record.thresholds {
-        out.extend_from_slice(&t.to_le_bytes());
-    }
-    for &e in &record.epsilons {
-        out.extend_from_slice(&e.to_le_bytes());
-    }
-    for shares in &record.shares {
-        for &s in shares {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// A little-endian cursor over untrusted bytes; every read is
-/// length-checked so malformed input surfaces as [`CodecError`], never
-/// as a panic.
-struct Cursor<'a> {
+/// A bounded little-endian cursor over untrusted bytes: every read is
+/// length-checked, and every count that sizes an allocation is charged
+/// against the input's [`alloc_cap`] first, so malformed or hostile
+/// input surfaces as a [`CodecError`] — never a panic, never an
+/// allocation the input cannot pay for.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
+    budget: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.at.checked_add(len).ok_or(CodecError::Truncated {
-            expected: usize::MAX,
+impl<'a> Reader<'a> {
+    /// A reader over a headerless format.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader {
+            bytes,
+            at: 0,
+            budget: alloc_cap(bytes.len()),
+        }
+    }
+
+    /// A reader positioned after a checked `magic` and `version`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`], [`CodecError::BadMagic`] or
+    /// [`CodecError::UnsupportedVersion`].
+    pub fn open(bytes: &'a [u8], magic: &[u8; 4], version: u16) -> Result<Self, CodecError> {
+        let mut r = Self::new(bytes);
+        r.magic(magic)?;
+        let v = r.u16()?;
+        (v == version)
+            .then_some(r)
+            .ok_or(CodecError::UnsupportedVersion(v))
+    }
+
+    /// Consumes a 4-byte `magic`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] or [`CodecError::BadMagic`].
+    pub fn magic(&mut self, magic: &[u8; 4]) -> Result<(), CodecError> {
+        (self.take(4)? == magic)
+            .then_some(())
+            .ok_or(CodecError::BadMagic)
+    }
+
+    /// Checks the CRC-32 trailer over every byte before it and narrows
+    /// the reader to exclude it.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] or [`CodecError::BadChecksum`].
+    pub fn unseal(mut self) -> Result<Self, CodecError> {
+        let end = self.bytes.len().saturating_sub(4).max(self.at);
+        let (content, trailer) = self.bytes.split_at_checked(end).unwrap_or_default();
+        check_crc(Reader::new(trailer).u32()?, content)?;
+        self.bytes = content;
+        Ok(self)
+    }
+
+    /// Reads one `[len u32][crc32 u32][payload]` frame and checks the
+    /// payload's CRC.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] or [`CodecError::BadChecksum`].
+    pub fn frame(&mut self) -> Result<&'a [u8], CodecError> {
+        let (len, stored) = (self.u32()? as usize, self.u32()?);
+        let payload = self.take(len)?;
+        check_crc(stored, payload).map(|()| payload)
+    }
+
+    /// Requires exactly `len` unread bytes (a record whose size its
+    /// header fixes).
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] or [`CodecError::TrailingBytes`].
+    pub fn expect_remaining(&self, len: usize) -> Result<(), CodecError> {
+        let mut rest = self.clone();
+        rest.take(len)?;
+        rest.finish()
+    }
+
+    /// Ends the read: every byte must have been consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::TrailingBytes`].
+    pub fn finish(self) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CodecError::TrailingBytes(n)),
+        }
+    }
+
+    /// Unread bytes.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.at)
+    }
+
+    /// Consumes the next `len` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`].
+    #[inline]
+    pub fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
+        let end = self.at.saturating_add(len);
+        let out = self.bytes.get(self.at..end).ok_or(CodecError::Truncated {
+            expected: end,
             actual: self.bytes.len(),
         })?;
-        if end > self.bytes.len() {
-            return Err(CodecError::Truncated {
-                expected: end,
-                actual: self.bytes.len(),
-            });
-        }
-        let out = &self.bytes[self.at..end];
         self.at = end;
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+    /// Consumes the next `N` bytes as an array.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`].
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let actual = self.bytes.len();
+        <[u8; N]>::try_from(self.take(N)?).map_err(|_| CodecError::Truncated {
+            expected: N,
+            actual,
+        })
     }
 
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
+    /// Charges `count` decoded elements of `size` bytes each against the
+    /// allocation cap; call it before allocating them. Returns `count`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::OverCap`] when the cap cannot pay for them.
+    pub fn reserve(&mut self, count: usize, size: usize) -> Result<usize, CodecError> {
+        let (requested, remaining) = (count.saturating_mul(size), self.budget);
+        let over = CodecError::OverCap {
+            requested,
+            remaining,
+        };
+        self.budget = remaining.checked_sub(requested).ok_or(over)?;
+        Ok(count)
     }
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    /// Takes `n` elements of `N` bytes in one bulk read, charging them
+    /// against the cap.
+    fn chunks<const N: usize>(&mut self, n: usize) -> Result<&'a [[u8; N]], CodecError> {
+        let (chunks, _) = self.take(n.saturating_mul(N))?.as_chunks::<N>();
+        self.reserve(n, N)?;
+        Ok(chunks)
     }
 
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    /// Reads `n` little-endian `u32`s in one bulk take.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] or [`CodecError::OverCap`].
+    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, CodecError> {
+        self.chunks(n)
+            .map(|c| c.iter().map(|&w| u32::from_le_bytes(w)).collect())
     }
 
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    /// Reads `n` little-endian `u64`s in one bulk take.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] or [`CodecError::OverCap`].
+    pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, CodecError> {
+        self.chunks(n)
+            .map(|c| c.iter().map(|&w| u64::from_le_bytes(w)).collect())
+    }
+
+    /// Reads `n` `f64`s that must each be a finite probability;
+    /// `invalid(i)` names the first that is not.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`], [`CodecError::OverCap`] or
+    /// `invalid(i)`.
+    pub fn probabilities(
+        &mut self,
+        n: usize,
+        invalid: fn(u32) -> CodecError,
+    ) -> Result<Vec<f64>, CodecError> {
+        let values = self.chunks(n)?.iter().map(|&w| f64::from_le_bytes(w));
+        let mut out = Vec::with_capacity(n);
+        for (i, v) in (0..).zip(values) {
+            // The range check also refuses NaN and the infinities.
+            if !(0.0..=1.0).contains(&v) {
+                return Err(invalid(i));
+            }
+            out.push(v);
+        }
+        Ok(out)
+    }
+
+    /// Reads a `len`-bit LSB-first bitmap (`⌈len/8⌉` bytes) whose
+    /// padding bits must be zero, so every accepted bitmap re-encodes
+    /// to the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] or [`CodecError::InvalidField`].
+    pub fn bits(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
+        let bytes = self.take(len.div_ceil(8))?;
+        let tail = len % 8;
+        let clean = tail == 0 || bytes.last().is_none_or(|&b| b >> tail == 0);
+        ensure(clean, "bitmap padding")?;
+        Ok(bytes)
+    }
+
+    /// Reads a `len`-bit bitmap as one `bool` per bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`bits`](Self::bits), plus [`CodecError::OverCap`].
+    pub fn bools(&mut self, len: usize) -> Result<Vec<bool>, CodecError> {
+        let bitmap = self.bits(len)?;
+        let mut out = vec![false; self.reserve(len, 1)?];
+        for_each_one(bitmap, |i| {
+            if let Some(bit) = out.get_mut(i) {
+                *bit = true;
+            }
+        });
+        Ok(out)
+    }
+
+    /// Reads an `m × n` matrix bitmap plus `n` β's — the body v1 and v2
+    /// share after their dimension fields. The decoded matrix (rows pad
+    /// to at least one 64-bit word) is charged against the cap first.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`], [`CodecError::OverCap`],
+    /// [`CodecError::InvalidField`] (set padding bits) or
+    /// [`CodecError::InvalidBeta`].
+    pub fn index(&mut self, m: usize, n: usize) -> Result<PublishedIndex, CodecError> {
+        let bitmap = self.bits(m.saturating_mul(n))?;
+        self.reserve(m, 8 * n.div_ceil(64).max(1))?;
+        let mut matrix = MembershipMatrix::new(m, n);
+        for_each_one(bitmap, |bit| {
+            let (p, o) = ((bit / n) as u32, (bit % n) as u32);
+            matrix.set(ProviderId(p), OwnerId(o), true);
+        });
+        let betas = self.probabilities(n, |owner| CodecError::InvalidBeta { owner })?;
+        Ok(PublishedIndex::new(matrix, betas))
     }
 }
 
-/// `value` must be a finite probability, else `field` is invalid.
-fn check_unit(value: f64, field: &'static str) -> Result<f64, CodecError> {
-    if value.is_finite() && (0.0..=1.0).contains(&value) {
-        Ok(value)
-    } else {
-        Err(CodecError::InvalidField { field })
-    }
+/// The fixed-width little-endian fields, written and read alike.
+macro_rules! le_fields {
+    ($($t:ident),*) => {
+        impl Writer {
+            $(
+                #[doc = concat!("Appends a little-endian `", stringify!($t), "`.")]
+                #[inline]
+                pub fn $t(&mut self, v: $t) {
+                    self.bytes(&v.to_le_bytes());
+                }
+            )*
+        }
+
+        impl Reader<'_> {
+            $(
+                #[doc = concat!("Reads a little-endian `", stringify!($t), "`.")]
+                ///
+                /// # Errors
+                ///
+                /// [`CodecError::Truncated`].
+                #[inline]
+                pub fn $t(&mut self) -> Result<$t, CodecError> {
+                    self.array().map($t::from_le_bytes)
+                }
+            )*
+        }
+    };
 }
 
-/// Deserializes a version-2 epoch snapshot, validating the checksum,
-/// the structure and every scalar domain.
+le_fields!(u8, u16, u32, u64, f64);
+
+/// Serializes a published index to the version-1 format.
+pub fn encode(index: &PublishedIndex) -> Vec<u8> {
+    let mut w = Writer::open(MAGIC, VERSION);
+    w.len32(index.matrix().providers());
+    w.len32(index.matrix().owners());
+    w.index(index);
+    w.finish()
+}
+
+/// Deserializes a version-1 index, validating structure and every β.
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] for any malformed input — wrong magic or
-/// version, truncation, trailing bytes, checksum mismatch, out-of-range
-/// β/ε/λ, non-finite configuration scalars, or unknown policy/backend
-/// tags. Never panics on untrusted bytes, and performs no allocation
-/// sized beyond the supplied buffer.
-pub fn decode_epoch_record(bytes: &[u8]) -> Result<EpochRecord, CodecError> {
-    let mut cur = Cursor { bytes, at: 0 };
-    if cur.take(4)? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = cur.u16()?;
-    if version != VERSION_EPOCH {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let epoch = cur.u64()?;
-    let lambda = check_unit(cur.f64()?, "lambda")?;
-    let common_count = cur.u64()?;
-    let coordinators = cur.u32()?;
-    let policy_tag = cur.u8()?;
-    if policy_tag > 2 {
-        return Err(CodecError::UnknownTag {
-            field: "policy",
-            tag: policy_tag,
-        });
-    }
-    let policy_param = cur.f64()?;
-    if !policy_param.is_finite() {
-        return Err(CodecError::InvalidField {
-            field: "policy_param",
-        });
-    }
-    let coin_bits = cur.u32()?;
-    let link_latency_us = cur.f64()?;
-    let link_bandwidth = cur.f64()?;
-    if !link_latency_us.is_finite() || link_latency_us < 0.0 {
-        return Err(CodecError::InvalidField {
-            field: "link_latency_us",
-        });
-    }
-    if !link_bandwidth.is_finite() || link_bandwidth <= 0.0 {
-        return Err(CodecError::InvalidField {
-            field: "link_bandwidth",
-        });
-    }
-    let backend_tag = cur.u8()?;
-    // Plain discriminants 0–2, or the pipelined packing: low bits 3
-    // with a non-zero worker count above them (see [`ConfigRecord`]).
-    let pipelined = backend_tag & 0x07 == 3 && backend_tag >> 3 > 0;
-    if backend_tag > 2 && !pipelined {
-        return Err(CodecError::UnknownTag {
-            field: "backend",
-            tag: backend_tag,
-        });
-    }
-    let seed = cur.u64()?;
-    let m = cur.u32()? as usize;
-    let n = cur.u32()? as usize;
-
-    // Sizes come from untrusted bytes: length-check against the buffer
-    // (wide arithmetic, immune to overflow) *before* any allocation, so
-    // a corrupted dimension field cannot drive an over-allocation.
-    let bitmap_len = (m as u128 * n as u128).div_ceil(8);
-    let decisions_len = (n as u128).div_ceil(8);
-    let body = bitmap_len + decisions_len + (n as u128) * 24 + coordinators as u128 * n as u128 * 8;
-    let total = EPOCH_HEADER as u128 + body + 4;
-    if total > bytes.len() as u128 {
-        return Err(CodecError::Truncated {
-            expected: usize::try_from(total).unwrap_or(usize::MAX),
-            actual: bytes.len(),
-        });
-    }
-    if (bytes.len() as u128) > total {
-        return Err(CodecError::TrailingBytes(bytes.len() - total as usize));
-    }
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[..bytes.len() - 4]);
-    if stored != computed {
-        return Err(CodecError::BadChecksum { stored, computed });
-    }
-
-    let matrix = unpack_matrix(cur.take(bitmap_len as usize)?, m, n);
-    let mut betas = Vec::with_capacity(n);
-    for o in 0..n {
-        let beta = cur.f64()?;
-        if !beta.is_finite() || !(0.0..=1.0).contains(&beta) {
-            return Err(CodecError::InvalidBeta { owner: o as u32 });
-        }
-        betas.push(beta);
-    }
-    let decision_bytes = cur.take(decisions_len as usize)?;
-    let decisions: Vec<bool> = (0..n)
-        .map(|o| decision_bytes[o / 8] & (1 << (o % 8)) != 0)
-        .collect();
-    let mut thresholds = Vec::with_capacity(n);
-    for _ in 0..n {
-        thresholds.push(cur.u64()?);
-    }
-    let mut epsilons = Vec::with_capacity(n);
-    for o in 0..n {
-        let eps = cur.f64()?;
-        if !eps.is_finite() || !(0.0..=1.0).contains(&eps) {
-            return Err(CodecError::InvalidEpsilon { owner: o as u32 });
-        }
-        epsilons.push(eps);
-    }
-    let mut shares = Vec::with_capacity(coordinators as usize);
-    for _ in 0..coordinators {
-        let mut vector = Vec::with_capacity(n);
-        for _ in 0..n {
-            vector.push(cur.u64()?);
-        }
-        shares.push(vector);
-    }
-
-    Ok(EpochRecord {
-        index: PublishedIndex::new(matrix, betas),
-        decisions,
-        lambda,
-        common_count,
-        epoch,
-        thresholds,
-        epsilons,
-        shares,
-        config: ConfigRecord {
-            coordinators,
-            policy_tag,
-            policy_param,
-            coin_bits,
-            link_latency_us,
-            link_bandwidth,
-            backend_tag,
-            seed,
-        },
-    })
+/// Returns a [`CodecError`] for any malformed input; never panics on
+/// untrusted bytes and never allocates past the input's [`alloc_cap`].
+pub fn decode(bytes: &[u8]) -> Result<PublishedIndex, CodecError> {
+    let mut r = Reader::open(bytes, MAGIC, VERSION)?;
+    let (m, n) = (r.u32()? as usize, r.u32()? as usize);
+    let index = r.index(m, n)?;
+    r.finish()?;
+    Ok(index)
 }
 
 /// One shard's rows in their physical serving layout.
@@ -695,73 +730,39 @@ pub struct ServeSnapshotRecord {
     pub shards: Vec<ServeShardRecord>,
 }
 
-fn backend_to_tag(backend: RowBackend) -> u8 {
-    match backend {
+/// Serializes a serving-layout snapshot to the version-3 format,
+/// CRC-32 sealed. Each shard is written in the layout it holds; a
+/// record that disagrees with itself — a row variant other than the
+/// declared backend, a dense block not sized to its slots, an offset
+/// table not tiling its stream — encodes, but does not decode. Records
+/// assembled from a live `ShardedIndex` are always consistent.
+pub fn encode_serve_snapshot(record: &ServeSnapshotRecord) -> Vec<u8> {
+    let mut w = Writer::open(MAGIC, VERSION_SERVE);
+    w.u64(record.snapshot_version);
+    w.u8(match record.backend {
         RowBackend::Dense => 0,
         RowBackend::Compressed => 1,
-    }
-}
-
-/// Serializes a serving-layout snapshot to the version-3 format,
-/// CRC-32 checksummed.
-///
-/// # Panics
-///
-/// Panics if the record is structurally inconsistent — a shard's row
-/// variant disagreeing with the declared backend, a dense block not
-/// holding exactly `owner_count · words_per_row` words, or a compressed
-/// offset table not tiling its stream with `owner_count + 1` entries.
-/// Records assembled from a live `ShardedIndex` always satisfy this.
-pub fn encode_serve_snapshot(record: &ServeSnapshotRecord) -> Vec<u8> {
-    let wpr = row_words(record.providers as usize);
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_SERVE.to_le_bytes());
-    out.extend_from_slice(&record.snapshot_version.to_le_bytes());
-    out.push(backend_to_tag(record.backend));
-    out.extend_from_slice(&record.providers.to_le_bytes());
-    out.extend_from_slice(&(record.betas.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record.base_shards.to_le_bytes());
-    out.extend_from_slice(&record.base_owners.to_le_bytes());
-    out.extend_from_slice(&record.append_capacity.to_le_bytes());
-    out.extend_from_slice(&(record.shards.len() as u32).to_le_bytes());
-    for &beta in &record.betas {
-        out.extend_from_slice(&beta.to_le_bytes());
-    }
+    });
+    w.u32(record.providers);
+    w.len32(record.betas.len());
+    w.u32(record.base_shards);
+    w.u32(record.base_owners);
+    w.u32(record.append_capacity);
+    w.len32(record.shards.len());
+    w.f64s(&record.betas);
     for shard in &record.shards {
-        let slots = shard.owners.len();
-        out.extend_from_slice(&(slots as u32).to_le_bytes());
-        for &o in &shard.owners {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        match (&shard.rows, record.backend) {
-            (ShardRowsRecord::Dense(words), RowBackend::Dense) => {
-                assert_eq!(words.len(), slots * wpr, "dense block sized to its slots");
-                for &w in words {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
+        w.len32(shard.owners.len());
+        w.u32s(&shard.owners);
+        match &shard.rows {
+            ShardRowsRecord::Dense(words) => w.u64s(words),
+            ShardRowsRecord::Compressed { stream, offsets } => {
+                w.len32(stream.len());
+                w.u32s(offsets);
+                w.u64s(stream);
             }
-            (ShardRowsRecord::Compressed { stream, offsets }, RowBackend::Compressed) => {
-                assert_eq!(offsets.len(), slots + 1, "one offset per slot plus end");
-                assert_eq!(
-                    offsets.last().copied().unwrap_or(0) as usize,
-                    stream.len(),
-                    "offsets tile the stream"
-                );
-                out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
-                for &off in offsets {
-                    out.extend_from_slice(&off.to_le_bytes());
-                }
-                for &t in stream {
-                    out.extend_from_slice(&t.to_le_bytes());
-                }
-            }
-            _ => panic!("shard row variant disagrees with the snapshot backend"),
         }
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    w.seal()
 }
 
 /// Deserializes a version-3 serving-layout snapshot, validating the
@@ -772,115 +773,46 @@ pub fn encode_serve_snapshot(record: &ServeSnapshotRecord) -> Vec<u8> {
 ///
 /// Returns a [`CodecError`] for any malformed input — wrong magic or
 /// version, truncation, trailing bytes, checksum mismatch, an unknown
-/// backend tag, out-of-range βs, or a structurally inconsistent shard.
-/// Never panics on untrusted bytes; the checksum is verified before any
-/// length field is trusted, so corrupted counts cannot drive
-/// allocations.
+/// backend tag, out-of-range βs, a structurally inconsistent shard, or
+/// counts past the input's [`alloc_cap`]. The checksum is verified
+/// before any length field is trusted.
 pub fn decode_serve_snapshot(bytes: &[u8]) -> Result<ServeSnapshotRecord, CodecError> {
-    let min = 4 + 2 + 8 + 1 + 4 + 4 + 4 + 4 + 4 + 4 + 4;
-    if bytes.len() < min {
-        return Err(CodecError::Truncated {
-            expected: min,
-            actual: bytes.len(),
-        });
-    }
-    if &bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != VERSION_SERVE {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    // Checksum first: every length field below is then known-good
-    // (matching what the encoder wrote) before it sizes a read.
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[..bytes.len() - 4]);
-    if stored != computed {
-        return Err(CodecError::BadChecksum { stored, computed });
-    }
-
-    let mut cur = Cursor {
-        bytes: &bytes[..bytes.len() - 4],
-        at: 6,
-    };
-    let snapshot_version = cur.u64()?;
-    let backend_tag = cur.u8()?;
-    let backend = match backend_tag {
-        0 => RowBackend::Dense,
-        1 => RowBackend::Compressed,
-        tag => {
-            return Err(CodecError::UnknownTag {
-                field: "row backend",
-                tag,
-            })
-        }
-    };
-    let providers = cur.u32()?;
-    let owners = cur.u32()? as usize;
-    let base_shards = cur.u32()?;
-    let base_owners = cur.u32()?;
-    let append_capacity = cur.u32()?;
-    let shard_count = cur.u32()? as usize;
+    let mut r = Reader::open(bytes, MAGIC, VERSION_SERVE)?.unseal()?;
+    let snapshot_version = r.u64()?;
+    let backends = [RowBackend::Dense, RowBackend::Compressed];
+    let backend = from_tag("row backend", r.u8()?, &backends)?;
+    let providers = r.u32()?;
+    let owners = r.u32()? as usize;
+    let (base_shards, base_owners, append_capacity) = (r.u32()?, r.u32()?, r.u32()?);
+    let shard_count = r.u32()? as usize;
     let wpr = row_words(providers as usize);
+    let betas = r.probabilities(owners, |owner| CodecError::InvalidBeta { owner })?;
 
-    let mut betas = Vec::with_capacity(owners.min(cur.bytes.len() / 8));
-    for o in 0..owners {
-        let beta = cur.f64()?;
-        if !beta.is_finite() || !(0.0..=1.0).contains(&beta) {
-            return Err(CodecError::InvalidBeta { owner: o as u32 });
-        }
-        betas.push(beta);
-    }
-
-    let mut shards = Vec::with_capacity(shard_count.min(1024));
+    let mut shards = Vec::with_capacity(r.reserve(shard_count, size_of::<ServeShardRecord>())?);
     for s in 0..shard_count {
-        let slots = cur.u32()? as usize;
-        let owner_bytes = cur.take(slots * 4)?;
-        let owners: Vec<u32> = owner_bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
+        let slots = r.u32()? as usize;
+        let owners = r.u32s(slots)?;
         let rows = match backend {
-            RowBackend::Dense => {
-                let words_bytes = cur.take(slots * wpr * 8)?;
-                ShardRowsRecord::Dense(
-                    words_bytes
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                        .collect(),
-                )
-            }
+            RowBackend::Dense => ShardRowsRecord::Dense(r.u64s(slots.saturating_mul(wpr))?),
             RowBackend::Compressed => {
-                let tokens = cur.u32()? as usize;
-                let offset_bytes = cur.take((slots + 1) * 4)?;
-                let offsets: Vec<u32> = offset_bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect();
+                let tokens = r.u32()?;
+                let offsets = r.u32s(slots.saturating_add(1))?;
                 if offsets.first() != Some(&0)
-                    || offsets.last().copied().unwrap_or(u32::MAX) as usize != tokens
-                    || offsets.windows(2).any(|w| w[0] > w[1])
+                    || offsets.last() != Some(&tokens)
+                    || !offsets.is_sorted()
                 {
                     return Err(CodecError::InvalidShard {
                         shard: s as u32,
                         reason: "offset table does not tile its token stream",
                     });
                 }
-                let stream_bytes = cur.take(tokens * 8)?;
-                ShardRowsRecord::Compressed {
-                    stream: stream_bytes
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                        .collect(),
-                    offsets,
-                }
+                let stream = r.u64s(tokens as usize)?;
+                ShardRowsRecord::Compressed { stream, offsets }
             }
         };
         shards.push(ServeShardRecord { owners, rows });
     }
-    if cur.at < cur.bytes.len() {
-        return Err(CodecError::TrailingBytes(cur.bytes.len() - cur.at));
-    }
+    r.finish()?;
 
     Ok(ServeSnapshotRecord {
         snapshot_version,
@@ -964,31 +896,96 @@ mod tests {
         assert_eq!(decode(&bytes), Err(CodecError::TrailingBytes(1)));
     }
 
-    fn sample_epoch_record() -> EpochRecord {
-        let index = sample_index();
-        let n = index.matrix().owners();
-        EpochRecord {
-            decisions: (0..n).map(|o| o % 2 == 0).collect(),
-            lambda: 0.375,
-            common_count: 3,
-            epoch: 17,
-            thresholds: (0..n as u64).map(|o| o * 3 + 1).collect(),
-            epsilons: vec![0.0, 0.2, 0.4, 0.8, 1.0],
-            shares: (0..3u64)
-                .map(|c| (0..n as u64).map(|o| c * 1000 + o * 7).collect())
-                .collect(),
-            config: ConfigRecord {
-                coordinators: 3,
-                policy_tag: 2,
-                policy_param: 0.9,
-                coin_bits: 16,
-                link_latency_us: 200.0,
-                link_bandwidth: 125.0,
-                backend_tag: 0,
-                seed: 0xfeed_beef,
-            },
-            index,
-        }
+    #[test]
+    fn set_padding_bits_are_rejected() {
+        // 9 × 5 = 45 cells: the bitmap's last byte carries 3 padding
+        // bits, which a decoder that ignored them could not re-encode.
+        let mut bytes = encode(&sample_index());
+        bytes[14 + 5] |= 0x80;
+        assert_eq!(
+            decode(&bytes),
+            Err(CodecError::InvalidField {
+                field: "bitmap padding"
+            })
+        );
+    }
+
+    #[test]
+    fn hostile_dimensions_are_refused_before_allocating() {
+        // providers = u32::MAX, owners = 0: no bitmap bytes, yet the
+        // matrix would pad one word per row (32 GiB).
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            decode(&bytes),
+            Err(CodecError::OverCap {
+                remaining: ALLOC_FLOOR,
+                ..
+            })
+        ));
+        // The floor still admits a legitimately empty index over many
+        // providers.
+        let empty = PublishedIndex::new(MembershipMatrix::new(100_000, 0), Vec::new());
+        assert_eq!(decode(&encode(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn reader_charges_every_reservation_against_one_cap() {
+        let bytes = [0u8; 1 << 15];
+        let mut r = Reader::new(&bytes);
+        assert_eq!(alloc_cap(bytes.len()), (1 << 15) * ALLOC_FACTOR);
+        assert_eq!(r.reserve(1 << 20, 1), Ok(1 << 20));
+        assert_eq!(r.reserve(1 << 20, 1), Ok(1 << 20));
+        assert_eq!(
+            r.reserve(1, 1),
+            Err(CodecError::OverCap {
+                requested: 1,
+                remaining: 0
+            })
+        );
+        assert!(matches!(
+            Reader::new(&bytes).reserve(usize::MAX, 8),
+            Err(CodecError::OverCap {
+                requested: usize::MAX,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn bits_pack_lsb_first_and_unpack_to_the_same_positions() {
+        let ones = [0usize, 3, 8, 9, 17];
+        let packed = pack_bits(18, (0..18).map(|i| ones.contains(&i)));
+        assert_eq!(packed, vec![0b0000_1001, 0b0000_0011, 0b0000_0010]);
+        let mut seen = Vec::new();
+        for_each_one(&packed, |i| seen.push(i));
+        assert_eq!(seen, ones);
+        // A short iterator pads with zeros.
+        assert_eq!(pack_bits(12, [true]), vec![1, 0]);
+    }
+
+    #[test]
+    fn frames_roundtrip_and_check_their_payload() {
+        let mut w = Writer::with_capacity(19);
+        w.frame(b"abc");
+        w.frame(b"");
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.frame(), Ok(&b"abc"[..]));
+        assert_eq!(r.frame(), Ok(&b""[..]));
+        assert_eq!(r.finish(), Ok(()));
+        let mut flipped = bytes.clone();
+        flipped[9] ^= 1;
+        assert!(matches!(
+            Reader::new(&flipped).frame(),
+            Err(CodecError::BadChecksum { .. })
+        ));
+        assert!(matches!(
+            Reader::new(&bytes[..10]).frame(),
+            Err(CodecError::Truncated { .. })
+        ));
     }
 
     #[test]
@@ -996,125 +993,6 @@ mod tests {
         // The IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn epoch_record_roundtrips() {
-        let record = sample_epoch_record();
-        let bytes = encode_epoch_record(&record);
-        let back = decode_epoch_record(&bytes).expect("roundtrip");
-        assert_eq!(back, record);
-    }
-
-    #[test]
-    fn epoch_record_truncation_is_detected() {
-        let bytes = encode_epoch_record(&sample_epoch_record());
-        for cut in [0usize, 3, 5, 40, 81, bytes.len() - 5, bytes.len() - 1] {
-            assert!(
-                matches!(
-                    decode_epoch_record(&bytes[..cut]),
-                    Err(CodecError::Truncated { .. })
-                ),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn epoch_record_flipped_byte_fails_checksum() {
-        let clean = encode_epoch_record(&sample_epoch_record());
-        // Flip one byte in the body (past the header fields with their
-        // own domain checks): the CRC must catch it.
-        let mut bytes = clean.clone();
-        bytes[EPOCH_HEADER + 1] ^= 0x10;
-        assert!(matches!(
-            decode_epoch_record(&bytes),
-            Err(CodecError::BadChecksum { .. })
-        ));
-    }
-
-    #[test]
-    fn epoch_record_rejects_v1_and_vice_versa() {
-        let index = sample_index();
-        assert_eq!(
-            decode_epoch_record(&encode(&index)),
-            Err(CodecError::UnsupportedVersion(1))
-        );
-        let bytes = encode_epoch_record(&sample_epoch_record());
-        assert_eq!(decode(&bytes), Err(CodecError::UnsupportedVersion(2)));
-    }
-
-    #[test]
-    fn epoch_record_rejects_unknown_tags_and_bad_scalars() {
-        let record = sample_epoch_record();
-        let mut tagged = record.clone();
-        tagged.config.policy_tag = 9;
-        let bytes = encode_epoch_record(&tagged);
-        assert_eq!(
-            decode_epoch_record(&bytes),
-            Err(CodecError::UnknownTag {
-                field: "policy",
-                tag: 9
-            })
-        );
-        let mut backend = record.clone();
-        backend.config.backend_tag = 7;
-        assert_eq!(
-            decode_epoch_record(&encode_epoch_record(&backend)),
-            Err(CodecError::UnknownTag {
-                field: "backend",
-                tag: 7
-            })
-        );
-        // The pipelined packing (low bits 3, workers above) is in
-        // domain; a bare 3 with zero workers is not.
-        let mut pipelined = record.clone();
-        pipelined.config.backend_tag = 3 | (2 << 3);
-        assert!(decode_epoch_record(&encode_epoch_record(&pipelined)).is_ok());
-        let mut bare = record.clone();
-        bare.config.backend_tag = 3;
-        assert_eq!(
-            decode_epoch_record(&encode_epoch_record(&bare)),
-            Err(CodecError::UnknownTag {
-                field: "backend",
-                tag: 3
-            })
-        );
-        let mut lambda = record.clone();
-        lambda.lambda = f64::NAN;
-        assert_eq!(
-            decode_epoch_record(&encode_epoch_record(&lambda)),
-            Err(CodecError::InvalidField { field: "lambda" })
-        );
-        let mut eps = record.clone();
-        eps.epsilons[1] = 3.0;
-        assert_eq!(
-            decode_epoch_record(&encode_epoch_record(&eps)),
-            Err(CodecError::InvalidEpsilon { owner: 1 })
-        );
-    }
-
-    #[test]
-    fn epoch_record_rejects_trailing_bytes() {
-        let mut bytes = encode_epoch_record(&sample_epoch_record());
-        bytes.push(0);
-        assert_eq!(
-            decode_epoch_record(&bytes),
-            Err(CodecError::TrailingBytes(1))
-        );
-    }
-
-    #[test]
-    fn epoch_record_huge_dimensions_do_not_allocate() {
-        // Corrupt the owner-count field to u32::MAX: the decoder must
-        // answer Truncated from the length check, not attempt a
-        // 32-GiB allocation (and the CRC would catch it anyway).
-        let mut bytes = encode_epoch_record(&sample_epoch_record());
-        bytes[EPOCH_HEADER - 4..EPOCH_HEADER].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_epoch_record(&bytes),
-            Err(CodecError::Truncated { .. })
-        ));
     }
 
     /// A small two-shard serve snapshot: providers = 70 (⇒ 2 words per
@@ -1166,16 +1044,16 @@ mod tests {
             decode_serve_snapshot(&encode(&sample_index())),
             Err(CodecError::UnsupportedVersion(1))
         );
+        // A v2 epoch record's header (its encoder lives with the
+        // durability layer; the version is checked before anything else).
+        let mut v2 = encode(&sample_index());
+        v2[4] = 2;
         assert_eq!(
-            decode_serve_snapshot(&encode_epoch_record(&sample_epoch_record())),
+            decode_serve_snapshot(&v2),
             Err(CodecError::UnsupportedVersion(2))
         );
         let bytes = encode_serve_snapshot(&sample_serve_snapshot(RowBackend::Dense));
         assert_eq!(decode(&bytes), Err(CodecError::UnsupportedVersion(3)));
-        assert_eq!(
-            decode_epoch_record(&bytes),
-            Err(CodecError::UnsupportedVersion(3))
-        );
     }
 
     #[test]
@@ -1212,9 +1090,8 @@ mod tests {
         if let ShardRowsRecord::Compressed { offsets, .. } = &mut record.shards[0].rows {
             offsets[1] = offsets[1].wrapping_add(1).max(offsets[2] + 1);
         }
-        // Re-encode with the corrupted table (the encoder only asserts
-        // the end offset, so an interior inversion passes through) and
-        // make the decoder catch it.
+        // Re-encode with the corrupted table (the encoder writes what
+        // it is given) and make the decoder catch it.
         let bytes = encode_serve_snapshot(&record);
         assert!(matches!(
             decode_serve_snapshot(&bytes),
@@ -1246,6 +1123,20 @@ mod tests {
     }
 
     #[test]
+    fn serve_snapshot_refuses_a_resealed_shard_count_past_the_cap() {
+        let mut bytes = encode_serve_snapshot(&sample_serve_snapshot(RowBackend::Dense));
+        let count_at = 4 + 2 + 8 + 1 + 4 * 5;
+        bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body_len = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&crc);
+        assert!(matches!(
+            decode_serve_snapshot(&bytes),
+            Err(CodecError::OverCap { .. })
+        ));
+    }
+
+    #[test]
     fn errors_render() {
         assert!(CodecError::Truncated {
             expected: 10,
@@ -1256,5 +1147,11 @@ mod tests {
         assert!(CodecError::InvalidBeta { owner: 2 }
             .to_string()
             .contains("owner 2"));
+        assert!(CodecError::OverCap {
+            requested: 99,
+            remaining: 7
+        }
+        .to_string()
+        .contains("99"));
     }
 }

@@ -47,9 +47,8 @@ pub mod store;
 
 pub use access::{AccessPolicy, SearcherId};
 pub use codec::{
-    crc32, decode as decode_index, decode_epoch_record, decode_serve_snapshot,
-    encode as encode_index, encode_epoch_record, encode_serve_snapshot, CodecError, ConfigRecord,
-    EpochRecord, ServeShardRecord, ServeSnapshotRecord, ShardRowsRecord,
+    crc32, decode as decode_index, decode_serve_snapshot, encode as encode_index,
+    encode_serve_snapshot, CodecError, ServeShardRecord, ServeSnapshotRecord, ShardRowsRecord,
 };
 pub use network::InformationNetwork;
 pub use search::{LocatorService, ProviderEndpoint, SearchOutcome};

@@ -39,9 +39,6 @@ pub struct InformationNetwork {
     epsilons: HashMap<OwnerId, Epsilon>,
     config: ConstructionConfig,
     index: Option<PublishedIndex>,
-    /// Per-owner frequencies at the last construction — used to decide
-    /// whether the incremental extension path is sound.
-    old_frequencies: Vec<usize>,
     /// Owner count covered by the currently installed index — the base
     /// of the next [`pending_delta`](Self::pending_delta).
     indexed_owners: usize,
@@ -71,7 +68,6 @@ impl InformationNetwork {
             epsilons: HashMap::new(),
             config: ConstructionConfig::default(),
             index: None,
-            old_frequencies: Vec::new(),
             indexed_owners: 0,
             dirty: false,
             config_dirty: false,
@@ -142,8 +138,8 @@ impl InformationNetwork {
     }
 
     /// Withdraws `owner`'s records from `provider` (the inverse of
-    /// `Delegate`). The index becomes stale; because an existing owner's
-    /// column changed, the next refresh performs a full reconstruction.
+    /// `Delegate`). The index becomes stale, and the owner's column
+    /// enters the next [`pending_delta`](Self::pending_delta).
     ///
     /// # Panics
     ///
@@ -267,65 +263,12 @@ impl InformationNetwork {
             });
         }
         let built = construct(&matrix, &epsilons, self.config, rng)?;
-        self.old_frequencies = matrix.frequencies();
         self.indexed_owners = matrix.owners();
         self.index = Some(built.index);
         self.dirty = false;
         self.config_dirty = false;
         self.drain_dirty();
         Ok(self.index.as_ref().expect("just set"))
-    }
-
-    /// Incrementally refreshes the index after delegations: when only
-    /// *new* owners arrived since the last construction, extends the
-    /// index with [`eppi_core::construct::extend_construction`] (old
-    /// rows stay bit-for-bit identical, avoiding the re-publication
-    /// intersection attack); otherwise falls back to a full
-    /// [`construct_ppi`](Self::construct_ppi).
-    ///
-    /// Returns `true` when the cheap extension path was taken.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors.
-    pub fn refresh_ppi<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<bool, EppiError> {
-        let prev = match (&self.index, self.dirty) {
-            (Some(index), true) => index.clone(),
-            _ => {
-                self.construct_ppi(rng)?;
-                return Ok(false);
-            }
-        };
-        let old_n = prev.matrix().owners();
-        let matrix = self.membership_matrix();
-        // Extension is sound only if the old columns are untouched.
-        let old_unchanged = prev.matrix().owner_ids().all(|o| {
-            matrix.frequency(o)
-                == self
-                    .old_frequencies
-                    .get(o.index())
-                    .copied()
-                    .unwrap_or(usize::MAX)
-        });
-        if matrix.owners() > old_n && old_unchanged {
-            let epsilons = self.epsilon_assignment();
-            let extended = eppi_core::construct::extend_construction(
-                &prev,
-                &matrix,
-                &epsilons,
-                self.config,
-                rng,
-            )?;
-            self.old_frequencies = matrix.frequencies();
-            self.indexed_owners = matrix.owners();
-            self.index = Some(extended);
-            self.dirty = false;
-            self.drain_dirty();
-            Ok(true)
-        } else {
-            self.construct_ppi(rng)?;
-            Ok(false)
-        }
     }
 
     /// Installs an index constructed elsewhere (e.g. by the distributed
@@ -340,7 +283,6 @@ impl InformationNetwork {
             self.providers(),
             "index provider count must match the network"
         );
-        self.old_frequencies = self.membership_matrix().frequencies();
         self.indexed_owners = index.matrix().owners();
         self.index = Some(index);
         self.dirty = false;
@@ -478,39 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_takes_extension_path_for_new_owners_only() {
-        let mut net = InformationNetwork::new(60);
-        net.delegate(OwnerId(0), eps(0.5), ProviderId(3), "a");
-        let mut rng = StdRng::seed_from_u64(8);
-        net.construct_ppi(&mut rng).expect("construction");
-        let old_row = net.query_ppi(OwnerId(0));
-
-        // A brand-new owner: cheap extension, old row untouched.
-        net.delegate(OwnerId(1), eps(0.5), ProviderId(9), "b");
-        let extended = net.refresh_ppi(&mut rng).expect("refresh");
-        assert!(extended, "new-owner-only delta must extend");
-        assert_eq!(net.query_ppi(OwnerId(0)), old_row, "old row re-randomized");
-        assert!(net.query_ppi(OwnerId(1)).contains(&ProviderId(9)));
-
-        // A delegation touching an existing owner: full rebuild.
-        net.delegate(OwnerId(0), eps(0.5), ProviderId(20), "c");
-        let extended = net.refresh_ppi(&mut rng).expect("refresh");
-        assert!(!extended, "existing-owner delta needs a full rebuild");
-        assert!(net.query_ppi(OwnerId(0)).contains(&ProviderId(20)));
-    }
-
-    #[test]
-    fn refresh_on_clean_or_empty_network_falls_back() {
-        let mut net = InformationNetwork::new(10);
-        net.delegate(OwnerId(0), eps(0.3), ProviderId(1), "r");
-        let mut rng = StdRng::seed_from_u64(9);
-        // First refresh = first construction.
-        assert!(!net.refresh_ppi(&mut rng).expect("refresh"));
-        // Nothing changed: refresh reconstructs (no-op path).
-        assert!(!net.refresh_ppi(&mut rng).expect("refresh"));
-    }
-
-    #[test]
     fn withdraw_forces_full_rebuild() {
         let mut net = InformationNetwork::new(30);
         net.delegate(OwnerId(0), eps(0.5), ProviderId(2), "a");
@@ -519,8 +428,17 @@ mod tests {
         net.construct_ppi(&mut rng).expect("construction");
         assert_eq!(net.withdraw(OwnerId(0), ProviderId(9)), 1);
         assert!(net.is_stale());
-        let extended = net.refresh_ppi(&mut rng).expect("refresh");
-        assert!(!extended, "withdrawal must trigger a full rebuild");
+        // An old column changed: the batch carries it, and the index
+        // stays stale until a construction folds it in.
+        let changes: Vec<_> = net
+            .pending_delta()
+            .expect("delta")
+            .entries()
+            .map(|e| (e.owner, e.change))
+            .collect();
+        assert_eq!(changes, vec![(OwnerId(0), ColumnChange::Changed)]);
+        net.construct_ppi(&mut rng).expect("rebuild");
+        assert!(!net.is_stale());
         // The withdrawn provider may still appear as a *decoy*, but the
         // record is gone from its store.
         assert!(!net.endpoint(ProviderId(9)).store.holds(OwnerId(0)));
