@@ -191,7 +191,7 @@ pub fn fig6a_simulated(cfg: &Fig6Config) -> Table {
         let inputs: Vec<Vec<bool>> = (0..m)
             .map(|p| pure.encode_party_input(&[p < m / 3 + 1], &[0]))
             .collect();
-        let (_, net) = eppi_protocol::sim_gmw::execute_simulated(
+        let (_, net) = eppi_mpc::gmw::execute(
             pure.circuit(),
             pure.layout(),
             &inputs,

@@ -387,6 +387,10 @@ fn decode_and_reencode(format: Format, bytes: &[u8], path: &Path) -> (Option<Vec
 /// Sets field `field` of `sample` to `value`, re-seals, decodes, and
 /// checks the two properties.
 fn check_mutation(sample: &Sample, field: usize, value: u64) {
+    // Held from before the copy below: another thread's copy of the
+    // 25 KB one-owner sample would otherwise land in this thread's
+    // measured peak.
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let (at, width) = sample.fields[field];
     let mut bytes = sample.bytes.clone();
     bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
@@ -400,7 +404,6 @@ fn check_mutation(sample: &Sample, field: usize, value: u64) {
         Format::V1 | Format::WalPayload => {}
     }
     let path = case_path();
-    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let (reencoded, peak) = decode_and_reencode(sample.format, &bytes, &path);
     assert!(
         peak <= alloc_cap(len),

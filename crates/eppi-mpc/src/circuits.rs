@@ -636,10 +636,21 @@ impl NaiveConstructionCircuit {
 mod tests {
     use super::*;
     use crate::field::Modulus;
-    use crate::gmw::execute;
+    use crate::gmw::GmwStats;
     use crate::share::split;
+    use eppi_net::sim::LinkModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Evaluates `circuit` under GMW, seeded from `rng`.
+    fn execute(
+        circuit: &Circuit,
+        layout: &InputLayout,
+        inputs: &[Vec<bool>],
+        rng: &mut StdRng,
+    ) -> (Vec<bool>, GmwStats) {
+        crate::gmw::execute(circuit, layout, inputs, LinkModel::LAN, rng.gen())
+    }
 
     /// Splits each frequency into `c` additive shares over 2^width and
     /// returns the per-party share vectors.

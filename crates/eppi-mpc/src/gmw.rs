@@ -9,31 +9,36 @@
 //! Since the core refactor this module is a thin adapter: the protocol
 //! itself lives in [`crate::gmw_core`] (one bit-packed [`PartyCore`] per
 //! party, 64 wires per word) and the message flow in an
-//! [`InProcessTransport`] hub driven in lockstep. The engine runs all
-//! parties in-process under the semi-honest model the paper assumes
-//! (§IV-C) and accounts the communication a real deployment would
-//! perform: every AND layer is a batched all-to-all broadcast carrying
-//! two logical bits per gate per ordered party pair, so per-AND-gate
-//! traffic still grows quadratically with the party count — the
-//! structural reason the paper's *pure MPC* baseline scales
-//! super-linearly while ε-PPI pins the circuit to `c` coordinators.
+//! [`InProcessTransport`] hub driven in lockstep. [`execute`] is the
+//! one lockstep executor: it runs all parties in-process under the
+//! semi-honest model the paper assumes (§IV-C) and accounts the
+//! communication a real deployment would perform — every AND layer is a
+//! batched all-to-all broadcast carrying two logical bits per gate per
+//! ordered party pair, so per-AND-gate traffic still grows
+//! quadratically with the party count (the structural reason the
+//! paper's *pure MPC* baseline scales super-linearly while ε-PPI pins
+//! the circuit to `c` coordinators) — and prices each exchange as one
+//! round of simulated network time under a [`LinkModel`], the quantity
+//! behind the paper's Emulab latency curves (Fig. 6a).
 
 use crate::circuit::{Circuit, InputLayout};
-use crate::gmw_core::{deal_packed_triples, payload_bits, run_lockstep, PartyCore, Schedule};
+use crate::gmw_core::{
+    deal_packed_triples, dealer_rng, party_rng, payload_bits, run_lockstep, PartyCore, Schedule,
+};
+use eppi_net::sim::LinkModel;
 use eppi_net::transport::InProcessTransport;
-use rand::Rng;
 
 /// The cost of one secure evaluation — the one record every backend
-/// (in-process, simulated, threaded, each pipelined lane) reports.
+/// (lockstep, threaded, each pipelined lane) reports.
 ///
-/// Everything but `messages` and `bytes` is fixed by the circuit
-/// structure and the party count, so two backends can only differ in
-/// what their transport measured. Traffic follows the workspace-wide
+/// Everything but `messages`, `bytes` and `simulated_us` is fixed by
+/// the circuit structure and the party count, so two backends can only
+/// differ in what their transport measured. Traffic follows the workspace-wide
 /// two-unit convention documented in `eppi-net`'s crate docs:
 /// [`bits_sent`](GmwStats::bits_sent) counts logical payload bits (the
 /// paper's cost model) and [`bytes`](GmwStats::bytes) the packed wire
 /// encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GmwStats {
     /// Number of participating parties.
     pub parties: usize,
@@ -56,6 +61,11 @@ pub struct GmwStats {
     /// Total on-the-wire bytes of the packed batch encoding (0 for one
     /// pipelined lane, like `messages`).
     pub bytes: u64,
+    /// Simulated network time in microseconds: per exchange, in order,
+    /// [`LinkModel::round_time_us`] of the busiest sender's bytes — what
+    /// the lockstep [`execute`] reports. Threaded and pipelined runs
+    /// measure wall time instead and leave this 0.
+    pub simulated_us: f64,
 }
 
 impl GmwStats {
@@ -82,16 +92,20 @@ impl GmwStats {
             bits_sent: payload_bits(layout, sched.and_gates(), circuit.outputs().len()),
             messages,
             bytes,
+            simulated_us: 0.0,
         }
     }
 }
 
-/// Securely evaluates `circuit` among `layout.parties()` parties.
+/// Securely evaluates `circuit` among `layout.parties()` parties, all
+/// in lockstep on this thread, seeded by the one rule of
+/// [`crate::gmw_core::dealer_rng`].
 ///
 /// `inputs[p]` holds party `p`'s private input bits in layout order. The
 /// returned output bits are the opened (public) circuit outputs, exactly
 /// equal to `circuit.eval(flattened inputs)`; the [`GmwStats`] describe
-/// the communication a distributed run would have performed.
+/// the communication a distributed run would have performed, priced in
+/// simulated time under `link`.
 ///
 /// # Panics
 ///
@@ -102,7 +116,7 @@ impl GmwStats {
 /// use eppi_mpc::builder::{to_bits, word_value, CircuitBuilder};
 /// use eppi_mpc::circuit::InputLayout;
 /// use eppi_mpc::gmw::execute;
-/// use rand::SeedableRng;
+/// use eppi_net::sim::LinkModel;
 ///
 /// // Two parties each contribute a 4-bit word; compute their sum.
 /// let mut cb = CircuitBuilder::new();
@@ -112,29 +126,35 @@ impl GmwStats {
 /// let circuit = cb.finish_word(sum);
 /// let layout = InputLayout::new(vec![4, 4]);
 ///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let (out, stats) = execute(&circuit, &layout, &[to_bits(9, 4), to_bits(5, 4)], &mut rng);
+/// let inputs = [to_bits(9, 4), to_bits(5, 4)];
+/// let (out, stats) = execute(&circuit, &layout, &inputs, LinkModel::LAN, 1);
 /// assert_eq!(word_value(&out), 14);
 /// assert_eq!(stats.parties, 2);
+/// assert!(stats.simulated_us >= stats.rounds as f64 * LinkModel::LAN.latency_us);
 /// ```
-pub fn execute<R: Rng + ?Sized>(
+pub fn execute(
     circuit: &Circuit,
     layout: &InputLayout,
     inputs: &[Vec<bool>],
-    rng: &mut R,
+    link: LinkModel,
+    seed: u64,
 ) -> (Vec<bool>, GmwStats) {
+    assert_eq!(inputs.len(), layout.parties(), "one input vector per party");
     let parties = layout.parties();
     let sched = Schedule::new(circuit);
-    let mut triples = deal_packed_triples(parties, &sched, rng);
+    let mut triples = deal_packed_triples(parties, &sched, &mut dealer_rng(seed));
     let mut cores: Vec<PartyCore<'_>> = (0..parties)
         .map(|p| PartyCore::new(circuit, layout, &sched, p, std::mem::take(&mut triples[p])))
         .collect();
     let mut hub = InProcessTransport::hub(parties);
     let outputs = run_lockstep(&mut cores, &mut hub, |p, core| {
-        core.share_inputs(&inputs[p], rng)
+        core.share_inputs(&inputs[p], &mut party_rng(seed, p))
     });
     let report = hub[0].report();
-    let stats = GmwStats::measured(circuit, layout, &sched, report.messages, report.bytes);
+    let stats = GmwStats {
+        simulated_us: hub[0].simulated_us(link),
+        ..GmwStats::measured(circuit, layout, &sched, report.messages, report.bytes)
+    };
     debug_assert_eq!(report.bits, stats.bits_sent);
     (outputs, stats)
 }
@@ -143,8 +163,6 @@ pub fn execute<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::builder::{to_bits, word_value, CircuitBuilder};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn works_with_many_parties() {
@@ -155,11 +173,10 @@ mod tests {
         let count = cb.popcount(&bits);
         let circuit = cb.finish_word(count);
         let layout = InputLayout::new(vec![1; parties]);
-        let mut rng = StdRng::seed_from_u64(3);
         for pattern in [0u64, 1, 0b10110101, 0xff] {
             let inputs: Vec<Vec<bool>> =
                 (0..parties).map(|p| vec![pattern >> p & 1 == 1]).collect();
-            let (out, _) = execute(&circuit, &layout, &inputs, &mut rng);
+            let (out, _) = execute(&circuit, &layout, &inputs, LinkModel::LAN, pattern);
             assert_eq!(word_value(&out), (pattern & 0xff).count_ones() as u64);
         }
     }
@@ -174,12 +191,11 @@ mod tests {
             let all = cb.and_many(&bits);
             (cb.finish(vec![all]), InputLayout::new(vec![1; parties]))
         };
-        let mut rng = StdRng::seed_from_u64(5);
         let mut per_and: Vec<f64> = Vec::new();
         for parties in [2usize, 4, 8] {
             let (circuit, layout) = build(parties);
             let inputs = vec![vec![true]; parties];
-            let (_, stats) = execute(&circuit, &layout, &inputs, &mut rng);
+            let (_, stats) = execute(&circuit, &layout, &inputs, LinkModel::LAN, 5);
             per_and.push(stats.bits_sent as f64 / stats.and_gates as f64);
         }
         assert!(per_and[1] > 2.5 * per_and[0], "4 vs 2 parties: {per_and:?}");
@@ -196,13 +212,8 @@ mod tests {
         let abc = cb.and(ab, c);
         let circuit = cb.finish(vec![abc]);
         let layout = InputLayout::new(vec![1, 1, 1]);
-        let mut rng = StdRng::seed_from_u64(2);
-        let (_, stats) = execute(
-            &circuit,
-            &layout,
-            &[vec![true], vec![true], vec![false]],
-            &mut rng,
-        );
+        let inputs = [vec![true], vec![true], vec![false]];
+        let (_, stats) = execute(&circuit, &layout, &inputs, LinkModel::LAN, 2);
         // input round + 2 AND layers + output round.
         assert_eq!(stats.rounds, 4);
     }
@@ -215,13 +226,8 @@ mod tests {
         let lt = cb.lt_words(&a, &b);
         let circuit = cb.finish(vec![lt]);
         let layout = InputLayout::new(vec![8, 8]);
-        let mut rng = StdRng::seed_from_u64(8);
-        let (_, stats) = execute(
-            &circuit,
-            &layout,
-            &[to_bits(3, 8), to_bits(200, 8)],
-            &mut rng,
-        );
+        let inputs = [to_bits(3, 8), to_bits(200, 8)];
+        let (_, stats) = execute(&circuit, &layout, &inputs, LinkModel::LAN, 8);
         let s = circuit.stats();
         // bits: inputs·(P−1) + 2·ands·P·(P−1) + outputs·P·(P−1), P = 2.
         let expect = (s.inputs + 4 * s.and_gates + 2 * s.outputs) as u64;
@@ -247,7 +253,6 @@ mod tests {
         cb.input();
         let circuit = cb.finish(vec![]);
         let layout = InputLayout::new(vec![2]);
-        let mut rng = StdRng::seed_from_u64(0);
-        execute(&circuit, &layout, &[vec![true, false]], &mut rng);
+        execute(&circuit, &layout, &[vec![true, false]], LinkModel::LAN, 0);
     }
 }

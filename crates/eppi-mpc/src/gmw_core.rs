@@ -22,9 +22,12 @@
 //! * [`run_party`] — one party's "advance → transport → absorb" loop
 //!   over a blocking transport (what each thread of the threaded
 //!   backend runs); [`run_lockstep`] — the same loop for all parties on
-//!   one thread over lockstep transports (in-process and simulator
-//!   backends). The pipelined runtime (`eppi-protocol`) is the third
-//!   such loop, with the transport on other threads.
+//!   one thread over the in-process hub (`crate::gmw::execute`). The
+//!   pipelined runtime (`eppi-protocol`) is the third such loop, with
+//!   the transport on other threads.
+//! * [`dealer_rng`] / [`party_rng`] — the one seeding rule: every
+//!   executor run seeded `s` deals its triples from `dealer_rng(s)`
+//!   and lets party `p` share its inputs from `party_rng(s, p)`.
 //! * [`mod@reference`] — the frozen pre-refactor `Vec<bool>` executor, kept
 //!   as the equivalence-test oracle.
 //!
@@ -38,7 +41,8 @@ use crate::circuit::{Circuit, Gate, InputLayout};
 use crate::packed::{mask_tail, words_for, PackedBits};
 use crate::stage::{ChannelTriples, StageOutput, StageStats};
 use eppi_net::transport::{PackedBatch, Transport};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
 /// One level of the schedule: the free gates evaluated locally, then
@@ -197,6 +201,24 @@ pub fn deal_layer_triples<R: Rng + ?Sized>(
     }
     out.push(rem);
     out
+}
+
+/// Seed salt of the triple dealer.
+const DEALER_SALT: u64 = 0xd1a1e5;
+/// Per-party seed spread.
+const PARTY_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The triple dealer's RNG of a run seeded `seed`. Every executor —
+/// lockstep, threaded, each pipelined lane — deals from this, so a run
+/// deals the same triples whichever backend carries it.
+pub fn dealer_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ DEALER_SALT)
+}
+
+/// Party `party`'s input-sharing RNG of a run seeded `seed` (see
+/// [`dealer_rng`]).
+pub fn party_rng(seed: u64, party: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (party as u64).wrapping_mul(PARTY_SALT))
 }
 
 /// Deals XOR-shared Beaver triples for every AND gate of `sched`, as
@@ -686,7 +708,7 @@ where
 }
 
 /// Drives all parties in lockstep on the current thread over per-party
-/// transports (in-process or simulator hubs): every exchange first lets
+/// transports (the in-process hub): every exchange first lets
 /// each party deposit, then lets each party collect. `share(p, core)`
 /// produces party `p`'s input batches (so callers choose the per-party
 /// RNG discipline). All parties must open identical outputs; the opened
@@ -877,7 +899,7 @@ mod tests {
     use super::*;
     use crate::builder::{to_bits, word_value, CircuitBuilder};
     use crate::gmw::GmwStats;
-    use eppi_net::transport::InProcessTransport;
+    use eppi_net::sim::LinkModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -895,16 +917,7 @@ mod tests {
         inputs: &[Vec<bool>],
         seed: u64,
     ) -> Vec<bool> {
-        let sched = Schedule::new(circuit);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut triples = deal_packed_triples(layout.parties(), &sched, &mut rng);
-        let mut cores: Vec<PartyCore<'_>> = (0..layout.parties())
-            .map(|p| PartyCore::new(circuit, layout, &sched, p, std::mem::take(&mut triples[p])))
-            .collect();
-        let mut hub = InProcessTransport::hub(layout.parties());
-        run_lockstep(&mut cores, &mut hub, |p, core| {
-            core.share_inputs(&inputs[p], &mut rng)
-        })
+        crate::gmw::execute(circuit, layout, inputs, LinkModel::LAN, seed).0
     }
 
     #[test]

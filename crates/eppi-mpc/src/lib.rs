@@ -14,8 +14,8 @@
 //!   communication accounting (rounds, bits, messages). The protocol
 //!   itself lives in one place, [`gmw_core`]: a bit-packed ([`packed`],
 //!   64 wires per `u64` word) sans-io party state machine that every
-//!   execution backend — in-process ([`gmw`]), round-simulated,
-//!   threaded and pipelined (`eppi-protocol`) — drives through a
+//!   execution backend — lockstep in-process ([`gmw`]), threaded and
+//!   pipelined (`eppi-protocol`) — drives through a
 //!   transport (`eppi_net::transport::Transport`). Packed GMW is the
 //!   only engine: the crate carries no second protocol (Yao,
 //!   arithmetic circuits, OT) that no construction path calls.
@@ -30,7 +30,7 @@
 //! use eppi_mpc::builder::{to_bits, CircuitBuilder};
 //! use eppi_mpc::circuit::InputLayout;
 //! use eppi_mpc::gmw::execute;
-//! use rand::SeedableRng;
+//! use eppi_net::sim::LinkModel;
 //!
 //! let mut cb = CircuitBuilder::new();
 //! let a = cb.input_word(8);
@@ -38,9 +38,9 @@
 //! let lt = cb.lt_words(&a, &b);
 //! let circuit = cb.finish(vec![lt]);
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let layout = InputLayout::new(vec![8, 8]);
-//! let (out, stats) = execute(&circuit, &layout, &[to_bits(3, 8), to_bits(9, 8)], &mut rng);
+//! let inputs = [to_bits(3, 8), to_bits(9, 8)];
+//! let (out, stats) = execute(&circuit, &layout, &inputs, LinkModel::LAN, 0);
 //! assert!(out[0]); // 3 < 9, revealed; the operands were never exchanged.
 //! assert!(stats.bits_sent > 0);
 //! ```

@@ -12,8 +12,10 @@
 //! * [`threaded`] — a real multi-threaded executor (one OS thread per
 //!   party, crossbeam channels) for wall-clock measurements (Fig. 6a/6c).
 //! * [`transport`] — the [`transport::Transport`] trait the packed GMW
-//!   core (`eppi-mpc::gmw_core`) runs over, with in-process-, simulator-
-//!   and thread-backed implementations.
+//!   core (`eppi-mpc::gmw_core`) runs over, with two implementations:
+//!   the one lockstep in-process hub, which also prices each exchange
+//!   in simulated time under a [`sim::LinkModel`] exactly as a
+//!   [`sim::Simulator`] round, and the thread-backed transport.
 //! * [`pipeline`] — lane framing and per-peer send coalescing for the
 //!   pipelined multi-lane MPC runtime (`eppi-protocol::pipelined_gmw`),
 //!   plus its `mpc.pipeline.*` telemetry instruments.

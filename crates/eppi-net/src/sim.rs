@@ -58,8 +58,8 @@ pub struct NetStats {
     /// Logical payload bits delivered, for protocols that track them
     /// (see the crate docs for the bits/bytes convention). The simulator
     /// itself cannot know the logical content of a payload, so it leaves
-    /// this 0; protocol adapters such as
-    /// [`crate::transport::SimTransport`] fill it.
+    /// this 0. The GMW runs report their logical bits in
+    /// `eppi_mpc::gmw::GmwStats` instead; SecSumShare counts bytes only.
     pub bits: u64,
     /// Messages dropped by an injected fault filter.
     pub dropped: u64,

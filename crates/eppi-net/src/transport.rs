@@ -6,24 +6,24 @@
 //! its outgoing batches ([`Transport::scatter`] for personalized
 //! payloads, [`Transport::broadcast`] for the common d/e or output
 //! batch), then every party calls [`Transport::collect`] to receive one
-//! batch from each peer. Three implementations cover the three execution
+//! batch from each peer. Two implementations cover the two execution
 //! styles the workspace needs:
 //!
-//! * [`InProcessTransport`] — a shared in-memory hub for driving all
-//!   parties in lockstep on one thread (the reference executor).
-//! * [`SimTransport`] — each exchange runs as one round of the
-//!   deterministic [`crate::sim::Simulator`] under a
-//!   [`crate::sim::LinkModel`], so the run accumulates simulated network
-//!   time in addition to traffic counts.
+//! * [`InProcessTransport`] — the one lockstep hub: all parties are
+//!   driven on one thread (all deposits, then all collects). Besides
+//!   traffic it records each exchange's busiest sender, so a run is
+//!   priced in simulated network time under any
+//!   [`LinkModel`] ([`InProcessTransport::simulated_us`]) exactly as
+//!   the round-based [`crate::sim::Simulator`] prices a round.
 //! * [`ThreadedTransport`] — wraps a [`crate::threaded::PartyHandle`],
 //!   so each party can run the straight-line protocol on its own OS
 //!   thread with real (crossbeam) message exchange.
 //!
-//! All three account traffic in both units of the workspace convention
+//! Both account traffic in both units of the workspace convention
 //! (see the crate docs): logical payload **bits** and on-the-wire
 //! **bytes** of the packed encoding, the latter via [`WireSize`].
 
-use crate::sim::{Context, LinkModel, NetStats, Node, Simulator};
+use crate::sim::LinkModel;
 use crate::threaded::PartyHandle;
 use crate::{NodeId, WireSize};
 use std::cell::RefCell;
@@ -121,35 +121,46 @@ struct InProcessState {
     parties: usize,
     inboxes: Vec<Vec<(usize, PackedBatch)>>,
     deposited: usize,
+    /// Bytes of the busiest sender so far in the exchange in progress.
+    busiest: usize,
+    /// Per completed exchange, in order, its busiest sender's bytes.
+    busiest_per_exchange: Vec<usize>,
     report: TransportReport,
 }
 
 impl InProcessState {
     fn deposit(&mut self, from: usize, mut per_peer: impl FnMut(usize) -> PackedBatch) {
+        let mut sent = 0;
         for to in 0..self.parties {
             if to == from {
                 continue;
             }
             let batch = per_peer(to);
+            sent += batch.wire_size();
             self.report.messages += 1;
             self.report.bits += batch.bits as u64;
-            self.report.bytes += batch.wire_size() as u64;
             self.inboxes[to].push((from, batch));
         }
+        self.report.bytes += sent as u64;
+        self.busiest = self.busiest.max(sent);
         self.deposited += 1;
         if self.deposited == self.parties {
             self.deposited = 0;
             self.report.rounds += 1;
+            self.busiest_per_exchange
+                .push(std::mem::take(&mut self.busiest));
         }
     }
 }
 
-/// Endpoint of the single-threaded in-memory hub.
+/// Endpoint of the single-threaded in-memory hub — the one lockstep
+/// transport.
 ///
 /// Create one endpoint per party with [`InProcessTransport::hub`] and
 /// drive them in lockstep (all deposits, then all collects); batches
 /// are moved, never serialized. Traffic is shared hub-wide and read
-/// back with [`InProcessTransport::report`].
+/// back with [`InProcessTransport::report`], simulated network time
+/// with [`InProcessTransport::simulated_us`].
 #[derive(Debug)]
 pub struct InProcessTransport {
     me: usize,
@@ -167,8 +178,7 @@ impl InProcessTransport {
         let state = Rc::new(RefCell::new(InProcessState {
             parties,
             inboxes: vec![Vec::new(); parties],
-            deposited: 0,
-            report: TransportReport::default(),
+            ..InProcessState::default()
         }));
         (0..parties)
             .map(|me| InProcessTransport {
@@ -181,6 +191,19 @@ impl InProcessTransport {
     /// The hub-wide traffic totals so far.
     pub fn report(&self) -> TransportReport {
         self.state.borrow().report
+    }
+
+    /// Simulated network time of the exchanges so far under `link`, in
+    /// microseconds: one round per exchange, adding
+    /// [`LinkModel::round_time_us`] of the busiest sender's bytes in
+    /// exchange order — the figure [`crate::sim::Simulator::run`]
+    /// reports for the same messages, to the last bit.
+    pub fn simulated_us(&self, link: LinkModel) -> f64 {
+        self.state
+            .borrow()
+            .busiest_per_exchange
+            .iter()
+            .fold(0.0, |us, &bytes| us + link.round_time_us(bytes))
     }
 }
 
@@ -213,167 +236,6 @@ impl Transport for InProcessTransport {
             "collect before every party deposited"
         );
         got.sort_by_key(|&(from, _)| from);
-        got
-    }
-}
-
-// ---------------------------------------------------------------------
-// Simulator-backed hub
-// ---------------------------------------------------------------------
-
-/// A [`Node`] that sends its staged batches on start and records what
-/// it receives — the per-exchange adapter between the lockstep
-/// transport and the round-based [`Simulator`].
-#[derive(Debug, Default)]
-struct Mailbox {
-    sends: Vec<(NodeId, PackedBatch)>,
-    got: Vec<(usize, PackedBatch)>,
-}
-
-impl Node<PackedBatch> for Mailbox {
-    fn on_start(&mut self, ctx: &mut Context<PackedBatch>) {
-        for (to, batch) in self.sends.drain(..) {
-            ctx.send(to, batch);
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, payload: PackedBatch, _ctx: &mut Context<PackedBatch>) {
-        self.got.push((from.index(), payload));
-    }
-}
-
-#[derive(Debug)]
-struct SimState {
-    parties: usize,
-    link: LinkModel,
-    /// Batches staged for the current exchange, per sender.
-    staged: Vec<Vec<(NodeId, PackedBatch)>>,
-    deposited: usize,
-    inboxes: Vec<Vec<(usize, PackedBatch)>>,
-    stats: NetStats,
-}
-
-impl SimState {
-    /// Runs the completed exchange as one simulator round and files the
-    /// deliveries into the per-party inboxes.
-    fn run_exchange(&mut self) {
-        let nodes: Vec<Mailbox> = self
-            .staged
-            .iter_mut()
-            .map(|sends| Mailbox {
-                sends: std::mem::take(sends),
-                got: Vec::new(),
-            })
-            .collect();
-        let mut sim = Simulator::new(nodes, self.link);
-        let round = sim.run(2);
-        self.stats.rounds += round.rounds;
-        self.stats.messages += round.messages;
-        self.stats.bytes += round.bytes;
-        self.stats.dropped += round.dropped;
-        self.stats.simulated_us += round.simulated_us;
-        for (p, node) in sim.into_nodes().into_iter().enumerate() {
-            let mut got = node.got;
-            got.sort_by_key(|&(from, _)| from);
-            self.inboxes[p] = got;
-        }
-    }
-}
-
-/// Endpoint of the [`Simulator`]-backed hub.
-///
-/// Each completed exchange (all parties deposited, first collect) runs
-/// as one round of the deterministic network simulator, so the
-/// accumulated [`NetStats`] include simulated wall time under the
-/// configured [`LinkModel`] — the quantity behind the paper's Fig. 6a
-/// latency curves. Drive the endpoints in lockstep exactly like
-/// [`InProcessTransport`].
-#[derive(Debug)]
-pub struct SimTransport {
-    me: usize,
-    state: Rc<RefCell<SimState>>,
-    bits: Rc<RefCell<u64>>,
-}
-
-impl SimTransport {
-    /// Creates a connected simulated hub of `parties` endpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parties == 0`.
-    pub fn hub(parties: usize, link: LinkModel) -> Vec<SimTransport> {
-        assert!(parties >= 1, "at least one party required");
-        let state = Rc::new(RefCell::new(SimState {
-            parties,
-            link,
-            staged: vec![Vec::new(); parties],
-            deposited: 0,
-            inboxes: vec![Vec::new(); parties],
-            stats: NetStats::default(),
-        }));
-        let bits = Rc::new(RefCell::new(0u64));
-        (0..parties)
-            .map(|me| SimTransport {
-                me,
-                state: Rc::clone(&state),
-                bits: Rc::clone(&bits),
-            })
-            .collect()
-    }
-
-    /// The accumulated simulator statistics, with
-    /// [`NetStats::bits`] filled from the hub's logical-bit tally.
-    pub fn stats(&self) -> NetStats {
-        let mut stats = self.state.borrow().stats;
-        stats.bits = *self.bits.borrow();
-        stats
-    }
-
-    fn deposit(&self, mut per_peer: impl FnMut(usize) -> PackedBatch) {
-        let mut state = self.state.borrow_mut();
-        let mut bits = self.bits.borrow_mut();
-        for to in 0..state.parties {
-            if to == self.me {
-                continue;
-            }
-            let batch = per_peer(to);
-            *bits += batch.bits as u64;
-            state.staged[self.me].push((NodeId(to), batch));
-        }
-        state.deposited += 1;
-        if state.deposited == state.parties {
-            state.deposited = 0;
-            state.run_exchange();
-        }
-    }
-}
-
-impl Transport for SimTransport {
-    fn me(&self) -> usize {
-        self.me
-    }
-
-    fn parties(&self) -> usize {
-        self.state.borrow().parties
-    }
-
-    fn scatter(&mut self, mut batches: Vec<PackedBatch>) {
-        assert_eq!(batches.len(), self.parties(), "one batch per destination");
-        self.deposit(|to| std::mem::take(&mut batches[to]));
-    }
-
-    fn broadcast(&mut self, batch: PackedBatch) {
-        self.deposit(|_| batch.clone());
-    }
-
-    fn collect(&mut self) -> Vec<(usize, PackedBatch)> {
-        let mut state = self.state.borrow_mut();
-        let got = std::mem::take(&mut state.inboxes[self.me]);
-        assert_eq!(
-            got.len(),
-            state.parties - 1,
-            "collect before every party deposited"
-        );
         got
     }
 }
@@ -514,21 +376,60 @@ mod tests {
     }
 
     #[test]
-    fn sim_hub_accumulates_net_stats_per_exchange() {
-        let mut hub = SimTransport::hub(4, LinkModel::LAN);
+    fn in_process_hub_prices_simulated_time_per_exchange() {
+        let mut hub = InProcessTransport::hub(4);
         let first = lockstep_xor(&mut hub);
         assert_eq!(first, vec![0b1111; 4]);
-        let stats1 = hub[0].stats();
-        assert_eq!(stats1.rounds, 1);
-        assert_eq!(stats1.messages, 12);
-        assert_eq!(stats1.bits, 12 * 8);
-        assert!(stats1.simulated_us >= LinkModel::LAN.latency_us);
-        // A second exchange adds another simulated round.
+        // Every party broadcast one 12-byte batch to 3 peers.
+        let round = LinkModel::LAN.round_time_us(3 * 12);
+        assert_eq!(hub[0].report().rounds, 1);
+        assert_eq!(hub[0].simulated_us(LinkModel::LAN), round);
+        // A second exchange adds another round; the link is the
+        // caller's choice.
         let second = lockstep_xor(&mut hub);
         assert_eq!(second, vec![0b1111; 4]);
-        let stats2 = hub[0].stats();
-        assert_eq!(stats2.rounds, 2);
-        assert!(stats2.simulated_us > stats1.simulated_us);
+        assert_eq!(hub[0].simulated_us(LinkModel::LAN), round + round);
+        let wan = LinkModel::WAN.round_time_us(3 * 12);
+        assert_eq!(hub[0].simulated_us(LinkModel::WAN), wan + wan);
+    }
+
+    #[test]
+    fn in_process_hub_prices_the_busiest_sender_like_the_simulator() {
+        use crate::sim::{Context, Node, Simulator};
+
+        /// Party `p` sends a batch of `p + 1` words to every peer.
+        struct Sender(Vec<(NodeId, PackedBatch)>);
+        impl Node<PackedBatch> for Sender {
+            fn on_start(&mut self, ctx: &mut Context<PackedBatch>) {
+                for (to, batch) in self.0.drain(..) {
+                    ctx.send(to, batch);
+                }
+            }
+            fn on_message(&mut self, _: NodeId, _: PackedBatch, _: &mut Context<PackedBatch>) {}
+        }
+        let batch = |p: usize| PackedBatch {
+            words: vec![7; p + 1],
+            bits: 64 * (p + 1),
+        };
+        let parties = 3;
+        let mut hub = InProcessTransport::hub(parties);
+        for (p, t) in hub.iter_mut().enumerate() {
+            t.broadcast(batch(p));
+        }
+        for t in hub.iter_mut() {
+            t.collect();
+        }
+        let nodes = (0..parties)
+            .map(|p| {
+                let peers = (0..parties).filter(|&to| to != p);
+                Sender(peers.map(|to| (NodeId(to), batch(p))).collect())
+            })
+            .collect();
+        let sim = Simulator::new(nodes, LinkModel::WAN).run(2);
+        let report = hub[0].report();
+        assert_eq!((report.rounds, report.messages), (sim.rounds, sim.messages));
+        assert_eq!(report.bytes, sim.bytes);
+        assert_eq!(hub[0].simulated_us(LinkModel::WAN), sim.simulated_us);
     }
 
     #[test]

@@ -52,7 +52,8 @@ pub struct ProtocolConfig {
     pub policy: PolicyKind,
     /// Bits per coin used for the Bernoulli(λ) mixing coin.
     pub coin_bits: usize,
-    /// Link model for the SecSumShare traffic accounting.
+    /// Link model pricing simulated network time: SecSumShare on the
+    /// round simulator, CountBelow and mix on the lockstep GMW run.
     pub link: LinkModel,
     /// MPC backend for the coordinator stage.
     pub backend: Backend,

@@ -5,15 +5,16 @@
 //! that knows, and [`run_count_below`] / [`run_mix_decision`] are
 //! written once on top of it: split the columns into the backend's
 //! lanes, compile one circuit per lane, encode, execute, decode. The
-//! four backends:
+//! backends:
 //!
-//! * [`Backend::InProcess`] — the single-threaded reference evaluator
-//!   (`eppi_mpc::gmw`), exact and fast, used by tests and large sweeps;
+//! * [`Backend::InProcess`] (and its synonym [`Backend::Simulated`]) —
+//!   the lockstep executor (`eppi_mpc::gmw::execute`): all parties on
+//!   one thread over the in-process hub, exact and fast, used by tests
+//!   and large sweeps. It also reports *simulated network time* under
+//!   the lineage's link model (the quantity that dominated the paper's
+//!   Emulab numbers);
 //! * [`Backend::Threaded`] — one OS thread per coordinator with real
 //!   message exchange, used by the wall-clock experiments (Fig. 6a/6c);
-//! * [`Backend::Simulated`] — the round-based network simulator, which
-//!   additionally reports *simulated network time* under a LAN link
-//!   model (the quantity that dominated the paper's Emulab numbers);
 //! * [`Backend::Pipelined`] — the stage-based pipelined runtime
 //!   (DESIGN.md §15): the column batch is split into independent
 //!   pipeline lanes evaluated concurrently by a worker pool, with
@@ -27,9 +28,8 @@
 //! gate counts are summed, depths maxed). The SecSumShare runtime that
 //! goes with each backend is [`Backend::secsumshare`].
 
-use crate::pipelined_gmw::{execute_pipelined_with_registry, LaneSpec, PipelineConfig};
+use crate::pipelined_gmw::{execute_pipelined_with_registry, LaneSpec};
 use crate::secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
-use crate::sim_gmw::execute_simulated;
 use crate::threaded_gmw::execute_threaded_with_registry;
 use eppi_core::model::{LocalVector, OwnerId};
 use eppi_mpc::circuit::{Circuit, CircuitStats, InputLayout};
@@ -38,20 +38,20 @@ use eppi_mpc::field::Modulus;
 use eppi_mpc::gmw;
 use eppi_net::sim::LinkModel;
 use eppi_trace::Obs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::ops::Range;
 
 /// Which MPC engine executes the coordinator circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Single-threaded reference evaluation.
+    /// Single-threaded lockstep evaluation over the in-process hub; it
+    /// reports simulated network time under the lineage's link model.
     #[default]
     InProcess,
     /// One OS thread per coordinator (wall-clock backend).
     Threaded,
-    /// Round-based network simulation (simulated-time backend; LAN link
-    /// model).
+    /// A synonym of [`Backend::InProcess`], run by the same code. Kept
+    /// because persisted lineages name it (the v2 checkpoint's backend
+    /// tag 2).
     Simulated,
     /// Stage-based pipelined runtime: the column batch runs as
     /// independent lanes on `workers` worker threads per coordinator,
@@ -65,13 +65,14 @@ pub enum Backend {
 impl Backend {
     /// Evaluates every lane's circuit on this backend — the one place
     /// that knows how a backend runs circuits. Returns the lanes' opened
-    /// outputs in lane order and the stage cost: traffic summed over the
-    /// lanes, `circuit` their [`CircuitStats::merge`]. The lockstep
-    /// backends run the lanes one after another, the pipelined backend
-    /// concurrently over one shared network; an empty batch costs
-    /// nothing. The wall-clock backends report and trace into `obs` —
-    /// the caller's, handed down unchanged (the in-process evaluator
-    /// and the simulator emit nothing).
+    /// outputs in lane order and the stage cost: traffic and simulated
+    /// time (under `link`; the wall-clock backends report none) summed
+    /// over the lanes, `circuit` their [`CircuitStats::merge`]. The
+    /// lockstep backend runs the lanes one after another, the
+    /// pipelined backend concurrently over one shared network; an empty
+    /// batch costs nothing. The wall-clock backends report and trace
+    /// into `obs` — the caller's, handed down unchanged (the lockstep
+    /// evaluator emits nothing).
     ///
     /// # Panics
     ///
@@ -80,6 +81,7 @@ impl Backend {
     pub(crate) fn execute(
         self,
         lanes: &[LaneSpec<'_>],
+        link: LinkModel,
         obs: Obs<'_>,
     ) -> (Vec<Vec<bool>>, StageReport) {
         let mut report = StageReport {
@@ -97,31 +99,25 @@ impl Backend {
         };
         let outputs = match self {
             Backend::Pipelined { workers } => {
-                let config = PipelineConfig::with_workers(workers);
-                let (outs, r) = execute_pipelined_with_registry(lanes, &config, obs)
+                let (outs, r) = execute_pipelined_with_registry(lanes, workers, obs)
                     .expect("in-process pipeline cannot lose a party");
                 traffic(r.messages, r.bits_sent, r.bytes, 0.0);
                 outs
             }
-            Backend::Simulated => lanes
+            Backend::Threaded => lanes
                 .iter()
                 .map(|l| {
-                    let (out, net) =
-                        execute_simulated(l.circuit, l.layout, l.inputs, LinkModel::LAN, l.seed);
-                    traffic(net.messages, net.bits, net.bytes, net.simulated_us);
+                    let (out, g) =
+                        execute_threaded_with_registry(l.circuit, l.layout, l.inputs, l.seed, obs);
+                    traffic(g.messages, g.bits_sent, g.bytes, 0.0);
                     out
                 })
                 .collect(),
-            Backend::InProcess | Backend::Threaded => lanes
+            Backend::InProcess | Backend::Simulated => lanes
                 .iter()
                 .map(|l| {
-                    let (out, g) = if self == Backend::Threaded {
-                        execute_threaded_with_registry(l.circuit, l.layout, l.inputs, l.seed, obs)
-                    } else {
-                        let mut rng = StdRng::seed_from_u64(l.seed);
-                        gmw::execute(l.circuit, l.layout, l.inputs, &mut rng)
-                    };
-                    traffic(g.messages, g.bits_sent, g.bytes, 0.0);
+                    let (out, g) = gmw::execute(l.circuit, l.layout, l.inputs, link, l.seed);
+                    traffic(g.messages, g.bits_sent, g.bytes, g.simulated_us);
                     out
                 })
                 .collect(),
@@ -216,8 +212,9 @@ pub struct StageReport {
     pub bits: u64,
     /// On-the-wire bytes of the packed encoding exchanged.
     pub bytes: u64,
-    /// Simulated network time in microseconds (only the
-    /// [`Backend::Simulated`] backend fills this; 0 otherwise).
+    /// Simulated network time in microseconds under the stage's link
+    /// model (the lockstep backend fills this; the wall-clock threaded
+    /// and pipelined backends leave it 0).
     pub simulated_us: f64,
 }
 
@@ -293,6 +290,28 @@ pub fn run_count_below_with_registry<'a>(
     seed: u64,
     obs: impl Into<Obs<'a>>,
 ) -> (u64, StageReport) {
+    count_below_stage(
+        coordinator_shares,
+        thresholds,
+        width,
+        backend,
+        LinkModel::default(),
+        seed,
+        obs.into(),
+    )
+}
+
+/// [`run_count_below_with_registry`] with the lockstep run priced under
+/// `link` — the stage a construction runs, under its lineage's link.
+pub(crate) fn count_below_stage(
+    coordinator_shares: &[Vec<u64>],
+    thresholds: &[u64],
+    width: usize,
+    backend: Backend,
+    link: LinkModel,
+    seed: u64,
+    obs: Obs<'_>,
+) -> (u64, StageReport) {
     check_shares(coordinator_shares, thresholds.len());
     let c = coordinator_shares.len();
     let ranges = backend.lane_ranges(thresholds.len());
@@ -315,7 +334,7 @@ pub fn run_count_below_with_registry<'a>(
         &inputs,
         seed,
     );
-    let (outs, report) = backend.execute(&lanes, obs.into());
+    let (outs, report) = backend.execute(&lanes, link, obs);
     let count = outs
         .iter()
         .zip(&circuits)
@@ -374,6 +393,7 @@ pub fn run_mix_decision(
         coin_bits,
         lambda,
         backend,
+        LinkModel::default(),
         seed,
         Obs::default(),
     )
@@ -387,7 +407,8 @@ pub fn run_mix_decision(
 /// the same decisions — a from-scratch run would produce for them. For
 /// the same reason the split into `backend`'s lanes is exact: each lane
 /// reproduces the coins of its columns, and the decisions concatenate
-/// in column order. The backend's MPC telemetry and spans go to `obs`.
+/// in column order. The lockstep run is priced under `link`; the
+/// backend's MPC telemetry and spans go to `obs`.
 ///
 /// # Panics
 ///
@@ -402,6 +423,7 @@ pub(crate) fn run_mix_decision_for_owners(
     coin_bits: usize,
     lambda: f64,
     backend: Backend,
+    link: LinkModel,
     seed: u64,
     obs: Obs<'_>,
 ) -> (Vec<bool>, StageReport) {
@@ -440,7 +462,7 @@ pub(crate) fn run_mix_decision_for_owners(
         &inputs,
         seed ^ 0xdec,
     );
-    let (outs, report) = backend.execute(&lanes, obs);
+    let (outs, report) = backend.execute(&lanes, link, obs);
     let decisions = outs
         .iter()
         .zip(&circuits)
@@ -454,6 +476,8 @@ mod tests {
     use super::*;
     use eppi_mpc::gmw_core::logical_bits;
     use eppi_mpc::share::split;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn share_out(freqs: &[u64], c: usize, width: usize, seed: u64) -> Vec<Vec<u64>> {
         let q = Modulus::pow2(width as u32);
@@ -545,10 +569,11 @@ mod tests {
                 });
                 assert_eq!((rm.bits, rm.circuit), (mix_bits, mix_stats), "{what}");
                 assert!(rc.bytes > 0 && rm.bytes > 0, "{what}: real traffic");
+                let lockstep = matches!(backend, Backend::InProcess | Backend::Simulated);
                 assert_eq!(
                     rc.simulated_us > 0.0,
-                    backend == Backend::Simulated,
-                    "{what}: only the simulator reports simulated time"
+                    lockstep,
+                    "{what}: every lockstep backend reports simulated time; threaded and pipelined report 0"
                 );
 
                 match backend {
@@ -571,6 +596,7 @@ mod tests {
                     coin_bits,
                     lambda,
                     backend,
+                    LinkModel::default(),
                     mix_seed,
                     Obs::default(),
                 );
@@ -648,7 +674,8 @@ mod tests {
                     Backend::Pipelined { workers: 2 },
                 ] {
                     let what = format!("{backend:?}, {parties} parties, trial {trial}");
-                    let (outs, report) = backend.execute(&[lane], Obs::default());
+                    let (outs, report) =
+                        backend.execute(&[lane], LinkModel::default(), Obs::default());
                     assert_eq!(outs, vec![clear.clone()], "{what}");
                     assert_eq!(report.circuit, circuit.stats(), "{what}");
                     assert_eq!(report.bits, logical_bits(&circuit, &layout), "{what}");

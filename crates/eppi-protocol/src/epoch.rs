@@ -40,7 +40,7 @@
 use crate::construct::{
     emit_report, frequency_thresholds, share_width, ConstructionReport, PhaseWall, ProtocolConfig,
 };
-use crate::countbelow::{run_count_below_with_registry, run_mix_decision_for_owners};
+use crate::countbelow::{count_below_stage, run_mix_decision_for_owners};
 use eppi_core::delta::IndexDelta;
 use eppi_core::error::EppiError;
 use eppi_core::mixing::lambda_for;
@@ -515,19 +515,21 @@ fn construct_columns(
         .map(|v| existing.iter().map(|&j| v[j]).collect())
         .collect();
     let old_thresholds: Vec<u64> = existing.iter().map(|&j| prev.thresholds[j]).collect();
-    let (commons_before, count_old) = run_count_below_with_registry(
+    let (commons_before, count_old) = count_below_stage(
         &old_shares,
         &old_thresholds,
         width,
         config.backend,
+        config.link,
         config.seed ^ 0xcb ^ epoch.wrapping_mul(0x5851_f42d_4c95_7f2d),
         obs,
     );
-    let (commons_after, count_new) = run_count_below_with_registry(
+    let (commons_after, count_new) = count_below_stage(
         &secsum.coordinator_shares,
         &new_thresholds,
         width,
         config.backend,
+        config.link,
         config.seed ^ 0xcb ^ (epoch | 1 << 63).wrapping_mul(0x5851_f42d_4c95_7f2d),
         obs,
     );
@@ -556,6 +558,7 @@ fn construct_columns(
         config.coin_bits,
         lambda,
         config.backend,
+        config.link,
         config.seed ^ 0x313,
         obs,
     );

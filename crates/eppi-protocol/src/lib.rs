@@ -11,18 +11,18 @@
 //! * [`countbelow`] — the generic-MPC stage among the `c` coordinators
 //!   (CountBelow of Alg. 2 + the mix-decision pass) and the [`Backend`]
 //!   choice; `Backend::execute` is the one place that knows how each
-//!   of the four backends runs a circuit batch.
+//!   backend runs a circuit batch.
 //! * [`threaded_gmw`] — the multi-threaded GMW executor behind the
 //!   wall-clock experiments.
 //! * [`pipelined_gmw`] — the pipelined runtime: many independent
 //!   circuit lanes over one shared network, with streamed Beaver
 //!   dealing, per-peer send coalescing and overlapped exchanges
-//!   (DESIGN.md §15); bit-identical to the lockstep backends. All
-//!   three executors, and [`sim_gmw`], drive the one party state
-//!   machine of `eppi_mpc::gmw_core` and report one cost record,
-//!   `eppi_mpc::gmw::GmwStats`.
-//! * [`sim_gmw`] — the same protocol over the round-based network
-//!   simulator, yielding simulated network time under a link model.
+//!   (DESIGN.md §15); bit-identical to the lockstep executor. The
+//!   lockstep executor (`eppi_mpc::gmw::execute`, which also prices
+//!   simulated network time under the lineage's link model) and these
+//!   two drive the one party state machine of `eppi_mpc::gmw_core`,
+//!   seed their dealer and parties by its one rule, and report one
+//!   cost record, `eppi_mpc::gmw::GmwStats`.
 //! * [`construct`] — configuration, cost report and the from-scratch
 //!   entry point of the two-phase construction (Alg. 1).
 //! * [`epoch`] — the versioned epoch lifecycle and the construction
@@ -84,7 +84,6 @@ pub mod epoch;
 pub mod pipelined_gmw;
 pub mod pure_mpc;
 pub mod secsum;
-pub mod sim_gmw;
 pub mod threaded_gmw;
 
 pub use audit::{
@@ -105,8 +104,7 @@ pub use epoch::{
     construct_delta, construct_delta_with_registry, construct_epoch, construct_epoch_with_registry,
     DeltaConstruction, EpochState, IndexEpoch,
 };
-pub use pipelined_gmw::{execute_pipelined, LaneSpec, PipelineConfig, PipelineReport};
+pub use pipelined_gmw::{execute_pipelined, LaneSpec, PipelineReport};
 pub use pure_mpc::{construct_pure_mpc, PureMpcConfig, PureMpcConstruction};
 pub use secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
-pub use sim_gmw::execute_simulated;
 pub use threaded_gmw::execute_threaded;

@@ -36,67 +36,31 @@
 //! driver did not (the obliviousness argument of DESIGN.md §15).
 //!
 //! Outputs are bit-identical to the frozen lockstep oracle: lanes seed
-//! their dealer and party RNGs exactly as [`execute_threaded`] seeds
-//! its single run, and GMW outputs are deterministic in the inputs.
-//! `tests/mpc_backends.rs` proves this under proptest.
-//!
-//! [`execute_threaded`]: crate::threaded_gmw::execute_threaded
+//! their dealer and party RNGs by the one rule every executor follows
+//! ([`dealer_rng`] / [`party_rng`]), and GMW outputs are deterministic
+//! in the inputs. `tests/mpc_backends.rs` proves this under proptest.
 
 use eppi_mpc::circuit::{Circuit, InputLayout};
 use eppi_mpc::gmw::GmwStats;
-use eppi_mpc::gmw_core::{agreed_outputs, deal_layer_triples, PartyCore, Schedule};
+use eppi_mpc::gmw_core::{
+    agreed_outputs, deal_layer_triples, dealer_rng, party_rng, PartyCore, Schedule,
+};
 use eppi_mpc::stage::{ChannelTriples, StageOutput};
 use eppi_net::pipeline::{Frame, FrameSender, LaneItem, PipelineMetrics};
 use eppi_net::threaded::{run_parties, TransportError};
 use eppi_net::transport::PackedBatch;
 use eppi_trace::Obs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Seed salt of the triple dealer — identical to the lockstep
-/// backends', so a lane's triples match a standalone run of the same
-/// circuit from the same seed.
-const DEALER_SALT: u64 = 0xd1a1e5;
-/// Per-party seed spread — identical to the lockstep backends'.
-const PARTY_SALT: u64 = 0x9e3779b97f4a7c15;
-
-/// Tuning of the pipelined runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Lane-evaluation worker threads per party: the number of lane
-    /// round trips kept in flight concurrently.
-    pub workers: usize,
-    /// Bounded depth (in schedule levels) of each lane's streaming
-    /// triple channel — how far the dealer may run ahead.
-    pub triple_buffer: usize,
-    /// How long a router waits for the next frame before declaring the
-    /// network dead.
-    pub recv_timeout: Duration,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            workers: 2,
-            triple_buffer: 4,
-            recv_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// The default configuration with `workers` lane workers.
-    pub fn with_workers(workers: usize) -> Self {
-        PipelineConfig {
-            workers,
-            ..PipelineConfig::default()
-        }
-    }
-}
+/// Bounded depth (in schedule levels) of each lane's streaming triple
+/// channel — how far the dealer may run ahead.
+const TRIPLE_BUFFER: usize = 4;
+/// How long a router waits for the next frame before declaring the
+/// network dead.
+const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One independent circuit evaluation in the pipelined batch.
 #[derive(Debug, Clone, Copy)]
@@ -171,9 +135,11 @@ struct PartyOutcome {
     error: Option<TransportError>,
 }
 
-/// Runs every lane through the pipelined stage runtime. Returns the
-/// lanes' opened outputs (in lane order) and the aggregate report.
-/// Telemetry goes to the process-global registry and nothing is traced.
+/// Runs every lane through the pipelined stage runtime on `workers`
+/// lane-evaluation threads per party (at least one) — the number of
+/// lane round trips kept in flight. Returns the lanes' opened outputs
+/// (in lane order) and the aggregate report. Telemetry goes to the
+/// process-global registry and nothing is traced.
 ///
 /// # Errors
 ///
@@ -186,9 +152,9 @@ struct PartyOutcome {
 /// disagree with its layout, or a party thread panics.
 pub fn execute_pipelined(
     lanes: &[LaneSpec<'_>],
-    config: &PipelineConfig,
+    workers: usize,
 ) -> Result<(Vec<Vec<bool>>, PipelineReport), TransportError> {
-    execute_pipelined_with_registry(lanes, config, Obs::default())
+    execute_pipelined_with_registry(lanes, workers, Obs::default())
 }
 
 /// [`execute_pipelined`] under a caller's observability context:
@@ -208,7 +174,7 @@ pub fn execute_pipelined(
 /// Panics under the same conditions as [`execute_pipelined`].
 pub fn execute_pipelined_with_registry<'a>(
     lanes: &[LaneSpec<'_>],
-    config: &PipelineConfig,
+    workers: usize,
     obs: impl Into<Obs<'a>>,
 ) -> Result<(Vec<Vec<bool>>, PipelineReport), TransportError> {
     let obs = obs.into();
@@ -241,7 +207,7 @@ pub fn execute_pipelined_with_registry<'a>(
         .map(|r| if parties > 1 { r.rounds } else { 0 })
         .collect();
     let metrics = PipelineMetrics::register(obs.registry);
-    let workers = config.workers.max(1);
+    let workers = workers.max(1);
 
     let mut exec_span = if obs.parent.is_none() {
         obs.tracer.root("mpc.pipeline")
@@ -262,7 +228,7 @@ pub fn execute_pipelined_with_registry<'a>(
         .collect();
     for lane_txs in &mut triple_txs {
         for party_rxs in &mut triple_rxs {
-            let (tx, rx) = crossbeam::channel::bounded(config.triple_buffer.max(1));
+            let (tx, rx) = crossbeam::channel::bounded(TRIPLE_BUFFER);
             lane_txs.push(tx);
             party_rxs.push(rx);
         }
@@ -277,7 +243,7 @@ pub fn execute_pipelined_with_registry<'a>(
         for (lane_idx, (lane, lane_txs)) in lanes.iter().zip(triple_txs).enumerate() {
             let sched = &scheds[lane_idx];
             s.spawn(move |_| {
-                let mut rng = StdRng::seed_from_u64(lane.seed ^ DEALER_SALT);
+                let mut rng = dealer_rng(lane.seed);
                 for level in sched.levels() {
                     let shares = deal_layer_triples(parties, level.ands.len(), &mut rng);
                     for (tx, share) in lane_txs.iter().zip(shares) {
@@ -297,7 +263,6 @@ pub fn execute_pipelined_with_registry<'a>(
             let steps = &steps;
             let triple_rxs = &triple_rxs;
             let metrics = &metrics;
-            let config = &config;
             let tracer = obs.tracer.clone();
             move |h| {
                 let me = h.me().index();
@@ -369,7 +334,7 @@ pub fn execute_pipelined_with_registry<'a>(
                         let mut waiting: HashMap<(u32, u32), Vec<(usize, PackedBatch)>> =
                             HashMap::new();
                         while outstanding > 0 {
-                            let (from, frame) = match net_rx.recv_timeout(config.recv_timeout) {
+                            let (from, frame) = match net_rx.recv_timeout(RECV_TIMEOUT) {
                                 Ok((from, frame)) => (from.index(), frame),
                                 Err(e) => return Some(e),
                             };
@@ -516,7 +481,7 @@ fn run_lane(
     inbox: &crossbeam::channel::Receiver<(u32, Vec<(usize, PackedBatch)>)>,
     metrics: &PipelineMetrics,
 ) -> Result<Vec<bool>, TransportError> {
-    let mut rng = StdRng::seed_from_u64(lane.seed ^ (me as u64).wrapping_mul(PARTY_SALT));
+    let mut rng = party_rng(lane.seed, me);
     let mut core = PartyCore::new_streaming(
         lane.circuit,
         lane.layout,
@@ -560,7 +525,8 @@ mod tests {
     use super::*;
     use crate::threaded_gmw::execute_threaded;
     use eppi_mpc::builder::{to_bits, CircuitBuilder};
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sum_lt_circuit(width: usize) -> (Circuit, InputLayout) {
         let mut cb = CircuitBuilder::new();
@@ -592,8 +558,7 @@ mod tests {
             })
             .collect();
 
-        let (outputs, report) =
-            execute_pipelined(&lanes, &PipelineConfig::with_workers(3)).unwrap();
+        let (outputs, report) = execute_pipelined(&lanes, 3).unwrap();
         assert_eq!(outputs.len(), 5);
         for (i, inputs) in lane_inputs.iter().enumerate() {
             let (oracle, oracle_report) =
@@ -628,8 +593,7 @@ mod tests {
                 seed: 45,
             },
         ];
-        let (pipe_out, pipe_report) =
-            execute_pipelined(&lanes, &PipelineConfig::default()).unwrap();
+        let (pipe_out, pipe_report) = execute_pipelined(&lanes, 2).unwrap();
         // The lockstep oracle, one lane after another: one item per
         // message, nothing coalesces.
         let mut seq_messages = 0;
@@ -647,7 +611,7 @@ mod tests {
 
     #[test]
     fn empty_lane_list_is_a_noop() {
-        let (outputs, report) = execute_pipelined(&[], &PipelineConfig::default()).unwrap();
+        let (outputs, report) = execute_pipelined(&[], 2).unwrap();
         assert!(outputs.is_empty());
         assert_eq!(report.lanes, 0);
     }

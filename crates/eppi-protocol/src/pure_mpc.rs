@@ -23,6 +23,7 @@ use eppi_core::publish::publish_vector;
 use eppi_mpc::circuits::{
     lambda_threshold, FixedPoint, NaiveConstructionCircuit, PureConstructionCircuit,
 };
+use eppi_net::sim::LinkModel;
 use eppi_trace::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -188,6 +189,7 @@ pub fn construct_pure_mpc(
             inputs: &inputs,
             seed: config.seed,
         }],
+        LinkModel::default(),
         Obs::default(),
     );
     let out = outs.swap_remove(0);

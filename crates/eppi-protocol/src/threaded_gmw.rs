@@ -1,14 +1,14 @@
 //! Multi-threaded GMW execution over the threaded party runtime.
 //!
-//! One of the four execution backends of the single packed GMW core
+//! One of the three executors of the single packed GMW core
 //! ([`eppi_mpc::gmw_core`]; `Backend::execute` in [`crate::countbelow`]
 //! is where a backend choice turns into a call here): each party runs
 //! the [`run_party`] loop on its own OS thread, exchanging real
 //! messages through a [`ThreadedTransport`] (crossbeam channels). This
 //! is the backend the Fig. 6a / 6c wall-clock execution-time
-//! experiments use — the in-process executor is exact but cannot
-//! produce scaling curves, and the simulator reports modeled rather
-//! than measured time.
+//! experiments use — the lockstep executor (`eppi_mpc::gmw::execute`)
+//! reports modeled rather than measured time. Dealer and parties are
+//! seeded by the one rule of [`dealer_rng`] / [`party_rng`].
 //!
 //! Communication structure per AND layer: every party broadcasts one
 //! [`PackedBatch`] carrying its `d = x⊕a` and `e = y⊕b` shares for all
@@ -22,13 +22,13 @@
 
 use eppi_mpc::circuit::{Circuit, InputLayout};
 use eppi_mpc::gmw::GmwStats;
-use eppi_mpc::gmw_core::{agreed_outputs, deal_packed_triples, run_party, PartyCore, Schedule};
+use eppi_mpc::gmw_core::{
+    agreed_outputs, deal_packed_triples, dealer_rng, party_rng, run_party, PartyCore, Schedule,
+};
 use eppi_net::threaded::run_parties;
 use eppi_net::traced::TracedTransport;
 use eppi_net::transport::{PackedBatch, ThreadedTransport};
 use eppi_trace::Obs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Executes `circuit` with one thread per party. Returns the opened
@@ -85,8 +85,7 @@ pub fn execute_threaded_with_registry<'a>(
     let parties = layout.parties();
     let sched = Schedule::new(circuit);
 
-    let mut dealer_rng = StdRng::seed_from_u64(seed ^ 0xd1a1e5);
-    let triples = deal_packed_triples(parties, &sched, &mut dealer_rng);
+    let triples = deal_packed_triples(parties, &sched, &mut dealer_rng(seed));
     let round_hist = obs.registry.histogram("gmw.round_ns", &[]);
 
     let mut exec_span = if obs.parent.is_none() {
@@ -110,8 +109,7 @@ pub fn execute_threaded_with_registry<'a>(
             let mut transport =
                 TracedTransport::new(ThreadedTransport::new(h), tracer.clone(), pctx);
             let mut core = PartyCore::new(circuit, layout, sched, me, triples[me].clone());
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (me as u64).wrapping_mul(0x9e3779b97f4a7c15));
+            let mut rng = party_rng(seed, me);
             // Party 0 times each synchronized round; one shared
             // histogram record per round is negligible next to the
             // broadcast/gather it measures.
@@ -170,14 +168,18 @@ mod tests {
         let layout = InputLayout::new(vec![1; 6]);
         let inputs: Vec<Vec<bool>> = (0..6).map(|p| vec![p % 2 == 0]).collect();
 
-        let mut rng = StdRng::seed_from_u64(3);
-        let (a, in_process) = eppi_mpc::gmw::execute(&circuit, &layout, &inputs, &mut rng);
+        let link = eppi_net::sim::LinkModel::LAN;
+        let (a, in_process) = eppi_mpc::gmw::execute(&circuit, &layout, &inputs, link, 77);
         let (b, threaded) = execute_threaded(&circuit, &layout, &inputs, 77);
         assert_eq!(word_value(&a), 3);
         assert_eq!(a, b);
-        // Both backends report the same analytic traffic/round figures.
-        assert_eq!(threaded.bits_sent, in_process.bits_sent);
-        assert_eq!(threaded.rounds, in_process.rounds);
+        // Both backends report the same analytic traffic/round figures
+        // and the same messages and bytes; only the lockstep run prices
+        // simulated time.
+        let traffic = |s: GmwStats| (s.bits_sent, s.rounds, s.messages, s.bytes);
+        assert_eq!(traffic(threaded), traffic(in_process));
+        assert_eq!(threaded.simulated_us, 0.0);
+        assert!(in_process.simulated_us > 0.0);
     }
 
     #[test]

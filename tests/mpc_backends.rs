@@ -8,6 +8,7 @@ use eppi::mpc::circuits::{lambda_threshold, CountBelowCircuit, MixDecisionCircui
 use eppi::mpc::field::Modulus;
 use eppi::mpc::gmw;
 use eppi::mpc::share::split;
+use eppi::net::sim::LinkModel;
 use eppi::protocol::threaded_gmw::execute_threaded;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,8 +52,7 @@ proptest! {
         let (circuit, layout) = build_circuit(8);
         let inputs = vec![to_bits(a, 8), to_bits(b, 8), to_bits(c, 8)];
         let clear = circuit.eval(&layout.flatten(&inputs));
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (in_process, _) = gmw::execute(&circuit, &layout, &inputs, &mut rng);
+        let (in_process, _) = gmw::execute(&circuit, &layout, &inputs, LinkModel::LAN, seed);
         let (threaded, _) = execute_threaded(&circuit, &layout, &inputs, seed);
         prop_assert_eq!(&in_process, &clear);
         prop_assert_eq!(&threaded, &clear);
@@ -83,7 +83,7 @@ fn count_below_backends_agree_over_many_seeds() {
             .count() as u64;
 
         let clear = cc.decode_count(&cc.circuit().eval(&cc.layout().flatten(&inputs)));
-        let (gout, _) = gmw::execute(cc.circuit(), cc.layout(), &inputs, &mut rng);
+        let (gout, _) = gmw::execute(cc.circuit(), cc.layout(), &inputs, LinkModel::LAN, seed);
         let (tout, _) = execute_threaded(cc.circuit(), cc.layout(), &inputs, seed);
         assert_eq!(clear, expect, "seed {seed}");
         assert_eq!(cc.decode_count(&gout), expect, "seed {seed}");
@@ -128,8 +128,7 @@ fn gmw_stats_track_circuit_structure() {
     let (circuit, layout) = build_circuit(8);
     let stats = circuit.stats();
     let inputs = vec![to_bits(1, 8), to_bits(2, 8), to_bits(3, 8)];
-    let mut rng = StdRng::seed_from_u64(1);
-    let (_, gstats) = gmw::execute(&circuit, &layout, &inputs, &mut rng);
+    let (_, gstats) = gmw::execute(&circuit, &layout, &inputs, LinkModel::LAN, 1);
     assert_eq!(gstats.and_gates, stats.and_gates);
     assert!(
         gstats.rounds >= stats.and_depth,

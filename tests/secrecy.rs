@@ -7,10 +7,16 @@ use eppi::core::model::{LocalVector, OwnerId, ProviderId};
 use eppi::mpc::builder::CircuitBuilder;
 use eppi::mpc::circuit::InputLayout;
 use eppi::mpc::field::Modulus;
+use eppi::mpc::gmw_core::{
+    deal_packed_triples, dealer_rng, party_rng, run_lockstep, PartyCore, Schedule,
+};
 use eppi::net::sim::LinkModel;
+use eppi::net::transport::{InProcessTransport, PackedBatch, Transport};
 use eppi::protocol::secsum::secsumshare_sim;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Kolmogorov–Smirnov-ish check: the empirical distribution of values
 /// over `0..q` is close to uniform.
@@ -71,9 +77,39 @@ fn coordinator_share_distribution_is_input_independent() {
     assert!((mean(&common) - half).abs() / half < 0.1);
 }
 
-/// The opened `d`/`e` bits of GMW AND gates are one-time-padded by the
-/// Beaver masks: their distribution must be 50/50 regardless of the
-/// inputs.
+/// A lockstep transport that records every broadcast it carries, so
+/// the test sees exactly what goes on the wire.
+struct Recording {
+    inner: InProcessTransport,
+    sent: Rc<RefCell<Vec<(usize, PackedBatch)>>>,
+}
+
+impl Transport for Recording {
+    fn me(&self) -> usize {
+        self.inner.me()
+    }
+
+    fn parties(&self) -> usize {
+        self.inner.parties()
+    }
+
+    fn scatter(&mut self, batches: Vec<PackedBatch>) {
+        self.inner.scatter(batches);
+    }
+
+    fn broadcast(&mut self, batch: PackedBatch) {
+        self.sent.borrow_mut().push((self.me(), batch.clone()));
+        self.inner.broadcast(batch);
+    }
+
+    fn collect(&mut self) -> Vec<(usize, PackedBatch)> {
+        self.inner.collect()
+    }
+}
+
+/// The `d`/`e` bits of GMW AND gates are one-time-padded by the Beaver
+/// masks: what party 0 broadcasts, and what the parties open, must be
+/// 50/50 regardless of the inputs.
 #[test]
 fn gmw_openings_are_unbiased_for_fixed_inputs() {
     let mut cb = CircuitBuilder::new();
@@ -82,27 +118,65 @@ fn gmw_openings_are_unbiased_for_fixed_inputs() {
     let ab = cb.and(a, b);
     let circuit = cb.finish(vec![ab]);
     let layout = InputLayout::new(vec![1, 1]);
+    let sched = Schedule::new(&circuit);
+    let inputs = [vec![true], vec![true]];
 
-    // Fixed extreme inputs (1, 1): if the masks leaked, d = x ⊕ a* would
-    // be biased toward x = 1.
-    let mut ones = 0usize;
-    let trials = 4000;
-    let mut rng = StdRng::seed_from_u64(5);
-    for _ in 0..trials {
-        // Reconstruct the opened d bit from the dealer's stream by
-        // re-running with fresh randomness and observing the output is
-        // stable while internal coins vary.
-        let (out, _) =
-            eppi::mpc::gmw::execute(&circuit, &layout, &[vec![true], vec![true]], &mut rng);
+    // Fixed extreme inputs (1, 1): if the masks leaked, d = x ⊕ a and
+    // e = y ⊕ b would be biased toward x = y = 1.
+    let trials = 4000u64;
+    // [party 0's d, party 0's e, opened d, opened e] ones counts.
+    let mut ones = [0u64; 4];
+    for seed in 0..trials {
+        let mut triples = deal_packed_triples(2, &sched, &mut dealer_rng(seed));
+        let mut cores: Vec<PartyCore<'_>> = (0..2)
+            .map(|p| {
+                PartyCore::new(
+                    &circuit,
+                    &layout,
+                    &sched,
+                    p,
+                    std::mem::take(&mut triples[p]),
+                )
+            })
+            .collect();
+        let sent = Rc::new(RefCell::new(Vec::new()));
+        let mut hub: Vec<Recording> = InProcessTransport::hub(2)
+            .into_iter()
+            .map(|inner| Recording {
+                inner,
+                sent: Rc::clone(&sent),
+            })
+            .collect();
+        let out = run_lockstep(&mut cores, &mut hub, |p, core| {
+            core.share_inputs(&inputs[p], &mut party_rng(seed, p))
+        });
         assert_eq!(out, vec![true], "AND(1,1) must stay correct");
-        // Sample the mask distribution directly: a fresh Beaver `a` bit.
-        ones += usize::from(rng.gen::<bool>());
+
+        // One AND layer of one gate: each party broadcasts its `d` word
+        // then its `e` word, then its output share.
+        let sent = sent.borrow();
+        let layer: Vec<&PackedBatch> = sent
+            .iter()
+            .filter(|(_, batch)| batch.bits == 2)
+            .map(|(_, batch)| batch)
+            .collect();
+        assert_eq!(layer.len(), 2, "one d/e broadcast per party");
+        let (d0, e0) = (layer[0].words[0] & 1, layer[0].words[1] & 1);
+        let (d1, e1) = (layer[1].words[0] & 1, layer[1].words[1] & 1);
+        for (count, bit) in ones.iter_mut().zip([d0, e0, d0 ^ d1, e0 ^ e1]) {
+            *count += bit;
+        }
     }
-    let rate = ones as f64 / trials as f64;
-    assert!(
-        (rate - 0.5).abs() < 0.05,
-        "mask bits must be unbiased: {rate}"
-    );
+    for (what, count) in ["party 0's d", "party 0's e", "opened d", "opened e"]
+        .iter()
+        .zip(ones)
+    {
+        let rate = count as f64 / trials as f64;
+        assert!(
+            (rate - 0.5).abs() < 0.05,
+            "{what} bits must be unbiased: {rate}"
+        );
+    }
 }
 
 /// The published row weight of an identity is the only thing the public
