@@ -7,25 +7,25 @@
 //! under-decoys its owners, and without verification nobody can tell.
 //! This module implements the concrete strategies such a provider would
 //! use and a trial harness that pits them against the `eppi-audit`
-//! certificate check:
+//! certificate check. Every one is caught with probability 1:
 //!
 //! * [`CheatStrategy::WrongBeta`] — run the flips under a private β′
 //!   instead of the official per-owner β's (fewer decoys, honest-looking
-//!   column). Caught by the decisions digest with probability 1.
+//!   column). Caught by the decisions digest.
 //! * [`CheatStrategy::StaleColumn`] — replay the previous epoch's flip
-//!   stream against this epoch's coins. Caught by the in-the-head
-//!   circuit's output check with probability 1.
+//!   stream against this epoch's coins. Caught as under-decoyed: some
+//!   owner this epoch decides to publish is missing.
 //! * [`CheatStrategy::SelectiveDeflip`] — publish the honest column
-//!   with chosen decoys cleared, but prove honestly. Probability-1
-//!   output mismatch.
-//! * [`CheatStrategy::ForgedView`] — the strongest prover: deflip *and*
-//!   tamper the unopened view so two of the three opening pairs
-//!   reconstruct consistently. Escapes one repetition with probability
-//!   2/3; survives `R` repetitions with probability `(2/3)^R`.
+//!   with chosen decoys cleared. Caught as under-decoyed, naming the
+//!   first cleared owner; no certificate can cover it, because the
+//!   check reads public data only.
+//!
+//! What no strategy here models, because no audit catches it: hiding a
+//! true member (raw 1, decision 0, published 0) or publishing extra
+//! decoys — nothing binds the raw column (DESIGN.md §16).
 
-use eppi_audit::zkboo::prove_column;
 use eppi_audit::{
-    decision_words, mask_tail, prove_column_forged, AuditError, AuditParams, ColumnCommitment,
+    decision_words, mask_tail, prove_column, AuditError, AuditParams, ColumnCommitment,
     ColumnProof, ColumnStatement,
 };
 use eppi_core::model::{MembershipMatrix, ProviderId};
@@ -47,15 +47,8 @@ pub enum CheatStrategy {
         stale_seed: u64,
     },
     /// Serve the honest column with the first `drop` decoy cells
-    /// (decision 1, raw 0) cleared, proving honestly.
+    /// (decision 1, raw 0) cleared, certifying honestly.
     SelectiveDeflip {
-        /// How many decoys to clear.
-        drop: usize,
-    },
-    /// [`SelectiveDeflip`](CheatStrategy::SelectiveDeflip) plus a
-    /// forged proof: the unopened view is cooked so the deflip is only
-    /// visible to one of the three opening pairs.
-    ForgedView {
         /// How many decoys to clear.
         drop: usize,
     },
@@ -68,7 +61,6 @@ impl CheatStrategy {
             CheatStrategy::WrongBeta { .. } => "wrong_beta",
             CheatStrategy::StaleColumn { .. } => "stale_column",
             CheatStrategy::SelectiveDeflip { .. } => "selective_deflip",
-            CheatStrategy::ForgedView { .. } => "forged_view",
         }
     }
 }
@@ -141,7 +133,8 @@ fn honest_column(epoch_seed: u64, provider: ProviderId, betas: &[f64], raw: &[u6
 /// the auditor, honest or cheating. The certificate is always
 /// *internally* consistent — the commitment covers the served column —
 /// because an inconsistent one is trivially rejected; the cheat is in
-/// how the column (or the proof) relates to the official rule.
+/// how the column relates to the official rule. `params` and
+/// `prover_seed` reach [`prove_column`], which reads neither.
 pub fn serve_column(
     epoch_seed: u64,
     provider: ProviderId,
@@ -151,77 +144,34 @@ pub fn serve_column(
     params: &AuditParams,
     prover_seed: u64,
 ) -> (Vec<u64>, ColumnCommitment, ColumnProof) {
-    let owners = betas.len();
-    match strategy {
-        None => {
-            let column = honest_column(epoch_seed, provider, betas, raw);
-            let stmt = ColumnStatement {
-                epoch_seed,
-                provider,
-                betas,
-                published: &column,
-            };
-            let commitment = ColumnCommitment::compute(epoch_seed, provider, betas, &column);
-            let proof = prove_column(&stmt, raw, params, prover_seed);
-            (column, commitment, proof)
-        }
+    let claimed_betas;
+    let (column, committed) = match strategy {
+        None => (honest_column(epoch_seed, provider, betas, raw), betas),
         Some(CheatStrategy::WrongBeta { claimed }) => {
             // Everything is honest *relative to the claimed β*: the
             // cheat only exists against the official β's.
-            let claimed_betas = vec![*claimed; owners];
+            claimed_betas = vec![*claimed; betas.len()];
             let column = honest_column(epoch_seed, provider, &claimed_betas, raw);
-            let stmt = ColumnStatement {
-                epoch_seed,
-                provider,
-                betas: &claimed_betas,
-                published: &column,
-            };
-            let commitment =
-                ColumnCommitment::compute(epoch_seed, provider, &claimed_betas, &column);
-            let proof = prove_column(&stmt, raw, params, prover_seed);
-            (column, commitment, proof)
+            (column, &claimed_betas[..])
         }
         Some(CheatStrategy::StaleColumn { stale_seed }) => {
-            let column = honest_column(*stale_seed, provider, betas, raw);
-            let stmt = ColumnStatement {
-                epoch_seed,
-                provider,
-                betas,
-                published: &column,
-            };
-            let commitment = ColumnCommitment::compute(epoch_seed, provider, betas, &column);
-            let proof = prove_column(&stmt, raw, params, prover_seed);
-            (column, commitment, proof)
+            (honest_column(*stale_seed, provider, betas, raw), betas)
         }
         Some(CheatStrategy::SelectiveDeflip { drop }) => {
             let mut column = honest_column(epoch_seed, provider, betas, raw);
-            clear_decoys(&mut column, raw, owners, *drop);
-            let stmt = ColumnStatement {
-                epoch_seed,
-                provider,
-                betas,
-                published: &column,
-            };
-            let commitment = ColumnCommitment::compute(epoch_seed, provider, betas, &column);
-            let proof = prove_column(&stmt, raw, params, prover_seed);
-            (column, commitment, proof)
+            clear_decoys(&mut column, raw, betas.len(), *drop);
+            (column, betas)
         }
-        Some(CheatStrategy::ForgedView { drop }) => {
-            let honest = honest_column(epoch_seed, provider, betas, raw);
-            let mut column = honest.clone();
-            clear_decoys(&mut column, raw, owners, *drop);
-            let delta: Vec<u64> = honest.iter().zip(&column).map(|(a, b)| a ^ b).collect();
-            let stmt = ColumnStatement {
-                epoch_seed,
-                provider,
-                betas,
-                published: &column,
-            };
-            let commitment = ColumnCommitment::compute(epoch_seed, provider, betas, &column);
-            let proof = prove_column_forged(&stmt, raw, params, prover_seed, &delta);
-            (column, commitment, proof)
-        }
-    }
+    };
+    let stmt = ColumnStatement {
+        epoch_seed,
+        provider,
+        betas: committed,
+        published: &column,
+    };
+    let commitment = ColumnCommitment::compute(epoch_seed, provider, committed, &column);
+    let proof = prove_column(&stmt, raw, params, prover_seed);
+    (column, commitment, proof)
 }
 
 /// Runs one audit trial: every provider of `matrix` serves its column
@@ -312,28 +262,24 @@ mod tests {
                 provider: ProviderId(5),
                 strategy: CheatStrategy::SelectiveDeflip { drop: 4 },
             },
-            CheatingProvider {
-                provider: ProviderId(6),
-                strategy: CheatStrategy::ForgedView { drop: 2 },
-            },
         ];
         let params = AuditParams { repetitions: 40 };
         let out = run_cheating_trial(42, &betas, &mat, &cheaters, &params, 7);
         for o in &out {
             assert!(!o.miscarriage(), "provider {:?}: {:?}", o.provider, o.error);
         }
-        // The probability-1 strategies fail on the expected check.
+        // Every strategy fails on its expected check.
         assert!(matches!(
             out[1].error,
             Some(AuditError::DecisionsDigest { .. })
         ));
         assert!(matches!(
             out[3].error,
-            Some(AuditError::OutputMismatch { .. })
+            Some(AuditError::UnderDecoyed { provider: 3, .. })
         ));
         assert!(matches!(
             out[5].error,
-            Some(AuditError::OutputMismatch { .. })
+            Some(AuditError::UnderDecoyed { provider: 5, .. })
         ));
     }
 
@@ -358,25 +304,40 @@ mod tests {
         }
     }
 
+    /// The check is deterministic: at one repetition, over 60 prover
+    /// seeds, a stale column and a deflipped one are rejected every
+    /// time, naming the first owner whose official decoy is missing.
     #[test]
-    fn forged_view_escape_rate_is_about_two_thirds_at_one_repetition() {
+    fn stale_and_deflipped_columns_name_their_first_cleared_owner_at_every_seed() {
         let mat = dense_matrix(3, 80);
         let betas = vec![0.5; 80];
-        let cheater = [CheatingProvider {
-            provider: ProviderId(2),
-            strategy: CheatStrategy::ForgedView { drop: 1 },
-        }];
+        let official = decision_words(11, ProviderId(2), &betas);
+        let first_missing = |served: &[u64]| {
+            (0..80u32).find(|&j| {
+                let (w, b) = (j as usize / 64, 1u64 << (j % 64));
+                official[w] & b != 0 && served[w] & b == 0
+            })
+        };
         let one = AuditParams { repetitions: 1 };
-        let mut escapes = 0;
-        for seed in 0..60 {
-            let out = run_cheating_trial(11, &betas, &mat, &cheater, &one, seed);
-            if !out[2].detected() {
-                escapes += 1;
+        for strategy in [
+            CheatStrategy::StaleColumn { stale_seed: 10 },
+            CheatStrategy::SelectiveDeflip { drop: 3 },
+        ] {
+            let cheater = [CheatingProvider {
+                provider: ProviderId(2),
+                strategy: strategy.clone(),
+            }];
+            for seed in 0..60 {
+                let out = run_cheating_trial(11, &betas, &mat, &cheater, &one, seed);
+                let owner = first_missing(&out[2].served).expect("some decoy is missing");
+                assert_eq!(
+                    out[2].error,
+                    Some(AuditError::UnderDecoyed { provider: 2, owner }),
+                    "{} at seed {seed}",
+                    strategy.name()
+                );
+                assert!(out.iter().all(|o| !o.miscarriage()));
             }
         }
-        // Binomial(60, 2/3): far outside [20, 60) is a broken prover
-        // or a broken verifier.
-        assert!(escapes > 20, "saw {escapes}/60 escapes, expected ≈40");
-        assert!(escapes < 60, "the forgery must be catchable");
     }
 }

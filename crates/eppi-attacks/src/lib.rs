@@ -14,8 +14,9 @@
 //!   NoProtect).
 //! * [`cheating`] — the *provider-side* threat model: malicious
 //!   providers that violate the publication rule (wrong β, stale
-//!   columns, selective deflips, forged proof views), pitted against
-//!   the `eppi-audit` certificate check (DESIGN.md §16).
+//!   columns, selective deflips), pitted against the `eppi-audit`
+//!   certificate check, which catches each with probability 1
+//!   (DESIGN.md §16).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,21 +1,18 @@
-//! Per-provider column commitments.
+//! Per-provider column commitments and the one audit check.
 //!
 //! A [`ColumnCommitment`] is what a provider signs off on when its
 //! column enters an epoch, and what the durability layer persists next
 //! to the epoch so recovery replays stay audit-checked: the digest of
 //! the packed published column and the digest of the per-owner
-//! publication decisions under the *official* β's. Both digests are
-//! recomputable by the auditor from public epoch state — no prover
-//! randomness is needed to re-check them after a crash. The binding of
-//! the provider's *private* raw column lives in the proof's view
-//! commitments ([`crate::ColumnProof`]), which is where zero-knowledge
-//! is required; persisting it would add nothing recovery can verify.
+//! publication decisions under the *official* β's. Both digests, and
+//! the publication rule itself (`decisions ⊆ published`), are
+//! recomputable by the auditor from public epoch state, so the gate and
+//! recovery run the same check ([`ColumnCommitment::verify`]).
 
 use crate::error::AuditError;
-use crate::flip::{decision_words, tail_mask};
+use crate::flip::{decision_words, tail_mask, words_for};
 use eppi_core::commit::{Digest256, Hasher256};
 use eppi_core::model::ProviderId;
-use eppi_mpc::packed::words_for;
 
 /// Domain of the published-column digest.
 const PUBLISHED_DOMAIN: &str = "eppi.audit.published.v1";
@@ -71,73 +68,66 @@ impl ColumnCommitment {
         published: &[u64],
     ) -> ColumnCommitment {
         let decisions = decision_words(epoch_seed, provider, betas);
-        Self::over(provider, betas.len(), published, &decisions)
-    }
-
-    /// [`compute`](Self::compute) over decision words the caller has
-    /// already derived (the prover feeds the same words to the circuit).
-    pub(crate) fn over(
-        provider: ProviderId,
-        owners: usize,
-        published: &[u64],
-        decisions: &[u64],
-    ) -> ColumnCommitment {
+        let owners = betas.len();
         ColumnCommitment {
             provider,
             owners: owners as u32,
             published: published_digest(provider, owners, published),
-            decisions: decisions_digest(provider, owners, decisions),
+            decisions: decisions_digest(provider, owners, &decisions),
         }
     }
 
-    /// Auditor-side re-check against public epoch state: the installed
-    /// column must match the committed digest, and the committed
-    /// decisions must be the ones the official β's dictate.
+    /// The audit check, against public epoch state: the installed
+    /// column must match the committed digest, the committed decisions
+    /// must be the ones the official β's dictate, and every owner whose
+    /// official decision is 1 must be published (`decisions ⊆
+    /// published`, all of Eq. 2 that does not depend on the private raw
+    /// column). The auditor gate and recovery both end here.
     ///
     /// # Errors
     ///
     /// [`AuditError::Malformed`] on shape mismatch,
     /// [`AuditError::PublishedDigest`] /
-    /// [`AuditError::DecisionsDigest`] on a digest mismatch.
+    /// [`AuditError::DecisionsDigest`] on a digest mismatch,
+    /// [`AuditError::UnderDecoyed`] naming the first owner whose decoy
+    /// is missing.
     pub fn verify(
         &self,
         epoch_seed: u64,
         betas: &[f64],
         published: &[u64],
     ) -> Result<(), AuditError> {
-        let official = decision_words(epoch_seed, self.provider, betas);
-        self.check(betas.len(), published, &official)
-    }
-
-    /// [`verify`](Self::verify) against `official` decision words the
-    /// caller has already derived from public state for `owners` owners.
-    pub(crate) fn check(
-        &self,
-        owners: usize,
-        published: &[u64],
-        official: &[u64],
-    ) -> Result<(), AuditError> {
+        let provider = self.provider.0;
+        let owners = betas.len();
         if self.owners as usize != owners {
             return Err(AuditError::Malformed {
-                provider: self.provider.0,
+                provider,
                 reason: "commitment owner count",
             });
         }
         if published.len() != words_for(owners) {
             return Err(AuditError::Malformed {
-                provider: self.provider.0,
+                provider,
                 reason: "published column width",
             });
         }
         if published_digest(self.provider, owners, published) != self.published {
-            return Err(AuditError::PublishedDigest {
-                provider: self.provider.0,
-            });
+            return Err(AuditError::PublishedDigest { provider });
         }
-        if decisions_digest(self.provider, owners, official) != self.decisions {
-            return Err(AuditError::DecisionsDigest {
-                provider: self.provider.0,
-            });
+        let official = decision_words(epoch_seed, self.provider, betas);
+        if decisions_digest(self.provider, owners, &official) != self.decisions {
+            return Err(AuditError::DecisionsDigest { provider });
+        }
+        // Decision words carry no lanes past the owner count, so dirty
+        // tail bits of the stored column never matter here.
+        for (w, (&d, &p)) in official.iter().zip(published).enumerate() {
+            let missing = d & !p;
+            if missing != 0 {
+                return Err(AuditError::UnderDecoyed {
+                    provider,
+                    owner: (w * 64) as u32 + missing.trailing_zeros(),
+                });
+            }
         }
         Ok(())
     }
@@ -147,12 +137,27 @@ impl ColumnCommitment {
 mod tests {
     use super::*;
 
+    const SEED: u64 = 3;
+    const PROVIDER: ProviderId = ProviderId(1);
+
+    /// The honest column of 90 owners at β = 0.4 over a sparse raw one.
+    fn honest(betas: &[f64]) -> Vec<u64> {
+        let mut column = decision_words(SEED, PROVIDER, betas);
+        column[0] |= 0xaaaa;
+        column
+    }
+
     #[test]
     fn honest_commitment_verifies() {
         let betas = vec![0.4; 90];
-        let published: Vec<u64> = vec![0xaaaa, 0x1fff];
-        let c = ColumnCommitment::compute(3, ProviderId(1), &betas, &published);
-        c.verify(3, &betas, &published).unwrap();
+        let published = honest(&betas);
+        let c = ColumnCommitment::compute(SEED, PROVIDER, &betas, &published);
+        c.verify(SEED, &betas, &published).unwrap();
+        // Extra decoys are outside what the check decides.
+        let mut extra = published;
+        extra[1] |= 0x1fff;
+        let c = ColumnCommitment::compute(SEED, PROVIDER, &betas, &extra);
+        c.verify(SEED, &betas, &extra).unwrap();
     }
 
     #[test]
@@ -160,9 +165,9 @@ mod tests {
         let official = vec![0.4; 90];
         let cheat = vec![0.0; 90];
         let published: Vec<u64> = vec![0, 0];
-        let c = ColumnCommitment::compute(3, ProviderId(1), &cheat, &published);
+        let c = ColumnCommitment::compute(SEED, PROVIDER, &cheat, &published);
         assert!(matches!(
-            c.verify(3, &official, &published),
+            c.verify(SEED, &official, &published),
             Err(AuditError::DecisionsDigest { provider: 1 })
         ));
     }
@@ -170,17 +175,17 @@ mod tests {
     #[test]
     fn column_tamper_is_caught() {
         let betas = vec![0.4; 90];
-        let published: Vec<u64> = vec![0xaaaa, 0x1fff];
-        let c = ColumnCommitment::compute(3, ProviderId(1), &betas, &published);
+        let published = honest(&betas);
+        let c = ColumnCommitment::compute(SEED, PROVIDER, &betas, &published);
         let mut tampered = published.clone();
         tampered[0] ^= 1 << 17;
         assert!(matches!(
-            c.verify(3, &betas, &tampered),
+            c.verify(SEED, &betas, &tampered),
             Err(AuditError::PublishedDigest { provider: 1 })
         ));
         // Tail-lane noise beyond the owner count is *not* a tamper.
         let mut padded = published;
         padded[1] |= 1 << 63;
-        c.verify(3, &betas, &padded).unwrap();
+        c.verify(SEED, &betas, &padded).unwrap();
     }
 }

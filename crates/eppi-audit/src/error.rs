@@ -10,8 +10,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AuditError {
-    /// The certificate is structurally unusable (wrong repetition
-    /// count, truncated word vectors, zero owners, …).
+    /// The certificate is structurally unusable (owner count, column
+    /// width or provider order disagree with the epoch).
     Malformed {
         /// Provider whose certificate is malformed.
         provider: u32,
@@ -30,33 +30,13 @@ pub enum AuditError {
         /// Provider whose decision digest mismatched.
         provider: u32,
     },
-    /// A re-computed view does not hash to its commitment — a forged
-    /// or inconsistent view opening.
-    ViewDigest {
-        /// Provider whose proof failed.
+    /// The published column drops a cell whose official decision is 1
+    /// — the under-decoying cheat: `decisions ⊆ published` fails.
+    UnderDecoyed {
+        /// Provider whose column is under-decoyed.
         provider: u32,
-        /// Repetition index of the failing view.
-        rep: usize,
-        /// Virtual party whose view failed (0–2).
-        party: usize,
-    },
-    /// An opened party's claimed output share disagrees with its
-    /// re-computed view.
-    OutputShare {
-        /// Provider whose proof failed.
-        provider: u32,
-        /// Repetition index.
-        rep: usize,
-        /// Virtual party (0–2).
-        party: usize,
-    },
-    /// The three output shares do not reconstruct the published
-    /// column — the proven circuit output is not what was published.
-    OutputMismatch {
-        /// Provider whose proof failed.
-        provider: u32,
-        /// Repetition index.
-        rep: usize,
+        /// The first owner whose decoy is missing.
+        owner: u32,
     },
     /// An epoch-level certificate set does not cover every provider
     /// exactly once, in provider order.
@@ -76,9 +56,7 @@ impl AuditError {
             AuditError::Malformed { .. } => "malformed",
             AuditError::PublishedDigest { .. } => "published_digest",
             AuditError::DecisionsDigest { .. } => "decisions_digest",
-            AuditError::ViewDigest { .. } => "view_digest",
-            AuditError::OutputShare { .. } => "output_share",
-            AuditError::OutputMismatch { .. } => "output_mismatch",
+            AuditError::UnderDecoyed { .. } => "under_decoyed",
             AuditError::CertificateSet { .. } => "certificate_set",
         }
     }
@@ -100,28 +78,10 @@ impl fmt::Display for AuditError {
                 "provider {provider}: committed decisions differ from the official per-owner β \
                  decisions"
             ),
-            AuditError::ViewDigest {
-                provider,
-                rep,
-                party,
-            } => write!(
+            AuditError::UnderDecoyed { provider, owner } => write!(
                 f,
-                "provider {provider}: repetition {rep} party {party} view does not match its \
-                 commitment"
-            ),
-            AuditError::OutputShare {
-                provider,
-                rep,
-                party,
-            } => write!(
-                f,
-                "provider {provider}: repetition {rep} party {party} output share disagrees with \
-                 its view"
-            ),
-            AuditError::OutputMismatch { provider, rep } => write!(
-                f,
-                "provider {provider}: repetition {rep} output shares do not reconstruct the \
-                 published column"
+                "provider {provider}: owner {owner}'s official decision is 1 but its published \
+                 cell is 0"
             ),
             AuditError::CertificateSet { expected, actual } => write!(
                 f,

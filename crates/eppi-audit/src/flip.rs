@@ -1,46 +1,18 @@
-//! The flip circuit: the publication rule as a Boolean relation.
+//! The publication rule as packed words.
 //!
-//! One circuit instance decides one cell. The paper's construction rule
-//! (§IV-A, Formula 9) keeps inside the secure computation only what
-//! touches a secret, and the proven relation follows it: the one
-//! secret is the provider's raw membership bit, so the circuit is the
-//! one gate that bit enters —
-//!
-//! ```text
-//! published = raw ∨ decision               (the truthful-OR of Eq. 2)
-//! ```
-//!
-//! — and `decision = coin < T(β)` is a *public input*: prover and
-//! verifier each derive it from public state ([`decision_words`], the
-//! exact [`eppi_core::publish::publish_cell`] rule on a non-member
-//! cell), and the verifier never reads it from a proof. The circuit
-//! output therefore agrees bit-for-bit with `publish_cell` for every
-//! cell — pinned by `circuit_matches_publish_cell`.
-//!
-//! The prover evaluates the circuit bitsliced: every wire carries one
-//! 64-bit word per owner block, i.e. 64 cell instances per word
-//! (`PackedBits` packing), which is the same trick the GMW core uses.
+//! Eq. 2 publishes a cell as `raw ∨ decision`, where `decision = coin <
+//! T(β)` depends on public state only: the lineage seed, the provider,
+//! the owner and the official β ([`eppi_core::publish::publish_cell`] on
+//! a non-member cell). [`decision_words`] packs one provider column of
+//! decisions, 64 owners per word; the audit checks `decisions ⊆
+//! published` over them ([`crate::ColumnCommitment::verify`]).
 
 use eppi_core::model::{OwnerId, ProviderId};
 use eppi_core::publish::publish_cell;
-use eppi_mpc::builder::CircuitBuilder;
-use eppi_mpc::circuit::Circuit;
-use eppi_mpc::packed::words_for;
 
-/// Input-wire count of the flip circuit: the secret raw bit and the
-/// public decision bit.
-pub const FLIP_INPUTS: usize = 2;
-
-/// Builds the flip circuit. Wire 0 is the secret raw bit, wire 1 the
-/// public decision bit; the one output wire is the published bit. Its
-/// only AND gate (the OR's product term) has the witness in its fan-in:
-/// an AND of public values alone would be proven 3·R times for nothing.
-pub fn flip_circuit() -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let raw = b.input();
-    let decision = b.input();
-    let published = b.or(raw, decision);
-    b.finish(vec![published])
+/// Packed word count of an `owners`-bit column.
+pub(crate) fn words_for(owners: usize) -> usize {
+    owners.div_ceil(64)
 }
 
 /// The all-valid-lanes mask for the last word of an `owners`-bit packed
@@ -61,8 +33,8 @@ pub fn mask_tail(words: &mut [u64], owners: usize) {
 
 /// The packed per-owner publication *decision* bits of one provider
 /// column under the official β's: lane `j` is `coin_j < T(β_j)` — what
-/// the provider's committed decisions must equal, and the flip
-/// circuit's public input word.
+/// the provider's committed decisions must equal, and the cells its
+/// published column must contain. Lanes past the owner count are 0.
 pub fn decision_words(epoch_seed: u64, provider: ProviderId, betas: &[f64]) -> Vec<u64> {
     let mut words = vec![0u64; words_for(betas.len())];
     for (j, &beta) in betas.iter().enumerate() {
@@ -78,44 +50,11 @@ pub fn decision_words(epoch_seed: u64, provider: ProviderId, betas: &[f64]) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eppi_mpc::circuit::Gate;
 
-    #[test]
-    fn circuit_shape() {
-        let c = flip_circuit();
-        assert_eq!(c.inputs(), FLIP_INPUTS);
-        assert_eq!(c.outputs().len(), 1);
-        // The OR's product term, and nothing else.
-        assert_eq!(c.stats().and_gates, 1);
-    }
-
-    /// Taint analysis from the witness wire: an AND whose fan-in is
-    /// public-only would cost a decomposed slot in every repetition while
-    /// proving nothing the verifier cannot compute itself — the public
-    /// comparator must never re-enter the circuit unnoticed.
-    #[test]
-    fn every_and_gate_depends_on_the_witness() {
-        let c = flip_circuit();
-        let mut tainted = vec![false; c.wires()];
-        tainted[0] = true;
-        for (g, gate) in c.gates().iter().enumerate() {
-            tainted[c.inputs() + g] = match *gate {
-                Gate::Xor(a, b) => tainted[a.index()] || tainted[b.index()],
-                Gate::Not(a) => tainted[a.index()],
-                Gate::Const(_) => false,
-                Gate::And(a, b) => {
-                    let secret = tainted[a.index()] || tainted[b.index()];
-                    assert!(secret, "gate {g} is an AND of public wires only");
-                    secret
-                }
-            };
-        }
-        assert!(tainted[c.outputs()[0].index()]);
-    }
-
+    /// The publication rule as a one-gate Boolean circuit, `raw ∨
+    /// decision`, agrees with `publish_cell` on every cell.
     #[test]
     fn circuit_matches_publish_cell() {
-        let circuit = flip_circuit();
         for seed in [0u64, 7, 0xdead_beef] {
             for p in 0..6u32 {
                 for beta in [0.0, 0.2, 0.5, 0.93, 1.0] {
@@ -123,12 +62,11 @@ mod tests {
                     for o in 0..6u32 {
                         for member in [false, true] {
                             let decision = decisions[0] >> o & 1 == 1;
-                            let out = circuit.eval(&[member, decision]);
                             let expect =
                                 publish_cell(seed, ProviderId(p), OwnerId(o), member, beta);
                             assert_eq!(
-                                out,
-                                [expect],
+                                member || decision,
+                                expect,
                                 "seed {seed} cell ({p},{o}) β {beta} member {member}"
                             );
                         }
@@ -143,7 +81,7 @@ mod tests {
         let betas = vec![0.3; 70];
         let words = decision_words(5, ProviderId(2), &betas);
         assert_eq!(words.len(), 2);
-        // Lane 65 of the public input word is owner 65's decision bit.
+        // Lane 65 of the decision words is owner 65's decision bit.
         let expect = publish_cell(5, ProviderId(2), OwnerId(65), false, 0.3);
         assert_eq!(words[1] >> 1 & 1 == 1, expect);
         // Lanes past the owner count carry nothing.

@@ -312,10 +312,7 @@ mod tests {
             }
             mat
         };
-        let audit = AuditConfig {
-            params: eppi_audit::AuditParams { repetitions: 2 },
-            ..AuditConfig::default()
-        };
+        let audit = AuditConfig::default();
         let commitments: Vec<_> = certify_epoch(&mat, &epoch, &audit)
             .into_iter()
             .map(|c| c.commitment)

@@ -884,10 +884,7 @@ mod tests {
 
         let dir = tmp_dir("audited");
         let (mut mat, e, cfg) = base(13);
-        let audit = AuditConfig {
-            params: eppi_audit::AuditParams { repetitions: 3 },
-            ..AuditConfig::default()
-        };
+        let audit = AuditConfig::default();
         let anchor = construct_epoch_audited(&mat, &e, &cfg, &audit).unwrap();
         let registry = Registry::new();
         let mut store =
@@ -927,10 +924,7 @@ mod tests {
 
         let dir = tmp_dir("downgrade");
         let (mut mat, e, cfg) = base(14);
-        let audit = AuditConfig {
-            params: eppi_audit::AuditParams { repetitions: 2 },
-            ..AuditConfig::default()
-        };
+        let audit = AuditConfig::default();
         let anchor = construct_epoch_audited(&mat, &e, &cfg, &audit).unwrap();
         let registry = Registry::new();
         let mut store =

@@ -167,10 +167,7 @@ fn audited_wal_tamper_is_a_hard_audit_error() {
         seed: 77,
         ..ProtocolConfig::default()
     };
-    let audit = AuditConfig {
-        params: eppi_audit::AuditParams { repetitions: 2 },
-        ..AuditConfig::default()
-    };
+    let audit = AuditConfig::default();
     let registry = Registry::new();
     let anchor = construct_epoch_audited(&matrix, &epsilons, &cfg, &audit).unwrap();
     let mut store = DurableStore::create_audited_with_registry(&dir, &anchor, &registry).unwrap();
@@ -218,6 +215,85 @@ fn audited_wal_tamper_is_a_hard_audit_error() {
             );
         }
         Ok(_) => panic!("tampered audited record was silently installed"),
+        Err(other) => panic!("expected an audit error, got: {other}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery runs the auditor gate's own check, not only the digests:
+/// clear one decoy cell (decision 1, raw 0) in an audited checkpoint's
+/// bitmap and re-seal the file — record CRC and the `ADT1` published
+/// digest recomputed over the edited bitmap — and `open` refuses with
+/// [`StoreError::Audit`] naming that provider and owner, where it used
+/// to install and serve the under-decoyed column.
+///
+/// An attacker who also rewrites that owner's β and the decisions
+/// digest still passes: both digests are unkeyed, so whoever can write
+/// the checkpoint can re-seal them too. Binding them to the auditor
+/// takes keys, which this store does not have.
+#[test]
+fn resealed_under_decoyed_checkpoint_is_a_hard_audit_error() {
+    use eppi_audit::{decision_words, published_digest, AuditError};
+    use eppi_core::model::PublishedIndex;
+    use eppi_durability::checkpoint;
+    use eppi_protocol::{construct_epoch_audited, AuditConfig, IndexEpoch};
+
+    let dir = std::env::temp_dir().join(format!("eppi-fault-decoy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut matrix = MembershipMatrix::new(16, 5);
+    for o in 0..5u32 {
+        for p in 0..(1 + 2 * o) {
+            matrix.set(ProviderId(p % 16), OwnerId(o), true);
+        }
+    }
+    let epsilons: Vec<Epsilon> = vec![Epsilon::new(0.5).unwrap(); 5];
+    let cfg = ProtocolConfig {
+        seed: 77,
+        ..ProtocolConfig::default()
+    };
+    let anchor =
+        construct_epoch_audited(&matrix, &epsilons, &cfg, &AuditConfig::default()).unwrap();
+    drop(DurableStore::create_audited(&dir, &anchor).unwrap());
+
+    // The first decoy cell of the lineage, in provider order.
+    let betas = anchor.epoch.index().betas();
+    let (provider, owner) = matrix
+        .provider_ids()
+        .find_map(|p| {
+            let decisions = decision_words(cfg.seed, p, betas);
+            let raw = matrix.row_words(p);
+            (0..5u32)
+                .find(|&o| decisions[0] >> o & 1 == 1 && raw[0] >> o & 1 == 0)
+                .map(|o| (p, OwnerId(o)))
+        })
+        .expect("the lineage has a decoy");
+
+    let path = checkpoint::scan(&dir).unwrap().remove(0).path;
+    let (epoch, mut commitments) = checkpoint::load(&path).unwrap();
+    let mut state = epoch.into_state();
+    let mut published = state.index.matrix().clone();
+    assert!(published.get(provider, owner));
+    published.set(provider, owner, false);
+    commitments[provider.index()].published =
+        published_digest(provider, 5, &published.row_words(provider)[..1]);
+    state.index = PublishedIndex::new(published, betas.to_vec());
+    let tampered = IndexEpoch::resume(state).unwrap();
+    checkpoint::write_atomic(&dir, 0, &tampered, &commitments).unwrap();
+    assert_eq!(
+        checkpoint::scan(&dir).unwrap().len(),
+        1,
+        "the file is replaced"
+    );
+
+    match DurableStore::open(&dir) {
+        Err(StoreError::Audit(e)) => assert_eq!(
+            e,
+            AuditError::UnderDecoyed {
+                provider: provider.0,
+                owner: owner.0
+            }
+        ),
+        Ok(_) => panic!("under-decoyed checkpoint was installed"),
         Err(other) => panic!("expected an audit error, got: {other}"),
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,20 +4,19 @@
 //! [`construct_epoch_audited`] / [`construct_delta_audited`] run the
 //! ordinary construction and then have every provider *certify* its
 //! published column: a [`ColumnCommitment`] over the column and its
-//! official per-owner publication decisions, plus an MPC-in-the-head
-//! [`ColumnProof`] that the column is the flip circuit's output on the
-//! provider's private raw row ([`eppi_audit`]). The auditor gate
+//! official per-owner publication decisions ([`eppi_audit`]; the
+//! certificate's [`ColumnProof`] is empty). The auditor gate
 //! ([`verify_epoch`]) re-checks every certificate against *public*
-//! epoch state only — it never sees a raw row — and a single failing
-//! provider rejects the whole epoch with a typed [`AuditError`] before
-//! anything is installed.
+//! epoch state only — it never sees a raw row — including `decisions ⊆
+//! published`, and a single failing provider rejects the whole epoch
+//! with a typed [`AuditError`] before anything is installed.
 //!
-//! The commitments (not the proofs) are what `eppi-durability`
-//! persists next to each epoch: both digests are recomputable from
-//! public state, so a recovery replay re-checks them without any
-//! prover randomness ([`verify_commitments`]), and a WAL tamper that
-//! changes any published bit surfaces as an audit error instead of a
-//! silently installed epoch.
+//! The commitments are what `eppi-durability` persists next to each
+//! epoch. Recovery ([`verify_commitments`]) runs the gate's own check,
+//! [`ColumnCommitment::verify`], on the replayed epoch: a WAL or
+//! checkpoint tamper that changes a published bit, or that drops a
+//! decoy and re-seals the digest, surfaces as an audit error instead of
+//! a silently installed epoch.
 
 use crate::construct::ProtocolConfig;
 use crate::epoch::{
@@ -35,14 +34,14 @@ use eppi_trace::Obs;
 use std::error::Error;
 use std::fmt;
 
-/// Configuration of the audit layer.
+/// Configuration of the audit layer. The check is deterministic and
+/// reads public state only, so neither field is read by anything; they
+/// are kept so that existing configurations still compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditConfig {
-    /// Proof-system parameters (repetition count).
+    /// Audit parameters (a repetition count nothing reads).
     pub params: AuditParams,
-    /// Seed driving the provers' view randomness. Folded with the
-    /// epoch number and provider id, so every (epoch, provider) proof
-    /// uses an independent transcript.
+    /// A prover seed nothing reads.
     pub prover_seed: u64,
 }
 
@@ -61,8 +60,7 @@ pub struct EpochCertificate {
     /// The provider's column + decisions commitment (persisted by the
     /// durability layer).
     pub commitment: ColumnCommitment,
-    /// The MPC-in-the-head proof (verified at the gate; not
-    /// persisted).
+    /// The proof half: empty, the gate reads public state only.
     pub proof: ColumnProof,
 }
 
@@ -133,13 +131,6 @@ impl From<AuditError> for AuditedConstructError {
     }
 }
 
-/// Per-(epoch, provider) prover seed.
-fn prover_seed_for(audit: &AuditConfig, epoch: u64, provider: ProviderId) -> u64 {
-    audit.prover_seed
-        ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ u64::from(provider.0).wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
 /// One provider's packed column, at the audit layer's width: exactly
 /// `words_for(owners)` words (a matrix row keeps one word even when the
 /// lineage has no owners yet).
@@ -157,10 +148,10 @@ fn statement<'a>(epoch: &'a IndexEpoch, provider: ProviderId) -> ColumnStatement
     }
 }
 
-/// Has every provider certify its column of `epoch`: commitment plus
-/// MPC-in-the-head proof. `matrix` is the *raw* membership matrix the
-/// epoch was constructed from — in the distributed realization each
-/// provider only ever touches its own row.
+/// Has every provider certify its column of `epoch`: a commitment over
+/// public state. `matrix`, the *raw* membership matrix the epoch was
+/// constructed from, gives the provider set; no certificate reads a raw
+/// row, and `audit` is read by nothing.
 pub fn certify_epoch(
     matrix: &MembershipMatrix,
     epoch: &IndexEpoch,
@@ -170,27 +161,20 @@ pub fn certify_epoch(
 }
 
 /// [`certify_epoch`] under a caller's observability context: telemetry
-/// (`audit.proofs`, `audit.proof_bytes`, `audit.prove_ns`) into
-/// `obs.registry` and one `audit.prove` span per provider under
-/// `obs.parent`.
+/// (`audit.proofs`, `audit.prove_ns`) into `obs.registry` and one
+/// `audit.prove` span per provider under `obs.parent`.
 pub fn certify_epoch_with_registry<'a>(
     matrix: &MembershipMatrix,
     epoch: &IndexEpoch,
-    audit: &AuditConfig,
+    _audit: &AuditConfig,
     obs: impl Into<Obs<'a>>,
 ) -> Vec<EpochCertificate> {
     let obs = obs.into();
     matrix
         .provider_ids()
-        .map(|provider| {
-            let (commitment, proof) = certify_column_with_registry(
-                &statement(epoch, provider),
-                column(matrix, provider),
-                &audit.params,
-                prover_seed_for(audit, epoch.epoch(), provider),
-                obs,
-            );
-            EpochCertificate { commitment, proof }
+        .map(|provider| EpochCertificate {
+            commitment: certify_column_with_registry(&statement(epoch, provider), obs),
+            proof: ColumnProof,
         })
         .collect()
 }
@@ -203,7 +187,8 @@ pub fn certify_epoch_with_registry<'a>(
 ///
 /// [`AuditError::CertificateSet`] when the set does not cover the
 /// providers one-to-one; otherwise the first failing certificate's
-/// error, naming provider, repetition, and check.
+/// error, naming the provider and the check. `audit` is read by
+/// nothing.
 pub fn verify_epoch(
     epoch: &IndexEpoch,
     certificates: &[EpochCertificate],
@@ -223,7 +208,7 @@ pub fn verify_epoch(
 pub fn verify_epoch_with_registry<'a>(
     epoch: &IndexEpoch,
     certificates: &[EpochCertificate],
-    audit: &AuditConfig,
+    _audit: &AuditConfig,
     obs: impl Into<Obs<'a>>,
 ) -> Result<(), AuditError> {
     let obs = obs.into();
@@ -241,17 +226,17 @@ pub fn verify_epoch_with_registry<'a>(
                 reason: "certificate provider order",
             });
         }
-        let stmt = statement(epoch, provider);
-        verify_column_with_registry(&stmt, &cert.commitment, &cert.proof, &audit.params, obs)?;
+        verify_column_with_registry(&statement(epoch, provider), &cert.commitment, obs)?;
     }
     Ok(())
 }
 
 /// Re-checks persisted commitments against a (possibly replayed)
-/// epoch: the recovery-side audit. Both digests are recomputable from
-/// public state, so this needs no proofs — a replayed epoch whose
+/// epoch: the recovery-side audit, the gate's own check
+/// ([`ColumnCommitment::verify`]) per provider. A replayed epoch whose
 /// published columns or official decisions drifted from what was
-/// committed at construction time fails here.
+/// committed at construction time, or whose columns drop a decoy,
+/// fails here.
 ///
 /// # Errors
 ///
@@ -397,13 +382,6 @@ mod tests {
         mat
     }
 
-    fn quick_audit() -> AuditConfig {
-        AuditConfig {
-            params: AuditParams { repetitions: 6 },
-            ..AuditConfig::default()
-        }
-    }
-
     #[test]
     fn audited_epoch_passes_its_own_gate() {
         let mat = sample_matrix(10, 20);
@@ -412,9 +390,14 @@ mod tests {
             seed: 11,
             ..ProtocolConfig::default()
         };
-        let audited = construct_epoch_audited(&mat, &e, &cfg, &quick_audit()).unwrap();
+        let audited = construct_epoch_audited(&mat, &e, &cfg, &AuditConfig::default()).unwrap();
         assert_eq!(audited.certificates.len(), 10);
-        verify_epoch(&audited.epoch, &audited.certificates, &quick_audit()).unwrap();
+        verify_epoch(
+            &audited.epoch,
+            &audited.certificates,
+            &AuditConfig::default(),
+        )
+        .unwrap();
         verify_commitments(&audited.epoch, &audited.commitments()).unwrap();
     }
 
@@ -426,7 +409,7 @@ mod tests {
             seed: 3,
             ..ProtocolConfig::default()
         };
-        let audit = quick_audit();
+        let audit = AuditConfig::default();
         let base = construct_epoch_audited(&mat, &e, &cfg, &audit).unwrap();
 
         // A new owner registers: every provider column grows, so the
@@ -444,11 +427,20 @@ mod tests {
         assert!(verify_commitments(&next.delta.epoch, &base.commitments()).is_err());
     }
 
+    /// Certificates of another lineage (same raw matrix, other seed) do
+    /// not certify this epoch. The columns must differ between the two
+    /// seeds for that to be checkable: where every β is 1 (a dense
+    /// matrix over few providers) every column is all-ones under any
+    /// seed and the two certificate sets are equal, so the fixture is
+    /// sparse (one provider per owner, β ≈ 0.13–0.19).
     #[test]
     fn foreign_certificates_are_rejected() {
-        let mat = sample_matrix(8, 12);
-        let e: Vec<Epsilon> = vec![eps(0.4); 12];
-        let audit = quick_audit();
+        let mut mat = MembershipMatrix::new(40, 20);
+        for j in 0..20u32 {
+            mat.set(ProviderId(j % 40), OwnerId(j), true);
+        }
+        let e: Vec<Epsilon> = (0..20).map(|j| eps(0.2 + (j % 5) as f64 / 10.0)).collect();
+        let audit = AuditConfig::default();
         let cfg_a = ProtocolConfig {
             seed: 1,
             ..ProtocolConfig::default()
@@ -459,12 +451,16 @@ mod tests {
         };
         let a = construct_epoch_audited(&mat, &e, &cfg_a, &audit).unwrap();
         let b = construct_epoch_audited(&mat, &e, &cfg_b, &audit).unwrap();
-        assert!(verify_epoch(&a.epoch, &b.certificates, &audit).is_err());
+        assert_ne!(a.commitments(), b.commitments());
+        assert!(matches!(
+            verify_epoch(&a.epoch, &b.certificates, &audit),
+            Err(AuditError::PublishedDigest { .. } | AuditError::DecisionsDigest { .. })
+        ));
         let short = &a.certificates[..7];
         assert!(matches!(
             verify_epoch(&a.epoch, short, &audit),
             Err(AuditError::CertificateSet {
-                expected: 8,
+                expected: 40,
                 actual: 7
             })
         ));

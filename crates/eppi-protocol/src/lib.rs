@@ -35,10 +35,9 @@
 //! * [`pure_mpc`] — the paper's *pure MPC* baseline, for the Fig. 6
 //!   comparisons.
 //! * [`audit`] — the verifiable-publication layer: per-provider
-//!   [`ColumnCommitment`]s plus MPC-in-the-head proofs
-//!   ([`construct_epoch_audited`] / [`construct_delta_audited`]), and
-//!   the auditor gate that rejects a cheating provider's epoch before
-//!   it is installed (DESIGN.md §16).
+//!   [`ColumnCommitment`]s ([`construct_epoch_audited`] /
+//!   [`construct_delta_audited`]), and the auditor gate that rejects a
+//!   cheating provider's epoch before it is installed (DESIGN.md §16).
 //!
 //! [`ColumnCommitment`]: eppi_audit::ColumnCommitment
 //!

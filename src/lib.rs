@@ -20,8 +20,8 @@
 //!   evaluation, and the cheating-provider models exercised against the
 //!   publication audit.
 //! * [`audit`] — verifiable publication: hash commitments over served
-//!   columns plus ZKBoo-style MPC-in-the-head proofs that each
-//!   published cell follows the committed β flip rule.
+//!   columns and a public check that every cell the official β
+//!   decisions require is published.
 //! * [`workload`] — synthetic information-network workloads.
 //! * [`serve`] — the serving front-end: sharded index layout, a
 //!   worker-per-shard concurrent query engine, lock-free snapshot

@@ -49,10 +49,7 @@ fn one_obs_reaches_every_layer_under_one_root() {
         backend,
         ..ProtocolConfig::default()
     };
-    let audit = AuditConfig {
-        params: eppi::audit::AuditParams { repetitions: 4 },
-        ..AuditConfig::default()
-    };
+    let audit = AuditConfig::default();
 
     let registry = Registry::new();
     let tracer = Tracer::new(TraceConfig {
