@@ -9,8 +9,12 @@
 //!   scales to tens of thousands of nodes and accounts every message and
 //!   byte through a configurable [`sim::LinkModel`]. Used for the large-`m`
 //!   SecSumShare runs and for reproducible tests.
-//! * [`threaded`] — a real multi-threaded executor (one OS thread per
-//!   party, crossbeam channels) for wall-clock measurements (Fig. 6a/6c).
+//! * [`threaded`] — real multi-threaded party execution (one pooled
+//!   thread per party, crossbeam channels) for wall-clock measurements
+//!   (Fig. 6a/6c).
+//! * [`executor`] — the scoped executor every wall-clock run starts its
+//!   parties on: process-wide threads that park between jobs, so a
+//!   warm run starts no OS thread.
 //! * [`transport`] — the [`transport::Transport`] trait the packed GMW
 //!   core (`eppi-mpc::gmw_core`) runs over, with two implementations:
 //!   the one lockstep in-process hub, which also prices each exchange
@@ -46,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod executor;
 pub mod pipeline;
 pub mod sim;
 pub mod threaded;

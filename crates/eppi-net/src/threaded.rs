@@ -1,18 +1,33 @@
 //! Real multi-threaded party execution over crossbeam channels.
 //!
-//! Each party runs as an OS thread with a [`PartyHandle`] giving it
-//! point-to-point `send`/`recv`, `broadcast`, and `gather` primitives —
-//! the communication patterns the ε-PPI construction protocol needs.
-//! Traffic is counted with atomics — totals plus a per-peer split
-//! (messages, bytes, and gather rounds) — so wall-clock experiments
-//! (Fig. 6a/6c) can report bandwidth.
+//! Each party runs as a job on the [`executor`]'s pooled threads, with
+//! a [`PartyHandle`] giving it point-to-point `send`/`recv`,
+//! `broadcast`, and `gather` primitives — the communication patterns
+//! the ε-PPI construction protocol needs. Traffic is counted with
+//! atomics — totals plus a per-peer split (messages, bytes, and gather
+//! rounds) — so wall-clock experiments (Fig. 6a/6c) can report
+//! bandwidth.
+//!
+//! A party that panics does not leave its peers waiting: its sending
+//! half, dropped while unwinding, tells every party (its own included)
+//! that it is dead. A blocking receive then panics naming the dead
+//! party, a bounded one returns [`TransportError::Disconnected`], and
+//! [`run_parties`] re-raises the first party's panic.
 
+use crate::executor::{self, Handle};
 use crate::{NodeId, WireSize};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// What travels on a party's channel: a payload from the named party,
+/// or `None` — the named party panicked.
+type Envelope<P> = (NodeId, Option<P>);
+
+/// No party has died yet (the initial value of a run's first death).
+const NO_DEATH: usize = usize::MAX;
 
 /// A typed receive failure of the threaded network — the alternative to
 /// hanging forever when a peer thread dies mid-round.
@@ -110,11 +125,35 @@ impl TrafficCounters {
 /// from a dedicated sender/coalescer thread while another thread holds
 /// the [`PartyReceiver`]. All traffic accounting happens here, at the
 /// send site.
+///
+/// Dropping a `PartySender` (or any clone of it) while its thread
+/// panics announces the party's death to every party, this one
+/// included, so nobody waits forever for its messages: a thread that
+/// works for a party and may panic should hold a clone.
 #[derive(Debug, Clone)]
 pub struct PartySender<P> {
     me: NodeId,
-    senders: Vec<Sender<(NodeId, P)>>,
+    senders: Vec<Sender<Envelope<P>>>,
     counters: Arc<TrafficCounters>,
+    /// The run's first party to die ([`NO_DEATH`] while none has).
+    first_death: Arc<AtomicUsize>,
+}
+
+impl<P> Drop for PartySender<P> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.first_death.compare_exchange(
+                NO_DEATH,
+                self.me.index(),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            );
+            for tx in &self.senders {
+                // A party already gone needs no notice.
+                let _ = tx.send((self.me, None));
+            }
+        }
+    }
 }
 
 impl<P: WireSize + Send + Clone> PartySender<P> {
@@ -141,7 +180,7 @@ impl<P: WireSize + Send + Clone> PartySender<P> {
         mine.messages.fetch_add(1, Ordering::Relaxed);
         mine.bytes.fetch_add(size, Ordering::Relaxed);
         self.senders[to.index()]
-            .send((self.me, payload))
+            .send((self.me, Some(payload)))
             .expect("receiving party hung up");
     }
 
@@ -166,7 +205,7 @@ impl<P: WireSize + Send + Clone> PartySender<P> {
     pub fn send_checked(&self, to: NodeId, payload: P) -> Result<(), TransportError> {
         let size = payload.wire_size() as u64;
         self.senders[to.index()]
-            .send((self.me, payload))
+            .send((self.me, Some(payload)))
             .map_err(|_| TransportError::Disconnected)?;
         self.counters.messages.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes.fetch_add(size, Ordering::Relaxed);
@@ -182,10 +221,12 @@ impl<P: WireSize + Send + Clone> PartySender<P> {
 pub struct PartyReceiver<P> {
     me: NodeId,
     parties: usize,
-    receiver: Receiver<(NodeId, P)>,
+    receiver: Receiver<Envelope<P>>,
     counters: Arc<TrafficCounters>,
     /// Messages that arrived ahead of their gather step, per sender.
     pending: Vec<std::collections::VecDeque<P>>,
+    /// The party whose death notice arrived; every later receive fails.
+    dead: Option<NodeId>,
 }
 
 impl<P: WireSize + Send + Clone> PartyReceiver<P> {
@@ -208,18 +249,58 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
         None
     }
 
+    /// The next message off the channel, waiting at most until
+    /// `deadline` (reported as having waited `waited`) if one is given.
+    fn pull(
+        &mut self,
+        deadline: Option<(Instant, Duration)>,
+    ) -> Result<(NodeId, P), TransportError> {
+        if self.dead.is_some() {
+            return Err(TransportError::Disconnected);
+        }
+        let received = match deadline {
+            None => self
+                .receiver
+                .recv()
+                .map_err(|_| TransportError::Disconnected),
+            Some((deadline, waited)) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                self.receiver.recv_timeout(left).map_err(|e| match e {
+                    RecvTimeoutError::Disconnected => TransportError::Disconnected,
+                    RecvTimeoutError::Timeout => TransportError::Timeout { waited },
+                })
+            }
+        };
+        match received? {
+            (from, Some(payload)) => Ok((from, payload)),
+            (from, None) => {
+                self.dead = Some(from);
+                Err(TransportError::Disconnected)
+            }
+        }
+    }
+
+    /// The panic of a blocking receive that cannot complete.
+    fn hung_up(&self) -> ! {
+        match self.dead {
+            Some(peer) => panic!("party {} stops: party {peer} panicked", self.me),
+            None => panic!("all parties hung up"),
+        }
+    }
+
     /// Blocks until the next message arrives. Messages buffered by an
     /// earlier [`gather`](Self::gather) are delivered first, in sender
     /// order.
     ///
     /// # Panics
     ///
-    /// Panics if all senders have disconnected (protocol bug).
+    /// Panics, naming the dead party, once a party has panicked, and
+    /// if all senders have disconnected (protocol bug).
     pub fn recv(&mut self) -> (NodeId, P) {
         if let Some(got) = self.pop_pending() {
             return got;
         }
-        self.receiver.recv().expect("all parties hung up")
+        self.pull(None).unwrap_or_else(|_| self.hung_up())
     }
 
     /// Like [`recv`](Self::recv), but gives up after `timeout` instead
@@ -228,16 +309,13 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
     /// # Errors
     ///
     /// [`TransportError::Disconnected`] when every sending half is
-    /// dropped; [`TransportError::Timeout`] when nothing arrived in
-    /// time.
+    /// dropped or a party has panicked; [`TransportError::Timeout`]
+    /// when nothing arrived in time.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<(NodeId, P), TransportError> {
         if let Some(got) = self.pop_pending() {
             return Ok(got);
         }
-        self.receiver.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Disconnected => TransportError::Disconnected,
-            RecvTimeoutError::Timeout => TransportError::Timeout { waited: timeout },
-        })
+        self.pull(Some((Instant::now() + timeout, timeout)))
     }
 
     /// Receives exactly one message from every other party, returned in
@@ -247,8 +325,12 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
     /// messages belonging to a *later* protocol step; those are buffered
     /// and served by the next `gather`/[`recv`](Self::recv) instead of
     /// corrupting this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`recv`](Self::recv).
     pub fn gather(&mut self) -> Vec<(NodeId, P)> {
-        self.try_gather(None).expect("all parties hung up")
+        self.try_gather(None).unwrap_or_else(|_| self.hung_up())
     }
 
     /// Like [`gather`](Self::gather), but bounds the *total* wait: the
@@ -258,8 +340,9 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
     ///
     /// [`TransportError::Timeout`] if the round did not complete within
     /// `timeout`; [`TransportError::Disconnected`] if every sending
-    /// half dropped first. Either way the messages that did arrive stay
-    /// buffered for a later receive, so an error leaves no data behind.
+    /// half dropped or a party panicked first. Either way the messages
+    /// that did arrive stay buffered for a later receive, so an error
+    /// leaves no data behind.
     pub fn gather_timeout(
         &mut self,
         timeout: Duration,
@@ -276,7 +359,7 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
         self.counters.per_party[me]
             .rounds
             .fetch_add(1, Ordering::Relaxed);
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let deadline = timeout.map(|t| (Instant::now() + t, t));
         let mut got: Vec<Option<P>> = vec![None; parties];
         let mut remaining = parties - 1;
         // Serve buffered messages first.
@@ -289,22 +372,7 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
             }
         }
         while remaining > 0 {
-            let received = match deadline {
-                None => self
-                    .receiver
-                    .recv()
-                    .map_err(|_| TransportError::Disconnected),
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    self.receiver.recv_timeout(left).map_err(|e| match e {
-                        RecvTimeoutError::Disconnected => TransportError::Disconnected,
-                        RecvTimeoutError::Timeout => TransportError::Timeout {
-                            waited: timeout.expect("deadline implies timeout"),
-                        },
-                    })
-                }
-            };
-            let (from, payload) = match received {
+            let (from, payload) = match self.pull(deadline) {
                 Ok(got) => got,
                 Err(err) => {
                     // Re-buffer partial progress so the failed round
@@ -374,7 +442,7 @@ impl<P: WireSize + Send + Clone> PartyHandle<P> {
     ///
     /// # Panics
     ///
-    /// Panics if all senders have disconnected (protocol bug).
+    /// Panics under the conditions of [`PartyReceiver::recv`].
     pub fn recv(&mut self) -> (NodeId, P) {
         self.rx.recv()
     }
@@ -412,12 +480,15 @@ impl<P: WireSize + Send + Clone> PartyHandle<P> {
     }
 }
 
-/// Runs `parties` threads, each executing `body(handle)`, and returns
-/// their results in party order plus the traffic counters.
+/// Runs `parties` parties, each executing `body(handle)` on a pooled
+/// thread of the [`executor`], and returns their results in party order
+/// plus the traffic counters.
 ///
 /// # Panics
 ///
-/// Panics if `parties == 0` or any party thread panics.
+/// Panics if `parties == 0`. If a party panics, its peers are woken
+/// (see [`PartySender`]) and, once every party has returned or
+/// unwound, the first party's panic is re-raised with its own payload.
 pub fn run_parties<P, T, F>(parties: usize, body: F) -> (Vec<T>, Arc<TrafficCounters>)
 where
     P: WireSize + Send + Clone + 'static,
@@ -426,6 +497,7 @@ where
 {
     assert!(parties >= 1, "at least one party required");
     let counters = Arc::new(TrafficCounters::new(parties));
+    let first_death = Arc::new(AtomicUsize::new(NO_DEATH));
     let mut senders = Vec::with_capacity(parties);
     let mut receivers = Vec::with_capacity(parties);
     for _ in 0..parties {
@@ -442,6 +514,7 @@ where
                 me: NodeId(i),
                 senders: senders.clone(),
                 counters: Arc::clone(&counters),
+                first_death: Arc::clone(&first_death),
             },
             rx: PartyReceiver {
                 me: NodeId(i),
@@ -451,24 +524,34 @@ where
                 pending: (0..parties)
                     .map(|_| std::collections::VecDeque::new())
                     .collect(),
+                dead: None,
             },
         })
         .collect();
     drop(senders);
 
     let body = &body;
-    let results = crossbeam::thread::scope(|s| {
+    executor::reserve(parties);
+    let outcomes = executor::scope(|s| {
         let joins: Vec<_> = handles
             .into_iter()
             .map(|h| s.spawn(move |_| body(h)))
             .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("party thread panicked"))
-            .collect::<Vec<T>>()
-    })
-    .expect("thread scope failed");
-
+        joins.into_iter().map(Handle::join).collect::<Vec<_>>()
+    });
+    let mut results = Vec::with_capacity(parties);
+    let mut panics = Vec::new();
+    for (party, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(result) => results.push(result),
+            Err(payload) => panics.push((party, payload)),
+        }
+    }
+    if !panics.is_empty() {
+        let first = first_death.load(Ordering::SeqCst);
+        let at = panics.iter().position(|&(p, _)| p == first).unwrap_or(0);
+        std::panic::resume_unwind(panics.swap_remove(at).1);
+    }
     (results, counters)
 }
 

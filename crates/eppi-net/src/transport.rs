@@ -16,8 +16,8 @@
 //!   [`LinkModel`] ([`InProcessTransport::simulated_us`]) exactly as
 //!   the round-based [`crate::sim::Simulator`] prices a round.
 //! * [`ThreadedTransport`] — wraps a [`crate::threaded::PartyHandle`],
-//!   so each party can run the straight-line protocol on its own OS
-//!   thread with real (crossbeam) message exchange.
+//!   so each party can run the straight-line protocol on its own
+//!   pooled thread with real (crossbeam) message exchange.
 //!
 //! Both account traffic in both units of the workspace convention
 //! (see the crate docs): logical payload **bits** and on-the-wire
@@ -244,7 +244,7 @@ impl Transport for InProcessTransport {
 // Threaded (crossbeam) transport
 // ---------------------------------------------------------------------
 
-/// [`Transport`] over a [`PartyHandle`]: one party per OS thread with
+/// [`Transport`] over a [`PartyHandle`]: one party per pooled thread with
 /// real message exchange.
 ///
 /// Byte/message totals live in the run's shared

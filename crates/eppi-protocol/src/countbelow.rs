@@ -13,7 +13,7 @@
 //!   and large sweeps. It also reports *simulated network time* under
 //!   the lineage's link model (the quantity that dominated the paper's
 //!   Emulab numbers);
-//! * [`Backend::Threaded`] — one OS thread per coordinator with real
+//! * [`Backend::Threaded`] — one pooled thread per coordinator with real
 //!   message exchange, used by the wall-clock experiments (Fig. 6a/6c);
 //! * [`Backend::Pipelined`] — the stage-based pipelined runtime
 //!   (DESIGN.md §15): the column batch is split into independent
@@ -47,7 +47,7 @@ pub enum Backend {
     /// reports simulated network time under the lineage's link model.
     #[default]
     InProcess,
-    /// One OS thread per coordinator (wall-clock backend).
+    /// One pooled thread per coordinator (wall-clock backend).
     Threaded,
     /// A synonym of [`Backend::InProcess`], run by the same code. Kept
     /// because persisted lineages name it (the v2 checkpoint's backend
@@ -155,14 +155,19 @@ impl Backend {
     /// Splits a batch of `columns` columns into this backend's lanes
     /// (contiguous column ranges, in order): the pipelined backend
     /// spreads the batch over enough lanes to keep every worker busy
-    /// with headroom, never more than columns; the lockstep backends run
-    /// it as one circuit. A zero-column batch is zero lanes.
+    /// with headroom (`2 · workers`), but never gives a lane less than
+    /// one 64-bit word of columns — GMW packs 64 wires per word, and a
+    /// narrower lane pays its own dealer, routing and constant wires for
+    /// AND layers of a few gates. So a batch of at most 64 columns is
+    /// one lane. The lockstep backends run the batch as one circuit. A
+    /// zero-column batch is zero lanes. The split depends only on the
+    /// public column and worker counts.
     fn lane_ranges(self, columns: usize) -> Vec<Range<usize>> {
         if columns == 0 {
             return Vec::new();
         }
         let lanes = match self {
-            Backend::Pipelined { workers } => (workers.max(1) * 2).min(columns),
+            Backend::Pipelined { workers } => (workers.max(1) * 2).min(columns.div_ceil(64)),
             _ => 1,
         };
         let chunk = columns.div_ceil(lanes);
@@ -522,12 +527,22 @@ mod tests {
 
     #[test]
     fn every_backend_and_lane_split_matches_cleartext_and_accounts_exactly() {
-        let freqs = [120u64, 3, 77, 200, 9, 64, 101, 50, 100];
-        let thresholds = [100u64, 100, 70, 100, 100, 60, 100, 100, 100];
+        // 130 columns make three pipelined lanes at two or more workers
+        // (two at one); every narrower batch is one lane.
+        let freqs: Vec<u64> = [120u64, 3, 77, 200, 9, 64, 101, 50, 100]
+            .into_iter()
+            .cycle()
+            .take(130)
+            .collect();
+        let thresholds: Vec<u64> = [100u64, 100, 70, 100, 100, 60, 100, 100, 100]
+            .into_iter()
+            .cycle()
+            .take(130)
+            .collect();
         let (c, width, coin_bits, lambda) = (3usize, 10usize, 8usize, 0.5f64);
         let (count_seed, mix_seed) = (21u64, 22u64);
         let lam = lambda_threshold(lambda, coin_bits);
-        for k in [1usize, 2, 5, 9] {
+        for k in [1usize, 2, 5, 9, 130] {
             let (f, t) = (&freqs[..k], &thresholds[..k]);
             let shares = share_out(f, c, width, 40 + k as u64);
             let count_clear = f.iter().zip(t).filter(|(f, t)| f >= t).count() as u64;
@@ -612,6 +627,21 @@ mod tests {
                 assert_eq!(traffic(rm), traffic(&single_lane[0].1), "{k} columns");
             }
         }
+    }
+
+    #[test]
+    fn a_pipelined_lane_is_at_least_one_word_of_columns() {
+        let lanes = |workers, columns| Backend::Pipelined { workers }.lane_ranges(columns);
+        assert!(lanes(2, 0).is_empty());
+        for columns in 1..=64 {
+            assert_eq!(lanes(2, columns), vec![0..columns], "{columns} columns");
+        }
+        assert_eq!(lanes(2, 65), vec![0..33, 33..65]);
+        assert_eq!(lanes(2, 130), vec![0..44, 44..88, 88..130]);
+        assert_eq!(lanes(2, 1024), vec![0..256, 256..512, 512..768, 768..1024]);
+        assert_eq!(lanes(1, 1024), vec![0..512, 512..1024]);
+        assert_eq!(Backend::Threaded.lane_ranges(1024), vec![0..1024]);
+        assert!(Backend::InProcess.lane_ranges(0).is_empty());
     }
 
     /// The per-adapter "matches cleartext / reports logical bits / a

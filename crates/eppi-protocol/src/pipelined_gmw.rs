@@ -29,6 +29,13 @@
 //!   [`LaneItem`]s by `(lane, step)` and completes each lane's exchange
 //!   set as soon as all peers have contributed, in any arrival order.
 //!
+//! Every one of these threads — parties, dealers, senders, routers and
+//! workers — is a job on `eppi_net::executor`'s pooled threads, which
+//! park between runs, so a warm session starts no OS thread. A worker
+//! that panics wakes every router at once (it holds a clone of its
+//! party's sending half; see `PartySender`) and the run re-raises its
+//! panic instead of timing out.
+//!
 //! The schedule of every stage is **data-independent**: which lanes
 //! exchange at which step, the size of every batch, and the total
 //! frame/bit counts are all functions of the circuit structures alone,
@@ -46,11 +53,13 @@ use eppi_mpc::gmw_core::{
     agreed_outputs, deal_layer_triples, dealer_rng, party_rng, PartyCore, Schedule,
 };
 use eppi_mpc::stage::{ChannelTriples, StageOutput};
+use eppi_net::executor;
 use eppi_net::pipeline::{Frame, FrameSender, LaneItem, PipelineMetrics};
 use eppi_net::threaded::{run_parties, TransportError};
 use eppi_net::transport::PackedBatch;
 use eppi_trace::Obs;
 use std::collections::HashMap;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -234,7 +243,7 @@ pub fn execute_pipelined_with_registry<'a>(
         }
     }
 
-    let outcomes = crossbeam::thread::scope(|s| {
+    let outcomes = executor::scope(|s| {
         // Owned inside the scope so that dropping it after the parties
         // return disconnects any dealer still feeding an aborted lane
         // (otherwise a blocked `send` would keep the scope joined
@@ -270,6 +279,11 @@ pub fn execute_pipelined_with_registry<'a>(
                 party_span.set_payload(me as u64);
                 let pctx = party_span.ctx();
                 let (net_tx, mut net_rx) = h.split();
+                // Held for the party's whole run (and cloned into each
+                // worker) only so that a panic on this party's body or
+                // its workers wakes every router, this party's own
+                // included, instead of leaving them to time out.
+                let obituary = net_tx.clone();
 
                 let (out_tx, out_rx) = crossbeam::channel::bounded::<OutMsg>(lanes.len() * 2);
                 let mut inbox_txs = Vec::with_capacity(lanes.len());
@@ -296,7 +310,7 @@ pub fn execute_pipelined_with_registry<'a>(
                 let first_error: Mutex<Option<TransportError>> = Mutex::new(None);
                 let occupancy = AtomicU64::new(0);
 
-                let (bits, frames, items) = crossbeam::thread::scope(|ps| {
+                let (bits, frames, items) = executor::scope(|ps| {
                     // Stage: coalescing sender. Greedily drains every
                     // lane's due batches and writes one frame per peer.
                     let sender = ps.spawn({
@@ -358,8 +372,10 @@ pub fn execute_pipelined_with_registry<'a>(
                     });
 
                     // Stage: lane workers.
+                    let mut worker_stages = Vec::with_capacity(workers);
                     for _ in 0..workers {
-                        ps.spawn({
+                        worker_stages.push(ps.spawn({
+                            let obituary = obituary.clone();
                             let out_tx = out_tx.clone();
                             let ready_rx = ready_rx.clone();
                             let inbox_rxs = &inbox_rxs;
@@ -368,6 +384,7 @@ pub fn execute_pipelined_with_registry<'a>(
                             let occupancy = &occupancy;
                             let tracer = tracer.clone();
                             move |_| {
+                                let _obituary = obituary;
                                 while let Ok(lane_idx) = ready_rx.recv() {
                                     let in_flight = occupancy.fetch_add(1, Ordering::Relaxed) + 1;
                                     metrics.lane_occupancy.record(in_flight);
@@ -400,20 +417,22 @@ pub fn execute_pipelined_with_registry<'a>(
                                     }
                                 }
                             }
-                        });
+                        }));
                     }
                     drop(out_tx);
                     drop(out_rx);
 
                     let (bits, frames, items, send_failure) =
-                        sender.join().expect("sender stage panicked");
-                    let route_failure = router.join().expect("router stage panicked");
+                        sender.join().unwrap_or_else(|p| resume_unwind(p));
+                    let route_failure = router.join().unwrap_or_else(|p| resume_unwind(p));
+                    for worker in worker_stages {
+                        worker.join().unwrap_or_else(|p| resume_unwind(p));
+                    }
                     if let Some(e) = send_failure.or(route_failure) {
                         first_error.lock().expect("poisoned").get_or_insert(e);
                     }
                     (bits, frames, items)
-                })
-                .expect("party stage scope failed");
+                });
 
                 PartyOutcome {
                     lane_outputs: lane_outputs.into_inner().expect("poisoned"),
@@ -426,8 +445,7 @@ pub fn execute_pipelined_with_registry<'a>(
         });
         drop(triple_rxs);
         (results, counters)
-    })
-    .expect("pipeline scope failed");
+    });
     let (mut results, counters) = outcomes;
 
     if let Some(e) = results.iter_mut().find_map(|o| o.error.take()) {

@@ -24,8 +24,9 @@
 //! "send these messages". Two runtimes move the messages: the
 //! deterministic round-based simulator ([`secsumshare_sim`], scales to
 //! the paper's 10,000-provider networks and models link time) and one
-//! OS thread per provider ([`secsumshare_threaded_stats`], wall-clock
-//! experiments). Same node, same per-provider seeding, so shares,
+//! pooled thread per provider ([`secsumshare_threaded_stats`],
+//! wall-clock experiments; the threads park between runs, so a warm run
+//! starts none). Same node, same per-provider seeding, so shares,
 //! message counts and bytes are identical across the two.
 //!
 //! **Wire format.** A share is an element of `Z_q` and travels at
@@ -395,7 +396,7 @@ pub fn secsumshare_sim_with_faults(
     }
 }
 
-/// Runs SecSumShare with one OS thread per provider (wall-clock backend
+/// Runs SecSumShare with one pooled thread per provider (wall-clock backend
 /// for Fig. 6a), with traffic statistics shaped like the simulator's
 /// [`SecSumOutput`] so the two runtimes are interchangeable at call
 /// sites (see `Backend::secsumshare`).

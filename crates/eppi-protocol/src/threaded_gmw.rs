@@ -3,7 +3,7 @@
 //! One of the three executors of the single packed GMW core
 //! ([`eppi_mpc::gmw_core`]; `Backend::execute` in [`crate::countbelow`]
 //! is where a backend choice turns into a call here): each party runs
-//! the [`run_party`] loop on its own OS thread, exchanging real
+//! the [`run_party`] loop on its own pooled thread, exchanging real
 //! messages through a [`ThreadedTransport`] (crossbeam channels). This
 //! is the backend the Fig. 6a / 6c wall-clock execution-time
 //! experiments use — the lockstep executor (`eppi_mpc::gmw::execute`)

@@ -36,17 +36,18 @@ const LOCKSTEP_BUILD: Costs = [
 const LOCKSTEP_DELTA: Costs = [
     2, 24, 168, 90, 1170, 1608, 243, 85, 6, 36, 966, 624, 333, 49, 4,
 ];
-/// `Pipelined { workers: 2 }`: 4 lanes for the 16-column build, 3 (+ 2
-/// over the retained shares, CountBelow only) for the 3-column delta.
-/// A stage's `messages` slot holds its lane count and its `bytes` slot
-/// the frame-header-free payload.
-/// Each lane compiles its own circuit, so each has its own constant
-/// wires: the lane gate counts sum to a little more than one circuit's.
+/// `Pipelined { workers: 2 }`: a lane is at least 64 columns, so the
+/// 16-column build runs one lane per stage and the 3-column delta one
+/// (+ 1 over the retained shares, CountBelow only). So the circuits,
+/// gate counts and logical bits equal the lockstep rows. A stage's
+/// `messages` slot holds its lane count and its `bytes` slot the
+/// frame-header-free payload: each lane item adds an 8-byte
+/// `(lane, step)` header to the lockstep message it replaces.
 const PIPELINED_BUILD: Costs = [
-    2, 24, 312, 4, 3876, 4992, 803, 285, 6, 4, 5196, 3840, 1783, 265, 4,
+    2, 24, 312, 1, 4038, 1680, 838, 302, 8, 1, 5196, 1200, 1777, 265, 4,
 ];
 const PIPELINED_DELTA: Costs = [
-    2, 24, 168, 5, 1122, 4560, 241, 81, 4, 3, 966, 2736, 337, 49, 4,
+    2, 24, 168, 2, 1170, 2328, 243, 85, 6, 1, 966, 912, 333, 49, 4,
 ];
 /// State digests are backend-independent: every backend publishes the
 /// same bits from the same shares.
