@@ -164,7 +164,7 @@ pub fn fig6a_simulated(cfg: &Fig6Config) -> Table {
         let proto = ProtocolConfig {
             c: cfg.c.min(m),
             coin_bits: cfg.coin_bits,
-            backend: Backend::Simulated,
+            backend: Backend::InProcess,
             seed: cfg.seed,
             ..ProtocolConfig::default()
         };

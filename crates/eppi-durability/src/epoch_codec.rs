@@ -24,9 +24,9 @@
 //!
 //! Tags: policy `0` = basic, `1` = incremented (`param` = Δ), `2` =
 //! Chernoff (`param` = γ); backend `0` = in-process, `1` = threaded,
-//! `2` = simulated, low bits `3` = pipelined with its worker count
-//! (1–31) in the high five bits. This module is the only place either
-//! tag domain is checked.
+//! `2` = simulated (runs as in-process), low bits `3` = pipelined (runs
+//! as threaded) with its ignored worker count (1–31) in the high five
+//! bits. This module is the only place either tag domain is checked.
 //!
 //! The framing is `eppi_index::codec`'s (header, length, CRC trailer,
 //! allocation cap); v2 keeps the v1 bitmap and β layout byte for byte,
@@ -55,8 +55,8 @@ pub fn encode_epoch(epoch: &IndexEpoch) -> Vec<u8> {
         PolicyKind::Incremented { delta } => (1, delta),
         PolicyKind::Chernoff { gamma } => (2, gamma),
     };
-    // The pipelined worker count is a tuning knob that does not affect
-    // outputs; the encoding caps it at 31.
+    // The pipelined worker count is ignored by every run; the encoding
+    // keeps it, capped at 31, so persisted bytes do not move.
     let backend_tag = match config.backend {
         Backend::InProcess => 0,
         Backend::Threaded => 1,

@@ -28,8 +28,8 @@ use crate::gmw_core::{
 use eppi_net::sim::LinkModel;
 use eppi_net::transport::InProcessTransport;
 
-/// The cost of one secure evaluation — the one record every backend
-/// (lockstep, threaded, each pipelined lane) reports.
+/// The cost of one secure evaluation — the one record both drivers
+/// (lockstep and threaded) report.
 ///
 /// Everything but `messages`, `bytes` and `simulated_us` is fixed by
 /// the circuit structure and the party count, so two backends can only
@@ -55,16 +55,14 @@ pub struct GmwStats {
     pub bits_sent: u64,
     /// Total point-to-point messages sent. Openings are batched per AND
     /// layer (one message per ordered party pair per round), not per
-    /// gate. For one lane of a pipelined run this is 0: lanes share
-    /// coalesced frames, which only the run as a whole can count.
+    /// gate.
     pub messages: u64,
-    /// Total on-the-wire bytes of the packed batch encoding (0 for one
-    /// pipelined lane, like `messages`).
+    /// Total on-the-wire bytes of the packed batch encoding.
     pub bytes: u64,
     /// Simulated network time in microseconds: per exchange, in order,
     /// [`LinkModel::round_time_us`] of the busiest sender's bytes — what
-    /// the lockstep [`execute`] reports. Threaded and pipelined runs
-    /// measure wall time instead and leave this 0.
+    /// the lockstep [`execute`] reports. Threaded runs measure wall
+    /// time instead and leave this 0.
     pub simulated_us: f64,
 }
 

@@ -22,9 +22,8 @@
 //! * [`run_party`] — one party's "advance → transport → absorb" loop
 //!   over a blocking transport (what each thread of the threaded
 //!   backend runs); [`run_lockstep`] — the same loop for all parties on
-//!   one thread over the in-process hub (`crate::gmw::execute`). The
-//!   pipelined runtime (`eppi-protocol`) is the third such loop, with
-//!   the transport on other threads.
+//!   one thread over the in-process hub (`crate::gmw::execute`). These
+//!   are the only two drivers.
 //! * [`dealer_rng`] / [`party_rng`] — the one seeding rule: every
 //!   executor run seeded `s` deals its triples from `dealer_rng(s)`
 //!   and lets party `p` share its inputs from `party_rng(s, p)`.
@@ -39,7 +38,7 @@
 
 use crate::circuit::{Circuit, Gate, InputLayout};
 use crate::packed::{mask_tail, words_for, PackedBits};
-use crate::stage::{ChannelTriples, StageOutput, StageStats};
+use crate::stage::StageOutput;
 use eppi_net::transport::{PackedBatch, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,13 +142,10 @@ impl Schedule {
 /// One level's Beaver-triple shares of one party, packed bit `i` ↔ the
 /// level's `i`-th AND gate.
 #[derive(Debug, Clone, Default)]
-pub struct LayerTriples {
-    /// Packed `a` share bits.
-    pub a: Vec<u64>,
-    /// Packed `b` share bits.
-    pub b: Vec<u64>,
-    /// Packed `c` share bits.
-    pub c: Vec<u64>,
+struct LayerTriples {
+    a: Vec<u64>,
+    b: Vec<u64>,
+    c: Vec<u64>,
 }
 
 /// One party's packed Beaver-triple shares, aligned with a
@@ -166,21 +162,12 @@ fn random_words<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> Vec<u64> {
 }
 
 /// Deals the XOR-shared Beaver triples of one schedule level with
-/// `and_gates` AND gates: one [`LayerTriples`] share per party. This is
-/// the per-layer unit both [`deal_packed_triples`] and the streaming
-/// dealer of the pipelined runtime (`eppi_protocol`) are built from, so
-/// the two consume the dealer RNG draw-for-draw identically — the
-/// foundation of the cross-driver bit-identity property.
-///
-/// # Panics
-///
-/// Panics if `parties == 0`.
-pub fn deal_layer_triples<R: Rng + ?Sized>(
+/// `and_gates` AND gates: one [`LayerTriples`] share per party.
+fn deal_layer_triples<R: Rng + ?Sized>(
     parties: usize,
     and_gates: usize,
     rng: &mut R,
 ) -> Vec<LayerTriples> {
-    assert!(parties >= 1, "at least one party required");
     let a = random_words(and_gates, rng);
     let b = random_words(and_gates, rng);
     let c: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x & y).collect();
@@ -208,9 +195,9 @@ const DEALER_SALT: u64 = 0xd1a1e5;
 /// Per-party seed spread.
 const PARTY_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The triple dealer's RNG of a run seeded `seed`. Every executor —
-/// lockstep, threaded, each pipelined lane — deals from this, so a run
-/// deals the same triples whichever backend carries it.
+/// The triple dealer's RNG of a run seeded `seed`. Both drivers —
+/// lockstep and threaded — deal from this, so a run deals the same
+/// triples whichever backend carries it.
 pub fn dealer_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ DEALER_SALT)
 }
@@ -277,7 +264,7 @@ enum State {
 /// until [`StageOutput::Done`]. The caller decides how batches travel
 /// (see [`run_party`] / [`run_lockstep`]). The exchange sequence is
 /// deterministic in the circuit structure — never in share values —
-/// which is what keeps a pipelined schedule oblivious (DESIGN.md §15).
+/// which is what keeps the schedule oblivious.
 #[derive(Debug)]
 pub struct PartyCore<'c> {
     circuit: &'c Circuit,
@@ -285,9 +272,6 @@ pub struct PartyCore<'c> {
     sched: &'c Schedule,
     me: usize,
     triples: PartyTriples,
-    /// Streamed triple supply: levels beyond `triples` are pulled from
-    /// here as evaluation reaches them.
-    feed: Option<ChannelTriples>,
     /// One packed share bit per circuit wire.
     shares: PackedBits,
     /// Next schedule level to process.
@@ -315,44 +299,6 @@ impl<'c> PartyCore<'c> {
             sched.levels().len(),
             "triples not aligned with the schedule"
         );
-        Self::with_triples(circuit, layout, sched, me, triples, None)
-    }
-
-    /// Creates the state machine for party `me` with its triples
-    /// streamed level-by-level from `feed` (the pipelined runtime's
-    /// dealer thread) as evaluation reaches each level. The dealer must
-    /// send every level — including AND-free ones, whose share is empty
-    /// and costs no randomness — in schedule order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout does not cover the circuit inputs or `me`
-    /// is out of range.
-    pub fn new_streaming(
-        circuit: &'c Circuit,
-        layout: &'c InputLayout,
-        sched: &'c Schedule,
-        me: usize,
-        feed: ChannelTriples,
-    ) -> PartyCore<'c> {
-        Self::with_triples(
-            circuit,
-            layout,
-            sched,
-            me,
-            PartyTriples::default(),
-            Some(feed),
-        )
-    }
-
-    fn with_triples(
-        circuit: &'c Circuit,
-        layout: &'c InputLayout,
-        sched: &'c Schedule,
-        me: usize,
-        triples: PartyTriples,
-        feed: Option<ChannelTriples>,
-    ) -> PartyCore<'c> {
         assert_eq!(
             layout.total_inputs(),
             circuit.inputs(),
@@ -365,20 +311,10 @@ impl<'c> PartyCore<'c> {
             sched,
             me,
             triples,
-            feed,
             shares: PackedBits::zeros(circuit.wires()),
             level: 0,
             state: State::Share,
         }
-    }
-
-    /// Stall accounting of the streamed triple supply (all zero for a
-    /// core whose triples were dealt up front).
-    pub fn triple_stats(&self) -> StageStats {
-        self.feed
-            .as_ref()
-            .map(ChannelTriples::stats)
-            .unwrap_or_default()
     }
 
     /// Runs local computation up to the next exchange and returns what
@@ -507,13 +443,6 @@ impl<'c> PartyCore<'c> {
         // branches here dominate the entire evaluation.
         let me0 = (self.me == 0) as u64;
         while self.level < self.sched.levels().len() {
-            // A streamed supply is drained one level per level visited,
-            // AND-free levels included, so it stays balanced with a
-            // dealer that sends every level.
-            if self.triples.layers.len() <= self.level {
-                let feed = self.feed.as_mut().expect("triples cover every level");
-                self.triples.layers.push(feed.next_layer());
-            }
             let layer = &self.sched.levels()[self.level];
             for &k in &layer.free {
                 let v = match self.circuit.gates()[k] {

@@ -13,9 +13,9 @@
 //!   XOR-secret-shared protocol with Beaver AND-triples, with full
 //!   communication accounting (rounds, bits, messages). The protocol
 //!   itself lives in one place, [`gmw_core`]: a bit-packed ([`packed`],
-//!   64 wires per `u64` word) sans-io party state machine that every
-//!   execution backend — lockstep in-process ([`gmw`]), threaded and
-//!   pipelined (`eppi-protocol`) — drives through a
+//!   64 wires per `u64` word) sans-io party state machine that the two
+//!   drivers — lockstep in-process ([`gmw`]) and threaded
+//!   (`eppi-protocol`) — run a whole circuit on through a
 //!   transport (`eppi_net::transport::Transport`). Packed GMW is the
 //!   only engine: the crate carries no second protocol (Yao,
 //!   arithmetic circuits, OT) that no construction path calls.
@@ -68,4 +68,4 @@ pub use gmw::{execute, GmwStats};
 pub use gmw_core::{PartyCore, Schedule};
 pub use packed::PackedBits;
 pub use share::{add_shares, recombine, split, Shares};
-pub use stage::{ChannelTriples, StageOutput};
+pub use stage::StageOutput;

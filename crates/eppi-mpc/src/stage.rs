@@ -3,24 +3,12 @@
 //! [`PartyCore`](crate::gmw_core::PartyCore) is a state machine: its
 //! `advance` runs local computation until the party either needs the
 //! network or is finished, and says which through a [`StageOutput`];
-//! `absorb` hands it the peers' answer. Every driver — the blocking
-//! per-thread loop, the single-threaded lockstep loop and the pipelined
-//! lane worker of `eppi-protocol`, which parks a lane at its exchange
-//! point while a coalescing sender and a triple dealer run on their own
-//! threads — is the same "advance → move the batches → absorb" loop
-//! around a different transport.
-//!
-//! [`ChannelTriples`] is the second thing a pipelined lane needs: Beaver
-//! triples streamed level-by-level from a dealer thread over a bounded
-//! channel, with stall accounting ([`StageStats`]), instead of a whole
-//! run's triples dealt up front. The streaming dealer reuses
-//! [`deal_layer_triples`](crate::gmw_core::deal_layer_triples), so
-//! triple *values* are bit-identical however they arrive.
+//! `absorb` hands it the peers' answer. Both drivers — the blocking
+//! per-thread loop and the single-threaded lockstep loop — are the same
+//! "advance → move the batches → absorb" loop around a different
+//! transport.
 
-use crate::gmw_core::LayerTriples;
-use crossbeam::channel::Receiver;
 use eppi_net::transport::PackedBatch;
-use std::time::Instant;
 
 /// What a party asks of the network next.
 #[derive(Debug, Clone)]
@@ -35,69 +23,12 @@ pub enum StageOutput {
     Done(Vec<bool>),
 }
 
-/// Triple-supply accounting of one lane.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageStats {
-    /// Nanoseconds the lane spent blocked on the triple dealer.
-    pub triple_stall_ns: u64,
-    /// Levels pulled from the feed.
-    pub triple_pulls: u64,
-    /// Sum of the feed's buffered depth sampled at each pull (divide by
-    /// `triple_pulls` for the mean `mpc.pipeline.triple_buffer` depth).
-    pub triple_buffered_sum: u64,
-}
-
-/// One party's per-level Beaver-triple shares streamed from a dealer
-/// thread over a bounded channel, measuring how long the lane stalls
-/// when the dealer falls behind (the `mpc.pipeline.triple_stall_ns`
-/// telemetry).
-#[derive(Debug)]
-pub struct ChannelTriples {
-    rx: Receiver<LayerTriples>,
-    stats: StageStats,
-}
-
-impl ChannelTriples {
-    /// Wraps the consuming end of a dealer channel.
-    pub fn new(rx: Receiver<LayerTriples>) -> Self {
-        ChannelTriples {
-            rx,
-            stats: StageStats::default(),
-        }
-    }
-
-    /// The next schedule level's share, in feed order — blocking until
-    /// the dealer has produced it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dealer hung up before sending every level.
-    pub fn next_layer(&mut self) -> LayerTriples {
-        self.stats.triple_pulls += 1;
-        self.stats.triple_buffered_sum += self.rx.len() as u64;
-        if let Ok(share) = self.rx.try_recv() {
-            return share;
-        }
-        let started = Instant::now();
-        let share = self.rx.recv().expect("triple dealer hung up");
-        self.stats.triple_stall_ns += started.elapsed().as_nanos() as u64;
-        share
-    }
-
-    /// Supply accounting so far (final once the lane is done).
-    pub fn stats(&self) -> StageStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{to_bits, word_value, CircuitBuilder};
     use crate::circuit::{Circuit, InputLayout};
-    use crate::gmw_core::{
-        deal_layer_triples, deal_packed_triples, run_lockstep, PartyCore, Schedule,
-    };
+    use crate::gmw_core::{deal_packed_triples, run_lockstep, PartyCore, Schedule};
     use eppi_net::transport::InProcessTransport;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -184,44 +115,6 @@ mod tests {
             |p, core| core.share_inputs(&inputs[p], &mut StdRng::seed_from_u64(100 + p as u64)),
         );
         assert_eq!(outs[0], lockstep);
-    }
-
-    #[test]
-    fn channel_fed_triples_match_preloaded_bit_for_bit() {
-        let (circuit, layout) = adder();
-        let sched = Schedule::new(&circuit);
-        let inputs = [to_bits(9, 6), to_bits(33, 6)];
-
-        // Stream: a dealer draws layer-by-layer from the same seed the
-        // up-front dealer would use, feeding bounded channels.
-        let depth = sched.levels().len();
-        let (txs, rxs): (Vec<_>, Vec<_>) =
-            (0..2).map(|_| crossbeam::channel::bounded(depth)).unzip();
-        let mut dealer = StdRng::seed_from_u64(7);
-        for layer in sched.levels() {
-            let shares = deal_layer_triples(2, layer.ands.len(), &mut dealer);
-            for (tx, share) in txs.iter().zip(shares) {
-                tx.send(share).unwrap();
-            }
-        }
-        drop(txs);
-        let mut streaming: Vec<PartyCore<'_>> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(p, rx)| {
-                PartyCore::new_streaming(&circuit, &layout, &sched, p, ChannelTriples::new(rx))
-            })
-            .collect();
-        let streamed = run_stages(&mut streaming, &inputs);
-        // Every lane pulled exactly one triple level per schedule level.
-        for core in &streaming {
-            assert_eq!(core.triple_stats().triple_pulls, depth as u64);
-        }
-
-        // Preloaded path from the identical dealer seed.
-        let dealt = run_stages(&mut preloaded(&circuit, &layout, &sched, 7), &inputs);
-        assert_eq!(streamed, dealt);
-        assert_eq!(word_value(&streamed[0]), 42);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The party executor: scoped jobs on process-wide parked threads.
 //!
-//! A wall-clock protocol run needs one thread per party (and the
-//! pipelined runtime a few more per party for its stages). Starting and
+//! A wall-clock protocol run needs one thread per party. Starting and
 //! joining an OS thread costs tens of microseconds — more than a narrow
 //! run's gates — so construction code never starts threads itself: it
 //! hands jobs to [`scope`], whose threads park between jobs and are

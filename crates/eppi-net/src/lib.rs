@@ -20,9 +20,6 @@
 //!   the one lockstep in-process hub, which also prices each exchange
 //!   in simulated time under a [`sim::LinkModel`] exactly as a
 //!   [`sim::Simulator`] round, and the thread-backed transport.
-//! * [`pipeline`] — lane framing and per-peer send coalescing for the
-//!   pipelined multi-lane MPC runtime (`eppi-protocol::pipelined_gmw`),
-//!   plus its `mpc.pipeline.*` telemetry instruments.
 //! * [`topology`] — ring successor maps and coordinator selection used by
 //!   the SecSumShare share-distribution step (Fig. 3).
 //! * [`traced`] — a [`transport::Transport`] decorator emitting one
@@ -51,7 +48,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod executor;
-pub mod pipeline;
 pub mod sim;
 pub mod threaded;
 pub mod topology;

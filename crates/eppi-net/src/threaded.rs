@@ -122,9 +122,8 @@ impl TrafficCounters {
 }
 
 /// The sending half of a party's endpoint: cheap to clone, safe to own
-/// from a dedicated sender/coalescer thread while another thread holds
-/// the [`PartyReceiver`]. All traffic accounting happens here, at the
-/// send site.
+/// from one thread while another holds the [`PartyReceiver`]. All
+/// traffic accounting happens here, at the send site.
 ///
 /// Dropping a `PartySender` (or any clone of it) while its thread
 /// panics announces the party's death to every party, this one
@@ -403,8 +402,7 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
 /// A party's endpoint in the threaded network: the sending and
 /// receiving halves bundled for the common one-thread-per-party use.
 /// [`split`](Self::split) separates them when sending and receiving
-/// live on different threads (the pipelined runtime's coalescer and
-/// router).
+/// live on different threads.
 #[derive(Debug)]
 pub struct PartyHandle<P> {
     tx: PartySender<P>,

@@ -197,9 +197,8 @@ pub fn construct_distributed(
 /// `construct.phase_ns{phase=…}` histogram family ([`PhaseWall::named`]
 /// order), the run total in `construct.wall_ns`, MPC circuit sizes in
 /// `construct.gates{stage=…}`, SecSumShare traffic in
-/// `secsum.messages` / `secsum.bytes`, and the wall-clock backends'
-/// `gmw.*` / `mpc.pipeline.*` families. Their `mpc.execute` /
-/// `mpc.pipeline` spans hang under `obs.parent`.
+/// `secsum.messages` / `secsum.bytes`, and the threaded backend's
+/// `gmw.*` family. Its `mpc.execute` spans hang under `obs.parent`.
 ///
 /// # Errors
 ///
@@ -286,17 +285,12 @@ mod tests {
 
     #[test]
     fn zero_owners_build_the_empty_index_on_every_backend() {
-        // A zero-column batch is zero lanes: no circuit is compiled, and
+        // A zero-column batch runs no circuit: nothing is compiled, and
         // the distributed protocol agrees with the centralized
         // construction, which returns the empty index.
         use crate::epoch::construct_epoch;
         let mat = MembershipMatrix::new(8, 0);
-        for backend in [
-            Backend::InProcess,
-            Backend::Threaded,
-            Backend::Simulated,
-            Backend::Pipelined { workers: 2 },
-        ] {
+        for backend in [Backend::InProcess, Backend::Threaded] {
             let cfg = ProtocolConfig {
                 backend,
                 ..ProtocolConfig::default()

@@ -1,34 +1,24 @@
 //! The generic-MPC stage among the `c` coordinators (Alg. 1 stage 2).
 //!
 //! Packed GMW (`eppi_mpc::gmw_core`) is the only MPC engine; what
-//! varies is how it is run. `Backend::execute` is the single place
-//! that knows, and [`run_count_below`] / [`run_mix_decision`] are
-//! written once on top of it: split the columns into the backend's
-//! lanes, compile one circuit per lane, encode, execute, decode. The
-//! backends:
+//! varies is which driver runs it. `Backend::execute` is the single
+//! place that knows, and [`run_count_below`] / [`run_mix_decision`] are
+//! written once on top of it: compile the column batch into one
+//! circuit, encode, execute, decode. There are two drivers:
 //!
-//! * [`Backend::InProcess`] (and its synonym [`Backend::Simulated`]) —
-//!   the lockstep executor (`eppi_mpc::gmw::execute`): all parties on
-//!   one thread over the in-process hub, exact and fast, used by tests
-//!   and large sweeps. It also reports *simulated network time* under
-//!   the lineage's link model (the quantity that dominated the paper's
-//!   Emulab numbers);
+//! * [`Backend::InProcess`] — the lockstep hub
+//!   (`eppi_mpc::gmw::execute`): all parties on one thread, exact and
+//!   fast, used by tests and large sweeps. It also reports *simulated
+//!   network time* under the lineage's link model (the quantity that
+//!   dominated the paper's Emulab numbers);
 //! * [`Backend::Threaded`] — one pooled thread per coordinator with real
-//!   message exchange, used by the wall-clock experiments (Fig. 6a/6c);
-//! * [`Backend::Pipelined`] — the stage-based pipelined runtime
-//!   (DESIGN.md §15): the column batch is split into independent
-//!   pipeline lanes evaluated concurrently by a worker pool, with
-//!   per-peer send coalescing. Counts are summed and decisions
-//!   concatenated across lanes — exact, because CountBelow is a sum of
-//!   per-column indicators and the mix coins are keyed by global owner
-//!   id.
+//!   message exchange ([`execute_threaded_with_registry`]), used by the
+//!   wall-clock experiments (Fig. 6a/6c).
 //!
-//! All produce identical results; only the reported cost differs (a
-//! multi-lane stage's `circuit` stats merge the per-lane circuits:
-//! gate counts are summed, depths maxed). The SecSumShare runtime that
+//! Both open identical results and count identical traffic; only the
+//! lockstep run prices simulated time. The SecSumShare runtime that
 //! goes with each backend is [`Backend::secsumshare`].
 
-use crate::pipelined_gmw::{execute_pipelined_with_registry, LaneSpec};
 use crate::secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
 use crate::threaded_gmw::execute_threaded_with_registry;
 use eppi_core::model::{LocalVector, OwnerId};
@@ -38,9 +28,8 @@ use eppi_mpc::field::Modulus;
 use eppi_mpc::gmw;
 use eppi_net::sim::LinkModel;
 use eppi_trace::Obs;
-use std::ops::Range;
 
-/// Which MPC engine executes the coordinator circuit.
+/// Which MPC driver executes the coordinator circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Single-threaded lockstep evaluation over the in-process hub; it
@@ -49,87 +38,65 @@ pub enum Backend {
     InProcess,
     /// One pooled thread per coordinator (wall-clock backend).
     Threaded,
-    /// A synonym of [`Backend::InProcess`], run by the same code. Kept
-    /// because persisted lineages name it (the v2 checkpoint's backend
-    /// tag 2).
+    /// Runs as [`Backend::InProcess`]. A name only: persisted lineages
+    /// carry it (checkpoint backend tag 2) and the lifecycle benchmark
+    /// still names it. It goes once the benchmark stops using it.
     Simulated,
-    /// Stage-based pipelined runtime: the column batch runs as
-    /// independent lanes on `workers` worker threads per coordinator,
-    /// with streamed triple dealing and coalesced sends.
+    /// Runs as [`Backend::Threaded`]; `workers` is ignored. A name
+    /// only: persisted lineages carry it (checkpoint backend tag 3) and
+    /// the lifecycle benchmark still names it. It goes once the
+    /// benchmark stops using it.
     Pipelined {
-        /// Lane-evaluation worker threads per coordinator.
+        /// Ignored; kept so persisted tags and callers still decode.
         workers: usize,
     },
 }
 
 impl Backend {
-    /// Evaluates every lane's circuit on this backend — the one place
-    /// that knows how a backend runs circuits. Returns the lanes' opened
-    /// outputs in lane order and the stage cost: traffic and simulated
-    /// time (under `link`; the wall-clock backends report none) summed
-    /// over the lanes, `circuit` their [`CircuitStats::merge`]. The
-    /// lockstep backend runs the lanes one after another, the
-    /// pipelined backend concurrently over one shared network; an empty
-    /// batch costs nothing. The wall-clock backends report and trace
-    /// into `obs` — the caller's, handed down unchanged (the lockstep
-    /// evaluator emits nothing).
+    /// Evaluates `circuit` on this backend's driver — the one place
+    /// that knows how a backend runs a circuit. Returns the opened
+    /// outputs and the stage cost: the circuit's statistics, its
+    /// traffic and its simulated time under `link` (the threaded driver
+    /// measures wall time and reports none). The threaded driver
+    /// reports and traces into `obs` — the caller's, handed down
+    /// unchanged (the lockstep evaluator emits nothing).
     ///
     /// # Panics
     ///
-    /// Panics if a lane's inputs disagree with its layout or its layout
-    /// with its circuit.
+    /// Panics if `inputs` disagree with `layout` or `layout` with
+    /// `circuit`.
     pub(crate) fn execute(
         self,
-        lanes: &[LaneSpec<'_>],
+        circuit: &Circuit,
+        layout: &InputLayout,
+        inputs: &[Vec<bool>],
+        seed: u64,
         link: LinkModel,
         obs: Obs<'_>,
-    ) -> (Vec<Vec<bool>>, StageReport) {
-        let mut report = StageReport {
-            circuit: lanes
-                .iter()
-                .map(|l| l.circuit.stats())
-                .fold(CircuitStats::default(), CircuitStats::merge),
-            ..StageReport::default()
-        };
-        let mut traffic = |messages: u64, bits: u64, bytes: u64, simulated_us: f64| {
-            report.messages += messages;
-            report.bits += bits;
-            report.bytes += bytes;
-            report.simulated_us += simulated_us;
-        };
-        let outputs = match self {
-            Backend::Pipelined { workers } => {
-                let (outs, r) = execute_pipelined_with_registry(lanes, workers, obs)
-                    .expect("in-process pipeline cannot lose a party");
-                traffic(r.messages, r.bits_sent, r.bytes, 0.0);
-                outs
+    ) -> (Vec<bool>, StageReport) {
+        let (outputs, stats) = match self {
+            Backend::Threaded | Backend::Pipelined { .. } => {
+                execute_threaded_with_registry(circuit, layout, inputs, seed, obs)
             }
-            Backend::Threaded => lanes
-                .iter()
-                .map(|l| {
-                    let (out, g) =
-                        execute_threaded_with_registry(l.circuit, l.layout, l.inputs, l.seed, obs);
-                    traffic(g.messages, g.bits_sent, g.bytes, 0.0);
-                    out
-                })
-                .collect(),
-            Backend::InProcess | Backend::Simulated => lanes
-                .iter()
-                .map(|l| {
-                    let (out, g) = gmw::execute(l.circuit, l.layout, l.inputs, link, l.seed);
-                    traffic(g.messages, g.bits_sent, g.bytes, g.simulated_us);
-                    out
-                })
-                .collect(),
+            Backend::InProcess | Backend::Simulated => {
+                gmw::execute(circuit, layout, inputs, link, seed)
+            }
+        };
+        let report = StageReport {
+            circuit: circuit.stats(),
+            messages: stats.messages,
+            bits: stats.bits_sent,
+            bytes: stats.bytes,
+            simulated_us: stats.simulated_us,
         };
         (outputs, report)
     }
 
-    /// Runs SecSumShare on this backend's runtime: the wall-clock
-    /// backends (threaded, pipelined) sum over real threads, the others
-    /// keep the round simulator under `link`. Per-provider seeding is
-    /// identical, so the shares — and every downstream bit — do not
-    /// depend on this choice.
+    /// Runs SecSumShare on this backend's runtime: the threaded backend
+    /// sums over real threads, the lockstep one keeps the round
+    /// simulator under `link`. Per-provider seeding is identical, so
+    /// the shares — and every downstream bit — do not depend on this
+    /// choice.
     ///
     /// # Panics
     ///
@@ -151,64 +118,14 @@ impl Backend {
             }
         }
     }
-
-    /// Splits a batch of `columns` columns into this backend's lanes
-    /// (contiguous column ranges, in order): the pipelined backend
-    /// spreads the batch over enough lanes to keep every worker busy
-    /// with headroom (`2 · workers`), but never gives a lane less than
-    /// one 64-bit word of columns — GMW packs 64 wires per word, and a
-    /// narrower lane pays its own dealer, routing and constant wires for
-    /// AND layers of a few gates. So a batch of at most 64 columns is
-    /// one lane. The lockstep backends run the batch as one circuit. A
-    /// zero-column batch is zero lanes. The split depends only on the
-    /// public column and worker counts.
-    fn lane_ranges(self, columns: usize) -> Vec<Range<usize>> {
-        if columns == 0 {
-            return Vec::new();
-        }
-        let lanes = match self {
-            Backend::Pipelined { workers } => (workers.max(1) * 2).min(columns.div_ceil(64)),
-            _ => 1,
-        };
-        let chunk = columns.div_ceil(lanes);
-        (0..columns)
-            .step_by(chunk)
-            .map(|lo| lo..(lo + chunk).min(columns))
-            .collect()
-    }
-}
-
-/// Seed of lane `i` in a batch seeded `s`: each lane runs as a
-/// standalone circuit with its own dealer and party randomness.
-fn lane_seed(seed: u64, lane: usize) -> u64 {
-    seed ^ (lane as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// Assembles the batch `backend.execute` runs: lane `i` evaluates
-/// `circuits[i]` on `inputs[i]` (one bit vector per party).
-fn lane_specs<'a>(
-    circuits: impl Iterator<Item = (&'a Circuit, &'a InputLayout)>,
-    inputs: &'a [Vec<Vec<bool>>],
-    seed: u64,
-) -> Vec<LaneSpec<'a>> {
-    circuits
-        .zip(inputs)
-        .enumerate()
-        .map(|(i, ((circuit, layout), inputs))| LaneSpec {
-            circuit,
-            layout,
-            inputs,
-            seed: lane_seed(seed, i),
-        })
-        .collect()
 }
 
 /// Cost report of one secure stage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageReport {
     /// Statistics of the compiled circuit (the paper's circuit-size
-    /// metric); for a multi-lane stage the [`CircuitStats::merge`] of
-    /// the lane circuits.
+    /// metric); for stages run back to back, their
+    /// [`CircuitStats::merge`].
     pub circuit: CircuitStats,
     /// Messages exchanged during evaluation.
     pub messages: u64,
@@ -219,7 +136,7 @@ pub struct StageReport {
     pub bytes: u64,
     /// Simulated network time in microseconds under the stage's link
     /// model (the lockstep backend fills this; the wall-clock threaded
-    /// and pipelined backends leave it 0).
+    /// backend leaves it 0).
     pub simulated_us: f64,
 }
 
@@ -253,10 +170,9 @@ fn check_shares(coordinator_shares: &[Vec<u64>], columns: usize) {
 /// (`Σ_{σ ≥ σ'} 1`) without revealing which identities are common.
 ///
 /// `coordinator_shares[k][j]` is coordinator `k`'s additive share of
-/// identity `j`'s frequency over `Z_{2^width}`. The columns run as
-/// `backend`'s lanes, one CountBelow sub-circuit each; the per-lane
-/// counts sum to exactly the single-circuit count. No columns, no MPC:
-/// the count is 0 at zero cost.
+/// identity `j`'s frequency over `Z_{2^width}`. The columns run as one
+/// CountBelow circuit. No columns, no MPC: the count is 0 at zero
+/// cost.
 ///
 /// # Panics
 ///
@@ -281,8 +197,7 @@ pub fn run_count_below(
 
 /// [`run_count_below`] under a caller's observability context: the
 /// backend's MPC telemetry and spans (see
-/// [`execute_threaded_with_registry`] and
-/// [`execute_pipelined_with_registry`]) go to `obs`.
+/// [`execute_threaded_with_registry`]) go to `obs`.
 ///
 /// # Panics
 ///
@@ -318,34 +233,16 @@ pub(crate) fn count_below_stage(
     obs: Obs<'_>,
 ) -> (u64, StageReport) {
     check_shares(coordinator_shares, thresholds.len());
-    let c = coordinator_shares.len();
-    let ranges = backend.lane_ranges(thresholds.len());
-    let circuits: Vec<CountBelowCircuit> = ranges
+    if thresholds.is_empty() {
+        return (0, StageReport::default());
+    }
+    let cc = CountBelowCircuit::build(coordinator_shares.len(), thresholds, width);
+    let inputs: Vec<Vec<bool>> = coordinator_shares
         .iter()
-        .map(|r| CountBelowCircuit::build(c, &thresholds[r.clone()], width))
+        .map(|s| cc.encode_party_input(s))
         .collect();
-    let inputs: Vec<Vec<Vec<bool>>> = ranges
-        .iter()
-        .zip(&circuits)
-        .map(|(r, cc)| {
-            coordinator_shares
-                .iter()
-                .map(|s| cc.encode_party_input(&s[r.clone()]))
-                .collect()
-        })
-        .collect();
-    let lanes = lane_specs(
-        circuits.iter().map(|cc| (cc.circuit(), cc.layout())),
-        &inputs,
-        seed,
-    );
-    let (outs, report) = backend.execute(&lanes, link, obs);
-    let count = outs
-        .iter()
-        .zip(&circuits)
-        .map(|(out, cc)| cc.decode_count(out))
-        .sum();
-    (count, report)
+    let (out, report) = backend.execute(cc.circuit(), cc.layout(), &inputs, seed, link, obs);
+    (cc.decode_count(&out), report)
 }
 
 /// Coordinator `k`'s coin contribution for `owner`: `coin_bits` uniform
@@ -409,11 +306,9 @@ pub fn run_mix_decision(
 /// `owners[j]`, and the coordinator coins are keyed by that id. A full
 /// construction passes `owners = [0, 1, …, n-1]`; a delta construction
 /// passes only its touched columns and gets the same coins — and hence
-/// the same decisions — a from-scratch run would produce for them. For
-/// the same reason the split into `backend`'s lanes is exact: each lane
-/// reproduces the coins of its columns, and the decisions concatenate
-/// in column order. The lockstep run is priced under `link`; the
-/// backend's MPC telemetry and spans go to `obs`.
+/// the same decisions — a from-scratch run would produce for them. The
+/// lockstep run is priced under `link`; the backend's MPC telemetry and
+/// spans go to `obs`.
 ///
 /// # Panics
 ///
@@ -438,42 +333,25 @@ pub(crate) fn run_mix_decision_for_owners(
         thresholds.len(),
         "one owner id per column required"
     );
-    let c = coordinator_shares.len();
+    if thresholds.is_empty() {
+        return (Vec::new(), StageReport::default());
+    }
     let lam = lambda_threshold(lambda, coin_bits);
-    let ranges = backend.lane_ranges(thresholds.len());
-    let circuits: Vec<MixDecisionCircuit> = ranges
+    let mc = MixDecisionCircuit::build(coordinator_shares.len(), thresholds, width, coin_bits, lam);
+    let inputs: Vec<Vec<bool>> = coordinator_shares
         .iter()
-        .map(|r| MixDecisionCircuit::build(c, &thresholds[r.clone()], width, coin_bits, lam))
-        .collect();
-    let inputs: Vec<Vec<Vec<bool>>> = ranges
-        .iter()
-        .zip(&circuits)
-        .map(|(r, mc)| {
-            coordinator_shares
+        .enumerate()
+        .map(|(k, s)| {
+            let coins: Vec<u64> = owners
                 .iter()
-                .enumerate()
-                .map(|(k, s)| {
-                    let coins: Vec<u64> = owners[r.clone()]
-                        .iter()
-                        .map(|&owner| mix_coin(seed, k, owner, coin_bits))
-                        .collect();
-                    mc.encode_party_input(&s[r.clone()], &coins)
-                })
-                .collect()
+                .map(|&owner| mix_coin(seed, k, owner, coin_bits))
+                .collect();
+            mc.encode_party_input(s, &coins)
         })
         .collect();
-    let lanes = lane_specs(
-        circuits.iter().map(|mc| (mc.circuit(), mc.layout())),
-        &inputs,
-        seed ^ 0xdec,
-    );
-    let (outs, report) = backend.execute(&lanes, link, obs);
-    let decisions = outs
-        .iter()
-        .zip(&circuits)
-        .flat_map(|(out, mc)| mc.decode_decisions(out))
-        .collect();
-    (decisions, report)
+    let (out, report) =
+        backend.execute(mc.circuit(), mc.layout(), &inputs, seed ^ 0xdec, link, obs);
+    (mc.decode_decisions(&out), report)
 }
 
 #[cfg(test)]
@@ -497,38 +375,12 @@ mod tests {
         per
     }
 
-    const BACKENDS: [Backend; 6] = [
-        Backend::InProcess,
-        Backend::Threaded,
-        Backend::Simulated,
-        Backend::Pipelined { workers: 1 },
-        Backend::Pipelined { workers: 2 },
-        Backend::Pipelined { workers: 4 },
-    ];
+    const BACKENDS: [Backend; 2] = [Backend::InProcess, Backend::Threaded];
 
-    /// What `backend` must report for a stage over `columns` columns,
-    /// from the structure of its lane circuits alone: `(logical bits,
-    /// merged circuit stats)`, with `lane` compiling one lane's circuit.
-    fn expected_cost(
-        backend: Backend,
-        columns: usize,
-        lane: impl Fn(Range<usize>) -> (Circuit, InputLayout),
-    ) -> (u64, CircuitStats) {
-        backend.lane_ranges(columns).into_iter().map(lane).fold(
-            (0, CircuitStats::default()),
-            |(bits, stats), (circuit, layout)| {
-                (
-                    bits + logical_bits(&circuit, &layout),
-                    stats.merge(circuit.stats()),
-                )
-            },
-        )
-    }
-
+    /// Both backends over batches of 1 to 130 columns, each batch one
+    /// circuit.
     #[test]
     fn every_backend_and_lane_split_matches_cleartext_and_accounts_exactly() {
-        // 130 columns make three pipelined lanes at two or more workers
-        // (two at one); every narrower batch is one lane.
         let freqs: Vec<u64> = [120u64, 3, 77, 200, 9, 64, 101, 50, 100]
             .into_iter()
             .cycle()
@@ -562,7 +414,19 @@ mod tests {
             let sliced_t: Vec<u64> = idx.iter().map(|&j| t[j]).collect();
             let sliced_owners: Vec<OwnerId> = idx.iter().map(|&j| OwnerId(j as u32)).collect();
 
-            let mut single_lane: Vec<(StageReport, StageReport)> = Vec::new();
+            // What every backend must report: the one circuit's structure.
+            let cc = CountBelowCircuit::build(c, t, width);
+            let mc = MixDecisionCircuit::build(c, t, width, coin_bits, lam);
+            let count_cost = (
+                logical_bits(cc.circuit(), cc.layout()),
+                cc.circuit().stats(),
+            );
+            let mix_cost = (
+                logical_bits(mc.circuit(), mc.layout()),
+                mc.circuit().stats(),
+            );
+
+            let mut reports: Vec<(StageReport, StageReport)> = Vec::new();
             for backend in BACKENDS {
                 let what = format!("{backend:?}, {k} columns");
                 // (i) results equal cleartext.
@@ -572,36 +436,17 @@ mod tests {
                     run_mix_decision(&shares, t, width, coin_bits, lambda, backend, mix_seed);
                 assert_eq!(decisions, mix_clear, "{what}");
 
-                // (ii) reported cost is the lane circuits' structure.
-                let (count_bits, count_stats) = expected_cost(backend, k, |r| {
-                    let cc = CountBelowCircuit::build(c, &t[r], width);
-                    (cc.circuit().clone(), cc.layout().clone())
-                });
-                assert_eq!((rc.bits, rc.circuit), (count_bits, count_stats), "{what}");
-                let (mix_bits, mix_stats) = expected_cost(backend, k, |r| {
-                    let mc = MixDecisionCircuit::build(c, &t[r], width, coin_bits, lam);
-                    (mc.circuit().clone(), mc.layout().clone())
-                });
-                assert_eq!((rm.bits, rm.circuit), (mix_bits, mix_stats), "{what}");
+                // (ii) reported cost is the circuit's structure.
+                assert_eq!((rc.bits, rc.circuit), count_cost, "{what}");
+                assert_eq!((rm.bits, rm.circuit), mix_cost, "{what}");
                 assert!(rc.bytes > 0 && rm.bytes > 0, "{what}: real traffic");
-                let lockstep = matches!(backend, Backend::InProcess | Backend::Simulated);
                 assert_eq!(
                     rc.simulated_us > 0.0,
-                    lockstep,
-                    "{what}: every lockstep backend reports simulated time; threaded and pipelined report 0"
+                    backend == Backend::InProcess,
+                    "{what}: the lockstep backend reports simulated time; threaded reports 0"
                 );
 
-                match backend {
-                    Backend::Pipelined { .. } => {
-                        // Per-column comparators are identical; only the
-                        // count adders are split across lanes.
-                        let whole = single_lane[0].0.circuit;
-                        assert!(rc.circuit.and_gates <= whole.and_gates, "{what}");
-                    }
-                    _ => single_lane.push((rc, rm)),
-                }
-
-                // (iv) a column slice reproduces the full run's
+                // (iii) a column slice reproduces the full run's
                 // decisions for its owners (coins keyed by owner id).
                 let (part, _) = run_mix_decision_for_owners(
                     &sliced,
@@ -617,36 +462,21 @@ mod tests {
                 );
                 let expect: Vec<bool> = idx.iter().map(|&j| decisions[j]).collect();
                 assert_eq!(part, expect, "{what}: sliced owners {idx:?}");
+                reports.push((rc, rm));
             }
 
-            // (iii) the single-lane backends run the same circuit and
-            // count the same traffic.
+            // (iv) both backends run the same circuit and count the
+            // same traffic.
             let traffic = |r: &StageReport| (r.messages, r.bits, r.bytes, r.circuit);
-            for (rc, rm) in &single_lane[1..] {
-                assert_eq!(traffic(rc), traffic(&single_lane[0].0), "{k} columns");
-                assert_eq!(traffic(rm), traffic(&single_lane[0].1), "{k} columns");
-            }
+            let (rc, rm) = &reports[1];
+            assert_eq!(traffic(rc), traffic(&reports[0].0), "{k} columns");
+            assert_eq!(traffic(rm), traffic(&reports[0].1), "{k} columns");
         }
     }
 
-    #[test]
-    fn a_pipelined_lane_is_at_least_one_word_of_columns() {
-        let lanes = |workers, columns| Backend::Pipelined { workers }.lane_ranges(columns);
-        assert!(lanes(2, 0).is_empty());
-        for columns in 1..=64 {
-            assert_eq!(lanes(2, columns), vec![0..columns], "{columns} columns");
-        }
-        assert_eq!(lanes(2, 65), vec![0..33, 33..65]);
-        assert_eq!(lanes(2, 130), vec![0..44, 44..88, 88..130]);
-        assert_eq!(lanes(2, 1024), vec![0..256, 256..512, 512..768, 768..1024]);
-        assert_eq!(lanes(1, 1024), vec![0..512, 512..1024]);
-        assert_eq!(Backend::Threaded.lane_ranges(1024), vec![0..1024]);
-        assert!(Backend::InProcess.lane_ranges(0).is_empty());
-    }
-
-    /// The per-adapter "matches cleartext / reports logical bits / a
-    /// lone party sends nothing" checks, once over the four backends
-    /// and arbitrary (non-protocol) circuits.
+    /// The per-driver "matches cleartext / reports logical bits / a
+    /// lone party sends nothing" checks, once over both backends and
+    /// arbitrary (non-protocol) circuits.
     #[test]
     fn every_backend_evaluates_any_circuit_like_cleartext_and_a_lone_party_sends_nothing() {
         use eppi_mpc::builder::{to_bits, CircuitBuilder};
@@ -691,22 +521,17 @@ mod tests {
                     })
                     .collect();
                 let clear = circuit.eval(&layout.flatten(&inputs));
-                let lane = LaneSpec {
-                    circuit: &circuit,
-                    layout: &layout,
-                    inputs: &inputs,
-                    seed: 1000 + trial,
-                };
-                for backend in [
-                    Backend::InProcess,
-                    Backend::Threaded,
-                    Backend::Simulated,
-                    Backend::Pipelined { workers: 2 },
-                ] {
+                for backend in BACKENDS {
                     let what = format!("{backend:?}, {parties} parties, trial {trial}");
-                    let (outs, report) =
-                        backend.execute(&[lane], LinkModel::default(), Obs::default());
-                    assert_eq!(outs, vec![clear.clone()], "{what}");
+                    let (outs, report) = backend.execute(
+                        &circuit,
+                        &layout,
+                        &inputs,
+                        1000 + trial,
+                        LinkModel::default(),
+                        Obs::default(),
+                    );
+                    assert_eq!(outs, clear, "{what}");
                     assert_eq!(report.circuit, circuit.stats(), "{what}");
                     assert_eq!(report.bits, logical_bits(&circuit, &layout), "{what}");
                     if parties == 1 {
@@ -720,6 +545,7 @@ mod tests {
         }
     }
 
+    /// A zero-column batch compiles and runs no circuit.
     #[test]
     fn zero_columns_are_zero_lanes() {
         let shares = vec![Vec::new(); 3];

@@ -12,17 +12,13 @@
 //!   (CountBelow of Alg. 2 + the mix-decision pass) and the [`Backend`]
 //!   choice; `Backend::execute` is the one place that knows how each
 //!   backend runs a circuit batch.
-//! * [`threaded_gmw`] — the multi-threaded GMW executor behind the
-//!   wall-clock experiments.
-//! * [`pipelined_gmw`] — the pipelined runtime: many independent
-//!   circuit lanes over one shared network, with streamed Beaver
-//!   dealing, per-peer send coalescing and overlapped exchanges
-//!   (DESIGN.md §15); bit-identical to the lockstep executor. The
-//!   lockstep executor (`eppi_mpc::gmw::execute`, which also prices
-//!   simulated network time under the lineage's link model) and these
-//!   two drive the one party state machine of `eppi_mpc::gmw_core`,
-//!   seed their dealer and parties by its one rule, and report one
-//!   cost record, `eppi_mpc::gmw::GmwStats`.
+//! * [`threaded_gmw`] — the multi-threaded GMW driver behind the
+//!   wall-clock experiments. It and the lockstep hub
+//!   (`eppi_mpc::gmw::execute`, which also prices simulated network
+//!   time under the lineage's link model) are the two drivers: both run
+//!   a column batch as one circuit on the one party state machine of
+//!   `eppi_mpc::gmw_core`, seed their dealer and parties by its one
+//!   rule, and report one cost record, `eppi_mpc::gmw::GmwStats`.
 //! * [`construct`] — configuration, cost report and the from-scratch
 //!   entry point of the two-phase construction (Alg. 1).
 //! * [`epoch`] — the versioned epoch lifecycle and the construction
@@ -49,10 +45,9 @@
 //! isolated metrics, or a full `Obs { registry, tracer, parent }`. The
 //! context a caller gives [`construct_epoch_with_registry`] (or any
 //! other entry point) is handed down unchanged to the MPC executors and
-//! the audit layer, so `gmw.*` / `mpc.pipeline.*` / `audit.*` metrics
-//! and the `mpc.execute → mpc.party → net.exchange`, `mpc.pipeline →
-//! mpc.party → mpc.lane` and `audit.prove` / `audit.verify` spans all
-//! belong to that caller (DESIGN.md §8, §13).
+//! the audit layer, so `gmw.*` / `audit.*` metrics and the
+//! `mpc.execute → mpc.party → net.exchange` and `audit.prove` /
+//! `audit.verify` spans all belong to that caller (DESIGN.md §8, §13).
 //!
 //! ## Example
 //!
@@ -80,7 +75,6 @@ pub mod audit;
 pub mod construct;
 pub mod countbelow;
 pub mod epoch;
-pub mod pipelined_gmw;
 pub mod pure_mpc;
 pub mod secsum;
 pub mod threaded_gmw;
@@ -103,7 +97,6 @@ pub use epoch::{
     construct_delta, construct_delta_with_registry, construct_epoch, construct_epoch_with_registry,
     DeltaConstruction, EpochState, IndexEpoch,
 };
-pub use pipelined_gmw::{execute_pipelined, LaneSpec, PipelineReport};
 pub use pure_mpc::{construct_pure_mpc, PureMpcConfig, PureMpcConstruction};
 pub use secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
 pub use threaded_gmw::execute_threaded;

@@ -15,7 +15,6 @@
 //! point.
 
 use crate::countbelow::{Backend, StageReport};
-use crate::pipelined_gmw::LaneSpec;
 use eppi_core::error::EppiError;
 use eppi_core::model::{Epsilon, MembershipMatrix, OwnerId, PublishedIndex};
 use eppi_core::policy::{BetaPolicy, PolicyKind};
@@ -181,18 +180,14 @@ pub fn construct_pure_mpc(
         })
         .collect();
 
-    // The whole-construction circuit is one monolithic lane.
-    let (mut outs, stage) = config.backend.execute(
-        &[LaneSpec {
-            circuit,
-            layout,
-            inputs: &inputs,
-            seed: config.seed,
-        }],
+    let (out, stage) = config.backend.execute(
+        circuit,
+        layout,
+        &inputs,
+        config.seed,
         LinkModel::default(),
         Obs::default(),
     );
-    let out = outs.swap_remove(0);
     let (common_count, decisions, masked_freqs) = match &compiled {
         Compiled::Compare(c) => c.decode(&out),
         Compiled::Naive(c) => c.decode(&out),

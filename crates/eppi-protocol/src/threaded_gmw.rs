@@ -1,6 +1,6 @@
 //! Multi-threaded GMW execution over the threaded party runtime.
 //!
-//! One of the three executors of the single packed GMW core
+//! One of the two drivers of the single packed GMW core
 //! ([`eppi_mpc::gmw_core`]; `Backend::execute` in [`crate::countbelow`]
 //! is where a backend choice turns into a call here): each party runs
 //! the [`run_party`] loop on its own pooled thread, exchanging real

@@ -1,16 +1,15 @@
 //! Cross-backend equivalence of the one packed GMW core.
 //!
-//! All three executors (lockstep in-process, threaded, pipelined) are
-//! adapters over `eppi_mpc::gmw_core`; these property tests drive
-//! random circuits, seeds and party counts through every executor plus
+//! Both drivers (lockstep in-process, threaded) run the one party
+//! state machine of `eppi_mpc::gmw_core`; these property tests drive
+//! random circuits, seeds and party counts through both drivers plus
 //! the frozen pre-refactor `Vec<bool>` reference executor and demand:
 //!
 //! * bit-identical opened outputs everywhere (and equal to the
 //!   cleartext evaluation),
 //! * identical protocol-round counts on every report — the analytic
-//!   `protocol_rounds` figure all backends now share — and
-//! * identical logical-bit accounting, with the pipelined runtime's
-//!   multi-lane aggregate equal to the per-lane lockstep-oracle sum.
+//!   `protocol_rounds` figure all backends share — and
+//! * identical logical-bit accounting.
 
 use eppi_core::delta::{ColumnChange, DeltaEntry, IndexDelta};
 use eppi_core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId, PublishedIndex};
@@ -22,7 +21,7 @@ use eppi_net::sim::LinkModel;
 use eppi_protocol::construct::{construct_distributed, ProtocolConfig};
 use eppi_protocol::epoch::{construct_delta, construct_epoch};
 use eppi_protocol::threaded_gmw::execute_threaded;
-use eppi_protocol::{execute_pipelined, Backend, LaneSpec};
+use eppi_protocol::Backend;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,7 +83,7 @@ fn column(index: &PublishedIndex, owner: OwnerId) -> (Vec<u64>, f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Outputs are bit-identical across all three executors and the
+    /// Outputs are bit-identical across both drivers and the
     /// reference and match the cleartext evaluation; all round counts
     /// agree.
     #[test]
@@ -114,18 +113,9 @@ proptest! {
         let (thr_out, thr_report) = execute_threaded(&circuit, &layout, &inputs, run_seed);
         prop_assert_eq!(&thr_out, &clear, "threaded vs cleartext");
 
-        // The pipelined runtime running this circuit as one lane at the
-        // same seed is the lockstep oracle's equal: same outputs, same
-        // analytic rounds, same logical bits.
-        let lanes = [LaneSpec { circuit: &circuit, layout: &layout, inputs: &inputs, seed: run_seed }];
-        let (mut pipe_outs, pipe_report) =
-            execute_pipelined(&lanes, 2).expect("pipelined run");
-        prop_assert_eq!(&pipe_outs.swap_remove(0), &clear, "pipelined vs cleartext");
-
         // Identical round counts on every report.
         prop_assert_eq!(packed_stats.rounds, ref_stats.rounds);
         prop_assert_eq!(thr_report.rounds, ref_stats.rounds);
-        prop_assert_eq!(pipe_report.lane_reports[0].rounds, ref_stats.rounds);
 
         // Identical logical-bit accounting (the paper's cost model is
         // framing-independent, so packing must not change it).
@@ -133,59 +123,11 @@ proptest! {
         prop_assert_eq!(ref_stats.bits_sent, bits);
         prop_assert_eq!(packed_stats.bits_sent, bits);
         prop_assert_eq!(thr_report.bits_sent, bits);
-        prop_assert_eq!(pipe_report.bits_sent, bits);
-    }
-
-    /// Many concurrent pipeline lanes are each bit-identical to a
-    /// lockstep oracle run of the same lane at the same seed, and the
-    /// runtime's aggregate accounting equals the per-lane analytic sum
-    /// regardless of worker count.
-    #[test]
-    fn pipelined_lanes_match_the_lockstep_oracle(
-        parties in 2usize..=3,
-        lanes_n in 2usize..=4,
-        workers in 1usize..=4,
-        gen_seed in any::<u64>(),
-        run_seed in any::<u64>(),
-    ) {
-        let specs: Vec<(Circuit, InputLayout, Vec<Vec<bool>>)> = (0..lanes_n)
-            .map(|i| {
-                let (circuit, layout) =
-                    random_circuit(parties, 4, 3, gen_seed ^ (i as u64) << 17);
-                let mut input_rng = StdRng::seed_from_u64(gen_seed ^ 0xabc ^ i as u64);
-                let inputs: Vec<Vec<bool>> = (0..parties)
-                    .map(|_| to_bits(input_rng.gen_range(0..16), 4))
-                    .collect();
-                (circuit, layout, inputs)
-            })
-            .collect();
-        let lane_specs: Vec<LaneSpec> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, (circuit, layout, inputs))| LaneSpec {
-                circuit,
-                layout,
-                inputs,
-                seed: run_seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            })
-            .collect();
-        let (outs, report) =
-            execute_pipelined(&lane_specs, workers)
-                .expect("pipelined run");
-
-        let mut oracle_bits = 0u64;
-        for (i, spec) in lane_specs.iter().enumerate() {
-            let (oracle_out, oracle_report) =
-                execute_threaded(spec.circuit, spec.layout, spec.inputs, spec.seed);
-            prop_assert_eq!(&outs[i], &oracle_out, "lane {} diverges from oracle", i);
-            prop_assert_eq!(report.lane_reports[i].rounds, oracle_report.rounds);
-            prop_assert_eq!(report.lane_reports[i].bits_sent, oracle_report.bits_sent);
-            oracle_bits += oracle_report.bits_sent;
-        }
-        prop_assert_eq!(report.bits_sent, oracle_bits);
-        // Coalescing only merges frames; it never invents or drops
-        // logical traffic.
-        prop_assert!(report.messages <= report.coalesced_items);
+        // Both drivers send the same messages of the same sizes.
+        prop_assert_eq!(
+            (thr_report.messages, thr_report.bytes),
+            (packed_stats.messages, packed_stats.bytes)
+        );
     }
 }
 
@@ -263,12 +205,7 @@ proptest! {
 
         let base_eps = &epsilons[..owners];
         let mut outcomes = Vec::new();
-        for backend in [
-            Backend::InProcess,
-            Backend::Threaded,
-            Backend::Simulated,
-            Backend::Pipelined { workers: 2 },
-        ] {
+        for backend in [Backend::InProcess, Backend::Threaded] {
             let config = ProtocolConfig { backend, seed: run_seed, ..ProtocolConfig::default() };
             let epoch0 = construct_epoch(&base, base_eps, &config).expect("epoch 0");
             let built = construct_delta(&epoch0, &next, &delta).expect("delta");
@@ -297,9 +234,8 @@ proptest! {
             prop_assert_eq!(built.epoch.common_count(), full.common_count);
             outcomes.push(built.epoch);
         }
-        // All backends agree on the delta epoch exactly — including
-        // the pipelined runtime driving both the threaded SecSumShare
-        // and the lane-chunked CountBelow/mix circuits.
+        // Both backends agree on the delta epoch exactly — the threaded
+        // one driving the threaded SecSumShare too.
         for other in &outcomes[1..] {
             prop_assert_eq!(outcomes[0].index(), other.index());
             prop_assert_eq!(outcomes[0].decisions(), other.decisions());

@@ -116,7 +116,7 @@ fn gmw_stages_price_the_lineage_link() {
     }
     let epsilons = vec![Epsilon::saturating(0.6); 4];
     let config = ProtocolConfig {
-        backend: Backend::Simulated,
+        backend: Backend::InProcess,
         link: LinkModel::WAN,
         ..ProtocolConfig::default()
     };

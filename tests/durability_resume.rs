@@ -9,6 +9,7 @@
 use eppi::core::delta::{ColumnChange, DeltaEntry, IndexDelta};
 use eppi::core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId};
 use eppi::durability::{encode_epoch, DurableStore};
+use eppi::net::sim::LinkModel;
 use eppi::protocol::construct::construct_distributed_with_registry;
 use eppi::protocol::{
     construct_delta, construct_epoch, construct_epoch_audited, verify_commitments, verify_epoch,
@@ -57,11 +58,12 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// Runs the script uninterrupted and through a restart-after-every-
 /// epoch store, comparing the serialized lineage byte for byte.
-fn resume_matches_uninterrupted(backend: Backend, tag: &str) {
+fn resume_matches_uninterrupted(backend: Backend, link: LinkModel, tag: &str) {
     let (matrix, epsilons) = base_matrix();
     let cfg = ProtocolConfig {
         seed: 2024,
         backend,
+        link,
         ..ProtocolConfig::default()
     };
     let script = churn_script(matrix.clone(), 4);
@@ -113,17 +115,19 @@ fn resume_matches_uninterrupted(backend: Backend, tag: &str) {
 
 #[test]
 fn resume_is_bit_identical_in_process() {
-    resume_matches_uninterrupted(Backend::InProcess, "inproc");
+    resume_matches_uninterrupted(Backend::InProcess, LinkModel::default(), "inproc");
 }
 
 #[test]
 fn resume_is_bit_identical_threaded() {
-    resume_matches_uninterrupted(Backend::Threaded, "threaded");
+    resume_matches_uninterrupted(Backend::Threaded, LinkModel::default(), "threaded");
 }
 
+/// The lockstep hub pricing a simulated WAN: the lineage's link model
+/// survives every restart.
 #[test]
 fn resume_is_bit_identical_simulated() {
-    resume_matches_uninterrupted(Backend::Simulated, "simulated");
+    resume_matches_uninterrupted(Backend::InProcess, LinkModel::WAN, "simulated");
 }
 
 /// The no-rebuild guarantee: advancing after a recovery runs the

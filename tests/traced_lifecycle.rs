@@ -1,5 +1,5 @@
 //! One traced, isolated lifecycle through the single observability
-//! handle: construct (threaded and pipelined MPC) → certify/verify →
+//! handle: construct (threaded MPC) → certify/verify →
 //! durable anchor → audited advance → crash → recover, all under ONE
 //! caller-owned root span and ONE caller-owned registry.
 //!
@@ -63,15 +63,10 @@ fn one_obs_reaches_every_layer_under_one_root() {
         parent: root.ctx(),
     };
 
-    // Construct on both wall-clock backends.
-    let pipelined = Backend::Pipelined { workers: 2 };
-    construct_epoch_with_registry(&matrix, &epsilons, &config(pipelined), obs).expect("pipelined");
-    let snap = registry.snapshot();
-    assert!(snap.find("mpc.pipeline.lanes", &[]).is_some());
-    assert!(
-        snap.find("gmw.rounds", &[]).is_none(),
-        "nothing threaded ran yet"
-    );
+    // Construct on the threaded backend, plain and audited.
+    construct_epoch_with_registry(&matrix, &epsilons, &config(Backend::Threaded), obs)
+        .expect("threaded");
+    assert!(registry.snapshot().find("gmw.rounds", &[]).is_some());
     let anchor = construct_epoch_audited_with_registry(
         &matrix,
         &epsilons,
@@ -109,7 +104,6 @@ fn one_obs_reaches_every_layer_under_one_root() {
         "gmw.rounds",
         "gmw.and_gates",
         "gmw.round_ns",
-        "mpc.pipeline.lanes",
         "audit.proofs",
         "audit.verified",
         "construct.wall_ns",
@@ -125,7 +119,6 @@ fn one_obs_reaches_every_layer_under_one_root() {
     let global = eppi::telemetry::global().snapshot();
     for family in [
         "gmw.rounds",
-        "mpc.pipeline.lanes",
         "audit.proofs",
         "construct.wall_ns",
         "durability.fsyncs",
@@ -147,7 +140,6 @@ fn one_obs_reaches_every_layer_under_one_root() {
     assert_eq!(tree.name, "lifecycle");
     for path in [
         &["lifecycle", "mpc.execute", "mpc.party", "net.exchange"][..],
-        &["lifecycle", "mpc.pipeline", "mpc.party", "mpc.lane"],
         &["lifecycle", "audit.prove"],
         &["lifecycle", "audit.verify"],
         &[
