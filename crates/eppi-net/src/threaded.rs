@@ -33,9 +33,8 @@ const NO_DEATH: usize = usize::MAX;
 /// hanging forever when a peer thread dies mid-round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportError {
-    /// Every channel into this party has been dropped: the peers (and
-    /// this party's own sending half, if split) are gone, so no message
-    /// can ever arrive again.
+    /// A peer announced its death, or every channel into this party
+    /// has been dropped: no further message can be relied on.
     Disconnected,
     /// No message arrived within the deadline. A healthy protocol step
     /// completes in microseconds; a long silence means a peer died while
@@ -121,15 +120,14 @@ impl TrafficCounters {
     }
 }
 
-/// The sending half of a party's endpoint: cheap to clone, safe to own
-/// from one thread while another holds the [`PartyReceiver`]. All
-/// traffic accounting happens here, at the send site.
+/// The sending half of a party's endpoint. All traffic accounting
+/// happens here, at the send site.
 ///
-/// Dropping a `PartySender` (or any clone of it) while its thread
-/// panics announces the party's death to every party, this one
-/// included, so nobody waits forever for its messages: a thread that
-/// works for a party and may panic should hold a clone.
-#[derive(Debug, Clone)]
+/// Dropping a `PartySender` while its thread panics announces the
+/// party's death to every party, this one included, so nobody waits
+/// forever for its messages: the thread that runs a party's body owns
+/// its sender inside the [`PartyHandle`].
+#[derive(Debug)]
 pub struct PartySender<P> {
     me: NodeId,
     senders: Vec<Sender<Envelope<P>>>,
@@ -190,28 +188,6 @@ impl<P: WireSize + Send + Clone> PartySender<P> {
                 self.send(NodeId(p), payload.clone());
             }
         }
-    }
-
-    /// Like [`send`](Self::send), but reports a vanished receiver as a
-    /// typed error instead of panicking — what a long-lived sender
-    /// thread wants when a peer may already have failed and unwound.
-    /// Traffic is only counted on success.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Disconnected`] if `to`'s receiving half is
-    /// gone.
-    pub fn send_checked(&self, to: NodeId, payload: P) -> Result<(), TransportError> {
-        let size = payload.wire_size() as u64;
-        self.senders[to.index()]
-            .send((self.me, Some(payload)))
-            .map_err(|_| TransportError::Disconnected)?;
-        self.counters.messages.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes.fetch_add(size, Ordering::Relaxed);
-        let mine = &self.counters.per_party[self.me.index()];
-        mine.messages.fetch_add(1, Ordering::Relaxed);
-        mine.bytes.fetch_add(size, Ordering::Relaxed);
-        Ok(())
     }
 }
 
@@ -400,9 +376,8 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
 }
 
 /// A party's endpoint in the threaded network: the sending and
-/// receiving halves bundled for the common one-thread-per-party use.
-/// [`split`](Self::split) separates them when sending and receiving
-/// live on different threads.
+/// receiving halves, owned together by the one thread that runs the
+/// party.
 #[derive(Debug)]
 pub struct PartyHandle<P> {
     tx: PartySender<P>,
@@ -418,11 +393,6 @@ impl<P: WireSize + Send + Clone> PartyHandle<P> {
     /// Number of parties in the network.
     pub fn parties(&self) -> usize {
         self.tx.parties()
-    }
-
-    /// Splits the endpoint into its independently-owned halves.
-    pub fn split(self) -> (PartySender<P>, PartyReceiver<P>) {
-        (self.tx, self.rx)
     }
 
     /// Sends `payload` to party `to` (sending to oneself is allowed).
@@ -619,23 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn fully_disconnected_receiver_reports_disconnected() {
-        // With split halves a party can drop its *own* sending half
-        // too; once the dead peer's senders go as well, the receiver
-        // sees a true disconnect rather than a timeout.
-        let (results, _) = run_parties::<u64, Option<TransportError>, _>(2, |h| {
-            let me = h.me().index();
-            let (tx, mut rx) = h.split();
-            drop(tx);
-            if me == 0 {
-                return None;
-            }
-            rx.recv_timeout(Duration::from_secs(10)).err()
-        });
-        assert_eq!(results[1], Some(TransportError::Disconnected));
-    }
-
-    #[test]
     fn gather_timeout_error_leaves_partial_round_buffered() {
         // Party 1 sends its round message; party 2 never does. Party
         // 0's gather times out, but party 1's message must survive for
@@ -657,31 +610,6 @@ mod tests {
             _ => 0,
         });
         assert_eq!(results[0], 77);
-    }
-
-    #[test]
-    fn send_checked_reports_gone_receiver() {
-        let (results, _) = run_parties::<u64, bool, _>(2, |h| {
-            let me = h.me().index();
-            let (tx, mut rx) = h.split();
-            if me == 0 {
-                drop(rx);
-                return true;
-            }
-            // Wait for party 0's receiver to be gone, then send into it.
-            let err = loop {
-                match tx.send_checked(NodeId(0), 5) {
-                    Ok(()) => std::thread::yield_now(),
-                    Err(e) => break e,
-                }
-            };
-            assert_eq!(err, TransportError::Disconnected);
-            // Drain anything party 0 never consumed; our own queue is
-            // empty and both its senders eventually drop.
-            let _ = rx.recv_timeout(Duration::from_millis(10));
-            true
-        });
-        assert_eq!(results, vec![true, true]);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! per-query cost falls from `O(n·w)` toward `O(n·w / B + n)`.
 //!
 //! The serving integration — a two-replica `PrivateEngine` front-end
-//! that scatters scans across the worker-per-shard engine and keeps
+//! that scans every shard of one pinned snapshot per replica and keeps
 //! queries consistent across epoch installs — lives in
 //! `eppi-serve::private`; this crate is the dependency-light protocol
 //! core (only `eppi-core` for ids and row decoding).

@@ -127,8 +127,8 @@ pub fn xor_scan_indexed<R: AsRef<[u64]> + ?Sized>(
     rows.len() as u64
 }
 
-/// Batched [`xor_scan_indexed`] — the kernel the serve engine's shard
-/// workers run. Returns words scanned (one shared row pass).
+/// Batched [`xor_scan_indexed`] — the kernel the serve engine runs on
+/// each shard. Returns words scanned (one shared row pass).
 ///
 /// # Panics
 ///

@@ -1,54 +1,40 @@
-//! The concurrent query engine: one worker thread per shard over
-//! bounded channels.
+//! The query engine: every read runs on the caller's thread.
 //!
-//! Request flow mirrors the threaded construction runtime in
-//! `eppi-net::threaded` (OS threads + channels, no async runtime): a
-//! [`ServeClient`] routes each `QueryPPI` to the owner's shard worker
-//! through a bounded queue (back-pressure instead of unbounded memory
-//! growth under overload) and blocks on a one-shot reply channel.
-//! Batched requests are scattered to the involved shards and gathered
-//! back in request order.
-//!
-//! Each worker *owns* its shard view as a plain `Arc` — the read path
-//! takes no lock of any kind. A [`refresh`](ServeEngine::refresh)
-//! publishes the new version to the engine's [`SnapshotCell`] and
-//! enqueues an install message per worker, so in-flight queries finish
-//! on the old version and later ones see the new one: readers are never
-//! blocked and never observe a torn index.
+//! `QueryPPI(t_j)` is one row lookup in the published `M'` (§II-A), so
+//! a [`ServeClient`] answers it where it is asked: it loads the current
+//! `Arc<ShardedIndex>` from the engine's [`SnapshotCell`] once and reads
+//! the owner's row from it — no thread hop, no queue, no lock. Because
+//! a request loads one `Arc`, it sees exactly one snapshot version: a
+//! [`refresh`](ServeEngine::refresh) or
+//! [`apply_delta`](ServeEngine::apply_delta) publishes the next version
+//! to the cell without ever blocking readers, requests already holding
+//! the old `Arc` finish on it, and later ones see the new one. The
+//! private mode's server half, [`ServeEngine::pir_scan`], pins one
+//! snapshot the same way and scans every data shard of it in order.
 //!
 //! ## Telemetry
 //!
 //! The engine reports through [`eppi_telemetry`] (DESIGN.md §8): the
-//! cumulative `serve.queries`/`serve.batches`/`serve.refreshes`
-//! counters (always on — each is one relaxed atomic add, the same cost
-//! as the counters they replaced), and, when
-//! [`ServeConfig::telemetry`] is set, per-shard queue-depth gauges and
-//! enqueue-wait / in-service / batch-size / install-lag histograms plus
-//! a shutdown-drain histogram. Worker-side latency recording goes
-//! through per-thread [`Recorder`]s, and each queue-depth gauge is
-//! written only by its own shard worker (sampled from the channel at
-//! dequeue) — the hot read path never contends on a shared cache line
-//! per query. Recorders merge into the shared family on refresh, on
-//! shutdown, and every [`FLUSH_EVERY`](eppi_telemetry::FLUSH_EVERY)
-//! observations.
+//! cumulative `serve.*` and `pir.*` counters (always on — each is one
+//! relaxed atomic add), and, when [`ServeConfig::telemetry`] is set, one
+//! `serve.service_ns` histogram of caller-side service time per single
+//! or batch request (two clock reads and a few relaxed atomic adds).
 
 use crate::private::PrivateQueryError;
-use crate::shard::{shard_of, EpochOrderError, ShardedIndex};
+use crate::shard::{EpochOrderError, ShardedIndex};
 use crate::snapshot::SnapshotCell;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use eppi_core::model::{OwnerId, ProviderId, PublishedIndex};
 use eppi_core::rowstore::RowBackend;
 use eppi_durability::serve_cache::{load_serve_snapshot, save_serve_snapshot};
 use eppi_durability::{DurableStore, StoreError};
 use eppi_pir::SelectionVector;
-use eppi_telemetry::{Counter, Gauge, Histogram, Recorder, Registry};
-use eppi_trace::{Obs, SpanCtx, SpanGuard, Tracer};
-use std::sync::atomic::{AtomicU64, Ordering};
+use eppi_telemetry::{Counter, Gauge, Histogram, Registry};
+use eppi_trace::{Obs, SpanCtx, Tracer};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Default shard count: one worker per hardware thread (minimum 4 when
+/// Default base shard count: one per hardware thread (4 when
 /// parallelism cannot be determined). Shared by [`ServeConfig::default`]
 /// and the bench harness's paper-scale configuration.
 pub fn default_shards() -> usize {
@@ -63,55 +49,38 @@ const OWNERS_PER_SHARD: usize = 16_384;
 /// only buy routing-table overhead on any plausible machine.
 const MAX_DEFAULT_SHARDS: usize = 256;
 
-/// Default shard count for a known owner population: at least one
-/// worker per hardware thread (as [`default_shards`]), but growing with
-/// the population (one shard per 16,384 owners, capped at
-/// 256) so million-owner indexes don't funnel
-/// through paper-scale shard counts: shards bound both the per-shard
-/// rebuild unit on delta installs and the granularity of PIR scan
-/// parallelism. The chosen count is observable as the `serve.shards`
-/// gauge on any engine started with it.
+/// Default base shard count for a known owner population: at least
+/// [`default_shards`], but growing with the population (one shard per
+/// 16,384 owners, capped at 256) so million-owner indexes don't funnel
+/// through paper-scale shard counts: a shard is the unit a delta
+/// install rebuilds copy-on-write. The chosen count is observable as
+/// the `serve.shards` gauge on any engine started with it.
 pub fn default_shards_for(owners: usize) -> usize {
     default_shards()
         .max(owners / OWNERS_PER_SHARD)
         .min(MAX_DEFAULT_SHARDS)
 }
 
-/// Ceiling on spawned worker threads: 4× the hardware parallelism
-/// (minimum 4). Workers are symmetric — every worker serves any data
-/// shard via the shared snapshot, and clients route over the worker
-/// pool, not the shard map — so more runnable workers than hardware
-/// threads buys nothing but scheduler queueing in the latency tail.
-/// Data-shard counts ([`ServeConfig::shards`] and append growth) are
-/// unaffected; only thread spawning is capped.
-fn worker_cap() -> usize {
-    std::thread::available_parallelism().map_or(4, |p| p.get() * 4)
-}
-
 /// Engine sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of base data shards. The data-shard count can grow past
-    /// this as owners append ([`ShardMap`]). Worker threads default to
-    /// one per shard but are capped at 4× the hardware parallelism —
-    /// workers are symmetric, so extra runnable threads only add
-    /// scheduler queueing — and serve data shards round-robin
-    /// (`shard % workers`).
+    /// Number of base data shards ([`ShardMap`]). Every layout the
+    /// engine builds — at start, on [`refresh`](ServeEngine::refresh),
+    /// and the only cached layout a warm
+    /// [`from_store`](ServeEngine::from_store) accepts — has exactly
+    /// this many; appending owners adds shards past it.
     ///
     /// [`ShardMap`]: crate::shard::ShardMap
     pub shards: usize,
-    /// Bounded depth of each shard's request queue.
-    pub queue_depth: usize,
     /// Physical row storage for the snapshots this engine serves
     /// (DESIGN.md §14). [`RowBackend::Compressed`] cuts resident memory
     /// ~10× at paper-like sparsity but cannot serve oblivious PIR
     /// scans — the private serve mode pins its replicas to
     /// [`RowBackend::Dense`] regardless of this field.
     pub backend: RowBackend,
-    /// Enables per-shard latency/queue instrumentation. The cumulative
-    /// counters stay on either way; disabling this removes the two
-    /// `Instant::now` calls and recorder writes from the read path
-    /// (measured at < 5% throughput difference — DESIGN.md §8).
+    /// Records the `serve.service_ns` histogram. The cumulative
+    /// counters stay on either way; disabling this removes two
+    /// `Instant::now` calls and one histogram record per request.
     pub telemetry: bool,
 }
 
@@ -119,7 +88,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: default_shards(),
-            queue_depth: 1024,
             backend: RowBackend::Dense,
             telemetry: true,
         }
@@ -172,13 +140,14 @@ impl ServeStats {
         self.queries.get()
     }
 
-    /// Total batch requests answered.
+    /// Total batch requests answered (one per
+    /// [`ServeClient::query_batch`] call).
     pub fn batches(&self) -> u64 {
         self.batches.get()
     }
 
-    /// Snapshot refreshes installed (counted once per publication, not
-    /// per shard; delta installs included).
+    /// Snapshot refreshes installed (counted once per publication;
+    /// delta installs included).
     pub fn refreshes(&self) -> u64 {
         self.refreshes.get()
     }
@@ -195,7 +164,7 @@ impl ServeStats {
         self.batch_dupes.get()
     }
 
-    /// Oblivious scan passes served (one per [`ServeEngine::pir_submit`],
+    /// Oblivious scan passes served (one per [`ServeEngine::pir_scan`],
     /// however many query vectors it carried).
     pub fn pir_scans(&self) -> u64 {
         self.pir_scans.get()
@@ -206,7 +175,7 @@ impl ServeStats {
         self.pir_queries.get()
     }
 
-    /// `u64` words XOR-scanned by PIR jobs — moves by exactly
+    /// `u64` words XOR-scanned by PIR scans — moves by exactly
     /// `owners × words_per_row` per scan pass, whatever the queries
     /// select (the obliviousness invariant, asserted by tests) and
     /// however many vectors the pass serves (the batch kernel reads
@@ -221,7 +190,8 @@ impl ServeStats {
     }
 
     /// Private-client retries forced by the two replicas answering from
-    /// different snapshot versions (an install raced the scatter).
+    /// different snapshot versions (an install landed between the two
+    /// replicas' scans).
     pub fn pir_version_retries(&self) -> u64 {
         self.pir_version_retries.get()
     }
@@ -241,64 +211,13 @@ impl ServeStats {
     }
 }
 
-enum Job {
-    Query {
-        owner: OwnerId,
-        /// Enqueue time, for the `serve.enqueue_wait_ns` histogram.
-        at: Instant,
-        /// Trace context of the submitting request ([`SpanCtx::NONE`]
-        /// when untraced — the worker then records nothing).
-        ctx: SpanCtx,
-        reply: Sender<Vec<ProviderId>>,
-    },
-    Batch {
-        /// `(position in the caller's batch, owner)` pairs for this shard.
-        entries: Vec<(u32, OwnerId)>,
-        at: Instant,
-        ctx: SpanCtx,
-        reply: Sender<Vec<(u32, Vec<ProviderId>)>>,
-    },
-    /// Obliviously XOR-scan one shard of a pinned snapshot for a batch
-    /// of PIR selection vectors. The job carries the snapshot so every
-    /// shard of one submission scans the *same* version even while an
-    /// install is racing through the workers — the cross-shard XOR of
-    /// partial shares is only meaningful over a single version.
-    PirScan {
-        snapshot: Arc<ShardedIndex>,
-        shard: usize,
-        queries: Arc<Vec<SelectionVector>>,
-        /// Scatter-span context the per-shard scan spans hang under.
-        ctx: SpanCtx,
-        /// One partial answer share per query vector.
-        reply: Sender<Vec<Vec<u64>>>,
-    },
-    Install {
-        view: Arc<ShardedIndex>,
-        /// Publication time, for the `serve.install_lag_ns` histogram.
-        published_at: Instant,
-    },
-    Shutdown,
-}
-
-/// Everything one worker thread needs besides its receiver and view.
-struct WorkerCtx {
-    stats: ServeStats,
-    telemetry: bool,
-    tracer: Tracer,
-    queue_depth: Arc<Gauge>,
-    install_lag: Arc<Histogram>,
-    enqueue_wait: Recorder,
-    service: Recorder,
-    batch_size: Recorder,
-}
-
-/// The sharded serving engine; owns the worker threads.
+/// The sharded serving engine: the published snapshot, its install
+/// path, and the instruments its clients report into. It owns no
+/// threads — queries and PIR scans run on whichever thread asks.
 ///
 /// Shutdown is idempotent: [`shutdown`](Self::shutdown) may be called
-/// any number of times, and dropping the engine (with or without a
-/// prior explicit shutdown) performs the same ordered drain — queued
-/// queries are answered, workers joined. Clients outlive the engine
-/// safely and fail fast (empty answers) once it is gone.
+/// any number of times, and dropping the engine implies it. Clients
+/// outlive the engine safely and answer empty once it is shut down.
 ///
 /// ```
 /// use eppi_core::model::{MembershipMatrix, OwnerId, ProviderId, PublishedIndex};
@@ -307,7 +226,7 @@ struct WorkerCtx {
 /// let mut m = MembershipMatrix::new(4, 2);
 /// m.set(ProviderId(1), OwnerId(0), true);
 /// let index = PublishedIndex::new(m, vec![0.0, 0.0]);
-/// let config = ServeConfig { shards: 2, queue_depth: 16, ..ServeConfig::default() };
+/// let config = ServeConfig { shards: 2, ..ServeConfig::default() };
 /// let engine = ServeEngine::start(&index, config);
 /// let client = engine.client();
 /// assert_eq!(client.query(OwnerId(0)), vec![ProviderId(1)]);
@@ -316,10 +235,11 @@ struct WorkerCtx {
 /// ```
 #[derive(Debug)]
 pub struct ServeEngine {
-    senders: Vec<Sender<Job>>,
-    /// Drained by the first shutdown (explicit or via drop).
-    workers: Mutex<Vec<JoinHandle<()>>>,
     snapshot: Arc<SnapshotCell<ShardedIndex>>,
+    /// Set by the first shutdown (explicit or via drop), shared with
+    /// every client. Accessed `Relaxed`: the flag publishes no other
+    /// data.
+    stopped: Arc<AtomicBool>,
     stats: ServeStats,
     version: AtomicU64,
     /// Serializes snapshot installs ([`refresh`](Self::refresh) /
@@ -327,23 +247,27 @@ pub struct ServeEngine {
     /// otherwise pair a freshly drawn version with a stale snapshot and
     /// publish out of epoch order. The read path never takes it.
     install: Mutex<()>,
+    /// Base shard count of every layout this engine builds
+    /// ([`ServeConfig::shards`]).
+    shards: usize,
     backend: RowBackend,
-    telemetry: bool,
+    /// The `serve.service_ns` histogram, when [`ServeConfig::telemetry`]
+    /// is set.
+    service: Option<Arc<Histogram>>,
     tracer: Tracer,
-    shutdown_drain: Arc<Histogram>,
     /// Resident bytes of the serving snapshot's row storage, labeled by
     /// backend — re-set on every publish so the ~10× compressed-memory
     /// claim is a readable gauge, not an inference.
     index_bytes: Arc<Gauge>,
-    /// Data shards in the serving snapshot (base + append); the fixed
-    /// worker count is the `serve.shards` gauge.
+    /// Data shards in the serving snapshot (base + append); the base
+    /// count is the `serve.shards` gauge.
     data_shards: Arc<Gauge>,
 }
 
 impl ServeEngine {
-    /// Shards `index` and spawns one worker thread per shard (capped
-    /// at 4× the hardware parallelism), reporting into the
-    /// process-global telemetry registry.
+    /// Shards `index` into `config.shards` base shards and starts
+    /// serving it, reporting into the process-global telemetry
+    /// registry.
     ///
     /// # Panics
     ///
@@ -357,11 +281,9 @@ impl ServeEngine {
     /// bench harness passes its own `&registry` so each run snapshots
     /// only its own metrics — and keeps a clone of `obs.tracer` for its
     /// lifetime: requests submitted through this engine's clients open
-    /// their own root spans (`obs.parent` is not used), and shard
-    /// workers hang per-job child spans under whatever [`SpanCtx`]
-    /// arrives in the job — so traced requests produce complete
-    /// cross-thread span trees while untraced ones (a
-    /// [`Tracer::disabled`] handle, or jobs carrying
+    /// their own root spans (`obs.parent` is not used), so traced
+    /// requests produce complete span trees while untraced ones (a
+    /// [`Tracer::disabled`] handle, or a PIR scan under
     /// [`SpanCtx::NONE`]) record nothing.
     ///
     /// # Panics
@@ -372,68 +294,36 @@ impl ServeEngine {
         config: ServeConfig,
         obs: impl Into<Obs<'a>>,
     ) -> Self {
-        let initial = Arc::new(ShardedIndex::from_index_with(
-            index,
-            config.shards,
-            config.backend,
-            0,
-        ));
+        let initial = ShardedIndex::from_index_with(index, config.shards, config.backend, 0);
         Self::boot(initial, config, obs.into())
     }
 
     /// Common boot tail: wraps an already-built serving layout in the
-    /// snapshot cell, registers telemetry, and spawns the shard worker
-    /// pool. The engine's version counter starts at the layout's own
-    /// snapshot version (0 for cold boots, the cached version for warm
-    /// ones).
-    fn boot(initial: Arc<ShardedIndex>, config: ServeConfig, obs: Obs<'_>) -> Self {
+    /// snapshot cell and registers telemetry. The engine's version
+    /// counter starts at the layout's own snapshot version (0 for cold
+    /// boots, the cached version for warm ones).
+    fn boot(initial: ShardedIndex, config: ServeConfig, obs: Obs<'_>) -> Self {
         let registry = obs.registry;
-        let tracer = obs.tracer.clone();
-        let snapshot = Arc::new(SnapshotCell::new(Arc::clone(&initial)));
-        let stats = ServeStats::register(registry);
         let backend_labels: &[(&str, &str)] = &[("backend", config.backend.name())];
         let index_bytes = registry.gauge("serve.index_bytes", backend_labels);
         index_bytes.set(initial.resident_bytes() as i64);
         let data_shards = registry.gauge("serve.data_shards", &[]);
         data_shards.set(initial.shard_count() as i64);
-        let worker_count = config.shards.min(worker_cap());
-        registry.gauge("serve.shards", &[]).set(worker_count as i64);
-        let mut senders = Vec::with_capacity(worker_count);
-        let mut workers = Vec::with_capacity(worker_count);
-        for shard in 0..worker_count {
-            let label = shard.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &label)];
-            let ctx = WorkerCtx {
-                stats: stats.clone(),
-                telemetry: config.telemetry,
-                tracer: tracer.clone(),
-                queue_depth: registry.gauge("serve.queue_depth", labels),
-                install_lag: registry.histogram("serve.install_lag_ns", labels),
-                enqueue_wait: registry.recorder("serve.enqueue_wait_ns", labels),
-                service: registry.recorder("serve.service_ns", labels),
-                batch_size: registry.recorder("serve.batch_size", labels),
-            };
-            let (tx, rx) = bounded(config.queue_depth.max(1));
-            senders.push(tx);
-            let view = Arc::clone(&initial);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("eppi-serve-{shard}"))
-                    .spawn(move || worker_loop(rx, view, ctx))
-                    .expect("spawn shard worker"),
-            );
-        }
+        registry
+            .gauge("serve.shards", &[])
+            .set(config.shards as i64);
         ServeEngine {
-            senders,
-            workers: Mutex::new(workers),
-            snapshot,
-            stats,
             version: AtomicU64::new(initial.version()),
+            snapshot: Arc::new(SnapshotCell::new(Arc::new(initial))),
+            stopped: Arc::new(AtomicBool::new(false)),
+            stats: ServeStats::register(registry),
             install: Mutex::new(()),
+            shards: config.shards,
             backend: config.backend,
-            telemetry: config.telemetry,
-            tracer,
-            shutdown_drain: registry.histogram("serve.shutdown_drain_ns", &[]),
+            service: config
+                .telemetry
+                .then(|| registry.histogram("serve.service_ns", &[])),
+            tracer: obs.tracer.clone(),
             index_bytes,
             data_shards,
         }
@@ -490,7 +380,7 @@ impl ServeEngine {
             if usable {
                 if let Ok(restored) = ShardedIndex::from_record(&record) {
                     registry.counter("serve.boots", &[("mode", "warm")]).inc();
-                    return Self::boot(Arc::new(restored), config, obs);
+                    return Self::boot(restored, config, obs);
                 }
             }
         }
@@ -519,9 +409,10 @@ impl ServeEngine {
     /// A cloneable client handle; any number of threads may hold one.
     pub fn client(&self) -> ServeClient {
         ServeClient {
-            senders: self.senders.clone(),
-            telemetry: self.telemetry,
-            epoch: Instant::now(),
+            snapshot: Arc::clone(&self.snapshot),
+            stopped: Arc::clone(&self.stopped),
+            stats: self.stats.clone(),
+            service: self.service.clone(),
             tracer: self.tracer.clone(),
         }
     }
@@ -532,10 +423,10 @@ impl ServeEngine {
         &self.tracer
     }
 
-    /// Number of worker threads (base shards at start, capped at 4×
-    /// the hardware parallelism).
+    /// Base shard count ([`ServeConfig::shards`]); every layout this
+    /// engine builds or restores has exactly this many base shards.
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.shards
     }
 
     /// Data shards resident in the current snapshot (base + append);
@@ -566,50 +457,34 @@ impl ServeEngine {
     }
 
     /// Installs a re-published index: stamps the next version, shards
-    /// it, publishes the snapshot, and hands every worker the new view.
-    /// Readers keep executing throughout; queries already queued finish
-    /// against whichever version their worker holds at dequeue time.
+    /// it into [`ServeConfig::shards`] base shards, and publishes the
+    /// snapshot. Readers keep executing throughout; a request that
+    /// already loaded the old snapshot finishes on it.
     pub fn refresh(&self, index: &PublishedIndex) {
         let _guard = self.install.lock().expect("install lock poisoned");
         let version = self.version.load(Ordering::SeqCst) + 1;
-        let sharded = Arc::new(ShardedIndex::from_index_with(
-            index,
-            self.senders.len(),
-            self.backend,
-            version,
-        ));
+        let sharded = ShardedIndex::from_index_with(index, self.shards, self.backend, version);
         self.publish(sharded, version);
         self.stats.refreshes.inc();
     }
 
-    /// Publishes an already-built snapshot: snapshot cell first, then
-    /// one install message per worker. Callers hold the install lock.
-    fn publish(&self, sharded: Arc<ShardedIndex>, version: u64) {
+    /// Publishes an already-built snapshot. Callers hold the install
+    /// lock.
+    fn publish(&self, sharded: ShardedIndex, version: u64) {
         self.index_bytes.set(sharded.resident_bytes() as i64);
         self.data_shards.set(sharded.shard_count() as i64);
-        self.snapshot.store(Arc::clone(&sharded));
+        self.snapshot.store(Arc::new(sharded));
         self.version.store(version, Ordering::SeqCst);
-        let published_at = Instant::now();
-        for tx in &self.senders {
-            // A worker gone mid-shutdown just misses the update.
-            let _ = tx.send(Job::Install {
-                view: Arc::clone(&sharded),
-                published_at,
-            });
-        }
     }
 
     /// Installs the next epoch incrementally: builds the new snapshot
     /// copy-on-write from the current one
     /// ([`ShardedIndex::apply_delta`] — shards without a touched owner
-    /// share their row words with the previous snapshot), then installs
-    /// it exactly like [`refresh`](Self::refresh): through the
-    /// [`SnapshotCell`] plus one install message per worker, with
-    /// readers never blocked and in-flight queries finishing on the
-    /// version their worker holds at dequeue time. Installs are
-    /// serialized on the engine's install lock, so the delta always
-    /// builds on the snapshot it is stamped against. Returns the
-    /// installed version.
+    /// share their row words with the previous snapshot), then
+    /// publishes it exactly like [`refresh`](Self::refresh), with
+    /// readers never blocked. Installs are serialized on the engine's
+    /// install lock, so the delta always builds on the snapshot it is
+    /// stamped against. Returns the installed version.
     ///
     /// # Errors
     ///
@@ -629,23 +504,25 @@ impl ServeEngine {
     ) -> Result<u64, EpochOrderError> {
         let _guard = self.install.lock().expect("install lock poisoned");
         let version = self.version.load(Ordering::SeqCst) + 1;
-        let sharded = Arc::new(self.current().apply_delta(index, touched, version)?);
+        let sharded = self.current().apply_delta(index, touched, version)?;
         self.publish(sharded, version);
         self.stats.refreshes.inc();
         self.stats.deltas.inc();
         Ok(version)
     }
 
-    /// Submits a batch of PIR selection vectors for an oblivious scan
-    /// and returns a handle to gather the answer shares.
+    /// One replica's half of a private query: obliviously XOR-scans
+    /// every data shard of the current snapshot for `queries` and
+    /// returns this server's answer shares — `None` once the engine is
+    /// shut down.
     ///
-    /// The scan is pinned to one snapshot: `pir_submit` loads the
-    /// current [`SnapshotCell`] value once and ships that `Arc` inside
-    /// every per-shard job, so all shards scan the *same* version even
-    /// while a [`refresh`](Self::refresh) or
-    /// [`apply_delta`](Self::apply_delta) races through the worker
-    /// queues. Every shard is always scanned — the set of jobs, their
-    /// sizes, and the scan work per job depend only on the snapshot
+    /// The scan is pinned to one snapshot: it loads the
+    /// [`SnapshotCell`] value once, so every shard is scanned at the
+    /// same version even while a [`refresh`](Self::refresh) or
+    /// [`apply_delta`](Self::apply_delta) publishes the next one — the
+    /// XOR of per-shard partial shares is only meaningful over a single
+    /// version. Every data shard, append shards included, is scanned in
+    /// shard order: the work and the spans depend only on the snapshot
     /// shape, never on which owners the vectors select (this server's
     /// whole transcript is query-independent).
     ///
@@ -656,262 +533,36 @@ impl ServeEngine {
     /// count consistent across both replicas of a 2-server deployment.
     ///
     /// Under a traced request (`parent` not [`SpanCtx::NONE`], engine
-    /// tracer live) the submission opens a `pir.scatter` span (closed
-    /// when [`PendingPir::gather`] returns, so it covers the whole
-    /// replica round trip) whose children are the per-shard `pir.scan`
-    /// worker spans. The scatter span's payload is the answer-share
-    /// byte count — like every payload on the private path, a function
-    /// of the snapshot shape only, never of what the vectors select.
-    pub fn pir_submit(&self, queries: Arc<Vec<SelectionVector>>, parent: SpanCtx) -> PendingPir {
-        let span = self.tracer.child(parent, "pir.scatter");
-        let scan_ctx = span.ctx();
-        let snapshot = self.current();
-        self.stats.pir_scans.inc();
-        self.stats.pir_queries.add(queries.len() as u64);
-        // One job per *data* shard of the pinned snapshot — append
-        // shards from owner growth included — routed round-robin onto
-        // the fixed worker pool. The job set is a function of the
-        // snapshot shape alone, so the scatter stays query-independent.
-        let data_shards = snapshot.shard_count();
-        let workers = self.senders.len();
-        let mut replies = Vec::with_capacity(data_shards);
-        for shard in 0..data_shards {
-            let (reply, rx) = bounded(1);
-            let job = Job::PirScan {
-                snapshot: Arc::clone(&snapshot),
-                shard,
-                queries: Arc::clone(&queries),
-                ctx: scan_ctx,
-                reply,
-            };
-            if self.senders[shard % workers].send(job).is_ok() {
-                replies.push(rx);
-            }
-        }
-        PendingPir {
-            snapshot,
-            expected: data_shards,
-            queries: queries.len(),
-            replies,
-            stats: self.stats.clone(),
-            tracer: self.tracer.clone(),
-            span: Some(span),
-        }
-    }
-
-    /// Stops all workers and joins them. Queued queries are answered
-    /// first; clients created from this engine fail fast afterwards.
-    /// Idempotent: later calls (and the eventual drop) are no-ops.
-    pub fn shutdown(&self) {
-        let mut workers = self.workers.lock().expect("worker list poisoned");
-        if workers.is_empty() {
-            return;
-        }
-        let drain_started = Instant::now();
-        for tx in &self.senders {
-            let _ = tx.send(Job::Shutdown);
-        }
-        for worker in workers.drain(..) {
-            let _ = worker.join();
-        }
-        if self.telemetry {
-            self.shutdown_drain
-                .record(drain_started.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-impl Drop for ServeEngine {
-    /// Drops perform the same ordered drain as [`shutdown`](Self::shutdown)
-    /// (and are a no-op after an explicit shutdown).
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(rx: Receiver<Job>, mut view: Arc<ShardedIndex>, mut ctx: WorkerCtx) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Query {
-                owner,
-                at,
-                ctx: span_ctx,
-                reply,
-            } => {
-                let started = if ctx.telemetry {
-                    // This worker is the gauge's only writer: the store
-                    // stays in its own cache line, uncontended.
-                    ctx.queue_depth.set(rx.len() as i64);
-                    let now = Instant::now();
-                    ctx.enqueue_wait
-                        .record(now.saturating_duration_since(at).as_nanos() as u64);
-                    Some(now)
-                } else {
-                    None
-                };
-                ctx.stats.queries.inc();
-                let result = {
-                    let mut span = ctx.tracer.child(span_ctx, "serve.shard_query");
-                    let result = view.try_query(owner).unwrap_or_default();
-                    span.set_payload(result.len() as u64);
-                    result
-                };
-                if let Some(started) = started {
-                    ctx.service.record(started.elapsed().as_nanos() as u64);
-                }
-                let _ = reply.send(result);
-            }
-            Job::Batch {
-                mut entries,
-                at,
-                ctx: span_ctx,
-                reply,
-            } => {
-                let started = if ctx.telemetry {
-                    ctx.queue_depth.set(rx.len() as i64);
-                    let now = Instant::now();
-                    ctx.enqueue_wait
-                        .record(now.saturating_duration_since(at).as_nanos() as u64);
-                    ctx.batch_size.record(entries.len() as u64);
-                    Some(now)
-                } else {
-                    None
-                };
-                ctx.stats.queries.add(entries.len() as u64);
-                ctx.stats.batches.inc();
-                let mut span = ctx.tracer.child(span_ctx, "serve.shard_batch");
-                span.set_payload(entries.len() as u64);
-                // Coalesce duplicate owners: sort by owner so repeats are
-                // adjacent, resolve each unique row once, and answer the
-                // repeats from the previous result. The reply carries
-                // batch positions, so the reordering is invisible to the
-                // gathering client.
-                entries.sort_unstable_by_key(|&(_, owner)| owner.index());
-                let mut results: Vec<(u32, Vec<ProviderId>)> = Vec::with_capacity(entries.len());
-                let mut last_owner: Option<OwnerId> = None;
-                let mut dupes = 0u64;
-                for (pos, owner) in entries {
-                    if last_owner == Some(owner) {
-                        dupes += 1;
-                        let prev = results.last().map(|(_, r)| r.clone()).unwrap_or_default();
-                        results.push((pos, prev));
-                    } else {
-                        last_owner = Some(owner);
-                        results.push((pos, view.try_query(owner).unwrap_or_default()));
-                    }
-                }
-                if dupes > 0 {
-                    ctx.stats.batch_dupes.add(dupes);
-                }
-                // End the span before replying so the gathering client
-                // observes a complete trace.
-                drop(span);
-                if let Some(started) = started {
-                    ctx.service.record(started.elapsed().as_nanos() as u64);
-                }
-                let _ = reply.send(results);
-            }
-            Job::PirScan {
-                snapshot,
-                shard,
-                queries,
-                ctx: span_ctx,
-                reply,
-            } => {
-                let wpr = snapshot.words_per_row();
-                let mut accs = vec![vec![0u64; wpr]; queries.len()];
-                let words = {
-                    // The scan span's payload is the words scanned —
-                    // `rows × words_per_row` for this shard whatever
-                    // the vectors select, so a traced private query
-                    // leaks nothing the scan-volume counters don't.
-                    let mut span = ctx.tracer.child(span_ctx, "pir.scan");
-                    let words = snapshot.pir_scan_shard(shard, &queries, &mut accs);
-                    span.set_payload(words);
-                    words
-                };
-                ctx.stats.pir_scanned_words.add(words);
-                let _ = reply.send(accs);
-            }
-            Job::Install {
-                view: v,
-                published_at,
-            } => {
-                view = v;
-                if ctx.telemetry {
-                    ctx.install_lag
-                        .record(published_at.elapsed().as_nanos() as u64);
-                    // Make the just-served traffic visible to snapshots
-                    // taken after the refresh.
-                    ctx.enqueue_wait.flush();
-                    ctx.service.flush();
-                    ctx.batch_size.flush();
-                }
-            }
-            Job::Shutdown => {
-                if ctx.telemetry {
-                    // The queue is drained; leave the truthful level.
-                    ctx.queue_depth.set(0);
-                }
-                break;
-            }
-        }
-    }
-    // Recorder drops flush the tail observations.
-}
-
-/// An in-flight PIR scan: one receiver per shard worker, gathered into
-/// the server's full answer shares by [`gather`](Self::gather).
-#[derive(Debug)]
-pub struct PendingPir {
-    snapshot: Arc<ShardedIndex>,
-    /// Shards the scan was supposed to reach.
-    expected: usize,
-    /// Query vectors in the submission.
-    queries: usize,
-    replies: Vec<Receiver<Vec<Vec<u64>>>>,
-    stats: ServeStats,
-    tracer: Tracer,
-    /// The `pir.scatter` span, closed when the gather completes.
-    span: Option<SpanGuard>,
-}
-
-impl PendingPir {
-    /// Blocks for every shard's partial shares and XORs them into the
-    /// server's answer (one share per submitted vector). `None` if any
-    /// shard worker was gone or died mid-scan (engine shut down) — the
-    /// PIR analogue of the plaintext client's fail-fast empty answer.
-    pub fn gather(self) -> Option<PirServerAnswer> {
-        let PendingPir {
-            snapshot,
-            expected,
-            queries,
-            replies,
-            stats,
-            tracer,
-            mut span,
-        } = self;
-        if replies.len() != expected {
+    /// tracer live) the scan opens a `pir.scatter` span with one
+    /// `pir.scan` child per data shard (payload: words scanned). The
+    /// `pir.scatter` payload is the answer-share byte count — like
+    /// every payload on the private path, a function of the snapshot
+    /// shape only, never of what the vectors select.
+    pub fn pir_scan(
+        &self,
+        queries: &[SelectionVector],
+        parent: SpanCtx,
+    ) -> Option<PirServerAnswer> {
+        if self.stopped.load(Ordering::Relaxed) {
             return None;
         }
-        let scatter_ctx = span.as_ref().map_or(SpanCtx::NONE, SpanGuard::ctx);
-        let gather_span = tracer.child(scatter_ctx, "pir.gather");
+        let mut span = self.tracer.child(parent, "pir.scatter");
+        let snapshot = self.current();
         let wpr = snapshot.words_per_row();
-        let mut shares = vec![vec![0u64; wpr]; queries];
-        for rx in replies {
-            let partials = rx.recv().ok()?;
-            for (share, partial) in shares.iter_mut().zip(partials) {
-                for (s, p) in share.iter_mut().zip(partial) {
-                    *s ^= p;
-                }
-            }
+        let mut shares = vec![vec![0u64; wpr]; queries.len()];
+        let mut words = 0;
+        for shard in 0..snapshot.shard_count() {
+            let mut scan = self.tracer.child(span.ctx(), "pir.scan");
+            let scanned = snapshot.pir_scan_shard(shard, queries, &mut shares);
+            scan.set_payload(scanned);
+            words += scanned;
         }
-        drop(gather_span);
-        let answer_bytes = (queries * wpr * 8) as u64;
-        stats.pir_answer_bytes.add(answer_bytes);
-        if let Some(span) = &mut span {
-            span.set_payload(answer_bytes);
-        }
+        let answer_bytes = (queries.len() * wpr * 8) as u64;
+        span.set_payload(answer_bytes);
+        self.stats.pir_scans.inc();
+        self.stats.pir_queries.add(queries.len() as u64);
+        self.stats.pir_scanned_words.add(words);
+        self.stats.pir_answer_bytes.add(answer_bytes);
         Some(PirServerAnswer {
             version: snapshot.version(),
             rows: snapshot.owners(),
@@ -919,10 +570,25 @@ impl PendingPir {
             shares,
         })
     }
+
+    /// Stops serving: clients created from this engine answer empty
+    /// and [`pir_scan`](Self::pir_scan) returns `None` from now on.
+    /// Idempotent, and implied by drop.
+    pub fn shutdown(&self) {
+        self.stopped.store(true, Ordering::Relaxed);
+    }
 }
 
-/// One server's complete answer to a PIR submission: its XOR share of
-/// each requested row, stamped with the snapshot version it was scanned
+impl Drop for ServeEngine {
+    /// Dropping the engine shuts it down, so clients that outlive it
+    /// answer empty.
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// One server's complete answer to a PIR scan: its XOR share of each
+/// requested row, stamped with the snapshot version it was scanned
 /// against. A client XORs the `shares` of the two replicas positionwise
 /// to recover the selected rows — but only when both answers carry the
 /// same `version` (otherwise it regenerates and retries).
@@ -939,83 +605,74 @@ pub struct PirServerAnswer {
     pub shares: Vec<Vec<u64>>,
 }
 
-/// A handle for submitting queries; cheap to clone and share.
+/// A handle for submitting queries; cheap to clone and share. Each
+/// request runs on the calling thread against one loaded snapshot.
 #[derive(Debug, Clone)]
 pub struct ServeClient {
-    senders: Vec<Sender<Job>>,
-    telemetry: bool,
-    /// Placeholder enqueue stamp when telemetry is off (skips the
-    /// clock read on the submit path).
-    epoch: Instant,
+    snapshot: Arc<SnapshotCell<ShardedIndex>>,
+    stopped: Arc<AtomicBool>,
+    stats: ServeStats,
+    service: Option<Arc<Histogram>>,
     /// Roots a span per request when the engine was started traced.
     tracer: Tracer,
 }
 
 impl ServeClient {
-    /// The enqueue stamp for a job submitted now.
-    fn stamp(&self) -> Instant {
-        if self.telemetry {
-            Instant::now()
-        } else {
-            self.epoch
-        }
-    }
-
-    /// Evaluates `QueryPPI(owner)` on the owner's shard. Unknown owners
-    /// (beyond the current index) and a shut-down engine both answer
-    /// with the empty candidate list, matching an empty `PpiServer`.
+    /// Evaluates `QueryPPI(owner)`: one row read in the current
+    /// snapshot. Unknown owners (beyond the current index) and a
+    /// shut-down engine both answer with the empty candidate list,
+    /// matching an empty `PpiServer`.
     pub fn query(&self, owner: OwnerId) -> Vec<ProviderId> {
         let mut span = self.tracer.root("serve.query");
-        let (reply, rx) = bounded(1);
-        let shard = shard_of(owner, self.senders.len());
-        let job = Job::Query {
-            owner,
-            at: self.stamp(),
-            ctx: span.ctx(),
-            reply,
-        };
-        if self.senders[shard].send(job).is_err() {
+        if self.stopped.load(Ordering::Relaxed) {
             return Vec::new();
         }
-        let result = rx.recv().unwrap_or_default();
+        let timer = self.service.as_ref().map(|h| (h, Instant::now()));
+        let result = self.snapshot.load().try_query(owner).unwrap_or_default();
+        self.stats.queries.inc();
+        if let Some((h, started)) = timer {
+            h.record(started.elapsed().as_nanos() as u64);
+        }
         span.set_payload(result.len() as u64);
         result
     }
 
-    /// Evaluates a batch of queries: scatters the owners to their
-    /// shards, gathers the per-shard answers, and returns results in
-    /// request order (`result[i]` answers `owners[i]`).
+    /// Evaluates a batch of queries against one snapshot and returns
+    /// results in request order (`result[i]` answers `owners[i]`).
+    /// Duplicate owners cost one row read: the batch is resolved in
+    /// owner order, and each repeat copies the row just read.
     pub fn query_batch(&self, owners: &[OwnerId]) -> Vec<Vec<ProviderId>> {
         let mut span = self.tracer.root("serve.query_batch");
         span.set_payload(owners.len() as u64);
-        let shards = self.senders.len();
-        let mut per_shard: Vec<Vec<(u32, OwnerId)>> = vec![Vec::new(); shards];
-        for (pos, &owner) in owners.iter().enumerate() {
-            per_shard[shard_of(owner, shards)].push((pos as u32, owner));
+        let mut results = vec![Vec::new(); owners.len()];
+        if self.stopped.load(Ordering::Relaxed) {
+            return results;
         }
-        let mut results: Vec<Vec<ProviderId>> = vec![Vec::new(); owners.len()];
-        let mut replies = Vec::new();
-        for (shard, entries) in per_shard.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let (reply, rx) = bounded(1);
-            let job = Job::Batch {
-                entries,
-                at: self.stamp(),
-                ctx: span.ctx(),
-                reply,
-            };
-            if self.senders[shard].send(job).is_ok() {
-                replies.push(rx);
-            }
-        }
-        for rx in replies {
-            if let Ok(part) = rx.recv() {
-                for (pos, row) in part {
-                    results[pos as usize] = row;
+        let timer = self.service.as_ref().map(|h| (h, Instant::now()));
+        let snapshot = self.snapshot.load();
+        let mut order: Vec<usize> = (0..owners.len()).collect();
+        order.sort_unstable_by_key(|&i| owners[i].index());
+        let mut last: Option<usize> = None;
+        let mut dupes = 0u64;
+        for i in order {
+            results[i] = match last {
+                Some(prev) if owners[prev] == owners[i] => {
+                    dupes += 1;
+                    results[prev].clone()
                 }
-            }
+                _ => {
+                    last = Some(i);
+                    snapshot.try_query(owners[i]).unwrap_or_default()
+                }
+            };
+        }
+        self.stats.queries.add(owners.len() as u64);
+        self.stats.batches.inc();
+        if dupes > 0 {
+            self.stats.batch_dupes.add(dupes);
+        }
+        if let Some((h, started)) = timer {
+            h.record(started.elapsed().as_nanos() as u64);
         }
         results
     }
@@ -1024,6 +681,7 @@ impl ServeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::shard_of;
     use eppi_core::model::MembershipMatrix;
     use eppi_index::server::PpiServer;
     use eppi_telemetry::MetricValue;
@@ -1043,10 +701,9 @@ mod tests {
         PublishedIndex::new(matrix, betas)
     }
 
-    fn config(shards: usize, queue_depth: usize) -> ServeConfig {
+    fn config(shards: usize) -> ServeConfig {
         ServeConfig {
             shards,
-            queue_depth,
             backend: RowBackend::Dense,
             telemetry: true,
         }
@@ -1058,7 +715,7 @@ mod tests {
         let index = random_index(&mut rng, 50, 200, 0.2);
         let server = PpiServer::new(index.clone());
         let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&index, config(4, 64), &registry);
+        let engine = ServeEngine::start_with_registry(&index, config(4), &registry);
         let client = engine.client();
         for o in 0..200u32 {
             assert_eq!(
@@ -1069,15 +726,15 @@ mod tests {
         }
         let owners: Vec<OwnerId> = (0..200).map(OwnerId).collect();
         assert_eq!(client.query_batch(&owners), server.query_batch(&owners));
-        assert!(engine.stats().queries() >= 400);
-        assert_eq!(engine.stats().batches(), 4);
+        assert_eq!(engine.stats().queries(), 400);
+        assert_eq!(engine.stats().batches(), 1, "one per query_batch call");
         engine.shutdown();
     }
 
     #[test]
     fn unknown_owner_answers_empty() {
         let index = random_index(&mut StdRng::seed_from_u64(22), 8, 4, 0.5);
-        let engine = ServeEngine::start_with_registry(&index, config(2, 8), &Registry::new());
+        let engine = ServeEngine::start_with_registry(&index, config(2), &Registry::new());
         assert!(engine.client().query(OwnerId(4000)).is_empty());
     }
 
@@ -1087,7 +744,7 @@ mod tests {
         let before = random_index(&mut rng, 30, 60, 0.1);
         let after = random_index(&mut rng, 30, 60, 0.6);
         let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&before, config(3, 16), &registry);
+        let engine = ServeEngine::start_with_registry(&before, config(3), &registry);
         let client = engine.client();
         let expect_before = PpiServer::new(before.clone());
         for o in 0..60u32 {
@@ -1107,7 +764,7 @@ mod tests {
     #[test]
     fn queries_after_shutdown_fail_fast_and_empty() {
         let index = random_index(&mut StdRng::seed_from_u64(24), 10, 10, 0.9);
-        let engine = ServeEngine::start_with_registry(&index, config(2, 4), &Registry::new());
+        let engine = ServeEngine::start_with_registry(&index, config(2), &Registry::new());
         let client = engine.client();
         engine.shutdown();
         assert!(client.query(OwnerId(0)).is_empty());
@@ -1119,28 +776,38 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
-        let index = random_index(&mut StdRng::seed_from_u64(26), 10, 20, 0.3);
-        let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&index, config(2, 8), &registry);
-        let client = engine.client();
-        assert!(!client.query(OwnerId(1)).is_empty() || client.query(OwnerId(1)).is_empty());
-        engine.shutdown();
-        engine.shutdown();
-        engine.shutdown();
-        // Queries keep failing fast, drop after shutdown is a no-op.
-        assert!(client.query(OwnerId(0)).is_empty());
-        drop(engine);
-        // The drain was recorded exactly once, by the first shutdown.
-        // `expect` turns an absent metric into a typed, printable miss
-        // instead of an opaque `unwrap` panic.
-        let snap = registry.snapshot();
-        let drain = snap
-            .expect("serve.shutdown_drain_ns", &[])
-            .unwrap_or_else(|miss| panic!("{miss}"));
-        match &drain.value {
-            MetricValue::Histogram(h) => assert_eq!(h.count, 1),
-            other => panic!("unexpected metric {other:?}"),
+        // Every provider holds owner 1, so an empty answer can only
+        // mean the engine is shut down.
+        let mut matrix = MembershipMatrix::new(10, 20);
+        for p in 0..10 {
+            matrix.set(ProviderId(p), OwnerId(1), true);
         }
+        let index = PublishedIndex::new(matrix, vec![0.1; 20]);
+        let engine = ServeEngine::start_with_registry(&index, config(2), &Registry::new());
+        let client = engine.client();
+        assert_eq!(client.query(OwnerId(1)).len(), 10);
+        let rows = engine.current().owners();
+        let probe = [SelectionVector::zero(rows)];
+        assert!(engine.pir_scan(&probe, SpanCtx::NONE).is_some());
+        engine.shutdown();
+        engine.shutdown();
+        engine.shutdown();
+        // Every client, old or new, answers empty; scans answer nothing.
+        for c in [&client, &engine.client()] {
+            assert!(c.query(OwnerId(1)).is_empty());
+            assert!(c.query_batch(&[OwnerId(1)]).iter().all(Vec::is_empty));
+        }
+        assert!(engine.pir_scan(&probe, SpanCtx::NONE).is_none());
+        assert_eq!(engine.stats().queries(), 1, "nothing served after shutdown");
+        // Drop after shutdown is a no-op; a client outliving the engine
+        // keeps answering empty.
+        drop(engine);
+        assert!(client.query(OwnerId(1)).is_empty());
+        // Dropping a live engine shuts it down too.
+        let engine = ServeEngine::start_with_registry(&index, config(2), &Registry::new());
+        let orphan = engine.client();
+        drop(engine);
+        assert!(orphan.query(OwnerId(1)).is_empty());
     }
 
     #[test]
@@ -1148,7 +815,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(30);
         let index = random_index(&mut rng, 40, 60, 0.3);
         let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&index, config(3, 16), &registry);
+        let engine = ServeEngine::start_with_registry(&index, config(3), &registry);
         let client = engine.client();
         // 5 distinct owners, each asked 4 times, shuffled across the batch.
         let distinct = [
@@ -1176,11 +843,11 @@ mod tests {
     }
 
     #[test]
-    fn pir_submit_answers_match_plaintext_and_scan_everything() {
+    fn pir_scan_answers_match_plaintext_and_scan_everything() {
         let mut rng = StdRng::seed_from_u64(32);
         let index = random_index(&mut rng, 70, 90, 0.25);
         let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&index, config(3, 16), &registry);
+        let engine = ServeEngine::start_with_registry(&index, config(3), &registry);
         let snapshot = engine.current();
         let (rows, wpr) = (snapshot.owners(), snapshot.words_per_row());
 
@@ -1189,10 +856,10 @@ mod tests {
             .iter()
             .map(|&t| eppi_pir::QueryPair::generate(rows, t, &mut rng))
             .collect();
-        let a: Arc<Vec<SelectionVector>> = Arc::new(pairs.iter().map(|p| p.a.clone()).collect());
-        let b: Arc<Vec<SelectionVector>> = Arc::new(pairs.iter().map(|p| p.b.clone()).collect());
-        let answer_a = engine.pir_submit(a, SpanCtx::NONE).gather().unwrap();
-        let answer_b = engine.pir_submit(b, SpanCtx::NONE).gather().unwrap();
+        let a: Vec<SelectionVector> = pairs.iter().map(|p| p.a.clone()).collect();
+        let b: Vec<SelectionVector> = pairs.iter().map(|p| p.b.clone()).collect();
+        let answer_a = engine.pir_scan(&a, SpanCtx::NONE).unwrap();
+        let answer_b = engine.pir_scan(&b, SpanCtx::NONE).unwrap();
         assert_eq!(answer_a.version, answer_b.version);
         for (i, &t) in targets.iter().enumerate() {
             let row: Vec<u64> = answer_a.shares[i]
@@ -1206,7 +873,7 @@ mod tests {
                 "target {t}"
             );
         }
-        // Two submissions, each one full pass over the packed rows —
+        // Two scans, each one full pass over the packed rows —
         // the batch kernel reads each data word once per pass no matter
         // how many vectors ride along (the amortization the private
         // batch path banks on).
@@ -1215,9 +882,34 @@ mod tests {
         assert_eq!(engine.stats().pir_scanned_words(), (2 * rows * wpr) as u64);
         assert_eq!(engine.stats().pir_answer_bytes(), (6 * wpr * 8) as u64);
         engine.shutdown();
-        // After shutdown the scatter fails fast: gather reports the miss.
-        let dead = engine.pir_submit(Arc::new(vec![SelectionVector::zero(rows)]), SpanCtx::NONE);
-        assert!(dead.gather().is_none());
+        // After shutdown the scan answers nothing.
+        assert!(engine.pir_scan(&a, SpanCtx::NONE).is_none());
+    }
+
+    /// Every `serve.*` family an engine registers; any other `serve.*`
+    /// name in a snapshot fails [`assert_only_serve_families`].
+    const SERVE_FAMILIES: [&str; 9] = [
+        "serve.batch_dupes",
+        "serve.batches",
+        "serve.data_shards",
+        "serve.delta_refreshes",
+        "serve.index_bytes",
+        "serve.queries",
+        "serve.refreshes",
+        "serve.service_ns",
+        "serve.shards",
+    ];
+
+    fn assert_only_serve_families(snap: &eppi_telemetry::Snapshot) {
+        for m in &snap.metrics {
+            if m.name.starts_with("serve.") {
+                assert!(
+                    SERVE_FAMILIES.contains(&m.name.as_str()),
+                    "{} registered",
+                    m.id()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1225,7 +917,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(27);
         let index = random_index(&mut rng, 30, 64, 0.2);
         let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&index, config(2, 32), &registry);
+        let engine = ServeEngine::start_with_registry(&index, config(2), &registry);
         let client = engine.client();
         for o in 0..64u32 {
             client.query(OwnerId(o));
@@ -1233,60 +925,26 @@ mod tests {
         let owners: Vec<OwnerId> = (0..64).map(OwnerId).collect();
         client.query_batch(&owners);
         engine.refresh(&index);
-        // One more query after the refresh so both shards saw traffic.
         client.query(OwnerId(0));
         engine.shutdown();
+        // Answered empty after shutdown: not a served request.
+        client.query(OwnerId(1));
 
         let snap = registry.snapshot();
-        let service: u64 = snap
-            .family("serve.service_ns")
-            .iter()
-            .map(|m| match &m.value {
-                MetricValue::Histogram(h) => h.count,
-                other => panic!("unexpected metric {other:?}"),
-            })
-            .sum();
-        // 65 singles + one batch job per shard involved.
-        assert!(service >= 66, "service histogram undercounts: {service}");
-        let waits: u64 = snap
-            .family("serve.enqueue_wait_ns")
-            .iter()
-            .map(|m| match &m.value {
-                MetricValue::Histogram(h) => h.count,
-                other => panic!("unexpected metric {other:?}"),
-            })
-            .sum();
-        assert_eq!(waits, service, "every served job has an enqueue wait");
-        let batch_sizes = snap.family("serve.batch_size");
-        let recorded: u64 = batch_sizes
-            .iter()
-            .map(|m| match &m.value {
-                MetricValue::Histogram(h) => h.sum,
-                other => panic!("unexpected metric {other:?}"),
-            })
-            .sum();
-        assert_eq!(recorded, 64, "batch members recorded once each");
-        let lags = snap.family("serve.install_lag_ns");
-        let installs: u64 = lags
-            .iter()
-            .map(|m| match &m.value {
-                MetricValue::Histogram(h) => h.count,
-                other => panic!("unexpected metric {other:?}"),
-            })
-            .sum();
-        assert_eq!(installs, 2, "one install per shard per refresh");
-        // All queues drained back to zero (depth is sampled by the
-        // worker at dequeue, so the peak may legitimately stay 0 when
-        // clients always block on replies).
-        for m in snap.family("serve.queue_depth") {
-            match &m.value {
-                MetricValue::Gauge { value, peak } => {
-                    assert_eq!(*value, 0, "queue depth leaked on {}", m.id());
-                    assert!(*peak >= 0);
-                }
-                other => panic!("unexpected metric {other:?}"),
-            }
+        let service = snap
+            .expect("serve.service_ns", &[])
+            .unwrap_or_else(|miss| panic!("{miss}"));
+        match &service.value {
+            // 65 singles + 1 batch, one observation per request.
+            MetricValue::Histogram(h) => assert_eq!(h.count, 66),
+            other => panic!("unexpected metric {other:?}"),
         }
+        assert_eq!(
+            snap.family("serve.service_ns").len(),
+            1,
+            "one unlabelled histogram"
+        );
+        assert_only_serve_families(&snap);
     }
 
     #[test]
@@ -1294,33 +952,20 @@ mod tests {
         let index = random_index(&mut StdRng::seed_from_u64(28), 10, 16, 0.4);
         let registry = Registry::new();
         let cfg = ServeConfig {
-            shards: 2,
-            queue_depth: 8,
-            backend: RowBackend::Dense,
             telemetry: false,
+            ..config(2)
         };
         let engine = ServeEngine::start_with_registry(&index, cfg, &registry);
         let client = engine.client();
         for o in 0..16u32 {
             client.query(OwnerId(o));
         }
+        client.query_batch(&[OwnerId(0), OwnerId(1)]);
         engine.shutdown();
-        assert_eq!(engine.stats().queries(), 16);
+        assert_eq!(engine.stats().queries(), 18);
         let snap = registry.snapshot();
-        for m in snap.family("serve.service_ns") {
-            match &m.value {
-                MetricValue::Histogram(h) => assert_eq!(h.count, 0, "{} recorded", m.id()),
-                other => panic!("unexpected metric {other:?}"),
-            }
-        }
-        for m in snap.family("serve.queue_depth") {
-            match &m.value {
-                MetricValue::Gauge { value, peak } => {
-                    assert_eq!((*value, *peak), (0, 0), "{} moved", m.id())
-                }
-                other => panic!("unexpected metric {other:?}"),
-            }
-        }
+        assert!(snap.family("serve.service_ns").is_empty());
+        assert_only_serve_families(&snap);
     }
 
     #[test]
@@ -1328,7 +973,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         let index = random_index(&mut rng, 30, 120, 0.2);
         let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&index, config(4, 16), &registry);
+        let engine = ServeEngine::start_with_registry(&index, config(4), &registry);
         let client = engine.client();
         let before = engine.current();
 
@@ -1382,7 +1027,7 @@ mod tests {
         let registry = Registry::new();
         let cfg = ServeConfig {
             backend: eppi_core::rowstore::RowBackend::Compressed,
-            ..config(3, 16)
+            ..config(3)
         };
         let engine = ServeEngine::start_with_registry(&index, cfg, &registry);
         assert_eq!(
@@ -1416,15 +1061,15 @@ mod tests {
     }
 
     /// Appending growth makes the snapshot hold more data shards than
-    /// the engine has workers; the PIR scatter must still cover every
-    /// shard (round-robin onto the fixed pool), and the scan volume
-    /// stays exactly `owners × words_per_row` per pass.
+    /// the engine's base count; the PIR scan must still cover every
+    /// shard, and the scan volume stays exactly `owners × words_per_row`
+    /// per pass.
     #[test]
-    fn pir_covers_append_shards_beyond_the_worker_pool() {
+    fn pir_covers_append_shards_beyond_the_base_shards() {
         let mut rng = StdRng::seed_from_u64(34);
         let index = random_index(&mut rng, 70, 90, 0.25);
         let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&index, config(2, 16), &registry);
+        let engine = ServeEngine::start_with_registry(&index, config(2), &registry);
 
         // Grow by enough owners to open an append shard.
         let mut matrix = index.matrix().clone();
@@ -1443,14 +1088,8 @@ mod tests {
         // Recover an appended owner's row privately.
         let target = 123usize;
         let pair = eppi_pir::QueryPair::generate(rows, target, &mut rng);
-        let a = engine
-            .pir_submit(Arc::new(vec![pair.a]), SpanCtx::NONE)
-            .gather()
-            .unwrap();
-        let b = engine
-            .pir_submit(Arc::new(vec![pair.b]), SpanCtx::NONE)
-            .gather()
-            .unwrap();
+        let a = engine.pir_scan(&[pair.a], SpanCtx::NONE).unwrap();
+        let b = engine.pir_scan(&[pair.b], SpanCtx::NONE).unwrap();
         let row: Vec<u64> = a.shares[0]
             .iter()
             .zip(&b.shares[0])
@@ -1489,7 +1128,7 @@ mod tests {
         // Restart: recover and boot the engine straight off the store.
         let (store, recovery) = DurableStore::open_with_registry(&dir, &registry).unwrap();
         assert_eq!(recovery.replayed, 0);
-        let engine = ServeEngine::from_store_with_registry(&store, config(2, 8), &registry);
+        let engine = ServeEngine::from_store_with_registry(&store, config(2), &registry);
         let client = engine.client();
         let server = PpiServer::new(epoch0.index().clone());
         for o in 0..4u32 {
@@ -1539,7 +1178,7 @@ mod tests {
         // First boot finds no cache: cold re-shard, version 0. Persist
         // the layout it built for the next boot.
         let (store, _) = DurableStore::open_with_registry(&dir, &registry).unwrap();
-        let cold = ServeEngine::from_store_with_registry(&store, config(2, 8), &registry);
+        let cold = ServeEngine::from_store_with_registry(&store, config(2), &registry);
         assert_eq!((boots(&registry, "cold"), boots(&registry, "warm")), (1, 0));
         assert_eq!(cold.version(), 0);
         cold.persist_serve_cache(&store).unwrap();
@@ -1548,7 +1187,7 @@ mod tests {
         // Second boot restores the cached layout: no re-shard (the
         // warm counter moves, cold does not), and the engine resumes
         // at the head's lineage position instead of version 0.
-        let warm = ServeEngine::from_store_with_registry(&store, config(2, 8), &registry);
+        let warm = ServeEngine::from_store_with_registry(&store, config(2), &registry);
         assert_eq!((boots(&registry, "cold"), boots(&registry, "warm")), (1, 1));
         assert_eq!(warm.version(), store.head().epoch());
         assert_eq!(warm.current().version(), store.head().epoch());
@@ -1570,7 +1209,7 @@ mod tests {
         let registry = Registry::new();
         let epoch0 = seeded_store(&dir, &registry);
         let (store, _) = DurableStore::open_with_registry(&dir, &registry).unwrap();
-        let first = ServeEngine::from_store_with_registry(&store, config(2, 8), &registry);
+        let first = ServeEngine::from_store_with_registry(&store, config(2), &registry);
         first.persist_serve_cache(&store).unwrap();
         first.shutdown();
 
@@ -1579,7 +1218,7 @@ mod tests {
         let mut record = load_raw(store.dir()).unwrap().unwrap();
         record.snapshot_version += 7;
         save_raw(store.dir(), &record).unwrap();
-        let engine = ServeEngine::from_store_with_registry(&store, config(2, 8), &registry);
+        let engine = ServeEngine::from_store_with_registry(&store, config(2), &registry);
         assert_eq!(boots(&registry, "cold"), 2);
         assert_eq!(boots(&registry, "warm"), 0);
         assert_eq!(engine.version(), 0);
@@ -1589,7 +1228,7 @@ mod tests {
         // right version.
         record.snapshot_version -= 7;
         save_raw(store.dir(), &record).unwrap();
-        let engine = ServeEngine::from_store_with_registry(&store, config(3, 8), &registry);
+        let engine = ServeEngine::from_store_with_registry(&store, config(3), &registry);
         assert_eq!(boots(&registry, "cold"), 3);
         assert_eq!(boots(&registry, "warm"), 0);
         let client = engine.client();
@@ -1598,6 +1237,33 @@ mod tests {
             assert_eq!(client.query(OwnerId(o)), server.query(OwnerId(o)));
         }
         engine.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `refresh` re-shards into `ServeConfig::shards` base shards on any
+    /// host, so a layout persisted after a refresh still matches the
+    /// config and the next boot with that config is warm.
+    #[test]
+    fn refresh_keeps_the_configured_shards_so_the_next_boot_is_warm() {
+        let dir = std::env::temp_dir().join(format!("eppi-refreshboot-{}", std::process::id()));
+        let registry = Registry::new();
+        seeded_store(&dir, &registry);
+        let (store, _) = DurableStore::open_with_registry(&dir, &registry).unwrap();
+        // More base shards than 4× the host's hardware threads.
+        let shards = 4 * std::thread::available_parallelism().map_or(1, |p| p.get()) + 1;
+        let engine =
+            ServeEngine::start_with_registry(store.head().index(), config(shards), &registry);
+        engine.refresh(store.head().index());
+        assert_eq!(engine.current().shard_map().base_shards(), shards);
+        assert_eq!(engine.shards(), shards);
+        engine.persist_serve_cache(&store).unwrap();
+        drop(engine);
+
+        let warm = ServeEngine::from_store_with_registry(&store, config(shards), &registry);
+        assert_eq!(boots(&registry, "warm"), 1);
+        assert_eq!(boots(&registry, "cold"), 0);
+        assert_eq!(warm.current().shard_map().base_shards(), shards);
+        drop(warm);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1615,7 +1281,7 @@ mod tests {
         let expect_b: Vec<Vec<ProviderId>> = (0..owners).map(|o| b.query(OwnerId(o))).collect();
 
         let registry = Registry::new();
-        let engine = ServeEngine::start_with_registry(&a, config(4, 32), &registry);
+        let engine = ServeEngine::start_with_registry(&a, config(4), &registry);
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let client = engine.client();

@@ -8,9 +8,11 @@
 //! * [`shard::ShardedIndex`] — the published matrix transposed to
 //!   owner-major packed bitmaps and partitioned into owner-hash shards,
 //!   so each query is one contiguous row read inside one shard.
-//! * [`engine::ServeEngine`] / [`engine::ServeClient`] — a
-//!   worker-per-shard thread pool over bounded channels serving single
-//!   and batched queries; the read path takes no locks.
+//! * [`engine::ServeEngine`] / [`engine::ServeClient`] — the engine
+//!   owns the published snapshot and its install path; a client
+//!   answers single and batched queries on the caller's thread, one
+//!   snapshot per request, taking no locks. The engine starts no
+//!   threads.
 //! * [`snapshot::SnapshotCell`] — wait-free snapshot publication so a
 //!   `ConstructPPI` re-run can replace the index without ever blocking
 //!   readers or exposing a torn version.
@@ -43,8 +45,8 @@ pub mod shard;
 pub mod snapshot;
 
 pub use engine::{
-    default_shards, default_shards_for, PendingPir, PirServerAnswer, ServeClient, ServeConfig,
-    ServeEngine, ServeStats,
+    default_shards, default_shards_for, PirServerAnswer, ServeClient, ServeConfig, ServeEngine,
+    ServeStats,
 };
 pub use private::{PrivateClient, PrivateEngine, PrivateQueryError};
 pub use shard::{shard_of, EpochOrderError, ShardMap, ShardedIndex, DEFAULT_APPEND_CAPACITY};

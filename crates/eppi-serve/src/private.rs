@@ -1,5 +1,5 @@
-//! The private serve mode: a two-replica XOR-PIR front-end over the
-//! worker-per-shard engine (DESIGN.md §12).
+//! The private serve mode: a two-replica XOR-PIR front-end over two
+//! plaintext engines' snapshots (DESIGN.md §12).
 //!
 //! The plaintext [`ServeClient`](crate::ServeClient) tells the server
 //! *which owner* every query is about — exactly the access pattern the
@@ -33,14 +33,14 @@
 //! ## Epoch consistency
 //!
 //! Refreshes and delta installs keep running under private traffic.
-//! Each replica pins one snapshot per scatter
-//! ([`ServeEngine::pir_submit`]), so its own share is always internally
-//! consistent; when an install lands *between* the two replicas'
-//! scatters, their answers carry different versions and the client
-//! regenerates and retries (`pir.version_retries`). Vectors built
-//! against a slightly stale owner count stay safe either way:
-//! [`SelectionVector::mask`] is zero beyond the vector span on both
-//! replicas, so the XOR still cancels cleanly.
+//! Each replica pins one snapshot per scan ([`ServeEngine::pir_scan`]),
+//! so its own share is always internally consistent; when an install
+//! lands *between* the two replicas' scans, their answers carry
+//! different versions and the client regenerates and retries
+//! (`pir.version_retries`). Vectors built against a slightly stale
+//! owner count stay safe either way: [`SelectionVector::mask`] is zero
+//! beyond the vector span on both replicas, so the XOR still cancels
+//! cleanly.
 //!
 //! ## Failure is not "nobody holds this owner"
 //!
@@ -69,7 +69,7 @@ use std::sync::Arc;
 
 /// Retry budget for replica-version mismatches. Installs are rare
 /// relative to queries; two replicas settle on the same version as soon
-/// as the install drains, so even 2 would almost always do.
+/// as the install has reached both, so even 2 would almost always do.
 const MAX_VERSION_RETRIES: usize = 64;
 
 /// Why a private query produced no answer — as opposed to the empty
@@ -77,13 +77,12 @@ const MAX_VERSION_RETRIES: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PrivateQueryError {
-    /// A replica did not deliver its share: the engine was shut down,
-    /// or a shard worker died mid-scan.
+    /// A replica did not deliver its share: the engine was shut down.
     ReplicaGone,
-    /// Installs kept landing between the two replicas' scatters, so
-    /// their answers never carried the same snapshot version.
+    /// Installs kept landing between the two replicas' scans, so their
+    /// answers never carried the same snapshot version.
     VersionRaceExhausted {
-        /// Attempts made, each a full scatter to both replicas.
+        /// Attempts made, each a full scan on both replicas.
         retries: usize,
     },
 }
@@ -119,7 +118,7 @@ impl Error for PrivateQueryError {}
 /// let mut m = MembershipMatrix::new(4, 2);
 /// m.set(ProviderId(1), OwnerId(0), true);
 /// let index = PublishedIndex::new(m, vec![0.0, 0.0]);
-/// let config = ServeConfig { shards: 2, queue_depth: 16, ..ServeConfig::default() };
+/// let config = ServeConfig { shards: 2, ..ServeConfig::default() };
 /// let engine = PrivateEngine::start(&index, config);
 /// let mut client = engine.client(7);
 /// assert_eq!(client.query(OwnerId(0)), vec![ProviderId(1)]);
@@ -147,12 +146,12 @@ impl PrivateEngine {
     /// (see [`ServeEngine::start_with_registry`]): both replicas report
     /// into `obs.registry` and share `obs.tracer`, and every client
     /// query opens a `private.query` root span whose children cover
-    /// vector generation, each replica's scatter / per-shard oblivious
-    /// scan / gather, and the final recombine. The traced tree is
-    /// oblivious by construction — every span name, count, and payload
-    /// on this path depends only on the batch length and the snapshot
-    /// shape, never on which owners are probed (enforced by the
-    /// `trace_obliviousness` property test).
+    /// vector generation, each replica's `pir.scatter` with one
+    /// oblivious `pir.scan` per data shard, and the final recombine.
+    /// The traced tree is oblivious by construction — every span name,
+    /// count, and payload on this path depends only on the batch length
+    /// and the snapshot shape, never on which owners are probed
+    /// (enforced by the `trace_obliviousness` property test).
     ///
     /// Whatever row backend `config` names, both replicas are pinned to
     /// [`RowBackend::Dense`](eppi_core::rowstore::RowBackend::Dense):
@@ -199,7 +198,7 @@ impl PrivateEngine {
     }
 
     /// Installs a re-published index on both replicas (A first, then
-    /// B). A client scattering between the two installs observes a
+    /// B). A client scanning between the two installs observes a
     /// version mismatch and retries; see the module docs.
     pub fn refresh(&self, index: &PublishedIndex) {
         self.a.refresh(index);
@@ -244,16 +243,18 @@ impl PrivateEngine {
     }
 
     /// Stops both replicas. Idempotent, and implied by drop. Clients
-    /// fail fast (empty answers) afterwards, like the plaintext
-    /// [`ServeClient`](crate::ServeClient).
+    /// answer empty afterwards, like the plaintext
+    /// [`ServeClient`](crate::ServeClient); `try_query*` reports
+    /// [`PrivateQueryError::ReplicaGone`].
     pub fn shutdown(&self) {
         self.a.shutdown();
         self.b.shutdown();
     }
 }
 
-/// A private-query client: generates per-query [`QueryPair`]s, scatters
-/// the halves to the two replicas, and recombines the answer shares.
+/// A private-query client: generates per-query [`QueryPair`]s, has
+/// replica A and then replica B scan their halves, and recombines the
+/// answer shares.
 ///
 /// Not `Clone` (it owns its RNG stream); create one per thread via
 /// [`PrivateEngine::client`] with distinct seeds.
@@ -329,31 +330,27 @@ impl PrivateClient {
             // Row count is public metadata (the index's owner universe);
             // reading it from replica A costs no privacy.
             let rows = self.a.current().owners();
-            let pairs: Vec<QueryPair> = {
+            let (to_a, to_b): (Vec<SelectionVector>, Vec<SelectionVector>) = {
                 let mut gen = self.tracer.child(rctx, "pir.generate");
                 gen.set_payload(owners.len() as u64);
                 owners
                     .iter()
                     .map(|&o| {
-                        if o.index() < rows {
+                        let pair = if o.index() < rows {
                             QueryPair::generate(rows, o.index(), &mut self.rng)
                         } else {
                             QueryPair::null(rows, &mut self.rng)
-                        }
+                        };
+                        (pair.a, pair.b)
                     })
-                    .collect()
+                    .unzip()
             };
-            let to_a: Arc<Vec<SelectionVector>> =
-                Arc::new(pairs.iter().map(|p| p.a.clone()).collect());
-            let to_b: Arc<Vec<SelectionVector>> =
-                Arc::new(pairs.iter().map(|p| p.b.clone()).collect());
-            // Scatter to both replicas before gathering either, so the
-            // two scans overlap.
-            let pending_a = self.a.pir_submit(to_a, rctx);
-            let pending_b = self.b.pir_submit(to_b, rctx);
-            let (share_a, share_b) = match (pending_a.gather(), pending_b.gather()) {
-                (Some(x), Some(y)) => (x, y),
-                _ => return Err(self.failed(rctx, owners.len(), PrivateQueryError::ReplicaGone)),
+            let answers = self
+                .a
+                .pir_scan(&to_a, rctx)
+                .zip(self.b.pir_scan(&to_b, rctx));
+            let Some((share_a, share_b)) = answers else {
+                return Err(self.failed(rctx, owners.len(), PrivateQueryError::ReplicaGone));
             };
             if share_a.version != share_b.version {
                 self.a.stats().note_version_retry();
@@ -420,7 +417,6 @@ mod tests {
     fn config() -> ServeConfig {
         ServeConfig {
             shards: 3,
-            queue_depth: 32,
             backend: eppi_core::rowstore::RowBackend::Dense,
             telemetry: true,
         }
@@ -590,13 +586,12 @@ mod tests {
 
         // The first probe's trace must be the full private-query tree:
         // root -> generate, two scatters each fanning into one scan per
-        // shard plus a gather, then the recombine.
+        // shard, then the recombine.
         let tree = log.span_tree(traces[0]).unwrap();
         assert_eq!(tree.name, "private.query");
         assert_eq!(tree.count("pir.generate"), 1);
         assert_eq!(tree.count("pir.scatter"), 2);
         assert_eq!(tree.count("pir.scan"), 2 * config().shards);
-        assert_eq!(tree.count("pir.gather"), 2);
         assert_eq!(tree.count("pir.recombine"), 1);
 
         // The obliviousness property itself: every probe's normalized
@@ -672,7 +667,12 @@ mod tests {
 
         let index = random_index(50, 12, 16, 0.5);
         let registry = Registry::new();
-        let tracer = Tracer::new(TraceConfig::default());
+        // Both replicas scan on this thread, so all 64 attempts' spans
+        // (≈ 19 events each) land in its one ring.
+        let tracer = Tracer::new(TraceConfig {
+            capacity_per_thread: 1 << 12,
+            ..TraceConfig::default()
+        });
         let obs = Obs {
             tracer: &tracer,
             ..Obs::from(&registry)

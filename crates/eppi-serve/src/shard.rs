@@ -5,8 +5,8 @@
 //! major: a column read strides through `m` cache lines. The serving
 //! layer therefore keeps a transposed copy — one packed `u64` provider
 //! bitmap per owner, so a query is a single contiguous row read — and
-//! partitions owners into shards by a [`ShardMap`] so independent
-//! worker threads can each own a disjoint slice of the query space.
+//! partitions owners into shards by a [`ShardMap`], so a delta install
+//! rebuilds only the shards that hold a touched owner.
 //!
 //! Physical row storage is pluggable ([`eppi_core::rowstore`], DESIGN.md
 //! §14): the plaintext serve path can hold shards as EWAH-compressed

@@ -239,7 +239,7 @@ impl Snapshot {
     /// As [`find`](Self::find), but a miss comes back as a typed
     /// [`MetricMiss`] naming the absent key — for callers that treat a
     /// missing metric as a reportable condition rather than a panic
-    /// (e.g. the serve shutdown-drain check).
+    /// (e.g. the serve engine's `serve.service_ns` check).
     ///
     /// # Errors
     ///
@@ -466,7 +466,7 @@ mod tests {
     fn snapshot_round_trips_through_json() {
         let r = Registry::new();
         r.counter("serve.queries", &[("shard", "0")]).add(123);
-        let g = r.gauge("serve.queue_depth", &[("shard", "0")]);
+        let g = r.gauge("serve.data_shards", &[]);
         g.set(4);
         g.dec();
         let h = r.histogram("serve.service_ns", &[("shard", "0")]);

@@ -23,10 +23,10 @@
 //!   columns and a public check that every cell the official β
 //!   decisions require is published.
 //! * [`workload`] — synthetic information-network workloads.
-//! * [`serve`] — the serving front-end: sharded index layout, a
-//!   worker-per-shard concurrent query engine, lock-free snapshot
-//!   refresh for re-publication, and the two-replica private
-//!   (XOR-PIR) serve mode.
+//! * [`serve`] — the serving front-end: sharded index layout, queries
+//!   read on the caller's thread, lock-free snapshot refresh for
+//!   re-publication, and the two-replica private (XOR-PIR) serve
+//!   mode.
 //! * [`pir`] — the information-theoretic 2-server PIR primitives the
 //!   private serve mode is built on: selection vectors, query-pair
 //!   generation, and branchless oblivious XOR-scan kernels.

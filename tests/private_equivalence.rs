@@ -51,7 +51,7 @@ proptest! {
         let registry = Registry::new();
         let engine = PrivateEngine::start_with_registry(
             &index,
-            ServeConfig { shards, queue_depth: 16, telemetry: false, backend: RowBackend::Dense },
+            ServeConfig { shards, telemetry: false, backend: RowBackend::Dense },
             &registry,
         );
         let mut client = engine.client(seed ^ 0x5eed);
@@ -85,7 +85,7 @@ proptest! {
         let registry = Registry::new();
         let engine = PrivateEngine::start_with_registry(
             &base,
-            ServeConfig { shards, queue_depth: 16, telemetry: false, backend: RowBackend::Dense },
+            ServeConfig { shards, telemetry: false, backend: RowBackend::Dense },
             &registry,
         );
         let mut client = engine.client(seed ^ 0xde17a);
@@ -137,7 +137,7 @@ proptest! {
         let registry = Registry::new();
         let engine = PrivateEngine::start_with_registry(
             &index,
-            ServeConfig { shards, queue_depth: 16, telemetry: false, backend: RowBackend::Dense },
+            ServeConfig { shards, telemetry: false, backend: RowBackend::Dense },
             &registry,
         );
         let mut client = engine.client(seed ^ 0x0b5);

@@ -73,7 +73,7 @@ proptest! {
         let server = PpiServer::new(index.clone());
         let engine = ServeEngine::start(
             &index,
-            ServeConfig { shards, queue_depth: 16, telemetry: false, backend },
+            ServeConfig { shards, telemetry: false, backend },
         );
         let client = engine.client();
         let all: Vec<OwnerId> = (0..owners as u32).map(OwnerId).collect();
@@ -209,7 +209,7 @@ proptest! {
 
         let engine = Arc::new(ServeEngine::start(
             &base,
-            ServeConfig { shards, queue_depth: 16, telemetry: false, backend: RowBackend::Dense },
+            ServeConfig { shards, telemetry: false, backend: RowBackend::Dense },
         ));
         // The stats counters live in the process-global registry and
         // accumulate across proptest cases; measure this case's delta.
