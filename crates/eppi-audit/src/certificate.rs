@@ -70,10 +70,7 @@ pub fn prove_column(
 /// observability context. Reports `audit.proofs` (certificates issued)
 /// and the `audit.prove_ns` histogram into `obs.registry`, and runs as
 /// an `audit.prove` span (payload: provider id) under `obs.parent`.
-pub fn certify_column_with_registry<'a>(
-    stmt: &ColumnStatement<'_>,
-    obs: impl Into<Obs<'a>>,
-) -> ColumnCommitment {
+pub fn certify_column<'a>(stmt: &ColumnStatement<'_>, obs: impl Into<Obs<'a>>) -> ColumnCommitment {
     let obs = obs.into();
     let mut span = obs.tracer.child(obs.parent, "audit.prove");
     span.set_payload(u64::from(stmt.provider.0));
@@ -214,7 +211,7 @@ mod tests {
         assert!(counts(global).1 > before.1);
 
         let mine = Registry::new();
-        let certified = certify_column_with_registry(&stmt, &mine);
+        let certified = certify_column(&stmt, &mine);
         assert_eq!(certified, commitment);
         verify_column_with_registry(&stmt, &commitment, &mine).unwrap();
         assert_eq!(counts(&mine), (1, 1));
@@ -263,7 +260,7 @@ mod tests {
     #[test]
     fn empty_column_certifies_and_verifies_vacuously() {
         let (stmt, commitment) = statement(&[], &[]);
-        let certified = certify_column_with_registry(&stmt, Obs::default());
+        let certified = certify_column(&stmt, Obs::default());
         assert_eq!(certified, commitment);
         let params = AuditParams { repetitions: 4 };
         verify_column(&stmt, &commitment, &ColumnProof, &params).unwrap();

@@ -36,8 +36,8 @@ pub mod error;
 pub mod flip;
 
 pub use certificate::{
-    certify_column_with_registry, prove_column, verify_column, verify_column_with_registry,
-    AuditParams, ColumnProof, ColumnStatement, DEFAULT_REPETITIONS,
+    certify_column, prove_column, verify_column, verify_column_with_registry, AuditParams,
+    ColumnProof, ColumnStatement, DEFAULT_REPETITIONS,
 };
 pub use commitment::{decisions_digest, published_digest, ColumnCommitment};
 pub use error::AuditError;

@@ -40,8 +40,8 @@ use eppi_audit::ColumnCommitment;
 use eppi_core::delta::IndexDelta;
 use eppi_core::model::MembershipMatrix;
 use eppi_protocol::{
-    construct_delta_audited_with_registry, construct_delta_with_registry, verify_commitments,
-    AuditConfig, AuditedConstructError, AuditedDelta, AuditedEpoch, DeltaConstruction, IndexEpoch,
+    construct_delta_audited, construct_delta_with_registry, verify_commitments, AuditConfig,
+    AuditedConstructError, AuditedDelta, AuditedEpoch, DeltaConstruction, IndexEpoch,
 };
 use eppi_telemetry::{Counter, Histogram, Registry};
 use eppi_trace::Obs;
@@ -540,7 +540,7 @@ impl DurableStore {
 
     /// [`advance_audited`](Self::advance_audited) with the construction
     /// and the audit layer running under a caller's observability
-    /// context (see [`construct_delta_audited_with_registry`]).
+    /// context (see [`construct_delta_audited`]).
     ///
     /// # Errors
     ///
@@ -552,8 +552,8 @@ impl DurableStore {
         audit: &AuditConfig,
         obs: impl Into<Obs<'a>>,
     ) -> Result<AuditedDelta, StoreError> {
-        let built = construct_delta_audited_with_registry(&self.head, matrix, delta, audit, obs)
-            .map_err(|e| match e {
+        let built = construct_delta_audited(&self.head, matrix, delta, audit, obs).map_err(
+            |e| match e {
                 AuditedConstructError::Protocol(e) => StoreError::Protocol(e),
                 AuditedConstructError::Audit(e) => StoreError::Audit(e),
                 // Forward-compatibility arm for the #[non_exhaustive]
@@ -562,7 +562,8 @@ impl DurableStore {
                     provider: u32::MAX,
                     reason: "unknown audited-construction failure",
                 }),
-            })?;
+            },
+        )?;
         self.install(matrix, delta, &built.delta.epoch, built.commitments())?;
         Ok(built)
     }
@@ -885,7 +886,7 @@ mod tests {
         let dir = tmp_dir("audited");
         let (mut mat, e, cfg) = base(13);
         let audit = AuditConfig::default();
-        let anchor = construct_epoch_audited(&mat, &e, &cfg, &audit).unwrap();
+        let anchor = construct_epoch_audited(&mat, &e, &cfg, &audit, Obs::default()).unwrap();
         let registry = Registry::new();
         let mut store =
             DurableStore::create_audited_with_registry(&dir, &anchor, &registry).unwrap();
@@ -925,7 +926,7 @@ mod tests {
         let dir = tmp_dir("downgrade");
         let (mut mat, e, cfg) = base(14);
         let audit = AuditConfig::default();
-        let anchor = construct_epoch_audited(&mat, &e, &cfg, &audit).unwrap();
+        let anchor = construct_epoch_audited(&mat, &e, &cfg, &audit, Obs::default()).unwrap();
         let registry = Registry::new();
         let mut store =
             DurableStore::create_audited_with_registry(&dir, &anchor, &registry).unwrap();

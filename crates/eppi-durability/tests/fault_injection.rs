@@ -153,6 +153,7 @@ fn assert_valid_outcome(dir: &Path) {
 fn audited_wal_tamper_is_a_hard_audit_error() {
     use eppi_index::crc32;
     use eppi_protocol::{construct_epoch_audited, AuditConfig};
+    use eppi_trace::Obs;
 
     let dir = std::env::temp_dir().join(format!("eppi-fault-audit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -169,7 +170,7 @@ fn audited_wal_tamper_is_a_hard_audit_error() {
     };
     let audit = AuditConfig::default();
     let registry = Registry::new();
-    let anchor = construct_epoch_audited(&matrix, &epsilons, &cfg, &audit).unwrap();
+    let anchor = construct_epoch_audited(&matrix, &epsilons, &cfg, &audit, Obs::default()).unwrap();
     let mut store = DurableStore::create_audited_with_registry(&dir, &anchor, &registry).unwrap();
     matrix.set(
         ProviderId(9),
@@ -237,6 +238,7 @@ fn resealed_under_decoyed_checkpoint_is_a_hard_audit_error() {
     use eppi_core::model::PublishedIndex;
     use eppi_durability::checkpoint;
     use eppi_protocol::{construct_epoch_audited, AuditConfig, IndexEpoch};
+    use eppi_trace::Obs;
 
     let dir = std::env::temp_dir().join(format!("eppi-fault-decoy-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -251,8 +253,14 @@ fn resealed_under_decoyed_checkpoint_is_a_hard_audit_error() {
         seed: 77,
         ..ProtocolConfig::default()
     };
-    let anchor =
-        construct_epoch_audited(&matrix, &epsilons, &cfg, &AuditConfig::default()).unwrap();
+    let anchor = construct_epoch_audited(
+        &matrix,
+        &epsilons,
+        &cfg,
+        &AuditConfig::default(),
+        Obs::default(),
+    )
+    .unwrap();
     drop(DurableStore::create_audited(&dir, &anchor).unwrap());
 
     // The first decoy cell of the lineage, in provider order.

@@ -514,11 +514,6 @@ impl CircuitBuilder {
         words.pop().expect("non-empty")
     }
 
-    /// Number of input wires declared so far.
-    pub fn input_count(&self) -> usize {
-        self.inputs
-    }
-
     /// Seals the builder into a [`Circuit`] with the given output wires.
     pub fn finish(self, outputs: Vec<WireId>) -> Circuit {
         Circuit::new(self.inputs, self.gates, outputs)

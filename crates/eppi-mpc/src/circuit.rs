@@ -259,11 +259,6 @@ impl InputLayout {
         self.counts.iter().sum()
     }
 
-    /// Number of input wires owned by `party`.
-    pub fn inputs_of(&self, party: usize) -> usize {
-        self.counts[party]
-    }
-
     /// The input-wire range `[start, start + len)` owned by `party`.
     pub fn range_of(&self, party: usize) -> std::ops::Range<usize> {
         let start: usize = self.counts[..party].iter().sum();

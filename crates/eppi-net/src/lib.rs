@@ -2,24 +2,24 @@
 //!
 //! The paper evaluates its construction protocol on an Emulab testbed of
 //! physical machines connected over a LAN (Netty + protocol buffers).
-//! This crate is the substitution (DESIGN.md §4): two interchangeable
-//! backends for running multi-party protocols among simulated providers.
+//! This crate is the substitution (DESIGN.md §4): one party network,
+//! the [`transport::Transport`] trait, through which SecSumShare and the
+//! packed GMW core (`eppi-mpc::gmw_core`) send every message.
 //!
-//! * [`sim`] — a deterministic, single-threaded, round-based engine that
-//!   scales to tens of thousands of nodes and accounts every message and
-//!   byte through a configurable [`sim::LinkModel`]. Used for the large-`m`
-//!   SecSumShare runs and for reproducible tests.
+//! * [`transport`] — the [`transport::Transport`] trait, generic over
+//!   its payload: in each exchange a party deposits its messages to the
+//!   parties it names, then collects exactly one message from each party
+//!   it expects one from. Two implementations: the one lockstep
+//!   in-process hub, which also prices each exchange in simulated time
+//!   under a [`sim::LinkModel`], and the thread-backed transport.
+//! * [`sim`] — the [`sim::LinkModel`] that prices simulated time, and
+//!   SecSumShare's traffic record [`sim::NetStats`].
 //! * [`threaded`] — real multi-threaded party execution (one pooled
 //!   thread per party, crossbeam channels) for wall-clock measurements
 //!   (Fig. 6a/6c).
 //! * [`executor`] — the scoped executor every wall-clock run starts its
 //!   parties on: process-wide threads that park between jobs, so a
 //!   warm run starts no OS thread.
-//! * [`transport`] — the [`transport::Transport`] trait the packed GMW
-//!   core (`eppi-mpc::gmw_core`) runs over, with two implementations:
-//!   the one lockstep in-process hub, which also prices each exchange
-//!   in simulated time under a [`sim::LinkModel`] exactly as a
-//!   [`sim::Simulator`] round, and the thread-backed transport.
 //! * [`topology`] — ring successor maps and coordinator selection used by
 //!   the SecSumShare share-distribution step (Fig. 3).
 //! * [`traced`] — a [`transport::Transport`] decorator emitting one
@@ -32,7 +32,8 @@
 //! measured per message and summed over all parties:
 //!
 //! * **`bits`** (`bits_sent` on the GMW reports) — *logical payload
-//!   bits*: the number of protocol-level share bits a message carries.
+//!   bits*: the number of protocol-level share bits a message carries,
+//!   reported through [`WireSize::logical_bits`].
 //!   This is the quantity the paper's cost model counts (one bit per
 //!   party per peer per opened share), independent of framing, and is
 //!   what makes the `O(gates · parties²)` growth of the pure-MPC
@@ -75,12 +76,18 @@ impl fmt::Display for NodeId {
 
 /// Serialized size of a protocol payload, for bandwidth accounting.
 ///
-/// The simulation never actually serializes messages; payload types
+/// The transports never actually serialize messages; payload types
 /// report the size their wire encoding would have (the paper's prototype
 /// used protocol buffers — we count the equivalent fixed-width encoding).
 pub trait WireSize {
     /// The payload's size in bytes on the wire.
     fn wire_size(&self) -> usize;
+
+    /// The logical payload bits the message carries (see the crate
+    /// docs); 0 for payloads that are accounted in bytes only.
+    fn logical_bits(&self) -> u64 {
+        0
+    }
 }
 
 impl WireSize for u64 {

@@ -2,21 +2,21 @@
 //!
 //! Each party runs as a job on the [`executor`]'s pooled threads, with
 //! a [`PartyHandle`] giving it point-to-point `send`/`recv`,
-//! `broadcast`, and `gather` primitives — the communication patterns
-//! the ε-PPI construction protocol needs. Traffic is counted with
-//! atomics — totals plus a per-peer split (messages, bytes, and gather
-//! rounds) — so wall-clock experiments (Fig. 6a/6c) can report
-//! bandwidth.
+//! `broadcast`, and `gather` primitives; [`crate::transport::ThreadedTransport`]
+//! puts the [`crate::transport::Transport`] exchange on top. Traffic is
+//! counted run-wide with atomics at the send site, so wall-clock
+//! experiments (Fig. 6a/6c) can report bandwidth.
 //!
-//! A party that panics does not leave its peers waiting: its sending
-//! half, dropped while unwinding, tells every party (its own included)
-//! that it is dead. A blocking receive then panics naming the dead
-//! party, a bounded one returns [`TransportError::Disconnected`], and
+//! A party that panics does not leave its peers waiting: its handle,
+//! dropped while unwinding, tells every party (its own included) that
+//! it is dead. A blocking receive then panics naming the dead party, a
+//! bounded one returns [`TransportError::Disconnected`], and
 //! [`run_parties`] re-raises the first party's panic.
 
 use crate::executor::{self, Handle};
 use crate::{NodeId, WireSize};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,51 +59,15 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// One party's share of the traffic in a threaded run.
-#[derive(Debug, Default)]
-pub struct PartyTraffic {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    rounds: AtomicU64,
-}
-
-impl PartyTraffic {
-    /// Messages this party sent.
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes this party sent.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Synchronization rounds ([`PartyHandle::gather`] calls) this
-    /// party completed.
-    pub fn rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Relaxed)
-    }
-}
-
-/// Shared traffic counters of one threaded run: run-wide totals plus
-/// the per-peer split.
+/// Shared traffic counters of one threaded run: totals over all
+/// parties.
 #[derive(Debug, Default)]
 pub struct TrafficCounters {
     messages: AtomicU64,
     bytes: AtomicU64,
-    per_party: Vec<PartyTraffic>,
 }
 
 impl TrafficCounters {
-    /// Counters for a run of `parties` parties.
-    pub fn new(parties: usize) -> Self {
-        TrafficCounters {
-            messages: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            per_party: (0..parties).map(|_| PartyTraffic::default()).collect(),
-        }
-    }
-
     /// Total messages sent by all parties.
     pub fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
@@ -113,30 +77,30 @@ impl TrafficCounters {
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
-
-    /// The per-peer traffic split, indexed by party id.
-    pub fn per_party(&self) -> &[PartyTraffic] {
-        &self.per_party
-    }
 }
 
-/// The sending half of a party's endpoint. All traffic accounting
-/// happens here, at the send site.
+/// A party's endpoint in the threaded network, owned by the one thread
+/// that runs the party. All traffic accounting happens at the send
+/// site.
 ///
-/// Dropping a `PartySender` while its thread panics announces the
-/// party's death to every party, this one included, so nobody waits
-/// forever for its messages: the thread that runs a party's body owns
-/// its sender inside the [`PartyHandle`].
+/// Dropping a handle while its thread panics announces the party's
+/// death to every party, this one included, so nobody waits forever
+/// for its messages.
 #[derive(Debug)]
-pub struct PartySender<P> {
+pub struct PartyHandle<P> {
     me: NodeId,
     senders: Vec<Sender<Envelope<P>>>,
+    receiver: Receiver<Envelope<P>>,
     counters: Arc<TrafficCounters>,
     /// The run's first party to die ([`NO_DEATH`] while none has).
     first_death: Arc<AtomicUsize>,
+    /// Messages that arrived ahead of their gather step, per sender.
+    pending: Vec<VecDeque<P>>,
+    /// The party whose death notice arrived; every later receive fails.
+    dead: Option<NodeId>,
 }
 
-impl<P> Drop for PartySender<P> {
+impl<P> Drop for PartyHandle<P> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             let _ = self.first_death.compare_exchange(
@@ -153,7 +117,7 @@ impl<P> Drop for PartySender<P> {
     }
 }
 
-impl<P: WireSize + Send + Clone> PartySender<P> {
+impl<P: WireSize + Send + Clone> PartyHandle<P> {
     /// This party's id.
     pub fn me(&self) -> NodeId {
         self.me
@@ -170,12 +134,10 @@ impl<P: WireSize + Send + Clone> PartySender<P> {
     ///
     /// Panics if the receiving party has already shut down.
     pub fn send(&self, to: NodeId, payload: P) {
-        let size = payload.wire_size() as u64;
         self.counters.messages.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes.fetch_add(size, Ordering::Relaxed);
-        let mine = &self.counters.per_party[self.me.index()];
-        mine.messages.fetch_add(1, Ordering::Relaxed);
-        mine.bytes.fetch_add(size, Ordering::Relaxed);
+        self.counters
+            .bytes
+            .fetch_add(payload.wire_size() as u64, Ordering::Relaxed);
         self.senders[to.index()]
             .send((self.me, Some(payload)))
             .expect("receiving party hung up");
@@ -188,31 +150,6 @@ impl<P: WireSize + Send + Clone> PartySender<P> {
                 self.send(NodeId(p), payload.clone());
             }
         }
-    }
-}
-
-/// The receiving half of a party's endpoint.
-#[derive(Debug)]
-pub struct PartyReceiver<P> {
-    me: NodeId,
-    parties: usize,
-    receiver: Receiver<Envelope<P>>,
-    counters: Arc<TrafficCounters>,
-    /// Messages that arrived ahead of their gather step, per sender.
-    pending: Vec<std::collections::VecDeque<P>>,
-    /// The party whose death notice arrived; every later receive fails.
-    dead: Option<NodeId>,
-}
-
-impl<P: WireSize + Send + Clone> PartyReceiver<P> {
-    /// This party's id.
-    pub fn me(&self) -> NodeId {
-        self.me
-    }
-
-    /// Number of parties in the network.
-    pub fn parties(&self) -> usize {
-        self.parties
     }
 
     fn pop_pending(&mut self) -> Option<(NodeId, P)> {
@@ -305,7 +242,8 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
     ///
     /// Panics under the same conditions as [`recv`](Self::recv).
     pub fn gather(&mut self) -> Vec<(NodeId, P)> {
-        self.try_gather(None).unwrap_or_else(|_| self.hung_up())
+        let peers = self.peers();
+        self.gather_from(&peers)
     }
 
     /// Like [`gather`](Self::gather), but bounds the *total* wait: the
@@ -322,28 +260,38 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
         &mut self,
         timeout: Duration,
     ) -> Result<Vec<(NodeId, P)>, TransportError> {
-        self.try_gather(Some(timeout))
+        let peers = self.peers();
+        self.try_gather(&peers, Some(timeout))
+    }
+
+    /// Receives exactly one message from each of `senders` (this party
+    /// may be one), returned in ascending sender order; see
+    /// [`gather`](Self::gather).
+    pub(crate) fn gather_from(&mut self, senders: &[usize]) -> Vec<(NodeId, P)> {
+        self.try_gather(senders, None)
+            .unwrap_or_else(|_| self.hung_up())
+    }
+
+    fn peers(&self) -> Vec<usize> {
+        let me = self.me.index();
+        (0..self.parties()).filter(|&p| p != me).collect()
     }
 
     fn try_gather(
         &mut self,
+        senders: &[usize],
         timeout: Option<Duration>,
     ) -> Result<Vec<(NodeId, P)>, TransportError> {
-        let parties = self.parties;
-        let me = self.me.index();
-        self.counters.per_party[me]
-            .rounds
-            .fetch_add(1, Ordering::Relaxed);
         let deadline = timeout.map(|t| (Instant::now() + t, t));
-        let mut got: Vec<Option<P>> = vec![None; parties];
-        let mut remaining = parties - 1;
+        let mut wanted = vec![false; self.parties()];
+        let mut got: Vec<Option<P>> = vec![None; self.parties()];
+        let mut remaining = senders.len();
         // Serve buffered messages first.
-        for (p, slot) in got.iter_mut().enumerate() {
-            if p != me && slot.is_none() {
-                if let Some(payload) = self.pending[p].pop_front() {
-                    *slot = Some(payload);
-                    remaining -= 1;
-                }
+        for &p in senders {
+            wanted[p] = true;
+            if let Some(payload) = self.pending[p].pop_front() {
+                got[p] = Some(payload);
+                remaining -= 1;
             }
         }
         while remaining > 0 {
@@ -360,11 +308,12 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
                     return Err(err);
                 }
             };
-            if got[from.index()].is_none() {
-                got[from.index()] = Some(payload);
+            let from = from.index();
+            if wanted[from] && got[from].is_none() {
+                got[from] = Some(payload);
                 remaining -= 1;
             } else {
-                self.pending[from.index()].push_back(payload);
+                self.pending[from].push_back(payload);
             }
         }
         Ok(got
@@ -375,79 +324,6 @@ impl<P: WireSize + Send + Clone> PartyReceiver<P> {
     }
 }
 
-/// A party's endpoint in the threaded network: the sending and
-/// receiving halves, owned together by the one thread that runs the
-/// party.
-#[derive(Debug)]
-pub struct PartyHandle<P> {
-    tx: PartySender<P>,
-    rx: PartyReceiver<P>,
-}
-
-impl<P: WireSize + Send + Clone> PartyHandle<P> {
-    /// This party's id.
-    pub fn me(&self) -> NodeId {
-        self.tx.me
-    }
-
-    /// Number of parties in the network.
-    pub fn parties(&self) -> usize {
-        self.tx.parties()
-    }
-
-    /// Sends `payload` to party `to` (sending to oneself is allowed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the receiving party has already shut down.
-    pub fn send(&self, to: NodeId, payload: P) {
-        self.tx.send(to, payload);
-    }
-
-    /// Blocks until the next message arrives. Messages buffered by an
-    /// earlier [`gather`](Self::gather) are delivered first, in sender
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the conditions of [`PartyReceiver::recv`].
-    pub fn recv(&mut self) -> (NodeId, P) {
-        self.rx.recv()
-    }
-
-    /// Bounded receive; see [`PartyReceiver::recv_timeout`].
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError`] when the peer is gone or silent too long.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<(NodeId, P), TransportError> {
-        self.rx.recv_timeout(timeout)
-    }
-
-    /// Sends `payload` to every *other* party.
-    pub fn broadcast(&self, payload: P) {
-        self.tx.broadcast(payload);
-    }
-
-    /// Receives exactly one message from every other party, returned in
-    /// sender order; see [`PartyReceiver::gather`].
-    pub fn gather(&mut self) -> Vec<(NodeId, P)> {
-        self.rx.gather()
-    }
-
-    /// Bounded gather; see [`PartyReceiver::gather_timeout`].
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError`] when the round cannot complete.
-    pub fn gather_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Vec<(NodeId, P)>, TransportError> {
-        self.rx.gather_timeout(timeout)
-    }
-}
-
 /// Runs `parties` parties, each executing `body(handle)` on a pooled
 /// thread of the [`executor`], and returns their results in party order
 /// plus the traffic counters.
@@ -455,7 +331,7 @@ impl<P: WireSize + Send + Clone> PartyHandle<P> {
 /// # Panics
 ///
 /// Panics if `parties == 0`. If a party panics, its peers are woken
-/// (see [`PartySender`]) and, once every party has returned or
+/// (see [`PartyHandle`]) and, once every party has returned or
 /// unwound, the first party's panic is re-raised with its own payload.
 pub fn run_parties<P, T, F>(parties: usize, body: F) -> (Vec<T>, Arc<TrafficCounters>)
 where
@@ -464,7 +340,7 @@ where
     F: Fn(PartyHandle<P>) -> T + Sync,
 {
     assert!(parties >= 1, "at least one party required");
-    let counters = Arc::new(TrafficCounters::new(parties));
+    let counters = Arc::new(TrafficCounters::default());
     let first_death = Arc::new(AtomicUsize::new(NO_DEATH));
     let mut senders = Vec::with_capacity(parties);
     let mut receivers = Vec::with_capacity(parties);
@@ -478,22 +354,13 @@ where
         .into_iter()
         .enumerate()
         .map(|(i, receiver)| PartyHandle {
-            tx: PartySender {
-                me: NodeId(i),
-                senders: senders.clone(),
-                counters: Arc::clone(&counters),
-                first_death: Arc::clone(&first_death),
-            },
-            rx: PartyReceiver {
-                me: NodeId(i),
-                parties,
-                receiver,
-                counters: Arc::clone(&counters),
-                pending: (0..parties)
-                    .map(|_| std::collections::VecDeque::new())
-                    .collect(),
-                dead: None,
-            },
+            me: NodeId(i),
+            senders: senders.clone(),
+            receiver,
+            counters: Arc::clone(&counters),
+            first_death: Arc::clone(&first_death),
+            pending: (0..parties).map(|_| VecDeque::new()).collect(),
+            dead: None,
         })
         .collect();
     drop(senders);
@@ -539,13 +406,6 @@ mod tests {
         assert_eq!(results, vec![100, 100, 100, 100]);
         assert_eq!(counters.messages(), 4 * 3);
         assert_eq!(counters.bytes(), 4 * 3 * 8);
-        // The per-peer split accounts for every total.
-        assert_eq!(counters.per_party().len(), 4);
-        for party in counters.per_party() {
-            assert_eq!(party.messages(), 3);
-            assert_eq!(party.bytes(), 24);
-            assert_eq!(party.rounds(), 1);
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`TracedTransport`] wraps any [`Transport`] and emits one
 //! `net.exchange` span per completed protocol exchange (deposit →
-//! [`collect`](Transport::collect)), parented under a caller-supplied
+//! [`collect_from`](Transport::collect_from)), parented under a caller-supplied
 //! [`SpanCtx`] — typically a per-party span opened by the executor
 //! driving the protocol. The span's payload carries the logical bits
 //! this endpoint deposited during the exchange, so a trace viewer shows
@@ -13,14 +13,14 @@
 //! nothing and costs nothing beyond a branch, so executors can wrap
 //! their transports unconditionally.
 
-use crate::transport::{PackedBatch, Transport};
+use crate::transport::Transport;
+use crate::WireSize;
 use eppi_trace::{SpanCtx, SpanGuard, Tracer};
 
 /// A [`Transport`] decorator emitting one span per protocol exchange.
 ///
-/// The exchange span opens at the first deposit
-/// ([`scatter`](Transport::scatter) / [`broadcast`](Transport::broadcast))
-/// and closes when [`collect`](Transport::collect) returns, so it covers
+/// The exchange span opens at the [`deposit`](Transport::deposit) and
+/// closes when [`collect_from`](Transport::collect_from) returns, so it covers
 /// the peer wait. See the [module docs](self) for the payload
 /// convention.
 #[derive(Debug)]
@@ -33,7 +33,7 @@ pub struct TracedTransport<T> {
     exchanges: u64,
 }
 
-impl<T: Transport> TracedTransport<T> {
+impl<T> TracedTransport<T> {
     /// Wraps `inner`, parenting every exchange span under `parent`.
     pub fn new(inner: T, tracer: Tracer, parent: SpanCtx) -> Self {
         TracedTransport {
@@ -71,7 +71,7 @@ impl<T: Transport> TracedTransport<T> {
     }
 }
 
-impl<T: Transport> Transport for TracedTransport<T> {
+impl<M: WireSize, T: Transport<M>> Transport<M> for TracedTransport<T> {
     fn me(&self) -> usize {
         self.inner.me()
     }
@@ -80,26 +80,14 @@ impl<T: Transport> Transport for TracedTransport<T> {
         self.inner.parties()
     }
 
-    fn scatter(&mut self, batches: Vec<PackedBatch>) {
+    fn deposit(&mut self, messages: Vec<(usize, M)>) {
         self.opening();
-        let me = self.inner.me();
-        self.bits_this_exchange += batches
-            .iter()
-            .enumerate()
-            .filter(|&(to, _)| to != me)
-            .map(|(_, b)| b.bits as u64)
-            .sum::<u64>();
-        self.inner.scatter(batches);
+        self.bits_this_exchange += messages.iter().map(|(_, m)| m.logical_bits()).sum::<u64>();
+        self.inner.deposit(messages);
     }
 
-    fn broadcast(&mut self, batch: PackedBatch) {
-        self.opening();
-        self.bits_this_exchange += (batch.bits * (self.inner.parties() - 1)) as u64;
-        self.inner.broadcast(batch);
-    }
-
-    fn collect(&mut self) -> Vec<(usize, PackedBatch)> {
-        let got = self.inner.collect();
+    fn collect_from(&mut self, senders: &[usize]) -> Vec<(usize, M)> {
+        let got = self.inner.collect_from(senders);
         if let Some(mut span) = self.open.take() {
             span.set_payload(self.bits_this_exchange);
         }
@@ -111,7 +99,7 @@ impl<T: Transport> Transport for TracedTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::InProcessTransport;
+    use crate::transport::{InProcessTransport, PackedBatch};
     use eppi_trace::TraceConfig;
 
     fn word_batch(v: u64, bits: usize) -> PackedBatch {

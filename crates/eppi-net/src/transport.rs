@@ -1,27 +1,30 @@
-//! Pluggable party-to-party transports for the packed GMW core.
+//! The one party network: SecSumShare and the packed GMW core send
+//! every message through the [`Transport`] trait defined here.
 //!
-//! The GMW protocol logic lives in `eppi-mpc::gmw_core` as a sans-io
-//! state machine; everything network-shaped is behind the [`Transport`]
-//! trait defined here. One protocol *exchange* is: every party deposits
-//! its outgoing batches ([`Transport::scatter`] for personalized
-//! payloads, [`Transport::broadcast`] for the common d/e or output
-//! batch), then every party calls [`Transport::collect`] to receive one
-//! batch from each peer. Two implementations cover the two execution
-//! styles the workspace needs:
+//! The protocol logic lives in sans-io state machines
+//! (`eppi-mpc::gmw_core`, `eppi-protocol::secsum`); everything
+//! network-shaped is behind [`Transport`], generic over its payload. One
+//! protocol *exchange* is: every party [`deposit`](Transport::deposit)s
+//! its outgoing messages to the parties it names (GMW's
+//! [`scatter`](Transport::scatter) and [`broadcast`](Transport::broadcast)
+//! are deposits to every peer), then every party calls
+//! [`collect_from`](Transport::collect_from) to receive exactly one
+//! message from each party it expects one from. Two implementations
+//! cover the two execution styles the workspace needs:
 //!
 //! * [`InProcessTransport`] — the one lockstep hub: all parties are
 //!   driven on one thread (all deposits, then all collects). Besides
 //!   traffic it records each exchange's busiest sender, so a run is
-//!   priced in simulated network time under any
-//!   [`LinkModel`] ([`InProcessTransport::simulated_us`]) exactly as
-//!   the round-based [`crate::sim::Simulator`] prices a round.
+//!   priced in simulated network time under any [`LinkModel`]
+//!   ([`InProcessTransport::simulated_us`]).
 //! * [`ThreadedTransport`] — wraps a [`crate::threaded::PartyHandle`],
 //!   so each party can run the straight-line protocol on its own
 //!   pooled thread with real (crossbeam) message exchange.
 //!
 //! Both account traffic in both units of the workspace convention
 //! (see the crate docs): logical payload **bits** and on-the-wire
-//! **bytes** of the packed encoding, the latter via [`WireSize`].
+//! **bytes**, via [`WireSize`]. A self-send is a message and its bytes
+//! like any other.
 
 use crate::sim::LinkModel;
 use crate::threaded::PartyHandle;
@@ -68,33 +71,64 @@ impl WireSize for PackedBatch {
     fn wire_size(&self) -> usize {
         4 + 8 * self.words.len()
     }
+
+    fn logical_bits(&self) -> u64 {
+        self.bits as u64
+    }
 }
 
-/// One party's endpoint in a round-synchronized exchange network.
+/// One party's endpoint in a round-synchronized exchange network,
+/// carrying payloads of type `M`.
 ///
-/// The send half ([`scatter`](Transport::scatter) /
-/// [`broadcast`](Transport::broadcast)) must not block; the round
-/// completes when the party calls [`collect`](Transport::collect).
+/// [`deposit`](Transport::deposit) must not block; the exchange
+/// completes when the party calls [`collect_from`](Transport::collect_from).
 /// Single-threaded backends rely on this split to drive all endpoints
 /// in lockstep: first every party deposits, then every party collects.
-pub trait Transport {
+pub trait Transport<M: WireSize = PackedBatch> {
     /// This party's id.
     fn me(&self) -> usize;
 
     /// Number of parties in the network.
     fn parties(&self) -> usize;
 
-    /// Sends a personalized batch to every peer. `batches` must hold
-    /// one entry per party, indexed by destination; the entry at
-    /// [`me`](Transport::me) is ignored.
-    fn scatter(&mut self, batches: Vec<PackedBatch>);
+    /// Sends this party's messages of the exchange, each `(to, message)`
+    /// to the named party (this party included). Called exactly once
+    /// per exchange, also with nothing to send: the lockstep hub closes
+    /// an exchange once every party has deposited.
+    fn deposit(&mut self, messages: Vec<(usize, M)>);
 
-    /// Sends the same batch to every peer.
-    fn broadcast(&mut self, batch: PackedBatch);
+    /// Completes the exchange: returns exactly one message from each
+    /// party in `senders` (each named once), as `(sender, message)` in
+    /// ascending sender order.
+    fn collect_from(&mut self, senders: &[usize]) -> Vec<(usize, M)>;
 
-    /// Completes the exchange: returns exactly one batch per peer as
-    /// `(sender, batch)`, in ascending sender order.
-    fn collect(&mut self) -> Vec<(usize, PackedBatch)>;
+    /// Deposits a personalized batch for every peer. `batches` must
+    /// hold one entry per party, indexed by destination; the entry at
+    /// [`me`](Transport::me) is dropped.
+    fn scatter(&mut self, batches: Vec<M>) {
+        assert_eq!(batches.len(), self.parties(), "one batch per destination");
+        let me = self.me();
+        let to_peers = batches.into_iter().enumerate().filter(|&(to, _)| to != me);
+        self.deposit(to_peers.collect());
+    }
+
+    /// Deposits the same batch for every peer.
+    fn broadcast(&mut self, batch: M)
+    where
+        M: Clone,
+    {
+        let me = self.me();
+        let peers = (0..self.parties()).filter(|&to| to != me);
+        self.deposit(peers.map(|to| (to, batch.clone())).collect());
+    }
+
+    /// Completes an all-to-all exchange: one message from every peer,
+    /// in ascending sender order.
+    fn collect(&mut self) -> Vec<(usize, M)> {
+        let me = self.me();
+        let peers: Vec<usize> = (0..self.parties()).filter(|&p| p != me).collect();
+        self.collect_from(&peers)
+    }
 }
 
 /// Aggregate traffic observed by a transport hub, in both accounting
@@ -116,10 +150,10 @@ pub struct TransportReport {
 // In-process hub
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct InProcessState {
-    parties: usize,
-    inboxes: Vec<Vec<(usize, PackedBatch)>>,
+#[derive(Debug)]
+struct InProcessState<M> {
+    /// Per party, the messages deposited for it this exchange.
+    inboxes: Vec<Vec<(usize, M)>>,
     deposited: usize,
     /// Bytes of the busiest sender so far in the exchange in progress.
     busiest: usize,
@@ -128,23 +162,21 @@ struct InProcessState {
     report: TransportReport,
 }
 
-impl InProcessState {
-    fn deposit(&mut self, from: usize, mut per_peer: impl FnMut(usize) -> PackedBatch) {
+impl<M: WireSize> InProcessState<M> {
+    fn deposit(&mut self, from: usize, messages: Vec<(usize, M)>) {
+        let parties = self.inboxes.len();
         let mut sent = 0;
-        for to in 0..self.parties {
-            if to == from {
-                continue;
-            }
-            let batch = per_peer(to);
-            sent += batch.wire_size();
+        for (to, message) in messages {
+            assert!(to < parties, "party {from} sent to unknown party {to}");
+            sent += message.wire_size();
             self.report.messages += 1;
-            self.report.bits += batch.bits as u64;
-            self.inboxes[to].push((from, batch));
+            self.report.bits += message.logical_bits();
+            self.inboxes[to].push((from, message));
         }
         self.report.bytes += sent as u64;
         self.busiest = self.busiest.max(sent);
         self.deposited += 1;
-        if self.deposited == self.parties {
+        if self.deposited == parties {
             self.deposited = 0;
             self.report.rounds += 1;
             self.busiest_per_exchange
@@ -157,28 +189,30 @@ impl InProcessState {
 /// transport.
 ///
 /// Create one endpoint per party with [`InProcessTransport::hub`] and
-/// drive them in lockstep (all deposits, then all collects); batches
+/// drive them in lockstep (all deposits, then all collects); messages
 /// are moved, never serialized. Traffic is shared hub-wide and read
 /// back with [`InProcessTransport::report`], simulated network time
 /// with [`InProcessTransport::simulated_us`].
 #[derive(Debug)]
-pub struct InProcessTransport {
+pub struct InProcessTransport<M = PackedBatch> {
     me: usize,
-    state: Rc<RefCell<InProcessState>>,
+    state: Rc<RefCell<InProcessState<M>>>,
 }
 
-impl InProcessTransport {
+impl<M: WireSize> InProcessTransport<M> {
     /// Creates a connected hub of `parties` endpoints.
     ///
     /// # Panics
     ///
     /// Panics if `parties == 0`.
-    pub fn hub(parties: usize) -> Vec<InProcessTransport> {
+    pub fn hub(parties: usize) -> Vec<Self> {
         assert!(parties >= 1, "at least one party required");
         let state = Rc::new(RefCell::new(InProcessState {
-            parties,
-            inboxes: vec![Vec::new(); parties],
-            ..InProcessState::default()
+            inboxes: (0..parties).map(|_| Vec::new()).collect(),
+            deposited: 0,
+            busiest: 0,
+            busiest_per_exchange: Vec::new(),
+            report: TransportReport::default(),
         }));
         (0..parties)
             .map(|me| InProcessTransport {
@@ -195,9 +229,8 @@ impl InProcessTransport {
 
     /// Simulated network time of the exchanges so far under `link`, in
     /// microseconds: one round per exchange, adding
-    /// [`LinkModel::round_time_us`] of the busiest sender's bytes in
-    /// exchange order — the figure [`crate::sim::Simulator::run`]
-    /// reports for the same messages, to the last bit.
+    /// [`LinkModel::round_time_us`] of the busiest sender's bytes (its
+    /// self-sends included) in exchange order.
     pub fn simulated_us(&self, link: LinkModel) -> f64 {
         self.state
             .borrow()
@@ -207,35 +240,36 @@ impl InProcessTransport {
     }
 }
 
-impl Transport for InProcessTransport {
+impl<M: WireSize> Transport<M> for InProcessTransport<M> {
     fn me(&self) -> usize {
         self.me
     }
 
     fn parties(&self) -> usize {
-        self.state.borrow().parties
+        self.state.borrow().inboxes.len()
     }
 
-    fn scatter(&mut self, mut batches: Vec<PackedBatch>) {
-        let mut state = self.state.borrow_mut();
-        assert_eq!(batches.len(), state.parties, "one batch per destination");
-        state.deposit(self.me, |to| std::mem::take(&mut batches[to]));
+    fn deposit(&mut self, messages: Vec<(usize, M)>) {
+        self.state.borrow_mut().deposit(self.me, messages);
     }
 
-    fn broadcast(&mut self, batch: PackedBatch) {
-        let mut state = self.state.borrow_mut();
-        state.deposit(self.me, |_| batch.clone());
-    }
-
-    fn collect(&mut self) -> Vec<(usize, PackedBatch)> {
-        let mut state = self.state.borrow_mut();
-        let mut got = std::mem::take(&mut state.inboxes[self.me]);
-        assert_eq!(
-            got.len(),
-            state.parties - 1,
-            "collect before every party deposited"
-        );
+    /// # Panics
+    ///
+    /// Panics, naming this party and the sender, unless the exchange
+    /// brought exactly one message from each of `senders` and no other.
+    fn collect_from(&mut self, senders: &[usize]) -> Vec<(usize, M)> {
+        let me = self.me;
+        let mut got = std::mem::take(&mut self.state.borrow_mut().inboxes[me]);
         got.sort_by_key(|&(from, _)| from);
+        let mut expected = senders.to_vec();
+        expected.sort_unstable();
+        let arrived: Vec<usize> = got.iter().map(|&(from, _)| from).collect();
+        if arrived != expected {
+            if let Some(from) = expected.iter().find(|from| !arrived.contains(from)) {
+                panic!("party {me} got no message from party {from}");
+            }
+            panic!("party {me} expected one message from each of {expected:?}, got {arrived:?}");
+        }
         got
     }
 }
@@ -253,14 +287,14 @@ impl Transport for InProcessTransport {
 /// endpoint sent, so the caller can sum the per-party results into a
 /// run-wide `bits` figure.
 #[derive(Debug)]
-pub struct ThreadedTransport {
-    handle: PartyHandle<PackedBatch>,
+pub struct ThreadedTransport<M = PackedBatch> {
+    handle: PartyHandle<M>,
     bits_sent: u64,
 }
 
-impl ThreadedTransport {
+impl<M> ThreadedTransport<M> {
     /// Wraps a party handle.
-    pub fn new(handle: PartyHandle<PackedBatch>) -> Self {
+    pub fn new(handle: PartyHandle<M>) -> Self {
         ThreadedTransport {
             handle,
             bits_sent: 0,
@@ -273,7 +307,7 @@ impl ThreadedTransport {
     }
 }
 
-impl Transport for ThreadedTransport {
+impl<M: WireSize + Send + Clone> Transport<M> for ThreadedTransport<M> {
     fn me(&self) -> usize {
         self.handle.me().index()
     }
@@ -282,28 +316,16 @@ impl Transport for ThreadedTransport {
         self.handle.parties()
     }
 
-    fn scatter(&mut self, batches: Vec<PackedBatch>) {
-        assert_eq!(batches.len(), self.parties(), "one batch per destination");
-        let me = self.me();
-        for (to, batch) in batches.into_iter().enumerate() {
-            if to != me {
-                self.bits_sent += batch.bits as u64;
-                self.handle.send(NodeId(to), batch);
-            }
+    fn deposit(&mut self, messages: Vec<(usize, M)>) {
+        for (to, message) in messages {
+            self.bits_sent += message.logical_bits();
+            self.handle.send(NodeId(to), message);
         }
     }
 
-    fn broadcast(&mut self, batch: PackedBatch) {
-        self.bits_sent += (batch.bits * (self.parties() - 1)) as u64;
-        self.handle.broadcast(batch);
-    }
-
-    fn collect(&mut self) -> Vec<(usize, PackedBatch)> {
-        self.handle
-            .gather()
-            .into_iter()
-            .map(|(from, batch)| (from.index(), batch))
-            .collect()
+    fn collect_from(&mut self, senders: &[usize]) -> Vec<(usize, M)> {
+        let got = self.handle.gather_from(senders);
+        got.into_iter().map(|(from, m)| (from.index(), m)).collect()
     }
 }
 
@@ -394,42 +416,37 @@ mod tests {
     }
 
     #[test]
-    fn in_process_hub_prices_the_busiest_sender_like_the_simulator() {
-        use crate::sim::{Context, Node, Simulator};
-
-        /// Party `p` sends a batch of `p + 1` words to every peer.
-        struct Sender(Vec<(NodeId, PackedBatch)>);
-        impl Node<PackedBatch> for Sender {
-            fn on_start(&mut self, ctx: &mut Context<PackedBatch>) {
-                for (to, batch) in self.0.drain(..) {
-                    ctx.send(to, batch);
-                }
-            }
-            fn on_message(&mut self, _: NodeId, _: PackedBatch, _: &mut Context<PackedBatch>) {}
-        }
+    fn sparse_deposits_count_self_sends_and_price_the_busiest_sender() {
+        // Party p sends a (p + 1)-word batch to party 0, itself included.
         let batch = |p: usize| PackedBatch {
             words: vec![7; p + 1],
             bits: 64 * (p + 1),
         };
-        let parties = 3;
-        let mut hub = InProcessTransport::hub(parties);
+        let mut hub = InProcessTransport::hub(3);
         for (p, t) in hub.iter_mut().enumerate() {
-            t.broadcast(batch(p));
+            t.deposit(vec![(0, batch(p))]);
         }
-        for t in hub.iter_mut() {
-            t.collect();
-        }
-        let nodes = (0..parties)
-            .map(|p| {
-                let peers = (0..parties).filter(|&to| to != p);
-                Sender(peers.map(|to| (NodeId(to), batch(p))).collect())
-            })
-            .collect();
-        let sim = Simulator::new(nodes, LinkModel::WAN).run(2);
+        let got = hub[0].collect_from(&[2, 0, 1]);
+        assert_eq!(
+            got.iter().map(|&(from, _)| from).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert!(hub[1].collect_from(&[]).is_empty());
         let report = hub[0].report();
-        assert_eq!((report.rounds, report.messages), (sim.rounds, sim.messages));
-        assert_eq!(report.bytes, sim.bytes);
-        assert_eq!(hub[0].simulated_us(LinkModel::WAN), sim.simulated_us);
+        assert_eq!((report.rounds, report.messages), (1, 3));
+        assert_eq!((report.bits, report.bytes), (64 * 6, 3 * 4 + 8 * 6));
+        let busiest = LinkModel::WAN.round_time_us(4 + 8 * 3);
+        assert_eq!(hub[0].simulated_us(LinkModel::WAN), busiest);
+    }
+
+    #[test]
+    #[should_panic(expected = "party 1 got no message from party 2")]
+    fn a_missing_message_is_named_at_collect() {
+        let mut hub = InProcessTransport::hub(3);
+        hub[0].deposit(vec![(1, word_batch(1, 8))]);
+        hub[1].deposit(Vec::new());
+        hub[2].deposit(Vec::new());
+        hub[1].collect_from(&[0, 2]);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use crate::epoch::{
     construct_delta_with_registry, construct_epoch_with_registry, DeltaConstruction, IndexEpoch,
 };
 use eppi_audit::{
-    certify_column_with_registry, verify_column_with_registry, AuditError, AuditParams,
-    ColumnCommitment, ColumnProof, ColumnStatement,
+    certify_column, verify_column_with_registry, AuditError, AuditParams, ColumnCommitment,
+    ColumnProof, ColumnStatement,
 };
 use eppi_core::delta::IndexDelta;
 use eppi_core::error::EppiError;
@@ -173,7 +173,7 @@ pub fn certify_epoch_with_registry<'a>(
     matrix
         .provider_ids()
         .map(|provider| EpochCertificate {
-            commitment: certify_column_with_registry(&statement(epoch, provider), obs),
+            commitment: certify_column(&statement(epoch, provider), obs),
             proof: ColumnProof,
         })
         .collect()
@@ -282,31 +282,17 @@ fn certified(
 
 /// [`construct_epoch`](crate::construct_epoch) with the audit layer:
 /// constructs epoch 0, certifies every provider column, and runs the
-/// auditor gate before returning.
+/// auditor gate before returning. The construction's and the audit
+/// layer's telemetry go to `obs.registry`, and the MPC and
+/// `audit.prove` / `audit.verify` spans hang under `obs.parent`; pass
+/// `Obs::default()` for the process-global registry and no tracing.
 ///
 /// # Errors
 ///
 /// [`AuditedConstructError::Protocol`] from the construction;
 /// [`AuditedConstructError::Audit`] when the gate rejects (impossible
 /// for honestly produced certificates — its presence is the gate).
-pub fn construct_epoch_audited(
-    matrix: &MembershipMatrix,
-    epsilons: &[Epsilon],
-    config: &ProtocolConfig,
-    audit: &AuditConfig,
-) -> Result<AuditedEpoch, AuditedConstructError> {
-    construct_epoch_audited_with_registry(matrix, epsilons, config, audit, Obs::default())
-}
-
-/// [`construct_epoch_audited`] under a caller's observability context:
-/// the construction's and the audit layer's telemetry go to
-/// `obs.registry`, and the MPC and `audit.prove` / `audit.verify` spans
-/// hang under `obs.parent`.
-///
-/// # Errors
-///
-/// Same contract as [`construct_epoch_audited`].
-pub fn construct_epoch_audited_with_registry<'a>(
+pub fn construct_epoch_audited<'a>(
     matrix: &MembershipMatrix,
     epsilons: &[Epsilon],
     config: &ProtocolConfig,
@@ -326,27 +312,13 @@ pub fn construct_epoch_audited_with_registry<'a>(
 /// runs the incremental construction, re-certifies every provider
 /// column of the *new* epoch in full (a commitment covers a whole
 /// column, so the audit's cost is that of a fresh epoch however few
-/// columns the delta touched), and runs the auditor gate.
+/// columns the delta touched), and runs the auditor gate, under `obs`
+/// as [`construct_epoch_audited`] is.
 ///
 /// # Errors
 ///
 /// Same contract as [`construct_epoch_audited`].
-pub fn construct_delta_audited(
-    prev: &IndexEpoch,
-    matrix: &MembershipMatrix,
-    delta: &IndexDelta,
-    audit: &AuditConfig,
-) -> Result<AuditedDelta, AuditedConstructError> {
-    construct_delta_audited_with_registry(prev, matrix, delta, audit, Obs::default())
-}
-
-/// [`construct_delta_audited`] under a caller's observability context
-/// (see [`construct_epoch_audited_with_registry`]).
-///
-/// # Errors
-///
-/// Same contract as [`construct_epoch_audited`].
-pub fn construct_delta_audited_with_registry<'a>(
+pub fn construct_delta_audited<'a>(
     prev: &IndexEpoch,
     matrix: &MembershipMatrix,
     delta: &IndexDelta,
@@ -390,7 +362,9 @@ mod tests {
             seed: 11,
             ..ProtocolConfig::default()
         };
-        let audited = construct_epoch_audited(&mat, &e, &cfg, &AuditConfig::default()).unwrap();
+        let audited =
+            construct_epoch_audited(&mat, &e, &cfg, &AuditConfig::default(), Obs::default())
+                .unwrap();
         assert_eq!(audited.certificates.len(), 10);
         verify_epoch(
             &audited.epoch,
@@ -410,7 +384,7 @@ mod tests {
             ..ProtocolConfig::default()
         };
         let audit = AuditConfig::default();
-        let base = construct_epoch_audited(&mat, &e, &cfg, &audit).unwrap();
+        let base = construct_epoch_audited(&mat, &e, &cfg, &audit, Obs::default()).unwrap();
 
         // A new owner registers: every provider column grows, so the
         // old commitments are for the wrong column shape.
@@ -422,7 +396,8 @@ mod tests {
             change: ColumnChange::Added,
             epsilon: eps(0.7),
         });
-        let next = construct_delta_audited(&base.epoch, &mat, &delta, &audit).unwrap();
+        let next =
+            construct_delta_audited(&base.epoch, &mat, &delta, &audit, Obs::default()).unwrap();
         verify_commitments(&next.delta.epoch, &next.commitments()).unwrap();
         assert!(verify_commitments(&next.delta.epoch, &base.commitments()).is_err());
     }
@@ -449,8 +424,8 @@ mod tests {
             seed: 2,
             ..ProtocolConfig::default()
         };
-        let a = construct_epoch_audited(&mat, &e, &cfg_a, &audit).unwrap();
-        let b = construct_epoch_audited(&mat, &e, &cfg_b, &audit).unwrap();
+        let a = construct_epoch_audited(&mat, &e, &cfg_a, &audit, Obs::default()).unwrap();
+        let b = construct_epoch_audited(&mat, &e, &cfg_b, &audit, Obs::default()).unwrap();
         assert_ne!(a.commitments(), b.commitments());
         assert!(matches!(
             verify_epoch(&a.epoch, &b.certificates, &audit),

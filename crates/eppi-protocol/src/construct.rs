@@ -37,6 +37,7 @@ use crate::epoch::construct_genesis;
 use eppi_core::error::EppiError;
 use eppi_core::model::{Epsilon, MembershipMatrix, PublishedIndex};
 use eppi_core::policy::{BetaPolicy, PolicyKind};
+use eppi_mpc::circuits::DEFAULT_COIN_BITS;
 use eppi_net::sim::{LinkModel, NetStats};
 use eppi_telemetry::Registry;
 use eppi_trace::Obs;
@@ -52,8 +53,9 @@ pub struct ProtocolConfig {
     pub policy: PolicyKind,
     /// Bits per coin used for the Bernoulli(λ) mixing coin.
     pub coin_bits: usize,
-    /// Link model pricing simulated network time: SecSumShare on the
-    /// round simulator, CountBelow and mix on the lockstep GMW run.
+    /// Link model pricing simulated network time: every exchange of
+    /// the lockstep runs (SecSumShare, CountBelow and mix) on the
+    /// in-process hub.
     pub link: LinkModel,
     /// MPC backend for the coordinator stage.
     pub backend: Backend,
@@ -66,7 +68,7 @@ impl Default for ProtocolConfig {
         ProtocolConfig {
             c: 3,
             policy: PolicyKind::default(),
-            coin_bits: 16,
+            coin_bits: DEFAULT_COIN_BITS,
             link: LinkModel::LAN,
             backend: Backend::InProcess,
             seed: 0,

@@ -92,9 +92,9 @@ impl Backend {
         (outputs, report)
     }
 
-    /// Runs SecSumShare on this backend's runtime: the threaded backend
-    /// sums over real threads, the lockstep one keeps the round
-    /// simulator under `link`. Per-provider seeding is identical, so
+    /// Runs SecSumShare on this backend's driver: the threaded backend
+    /// sums over real threads, the lockstep one on the in-process hub,
+    /// priced under `link`. Per-provider seeding is identical, so
     /// the shares — and every downstream bit — do not depend on this
     /// choice.
     ///

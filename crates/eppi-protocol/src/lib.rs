@@ -7,7 +7,8 @@
 //! * [`secsum`] — the SecSumShare parallel secure-sum protocol (Fig. 3):
 //!   `m` providers → `c` coordinator share vectors, constant rounds,
 //!   `(2c−3)`-secrecy of inputs and `c`-secrecy of outputs. One
-//!   sans-io provider node, two runtimes (round simulator, threads).
+//!   sans-io provider node, two exchanges on `eppi_net`'s one
+//!   `Transport`, driven by the lockstep hub or by pooled threads.
 //! * [`countbelow`] — the generic-MPC stage among the `c` coordinators
 //!   (CountBelow of Alg. 2 + the mix-decision pass) and the [`Backend`]
 //!   choice; `Backend::execute` is the one place that knows how each
@@ -80,11 +81,9 @@ pub mod secsum;
 pub mod threaded_gmw;
 
 pub use audit::{
-    certify_epoch, certify_epoch_with_registry, construct_delta_audited,
-    construct_delta_audited_with_registry, construct_epoch_audited,
-    construct_epoch_audited_with_registry, verify_commitments, verify_epoch,
-    verify_epoch_with_registry, AuditConfig, AuditedConstructError, AuditedDelta, AuditedEpoch,
-    EpochCertificate,
+    certify_epoch, certify_epoch_with_registry, construct_delta_audited, construct_epoch_audited,
+    verify_commitments, verify_epoch, verify_epoch_with_registry, AuditConfig,
+    AuditedConstructError, AuditedDelta, AuditedEpoch, EpochCertificate,
 };
 pub use construct::{
     construct_distributed, construct_distributed_with_registry, ConstructionReport,

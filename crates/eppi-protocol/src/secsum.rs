@@ -19,15 +19,19 @@
 //!    to coordinator `i mod c`; the coordinator sums them into its output
 //!    vector `s(k, ·)`.
 //!
-//! The four steps are written once, in `ProviderNode` — a sans-io
-//! state machine that turns "started" and "received this message" into
-//! "send these messages". Two runtimes move the messages: the
-//! deterministic round-based simulator ([`secsumshare_sim`], scales to
-//! the paper's 10,000-provider networks and models link time) and one
-//! pooled thread per provider ([`secsumshare_threaded_stats`],
-//! wall-clock experiments; the threads park between runs, so a warm run
-//! starts none). Same node, same per-provider seeding, so shares,
-//! message counts and bytes are identical across the two.
+//! On the network that is two exchanges: the share batches to the ring
+//! successors (skipped at c = 1, where nothing is shared), then the
+//! super-shares to the coordinators. The steps are written once, in
+//! `ProviderNode` — three sans-io steps (shares out; absorb the shares
+//! and send the super-share; a coordinator absorbs the super-shares) —
+//! and every message goes through `eppi_net`'s one
+//! [`Transport`]. Two drivers run them: the lockstep in-process hub
+//! ([`secsumshare_sim`], scales to the paper's 10,000-provider networks
+//! and prices simulated link time), and one pooled thread per provider
+//! ([`secsumshare_threaded_stats`], wall-clock experiments; the threads
+//! park between runs, so a warm run starts none). Same steps, same
+//! per-provider seeding, so shares, rounds, message counts and bytes
+//! are identical across the two.
 //!
 //! **Wire format.** A share is an element of `Z_q` and travels at
 //! `w = ⌈log₂ q⌉` bits (`Modulus::bits`; 7 bits at the paper's
@@ -42,9 +46,10 @@
 
 use eppi_core::model::{LocalVector, OwnerId};
 use eppi_mpc::field::Modulus;
-use eppi_net::sim::{Context, LinkModel, NetStats, Node, Simulator};
+use eppi_net::sim::{LinkModel, NetStats};
 use eppi_net::threaded::run_parties;
 use eppi_net::topology::Ring;
+use eppi_net::transport::{InProcessTransport, ThreadedTransport, Transport};
 use eppi_net::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -155,7 +160,8 @@ impl eppi_net::WireSize for SecSumMsg {
 }
 
 /// One provider (and, for the first `c` ids, coordinator) of the
-/// protocol, independent of how its messages travel.
+/// protocol, independent of how its messages travel. Messages are
+/// `(party, message)` pairs, as the [`Transport`] moves them.
 struct ProviderNode {
     me: NodeId,
     ring: Ring,
@@ -164,11 +170,8 @@ struct ProviderNode {
     rng: StdRng,
     /// Accumulating super-share (own kept share + received shares).
     super_share: Vec<u64>,
-    shares_received: usize,
     /// Coordinator state: aggregated super-shares.
     aggregate: Vec<u64>,
-    supers_received: usize,
-    supers_expected: usize,
 }
 
 impl ProviderNode {
@@ -176,7 +179,6 @@ impl ProviderNode {
     /// randomness derived from the run `seed`.
     fn new(me: usize, vector: &LocalVector, ring: Ring, modulus: Modulus, seed: u64) -> Self {
         let n = vector.owners();
-        let (m, c) = (ring.nodes(), ring.coordinators());
         ProviderNode {
             me: NodeId(me),
             ring,
@@ -186,20 +188,13 @@ impl ProviderNode {
                 .collect(),
             rng: StdRng::seed_from_u64(seed ^ (me as u64).wrapping_mul(0x9e3779b97f4a7c15)),
             super_share: vec![0; n],
-            shares_received: 0,
             aggregate: vec![0; n],
-            supers_expected: if me < c {
-                providers_per_coordinator(m, c, me)
-            } else {
-                0
-            },
-            supers_received: 0,
         }
     }
 
     /// Steps 1+2: split every input into c shares; keep share 0, send
-    /// share k to the k-th successor. Returns the messages to send.
-    fn start(&mut self) -> Vec<(NodeId, SecSumMsg)> {
+    /// share k to the k-th successor. Returns the c − 1 share batches.
+    fn shares_out(&mut self) -> Vec<(usize, SecSumMsg)> {
         let c = self.ring.coordinators();
         let mut outgoing: Vec<Vec<u64>> = vec![vec![0; self.inputs.len()]; c - 1];
         for (j, &input) in self.inputs.iter().enumerate() {
@@ -210,35 +205,67 @@ impl ProviderNode {
             }
         }
         let w = self.modulus.bits();
-        let mut out: Vec<(NodeId, SecSumMsg)> = outgoing
+        outgoing
             .iter()
             .enumerate()
             .map(|(k, batch)| {
                 let to = self.ring.successor(self.me, k + 1);
-                (to, SecSumMsg::Share(PackedShares::pack(batch, w)))
+                (to.index(), SecSumMsg::Share(PackedShares::pack(batch, w)))
             })
-            .collect();
-        // Degenerate single-coordinator network: nothing to wait for.
-        if c == 1 {
-            out.push(self.finish_super_share());
-        }
-        out
+            .collect()
     }
 
-    /// Steps 3+4 for one message delivered from `from`; returns the
-    /// super-share to route once the last predecessor's share batch is
-    /// in. Messages may arrive in any order (on real threads a fast
-    /// peer's super-share can overtake a slow predecessor's share
-    /// batch).
+    /// The providers whose share batches this one receives: its 1- to
+    /// (c−1)-hop ring predecessors.
+    fn predecessors(&self) -> Vec<usize> {
+        let (m, me) = (self.ring.nodes(), self.me.index());
+        (1..self.ring.coordinators())
+            .map(|k| (me + m - k) % m)
+            .collect()
+    }
+
+    /// Steps 3+4: sum the predecessors' share batches into the
+    /// super-share and route it to coordinator `i mod c`.
+    fn absorb_shares(&mut self, got: Vec<(usize, SecSumMsg)>) -> Vec<(usize, SecSumMsg)> {
+        for (from, msg) in got {
+            self.receive(NodeId(from), msg);
+        }
+        let target = self.me.index() % self.ring.coordinators();
+        let super_share = std::mem::take(&mut self.super_share);
+        let batch = PackedShares::pack(&super_share, self.modulus.bits());
+        vec![(target, SecSumMsg::SuperShare(batch))]
+    }
+
+    /// The providers routing their super-share here: `i ≡ me (mod c)`
+    /// at a coordinator, none elsewhere.
+    fn contributors(&self) -> Vec<usize> {
+        if !self.ring.is_coordinator(self.me) {
+            return Vec::new();
+        }
+        let step = self.ring.coordinators();
+        (self.me.index()..self.ring.nodes()).step_by(step).collect()
+    }
+
+    /// Step 4 at a coordinator: sum the super-shares into its output
+    /// vector `s(k, ·)`. `None` at a provider that coordinates nothing.
+    fn absorb_super_shares(mut self, got: Vec<(usize, SecSumMsg)>) -> Option<Vec<u64>> {
+        for (from, msg) in got {
+            self.receive(NodeId(from), msg);
+        }
+        self.ring.is_coordinator(self.me).then_some(self.aggregate)
+    }
+
+    /// Adds one batch delivered from `from` into the super-share (a
+    /// share batch) or the aggregate (a super-share).
     ///
     /// # Panics
     ///
     /// Panics, naming the sender, if the batch is malformed (see
     /// [`PackedShares::unpack`]).
-    fn receive(&mut self, from: NodeId, msg: SecSumMsg) -> Option<(NodeId, SecSumMsg)> {
-        let (kind, batch) = match &msg {
-            SecSumMsg::Share(batch) => ("share", batch),
-            SecSumMsg::SuperShare(batch) => ("super-share", batch),
+    fn receive(&mut self, from: NodeId, msg: SecSumMsg) {
+        let (kind, batch, sums) = match &msg {
+            SecSumMsg::Share(batch) => ("share", batch, &mut self.super_share),
+            SecSumMsg::SuperShare(batch) => ("super-share", batch, &mut self.aggregate),
         };
         let values = batch
             .unpack(self.inputs.len(), self.modulus)
@@ -249,58 +276,10 @@ impl ProviderNode {
                     from.index()
                 )
             });
-        match msg {
-            SecSumMsg::Share(_) => {
-                for (sum, s) in self.super_share.iter_mut().zip(values) {
-                    *sum = self.modulus.add(*sum, s);
-                }
-                self.shares_received += 1;
-                // Step 3 complete once all c−1 predecessors delivered.
-                (self.shares_received == self.ring.coordinators() - 1)
-                    .then(|| self.finish_super_share())
-            }
-            SecSumMsg::SuperShare(_) => {
-                for (sum, s) in self.aggregate.iter_mut().zip(values) {
-                    *sum = self.modulus.add(*sum, s);
-                }
-                self.supers_received += 1;
-                None
-            }
+        for (sum, s) in sums.iter_mut().zip(values) {
+            *sum = self.modulus.add(*sum, s);
         }
     }
-
-    /// Step 4: route the finished super-share to coordinator `i mod c`.
-    fn finish_super_share(&mut self) -> (NodeId, SecSumMsg) {
-        let target = NodeId(self.me.index() % self.ring.coordinators());
-        let super_share = std::mem::take(&mut self.super_share);
-        let batch = PackedShares::pack(&super_share, self.modulus.bits());
-        (target, SecSumMsg::SuperShare(batch))
-    }
-
-    /// `true` once every message this node is owed has arrived.
-    fn finished(&self) -> bool {
-        self.shares_received == self.ring.coordinators() - 1
-            && self.supers_received == self.supers_expected
-    }
-}
-
-impl Node<SecSumMsg> for ProviderNode {
-    fn on_start(&mut self, ctx: &mut Context<SecSumMsg>) {
-        for (to, msg) in self.start() {
-            ctx.send(to, msg);
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: SecSumMsg, ctx: &mut Context<SecSumMsg>) {
-        if let Some((to, msg)) = self.receive(from, msg) {
-            ctx.send(to, msg);
-        }
-    }
-}
-
-/// Number of providers routing their super-share to coordinator `k`.
-fn providers_per_coordinator(m: usize, c: usize, k: usize) -> usize {
-    m / c + usize::from(k < m % c)
 }
 
 /// Checks one run's inputs and lays its providers out on the ring.
@@ -314,7 +293,47 @@ fn ring_over(vectors: &[LocalVector], c: usize) -> Ring {
     Ring::new(vectors.len(), c)
 }
 
-/// Runs SecSumShare in the round-based simulator.
+/// One exchange driven in lockstep: every provider deposits
+/// `outgoing[p]`, then collects one message from each of `senders(p)`.
+fn lockstep_exchange<T: Transport<SecSumMsg>>(
+    transports: &mut [T],
+    outgoing: Vec<Vec<(usize, SecSumMsg)>>,
+    senders: impl Fn(usize) -> Vec<usize>,
+) -> Vec<Vec<(usize, SecSumMsg)>> {
+    for (t, messages) in transports.iter_mut().zip(outgoing) {
+        t.deposit(messages);
+    }
+    let collect = |(p, t): (usize, &mut T)| t.collect_from(&senders(p));
+    transports.iter_mut().enumerate().map(collect).collect()
+}
+
+/// Runs the providers' steps over lockstep `transports` (one per
+/// provider) and returns the coordinators' share vectors.
+fn run_lockstep<T: Transport<SecSumMsg>>(
+    mut nodes: Vec<ProviderNode>,
+    transports: &mut [T],
+) -> Vec<Vec<u64>> {
+    let shares: Vec<_> = nodes.iter_mut().map(ProviderNode::shares_out).collect();
+    let got = if nodes[0].ring.coordinators() > 1 {
+        lockstep_exchange(transports, shares, |p| nodes[p].predecessors())
+    } else {
+        vec![Vec::new(); nodes.len()]
+    };
+    let supers = nodes
+        .iter_mut()
+        .zip(got)
+        .map(|(node, got)| node.absorb_shares(got))
+        .collect();
+    let got = lockstep_exchange(transports, supers, |p| nodes[p].contributors());
+    nodes
+        .into_iter()
+        .zip(got)
+        .filter_map(|(node, got)| node.absorb_super_shares(got))
+        .collect()
+}
+
+/// Runs SecSumShare on the lockstep in-process hub, pricing each
+/// exchange in simulated time under `link`.
 ///
 /// `vectors[i]` is provider `i`'s private membership vector; all vectors
 /// must cover the same identities. `c` is the collusion-tolerance
@@ -331,82 +350,36 @@ pub fn secsumshare_sim(
     link: LinkModel,
     seed: u64,
 ) -> SecSumOutput {
-    secsumshare_sim_with_faults(vectors, c, modulus, link, seed, None)
-}
-
-/// [`secsumshare_sim`] with an injected fault filter — used to verify
-/// that message loss *stalls* the protocol loudly (the paper's model
-/// assumes reliable delivery; silent corruption would be a bug).
-///
-/// # Panics
-///
-/// In addition to [`secsumshare_sim`]'s conditions, panics when a
-/// dropped message leaves any participant short of its expected inputs.
-pub fn secsumshare_sim_with_faults(
-    vectors: &[LocalVector],
-    c: usize,
-    modulus: Modulus,
-    link: LinkModel,
-    seed: u64,
-    faults: Option<eppi_net::sim::FaultFilter>,
-) -> SecSumOutput {
     let ring = ring_over(vectors, c);
-    let nodes: Vec<ProviderNode> = vectors
+    let nodes = vectors
         .iter()
         .enumerate()
         .map(|(i, v)| ProviderNode::new(i, v, ring, modulus, seed))
         .collect();
-
-    let mut sim = Simulator::new(nodes, link);
-    if let Some(filter) = faults {
-        sim.set_fault_filter(filter);
-    }
-    let stats = sim.run(16);
-    let nodes = sim.into_nodes();
-
-    // Liveness check: every provider must have built its super-share and
-    // every coordinator must have received all of them. A reliable
-    // network guarantees this; with injected faults we fail loudly
-    // instead of returning corrupted sums.
-    for (i, node) in nodes.iter().enumerate() {
-        assert!(
-            node.shares_received == c - 1,
-            "provider p{i} received {}/{} share batches — message lost",
-            node.shares_received,
-            c - 1
-        );
-    }
-    let coordinator_shares: Vec<Vec<u64>> = nodes[..c]
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            assert!(
-                node.supers_received == node.supers_expected,
-                "coordinator p{i} received {}/{} super-shares — message lost",
-                node.supers_received,
-                node.supers_expected
-            );
-            node.aggregate.clone()
-        })
-        .collect();
-
+    let mut hub = InProcessTransport::hub(ring.nodes());
+    let coordinator_shares = run_lockstep(nodes, &mut hub);
+    let report = hub[0].report();
     SecSumOutput {
         coordinator_shares,
-        stats,
+        stats: NetStats {
+            rounds: report.rounds,
+            messages: report.messages,
+            bytes: report.bytes,
+            simulated_us: hub[0].simulated_us(link),
+        },
     }
 }
 
 /// Runs SecSumShare with one pooled thread per provider (wall-clock backend
-/// for Fig. 6a), with traffic statistics shaped like the simulator's
-/// [`SecSumOutput`] so the two runtimes are interchangeable at call
-/// sites (see `Backend::secsumshare`).
+/// for Fig. 6a), with traffic statistics shaped like the lockstep
+/// run's [`SecSumOutput`] so the two runtimes are interchangeable at
+/// call sites (see `Backend::secsumshare`).
 ///
-/// Every thread drives the same `ProviderNode` the simulator does,
-/// seeded the same way, so at the same seed the coordinator share
-/// vectors, `messages` and `bytes` equal the simulator's. `rounds` is
-/// the protocol's constant logical depth (share distribution, then
-/// super-share aggregation); `bits` and `simulated_us` are 0 — this
-/// runtime measures real wall clock, not the link model.
+/// Every thread runs the same steps the lockstep driver does, seeded
+/// the same way, so at the same seed the coordinator share vectors,
+/// `rounds`, `messages` and `bytes` equal [`secsumshare_sim`]'s;
+/// `simulated_us` is 0 — this runtime measures real wall clock, not
+/// the link model.
 ///
 /// # Panics
 ///
@@ -418,30 +391,29 @@ pub fn secsumshare_threaded_stats(
     seed: u64,
 ) -> SecSumOutput {
     let ring = ring_over(vectors, c);
-    let (results, counters) =
-        run_parties::<SecSumMsg, Option<Vec<u64>>, _>(ring.nodes(), |mut h| {
-            let me = h.me().index();
-            let mut node = ProviderNode::new(me, &vectors[me], ring, modulus, seed);
-            for (to, msg) in node.start() {
-                h.send(to, msg);
-            }
-            while !node.finished() {
-                let (from, msg) = h.recv();
-                if let Some((to, msg)) = node.receive(from, msg) {
-                    h.send(to, msg);
-                }
-            }
-            (me < c).then_some(node.aggregate)
-        });
+    let (results, counters) = run_parties::<SecSumMsg, Option<Vec<u64>>, _>(ring.nodes(), |h| {
+        let mut t = ThreadedTransport::new(h);
+        let me = t.me();
+        let mut node = ProviderNode::new(me, &vectors[me], ring, modulus, seed);
+        let shares = node.shares_out();
+        let got = if c > 1 {
+            t.deposit(shares);
+            t.collect_from(&node.predecessors())
+        } else {
+            Vec::new()
+        };
+        t.deposit(node.absorb_shares(got));
+        let got = t.collect_from(&node.contributors());
+        node.absorb_super_shares(got)
+    });
 
     SecSumOutput {
         coordinator_shares: results.into_iter().flatten().collect(),
         stats: NetStats {
-            rounds: 2,
+            // The share exchange (none at c = 1), then the super-shares.
+            rounds: if c > 1 { 2 } else { 1 },
             messages: counters.messages(),
             bytes: counters.bytes(),
-            bits: 0,
-            dropped: 0,
             simulated_us: 0.0,
         },
     }
@@ -561,38 +533,71 @@ mod tests {
         secsumshare_sim(&vectors, 3, Modulus::pow2(8), LinkModel::LAN, 0);
     }
 
-    #[test]
-    #[should_panic(expected = "message lost")]
-    fn dropped_share_batch_stalls_loudly() {
+    /// A hub endpoint that drops its provider's message to `to` in
+    /// exchange `exchange` (0: share batches, 1: super-shares).
+    struct Lossy {
+        inner: InProcessTransport<SecSumMsg>,
+        drop: Option<(usize, usize)>,
+        deposits: usize,
+    }
+
+    impl Transport<SecSumMsg> for Lossy {
+        fn me(&self) -> usize {
+            self.inner.me()
+        }
+
+        fn parties(&self) -> usize {
+            self.inner.parties()
+        }
+
+        fn deposit(&mut self, mut messages: Vec<(usize, SecSumMsg)>) {
+            if let Some((exchange, to)) = self.drop {
+                if exchange == self.deposits {
+                    messages.retain(|&(dest, _)| dest != to);
+                }
+            }
+            self.deposits += 1;
+            self.inner.deposit(messages);
+        }
+
+        fn collect_from(&mut self, senders: &[usize]) -> Vec<(usize, SecSumMsg)> {
+            self.inner.collect_from(senders)
+        }
+    }
+
+    /// Runs a 10-provider, c = 3 network in lockstep with provider
+    /// `from`'s message to `to` lost in `exchange`.
+    fn run_losing(from: usize, to: usize, exchange: usize) {
         let vectors = vectors_from_columns(10, &[vec![1, 2, 3]]);
-        // Drop p0's share batch to its first successor in round 1.
-        let faults: eppi_net::sim::FaultFilter =
-            Box::new(|round, from, to| round == 1 && from == NodeId(0) && to == NodeId(1));
-        secsumshare_sim_with_faults(
-            &vectors,
-            3,
-            Modulus::pow2(8),
-            LinkModel::LAN,
-            1,
-            Some(faults),
-        );
+        let ring = Ring::new(10, 3);
+        let q = Modulus::pow2(8);
+        let nodes = (0..10)
+            .map(|i| ProviderNode::new(i, &vectors[i], ring, q, 1))
+            .collect();
+        let mut hub: Vec<Lossy> = InProcessTransport::hub(10)
+            .into_iter()
+            .enumerate()
+            .map(|(p, inner)| Lossy {
+                inner,
+                drop: (p == from).then_some((exchange, to)),
+                deposits: 0,
+            })
+            .collect();
+        run_lockstep(nodes, &mut hub);
     }
 
     #[test]
-    #[should_panic(expected = "message lost")]
+    #[should_panic(expected = "party 1 got no message from party 0")]
+    fn dropped_share_batch_stalls_loudly() {
+        // Drop p0's share batch to its first successor.
+        run_losing(0, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "party 2 got no message from party 5")]
     fn dropped_super_share_stalls_loudly() {
-        let vectors = vectors_from_columns(10, &[vec![1, 2, 3]]);
         // Drop the super-share p5 routes to its coordinator (5 mod 3 = 2).
-        let faults: eppi_net::sim::FaultFilter =
-            Box::new(|_, from, to| from == NodeId(5) && to == NodeId(2));
-        secsumshare_sim_with_faults(
-            &vectors,
-            3,
-            Modulus::pow2(8),
-            LinkModel::LAN,
-            1,
-            Some(faults),
-        );
+        run_losing(5, 2, 1);
     }
 
     #[test]
@@ -687,8 +692,15 @@ mod tests {
                 if c > m {
                     continue;
                 }
-                let total: usize = (0..c).map(|k| providers_per_coordinator(m, c, k)).sum();
-                assert_eq!(total, m, "m={m} c={c}");
+                let ring = Ring::new(m, c);
+                let vector = LocalVector::new(ProviderId(0), 1);
+                let mut routed: Vec<usize> = (0..m)
+                    .flat_map(|k| {
+                        ProviderNode::new(k, &vector, ring, Modulus::pow2(4), 0).contributors()
+                    })
+                    .collect();
+                routed.sort_unstable();
+                assert_eq!(routed, (0..m).collect::<Vec<_>>(), "m={m} c={c}");
             }
         }
     }

@@ -1,14 +1,15 @@
-//! Simulated network time of the lockstep GMW run, pinned.
+//! Simulated network time of the lockstep runs, pinned.
 //!
 //! Fig. 6a's simulated-LAN column is the sum, over a run's exchanges in
-//! order, of `link.round_time_us(busiest sender's bytes)` — one
-//! `eppi_net::sim::Simulator` round per exchange. These tests pin the
-//! exact `(rounds, messages, bits, bytes, simulated_us)` of three
-//! circuits under [`LinkModel::LAN`], the figures the round simulator
-//! reported for the same runs, so any change to how the lockstep run
-//! prices its exchanges shows up as a changed figure.
+//! order, of `link.round_time_us(busiest sender's bytes)` — one round
+//! per exchange on the in-process hub. These tests pin the exact
+//! `(rounds, messages, bits, bytes, simulated_us)` of three GMW
+//! circuits under [`LinkModel::LAN`] and SecSumShare's `(rounds,
+//! messages, bytes, simulated_us)` under LAN and WAN, so any change to
+//! how a lockstep run prices its exchanges shows up as a changed
+//! figure.
 
-use eppi_core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId};
+use eppi_core::model::{Epsilon, LocalVector, MembershipMatrix, OwnerId, ProviderId};
 use eppi_mpc::builder::CircuitBuilder;
 use eppi_mpc::circuit::{Circuit, InputLayout};
 use eppi_mpc::circuits::{CountBelowCircuit, FixedPoint, NaiveConstructionCircuit};
@@ -16,8 +17,8 @@ use eppi_mpc::field::Modulus;
 use eppi_mpc::gmw;
 use eppi_mpc::share::split;
 use eppi_net::sim::LinkModel;
-use eppi_protocol::construct::{construct_distributed, ProtocolConfig};
-use eppi_protocol::Backend;
+use eppi_protocol::construct::{construct_distributed, share_width, ProtocolConfig};
+use eppi_protocol::{secsumshare_sim, secsumshare_threaded_stats, Backend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -130,6 +131,80 @@ fn gmw_stages_price_the_lineage_link() {
             stage.simulated_us >= floor,
             "{what}: {} µs < {floor} µs",
             stage.simulated_us
+        );
+    }
+}
+
+/// `m` providers over `n` identities; provider `i` holds identity `j`
+/// iff `(3i + 5j) mod 7 < 3`.
+fn secsum_vectors(m: usize, n: usize) -> Vec<LocalVector> {
+    (0..m)
+        .map(|i| {
+            let mut v = LocalVector::new(ProviderId(i as u32), n);
+            for j in (0..n).filter(|j| (3 * i + 5 * j) % 7 < 3) {
+                v.set(OwnerId(j as u32), true);
+            }
+            v
+        })
+        .collect()
+}
+
+/// `(rounds, messages, bytes, simulated_us)` of one SecSumShare run.
+type SecSumPinned = (usize, u64, u64, f64);
+
+/// [`SecSumPinned`] of one lockstep SecSumShare run at the protocol's
+/// share width.
+fn secsum_pinned(m: usize, c: usize, n: usize, link: LinkModel) -> SecSumPinned {
+    let q = Modulus::pow2(share_width(m) as u32);
+    let out = secsumshare_sim(&secsum_vectors(m, n), c, q, link, 11);
+    let s = out.stats;
+    (s.rounds, s.messages, s.bytes, s.simulated_us)
+}
+
+/// SecSumShare is two exchanges (c−1 share batches per provider, then
+/// one super-share each, self-sends included) or, at c = 1, the
+/// super-share exchange alone. Each is priced as one round of the
+/// busiest sender's bytes.
+#[test]
+fn secsumshare_simulated_time_is_pinned() {
+    let cases: [((usize, usize, usize), LinkModel, SecSumPinned); 8] = [
+        ((5, 3, 1), LinkModel::LAN, (2, 15, 90, 400.144)),
+        ((5, 3, 1), LinkModel::WAN, (2, 15, 90, 80001.44)),
+        ((8, 3, 16), LinkModel::LAN, (2, 24, 312, 400.312)),
+        ((8, 3, 16), LinkModel::WAN, (2, 24, 312, 80003.12)),
+        (
+            (64, 3, 2048),
+            LinkModel::LAN,
+            (2, 192, 345024, 443.12800000000004),
+        ),
+        ((64, 3, 2048), LinkModel::WAN, (2, 192, 345024, 80431.28)),
+        ((8, 1, 16), LinkModel::LAN, (1, 8, 104, 200.104)),
+        ((8, 1, 16), LinkModel::WAN, (1, 8, 104, 40001.04)),
+    ];
+    for ((m, c, n), link, pinned) in cases {
+        let got = secsum_pinned(m, c, n, link);
+        assert_eq!(got, pinned, "m={m} c={c} n={n} {link:?}");
+    }
+}
+
+/// The threaded runtime moves the same providers' messages as the
+/// lockstep one: same coordinator shares, messages, bytes and rounds.
+#[test]
+fn threaded_secsumshare_matches_lockstep() {
+    for (m, c, n) in [(5, 3, 1), (8, 3, 16), (8, 1, 16), (12, 4, 33)] {
+        let vectors = secsum_vectors(m, n);
+        let q = Modulus::pow2(share_width(m) as u32);
+        let lockstep = secsumshare_sim(&vectors, c, q, LinkModel::LAN, 11);
+        let threaded = secsumshare_threaded_stats(&vectors, c, q, 11);
+        assert_eq!(
+            threaded.coordinator_shares, lockstep.coordinator_shares,
+            "m={m} c={c} n={n}"
+        );
+        let (t, l) = (threaded.stats, lockstep.stats);
+        assert_eq!(
+            (t.rounds, t.messages, t.bytes),
+            (l.rounds, l.messages, l.bytes),
+            "m={m} c={c} n={n}"
         );
     }
 }

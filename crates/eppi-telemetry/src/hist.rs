@@ -9,21 +9,14 @@
 //! `u64` range, so a histogram is ~15 KiB and never saturates on
 //! nanosecond timings.
 //!
-//! Two recording paths:
-//!
-//! * [`Histogram::record`] — relaxed atomic adds on the shared bucket
-//!   array; fine for per-round or per-phase events.
-//! * [`Recorder`] — a plain (non-atomic) thread-local copy that batches
-//!   [`FLUSH_EVERY`] observations before merging into the shared
-//!   histogram, so per-event cost on hot paths is an ordinary array
-//!   increment with no shared-cacheline contention.
+//! [`Histogram::record`] is a relaxed atomic add on the shared bucket
+//! array; histograms here time per-round or per-phase events.
 //!
 //! Merging is exact: bucket counts are added, so merging N histograms
 //! is indistinguishable from having recorded every observation into one
 //! (property-tested in `tests/histogram_properties.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Linear sub-buckets per octave (`2^SUB_BUCKET_BITS`).
 pub const SUB_BUCKET_BITS: u32 = 5;
@@ -65,8 +58,7 @@ fn representative(idx: usize) -> u64 {
     }
 }
 
-/// A shared, concurrently updatable histogram (the *family* target that
-/// per-thread [`Recorder`]s merge into).
+/// A shared, concurrently updatable histogram.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
@@ -103,7 +95,7 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Total observations recorded (including merged recorders).
+    /// Total observations recorded (including merged histograms).
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
@@ -178,21 +170,6 @@ impl Histogram {
             .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
-    fn merge_local(&self, local: &LocalHistogram) {
-        if local.count == 0 {
-            return;
-        }
-        for (idx, &n) in local.buckets.iter().enumerate() {
-            if n > 0 {
-                self.buckets[idx].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(local.count, Ordering::Relaxed);
-        self.sum.fetch_add(local.sum, Ordering::Relaxed);
-        self.min.fetch_min(local.min, Ordering::Relaxed);
-        self.max.fetch_max(local.max, Ordering::Relaxed);
-    }
-
     /// A non-atomic copy of the bucket counts (tests, exporters).
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
@@ -244,93 +221,6 @@ pub struct HistogramSummary {
     pub p95: u64,
     /// 99th percentile, within [`MAX_RELATIVE_ERROR`].
     pub p99: u64,
-}
-
-/// Non-atomic histogram state owned by exactly one thread.
-#[derive(Debug, Clone)]
-struct LocalHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl LocalHistogram {
-    fn new() -> Self {
-        LocalHistogram {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn clear(&mut self) {
-        self.buckets.fill(0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
-}
-
-/// Observations buffered in a [`Recorder`] before it merges into its
-/// shared histogram.
-pub const FLUSH_EVERY: u64 = 1024;
-
-/// A per-thread recording handle for one shared [`Histogram`].
-///
-/// `record` is a plain array increment on thread-private memory; every
-/// [`FLUSH_EVERY`] observations (and on drop) the buffered counts merge
-/// into the shared histogram in one pass. Hot paths therefore never
-/// touch a shared cache line per event, at the cost of a snapshot
-/// lagging a recorder by at most `FLUSH_EVERY − 1` observations.
-#[derive(Debug)]
-pub struct Recorder {
-    local: LocalHistogram,
-    shared: Arc<Histogram>,
-}
-
-impl Recorder {
-    /// Creates a recorder feeding `shared`.
-    pub fn new(shared: Arc<Histogram>) -> Self {
-        Recorder {
-            local: LocalHistogram::new(),
-            shared,
-        }
-    }
-
-    /// Records one observation (auto-flushes every [`FLUSH_EVERY`]).
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.local.record(v);
-        if self.local.count >= FLUSH_EVERY {
-            self.flush();
-        }
-    }
-
-    /// Merges all buffered observations into the shared histogram now.
-    pub fn flush(&mut self) {
-        self.shared.merge_local(&self.local);
-        self.local.clear();
-    }
-}
-
-impl Drop for Recorder {
-    fn drop(&mut self) {
-        self.flush();
-    }
 }
 
 #[cfg(test)]
@@ -400,21 +290,6 @@ mod tests {
         let s = h.summary();
         assert_eq!(s.count, 0);
         assert_eq!(s.p99, 0);
-    }
-
-    #[test]
-    fn recorder_flushes_on_threshold_and_drop() {
-        let shared = Arc::new(Histogram::new());
-        let mut r = Recorder::new(Arc::clone(&shared));
-        for v in 0..FLUSH_EVERY {
-            r.record(v);
-        }
-        // Threshold flush already happened.
-        assert_eq!(shared.count(), FLUSH_EVERY);
-        r.record(7);
-        assert_eq!(shared.count(), FLUSH_EVERY);
-        drop(r);
-        assert_eq!(shared.count(), FLUSH_EVERY + 1);
     }
 
     #[test]

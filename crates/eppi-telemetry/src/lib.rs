@@ -10,10 +10,6 @@
 //! * [`Histogram`] — a mergeable log-linear (HDR-style) histogram over
 //!   the `u64` nanosecond domain with a documented relative-error bound
 //!   ([`MAX_RELATIVE_ERROR`]) per reported quantile.
-//! * [`Recorder`] — a per-thread buffer for one histogram: hot paths
-//!   pay a plain array increment, and buffered counts merge into the
-//!   shared histogram every [`FLUSH_EVERY`] observations. No shared
-//!   cache line is touched per event.
 //! * [`SpanTimer`] — RAII wall-clock scopes for coarse phases.
 //! * [`Registry`] — labeled metric families; [`Registry::snapshot`]
 //!   exports as aligned text or JSON and parses back
@@ -29,12 +25,11 @@
 //!
 //! let registry = Registry::new();
 //! let queries = registry.counter("serve.queries", &[("shard", "0")]);
-//! let mut lat = registry.recorder("serve.service_ns", &[("shard", "0")]);
+//! let lat = registry.histogram("serve.service_ns", &[("shard", "0")]);
 //! for v in [250u64, 900, 17_000] {
 //!     queries.inc();
-//!     lat.record(v); // thread-private; merges in batches
+//!     lat.record(v);
 //! }
-//! lat.flush();
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.find("serve.queries", &[("shard", "0")]).is_some(), true);
 //! let round_trip = eppi_telemetry::Snapshot::from_json(&snap.to_json()).unwrap();
@@ -57,7 +52,7 @@ pub mod metrics;
 pub mod registry;
 pub mod span;
 
-pub use hist::{Histogram, HistogramSummary, Recorder, FLUSH_EVERY, MAX_RELATIVE_ERROR};
+pub use hist::{Histogram, HistogramSummary, MAX_RELATIVE_ERROR};
 pub use metrics::{Counter, Gauge};
 pub use registry::{Labels, MetricMiss, MetricSnapshot, MetricValue, Registry, Snapshot};
 pub use span::SpanTimer;

@@ -15,7 +15,7 @@
 //! serializes to an aligned text report ([`Snapshot::to_text`]) or JSON
 //! ([`Snapshot::to_json`]) and parses back ([`Snapshot::from_json`]).
 
-use crate::hist::{Histogram, HistogramSummary, Recorder};
+use crate::hist::{Histogram, HistogramSummary};
 use crate::json::JsonValue;
 use crate::metrics::{Counter, Gauge};
 use std::collections::BTreeMap;
@@ -112,15 +112,6 @@ impl Registry {
             Instrument::Histogram(h) => h,
             other => panic!("{name} already registered as a {}", other.kind()),
         }
-    }
-
-    /// A per-thread [`Recorder`] feeding the histogram `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different kind.
-    pub fn recorder(&self, name: &str, labels: &[(&str, &str)]) -> Recorder {
-        Recorder::new(self.histogram(name, labels))
     }
 
     /// Captures every registered metric at this instant. Values across

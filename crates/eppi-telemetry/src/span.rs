@@ -5,8 +5,7 @@
 //! explicitly via [`stop`](SpanTimer::stop), which also returns the
 //! duration). Intended for coarse phases — construction stages, GMW
 //! rounds, drain windows — where one shared atomic record per span is
-//! negligible; hot per-event paths should use a
-//! [`Recorder`](crate::Recorder) instead.
+//! negligible.
 
 use crate::hist::Histogram;
 use std::sync::Arc;

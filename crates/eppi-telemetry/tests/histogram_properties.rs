@@ -1,11 +1,10 @@
 //! Property tests for the log-linear histogram: quantile accuracy
 //! against exact sorted-vector quantiles, and merge equivalence.
 
-use eppi_telemetry::{Histogram, Recorder, MAX_RELATIVE_ERROR};
+use eppi_telemetry::{Histogram, MAX_RELATIVE_ERROR};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// The exact quantile rule the histogram documents: the value of rank
 /// `⌈q·n⌉` (clamped to `1..=n`) in the sorted samples.
@@ -55,9 +54,8 @@ proptest! {
         prop_assert_eq!(hist.max().unwrap(), *sorted.last().unwrap());
     }
 
-    /// Merging histograms (shared-shared and recorder-into-shared) is
-    /// bucket-exact: indistinguishable from recording every observation
-    /// into one histogram.
+    /// Merging histograms is bucket-exact: indistinguishable from
+    /// recording every observation into one histogram.
     #[test]
     fn merge_equals_single_histogram(seed in any::<u64>(), len in 1usize..3_000, parts in 2usize..6) {
         let samples = draw_samples(seed, len, 34);
@@ -77,17 +75,5 @@ proptest! {
         }
         prop_assert_eq!(merged.bucket_counts(), one.bucket_counts());
         prop_assert_eq!(merged.summary(), one.summary());
-
-        // Per-thread recorders draining into one shared family.
-        let family = Arc::new(Histogram::new());
-        for chunk in samples.chunks(samples.len().div_ceil(parts)) {
-            let mut recorder = Recorder::new(Arc::clone(&family));
-            for &v in chunk {
-                recorder.record(v);
-            }
-            // Drop flushes the remainder.
-        }
-        prop_assert_eq!(family.bucket_counts(), one.bucket_counts());
-        prop_assert_eq!(family.summary(), one.summary());
     }
 }

@@ -13,6 +13,7 @@ use eppi::core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId};
 use eppi::protocol::{
     construct_epoch_audited, verify_commitments, verify_epoch, AuditConfig, ProtocolConfig,
 };
+use eppi::trace::Obs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,7 +55,7 @@ fn paper_scale_epoch_certifies_at_default_repetitions() {
     let audit = AuditConfig::default();
     assert_eq!(audit.params.repetitions, DEFAULT_REPETITIONS);
 
-    let audited = construct_epoch_audited(&mat, &epsilons, &cfg, &audit).unwrap();
+    let audited = construct_epoch_audited(&mat, &epsilons, &cfg, &audit, Obs::default()).unwrap();
     assert_eq!(audited.certificates.len(), PAPER_M);
     verify_epoch(&audited.epoch, &audited.certificates, &audit).unwrap();
     verify_commitments(&audited.epoch, &audited.commitments()).unwrap();

@@ -16,6 +16,7 @@ use eppi::protocol::{
     AuditConfig, Backend, ProtocolConfig,
 };
 use eppi::telemetry::Registry;
+use eppi::trace::Obs;
 use std::path::PathBuf;
 
 fn base_matrix() -> (MembershipMatrix, Vec<Epsilon>) {
@@ -180,7 +181,8 @@ fn audited_empty_lineage_certifies_persists_and_grows() {
         ..ProtocolConfig::default()
     };
     let audit = AuditConfig::default();
-    let anchor = construct_epoch_audited(&matrix, &[], &cfg, &audit).expect("empty audited build");
+    let anchor = construct_epoch_audited(&matrix, &[], &cfg, &audit, Obs::default())
+        .expect("empty audited build");
     assert_eq!(anchor.certificates.len(), 5);
     for cert in &anchor.certificates {
         assert_eq!(cert.commitment.owners, 0);

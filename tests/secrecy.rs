@@ -93,8 +93,8 @@ impl Transport for Recording {
         self.inner.parties()
     }
 
-    fn scatter(&mut self, batches: Vec<PackedBatch>) {
-        self.inner.scatter(batches);
+    fn deposit(&mut self, messages: Vec<(usize, PackedBatch)>) {
+        self.inner.deposit(messages);
     }
 
     fn broadcast(&mut self, batch: PackedBatch) {
@@ -102,8 +102,8 @@ impl Transport for Recording {
         self.inner.broadcast(batch);
     }
 
-    fn collect(&mut self) -> Vec<(usize, PackedBatch)> {
-        self.inner.collect()
+    fn collect_from(&mut self, senders: &[usize]) -> Vec<(usize, PackedBatch)> {
+        self.inner.collect_from(senders)
     }
 }
 

@@ -16,8 +16,7 @@ use eppi::core::delta::{ColumnChange, DeltaEntry, IndexDelta};
 use eppi::core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId};
 use eppi::durability::DurableStore;
 use eppi::protocol::{
-    construct_epoch_audited_with_registry, construct_epoch_with_registry, AuditConfig, Backend,
-    ProtocolConfig,
+    construct_epoch_audited, construct_epoch_with_registry, AuditConfig, Backend, ProtocolConfig,
 };
 use eppi::telemetry::Registry;
 use eppi::trace::{Obs, SpanNode, TraceConfig, Tracer};
@@ -67,14 +66,9 @@ fn one_obs_reaches_every_layer_under_one_root() {
     construct_epoch_with_registry(&matrix, &epsilons, &config(Backend::Threaded), obs)
         .expect("threaded");
     assert!(registry.snapshot().find("gmw.rounds", &[]).is_some());
-    let anchor = construct_epoch_audited_with_registry(
-        &matrix,
-        &epsilons,
-        &config(Backend::Threaded),
-        &audit,
-        obs,
-    )
-    .expect("threaded, audited");
+    let anchor =
+        construct_epoch_audited(&matrix, &epsilons, &config(Backend::Threaded), &audit, obs)
+            .expect("threaded, audited");
 
     // Durable lineage: anchor, one audited advance, crash, recover.
     let dir = std::env::temp_dir().join(format!("eppi-traced-lifecycle-{}", std::process::id()));
