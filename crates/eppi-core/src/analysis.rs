@@ -7,7 +7,6 @@
 //! checked against theory, not just against themselves.
 
 use crate::model::Epsilon;
-use crate::policy::BetaPolicy;
 
 /// Natural log of the Binomial pmf `P(X = k)` for `X ~ B(n, p)`,
 /// computed stably through `ln Γ` (Stirling-series `ln_gamma`).
@@ -128,18 +127,17 @@ pub fn chernoff_lower_bound(m: u64, f: u64, eps: Epsilon, beta: f64) -> f64 {
     1.0 - (-delta * delta * t * beta / 2.0).exp()
 }
 
-/// Predicts the success probability of a policy at one configuration —
-/// the theoretical curve behind Fig. 5.
-pub fn predicted_success<P: BetaPolicy>(policy: &P, m: u64, f: u64, eps: Epsilon) -> f64 {
-    let sigma = f as f64 / m as f64;
-    let beta = policy.beta(sigma, eps, m as usize);
-    exact_success_probability(m, f, eps, beta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{BasicPolicy, ChernoffPolicy};
+    use crate::policy::{BasicPolicy, BetaPolicy, ChernoffPolicy};
+
+    /// The success probability a policy predicts at one configuration —
+    /// the theoretical curve behind Fig. 5.
+    fn predicted_success<P: BetaPolicy>(policy: &P, m: u64, f: u64, eps: Epsilon) -> f64 {
+        let beta = policy.beta(f as f64 / m as f64, eps, m as usize);
+        exact_success_probability(m, f, eps, beta)
+    }
 
     #[test]
     fn ln_gamma_matches_factorials() {

@@ -35,9 +35,6 @@
 //!   flat dense layout the PIR scans require, and an EWAH-style
 //!   compressed bitmap store for the plaintext serve path at
 //!   million-owner scale (DESIGN.md §14).
-//! * [`sensitivity`] — the provider-sensitivity extension: a second
-//!   personalization axis (§I's women's-health-center example), reduced
-//!   conservatively onto the per-owner ε knob.
 //!
 //! ## Quick example
 //!
@@ -77,7 +74,6 @@ pub mod privacy;
 pub mod publish;
 pub mod rows;
 pub mod rowstore;
-pub mod sensitivity;
 
 pub use commit::{digest_words, Digest256, Hasher256};
 pub use construct::{construct, Construction, ConstructionConfig};

@@ -40,12 +40,6 @@ impl MixOutcome {
             MixOutcome::Regular(b) => b,
         }
     }
-
-    /// Whether the identity *looks* common in the published index
-    /// (`β = 1`).
-    pub fn looks_common(self) -> bool {
-        matches!(self, MixOutcome::Common | MixOutcome::MixedUp)
-    }
 }
 
 /// The λ computation and per-identity mixing decisions for one
@@ -82,24 +76,6 @@ impl MixPlan {
     /// The final per-identity publishing probabilities.
     pub fn final_betas(&self) -> Vec<f64> {
         self.outcomes.iter().map(|o| o.beta()).collect()
-    }
-
-    /// Fraction of decoys among the published-common identities — the
-    /// quantity bounded below by `ξ` that caps the common-identity
-    /// attacker's confidence at `1 − ξ` (§III-C).
-    ///
-    /// Returns `None` when nothing looks common.
-    pub fn achieved_decoy_fraction(&self) -> Option<f64> {
-        let looks = self.outcomes.iter().filter(|o| o.looks_common()).count();
-        if looks == 0 {
-            return None;
-        }
-        let decoys = self
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o, MixOutcome::MixedUp))
-            .count();
-        Some(decoys as f64 / looks as f64)
     }
 }
 
@@ -224,7 +200,6 @@ mod tests {
         for (o, &r) in plan.outcomes().iter().zip(&raw) {
             assert_eq!(*o, MixOutcome::Regular(r));
         }
-        assert_eq!(plan.achieved_decoy_fraction(), None);
     }
 
     #[test]
@@ -285,7 +260,14 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(4);
         let plan = mix(&raw, &e, &mut rng);
-        let frac = plan.achieved_decoy_fraction().unwrap();
+        // Decoys among the identities published as common (β = 1;
+        // §III-C).
+        let looks = plan.outcomes().iter().filter(|o| o.beta() == 1.0);
+        let decoys = plan
+            .outcomes()
+            .iter()
+            .filter(|o| matches!(o, MixOutcome::MixedUp));
+        let frac = decoys.count() as f64 / looks.count() as f64;
         assert!((frac - xi).abs() < 0.05, "decoy fraction {frac} vs ξ {xi}");
     }
 
@@ -301,8 +283,5 @@ mod tests {
         assert_eq!(MixOutcome::Common.beta(), 1.0);
         assert_eq!(MixOutcome::MixedUp.beta(), 1.0);
         assert_eq!(MixOutcome::Regular(0.25).beta(), 0.25);
-        assert!(MixOutcome::Common.looks_common());
-        assert!(MixOutcome::MixedUp.looks_common());
-        assert!(!MixOutcome::Regular(0.9).looks_common());
     }
 }

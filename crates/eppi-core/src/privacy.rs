@@ -103,18 +103,6 @@ pub fn owner_privacy(
     }
 }
 
-/// Measures all owners at once (one matrix pass per owner; suitable for
-/// the evaluation sweeps).
-pub fn all_owner_privacy(
-    truth: &MembershipMatrix,
-    published: &PublishedIndex,
-) -> Vec<OwnerPrivacy> {
-    truth
-        .owner_ids()
-        .map(|o| owner_privacy(truth, published, o))
-        .collect()
-}
-
 /// The paper's *success ratio* metric (§V-A): the fraction of owners whose
 /// achieved false-positive rate meets their requested `ε_j`.
 ///
@@ -149,23 +137,6 @@ pub fn success_ratio(
         1.0
     } else {
         ok as f64 / total as f64
-    }
-}
-
-/// Classifies the privacy degree achieved for one owner given the
-/// measured confidence bound, per §II-C.
-///
-/// `confidence` is the attacker's success probability; `eps` the owner's
-/// requirement. The caller decides whether information flowed at all
-/// (`leaked`).
-pub fn classify_degree(leaked: bool, confidence: Option<f64>, eps: Epsilon) -> PrivacyDegree {
-    if !leaked {
-        return PrivacyDegree::Unleaked;
-    }
-    match confidence {
-        Some(c) if c >= 1.0 - 1e-12 => PrivacyDegree::NoProtect,
-        Some(c) if c <= 1.0 - eps.value() + 1e-12 => PrivacyDegree::EpsPrivate,
-        _ => PrivacyDegree::NoGuarantee,
     }
 }
 
@@ -238,37 +209,5 @@ mod tests {
         // All owners are absent: excluded population is empty ⇒ ratio 1.
         assert_eq!(success_ratio(&truth, &published, &eps, true), 1.0);
         assert_eq!(success_ratio(&truth, &published, &eps, false), 1.0);
-    }
-
-    #[test]
-    fn degree_classification() {
-        let e = Epsilon::new(0.8).unwrap();
-        assert_eq!(classify_degree(false, None, e), PrivacyDegree::Unleaked);
-        assert_eq!(
-            classify_degree(true, Some(1.0), e),
-            PrivacyDegree::NoProtect
-        );
-        assert_eq!(
-            classify_degree(true, Some(0.1), e),
-            PrivacyDegree::EpsPrivate
-        );
-        assert_eq!(
-            classify_degree(true, Some(0.5), e),
-            PrivacyDegree::NoGuarantee
-        );
-        // Exactly at the bound 1 − ε: ε-private.
-        assert_eq!(
-            classify_degree(true, Some(0.2), e),
-            PrivacyDegree::EpsPrivate
-        );
-    }
-
-    #[test]
-    fn all_owner_privacy_covers_every_owner() {
-        let truth = MembershipMatrix::new(2, 5);
-        let published = idx_from(MembershipMatrix::new(2, 5), vec![0.0; 5]);
-        let all = all_owner_privacy(&truth, &published);
-        assert_eq!(all.len(), 5);
-        assert_eq!(all[3].owner, OwnerId(3));
     }
 }

@@ -8,7 +8,7 @@
 //! `QueryPPI(t_j)` followed by `AuthSearch(s, {p_i}, t_j)`.
 //!
 //! ```
-//! use eppi_core::model::{Epsilon, MembershipMatrix, OwnerId, ProviderId, PublishedIndex};
+//! use eppi_core::model::{MembershipMatrix, OwnerId, ProviderId, PublishedIndex};
 //! use eppi_index::access::{AccessPolicy, SearcherId};
 //! use eppi_index::search::{LocatorService, ProviderEndpoint};
 //! use eppi_index::server::PpiServer;
@@ -22,7 +22,7 @@
 //! let server = PpiServer::new(PublishedIndex::new(published, vec![0.5]));
 //!
 //! let mut store0 = LocalStore::new(ProviderId(0));
-//! store0.delegate(OwnerId(0), Epsilon::new(0.5)?, "medical history");
+//! store0.delegate(OwnerId(0), "medical history");
 //! let endpoints = vec![
 //!     ProviderEndpoint { store: store0, policy: AccessPolicy::Open },
 //!     ProviderEndpoint { store: LocalStore::new(ProviderId(1)), policy: AccessPolicy::Open },
@@ -32,7 +32,6 @@
 //! let outcome = service.search(SearcherId(1), OwnerId(0));
 //! assert_eq!(outcome.records.len(), 1);   // found everything (100% recall)
 //! assert_eq!(outcome.false_hits, 1);      // paid one extra contact for privacy
-//! # Ok::<(), eppi_core::error::EppiError>(())
 //! ```
 
 #![warn(missing_docs)]

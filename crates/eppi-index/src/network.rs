@@ -37,16 +37,11 @@ use std::collections::{BTreeSet, HashMap};
 pub struct InformationNetwork {
     endpoints: Vec<ProviderEndpoint>,
     epsilons: HashMap<OwnerId, Epsilon>,
-    config: ConstructionConfig,
     index: Option<PublishedIndex>,
     /// Owner count covered by the currently installed index — the base
     /// of the next [`pending_delta`](Self::pending_delta).
     indexed_owners: usize,
     dirty: bool,
-    /// Set when the construction configuration changed: thresholds are
-    /// global, so a column-wise delta cannot express the change and the
-    /// next refresh must be a full construction.
-    config_dirty: bool,
 }
 
 impl InformationNetwork {
@@ -66,30 +61,10 @@ impl InformationNetwork {
                 })
                 .collect(),
             epsilons: HashMap::new(),
-            config: ConstructionConfig::default(),
             index: None,
             indexed_owners: 0,
             dirty: false,
-            config_dirty: false,
         }
-    }
-
-    /// Overrides the construction configuration (policy, mixing).
-    pub fn set_config(&mut self, config: ConstructionConfig) -> &mut Self {
-        self.config = config;
-        self.dirty = true;
-        self.config_dirty = true;
-        self
-    }
-
-    /// Sets one provider's admission policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `provider` is out of range.
-    pub fn set_policy(&mut self, provider: ProviderId, policy: AccessPolicy) -> &mut Self {
-        self.endpoints[provider.index()].policy = policy;
-        self
     }
 
     /// Number of providers `m`.
@@ -132,7 +107,7 @@ impl InformationNetwork {
     ) {
         self.endpoints[provider.index()]
             .store
-            .delegate(owner, eps, payload);
+            .delegate(owner, payload);
         self.epsilons.insert(owner, eps);
         self.dirty = true;
     }
@@ -152,8 +127,8 @@ impl InformationNetwork {
         removed
     }
 
-    /// Whether records were delegated (or configuration changed) after
-    /// the last construction — i.e. the published index is stale.
+    /// Whether records were delegated or withdrawn after the last
+    /// construction — i.e. the published index is stale.
     pub fn is_stale(&self) -> bool {
         self.dirty || self.index.is_none()
     }
@@ -162,10 +137,8 @@ impl InformationNetwork {
     /// batch bridging the installed index and the current delegations —
     /// the input to `eppi-protocol`'s `construct_delta`.
     ///
-    /// Returns `None` when there is no installed index to delta from,
-    /// or when the construction configuration changed (thresholds are
-    /// global; only a full construction can apply them). An up-to-date
-    /// network yields `Some(empty delta)`.
+    /// Returns `None` when there is no installed index to delta from.
+    /// An up-to-date network yields `Some(empty delta)`.
     ///
     /// Owner ids are append-only and columns dense: every id between
     /// the indexed owner count and the current one enters the batch as
@@ -173,9 +146,6 @@ impl InformationNetwork {
     /// `Changed` while some endpoint still holds them and `Withdrawn`
     /// once none does.
     pub fn pending_delta(&self) -> Option<IndexDelta> {
-        if self.config_dirty {
-            return None;
-        }
         self.index.as_ref()?;
         let base = self.indexed_owners;
         let mut delta = IndexDelta::new(base);
@@ -262,11 +232,10 @@ impl InformationNetwork {
                 actual: 0,
             });
         }
-        let built = construct(&matrix, &epsilons, self.config, rng)?;
+        let built = construct(&matrix, &epsilons, ConstructionConfig::default(), rng)?;
         self.indexed_owners = matrix.owners();
         self.index = Some(built.index);
         self.dirty = false;
-        self.config_dirty = false;
         self.drain_dirty();
         Ok(self.index.as_ref().expect("just set"))
     }
@@ -286,7 +255,6 @@ impl InformationNetwork {
         self.indexed_owners = index.matrix().owners();
         self.index = Some(index);
         self.dirty = false;
-        self.config_dirty = false;
         self.drain_dirty();
     }
 
@@ -392,7 +360,7 @@ mod tests {
     fn denied_providers_block_auth_search() {
         let mut net = InformationNetwork::new(4);
         net.delegate(OwnerId(0), eps(0.0), ProviderId(2), "secret");
-        net.set_policy(ProviderId(2), AccessPolicy::Deny);
+        net.endpoints[2].policy = AccessPolicy::Deny;
         let mut rng = StdRng::seed_from_u64(3);
         net.construct_ppi(&mut rng).expect("construction");
         let out = net.auth_search(SearcherId(9), OwnerId(0));
@@ -488,21 +456,6 @@ mod tests {
         // Re-construction drains the batch.
         net.construct_ppi(&mut rng).expect("reconstruction");
         assert!(net.pending_delta().expect("delta").is_empty());
-    }
-
-    #[test]
-    fn config_change_disables_the_delta_path() {
-        let mut net = InformationNetwork::new(6);
-        net.delegate(OwnerId(0), eps(0.5), ProviderId(0), "r");
-        let mut rng = StdRng::seed_from_u64(22);
-        net.construct_ppi(&mut rng).expect("construction");
-        net.set_config(ConstructionConfig::default());
-        assert!(
-            net.pending_delta().is_none(),
-            "global thresholds changed: only a full construction applies them"
-        );
-        net.construct_ppi(&mut rng).expect("reconstruction");
-        assert!(net.pending_delta().is_some());
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl LocatorService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eppi_core::model::{Epsilon, MembershipMatrix, PublishedIndex};
+    use eppi_core::model::{MembershipMatrix, PublishedIndex};
 
     /// Network: p0 and p1 truly hold t0; index additionally (falsely)
     /// lists p2.
@@ -132,12 +132,8 @@ mod tests {
                 policy: AccessPolicy::Open,
             })
             .collect();
-        endpoints[0]
-            .store
-            .delegate(OwnerId(0), Epsilon::saturating(0.5), "rec-a");
-        endpoints[1]
-            .store
-            .delegate(OwnerId(0), Epsilon::saturating(0.5), "rec-b");
+        endpoints[0].store.delegate(OwnerId(0), "rec-a");
+        endpoints[1].store.delegate(OwnerId(0), "rec-b");
         endpoints[2].policy = policy2;
         LocatorService::new(server, endpoints)
     }

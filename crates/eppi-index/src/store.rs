@@ -6,7 +6,7 @@
 //! (`AuthSearch`) queries after the locator service has produced its
 //! candidate provider list.
 
-use eppi_core::model::{Epsilon, OwnerId, ProviderId};
+use eppi_core::model::{OwnerId, ProviderId};
 use std::collections::{BTreeSet, HashMap};
 
 /// One personal record delegated by an owner to a provider.
@@ -24,7 +24,6 @@ pub struct Record {
 pub struct LocalStore {
     provider: ProviderId,
     records: HashMap<OwnerId, Vec<Record>>,
-    epsilons: HashMap<OwnerId, Epsilon>,
     /// Owners whose local membership bit may have flipped since the
     /// last time the delta was drained — the provider-side half of the
     /// epoch lifecycle's change batch (DESIGN.md §10).
@@ -37,7 +36,6 @@ impl LocalStore {
         LocalStore {
             provider,
             records: HashMap::new(),
-            epsilons: HashMap::new(),
             dirty: BTreeSet::new(),
         }
     }
@@ -47,14 +45,14 @@ impl LocalStore {
         self.provider
     }
 
-    /// The `Delegate` operation: stores a record for `owner` together
-    /// with the owner's privacy degree.
-    pub fn delegate(&mut self, owner: OwnerId, eps: Epsilon, payload: impl Into<String>) {
+    /// The provider's half of the `Delegate` operation: stores a record
+    /// for `owner`. The owner's privacy degree is the construction's
+    /// input, not the store's (`InformationNetwork::delegate` keeps it).
+    pub fn delegate(&mut self, owner: OwnerId, payload: impl Into<String>) {
         self.records.entry(owner).or_default().push(Record {
             owner,
             payload: payload.into(),
         });
-        self.epsilons.insert(owner, eps);
         self.dirty.insert(owner);
     }
 
@@ -62,7 +60,6 @@ impl LocalStore {
     /// delegation or transfers care). Returns how many records were
     /// removed.
     pub fn withdraw(&mut self, owner: OwnerId) -> usize {
-        self.epsilons.remove(&owner);
         let removed = self.records.remove(&owner).map_or(0, |r| r.len());
         if removed > 0 {
             self.dirty.insert(owner);
@@ -80,11 +77,6 @@ impl LocalStore {
     /// authorization).
     pub fn search(&self, owner: OwnerId) -> &[Record] {
         self.records.get(&owner).map_or(&[], Vec::as_slice)
-    }
-
-    /// The privacy degree the owner attached when delegating, if any.
-    pub fn epsilon_of(&self, owner: OwnerId) -> Option<Epsilon> {
-        self.epsilons.get(&owner).copied()
     }
 
     /// The owners with records here.
@@ -108,12 +100,6 @@ impl LocalStore {
         self.dirty.iter().copied()
     }
 
-    /// Whether any delegation or withdrawal happened since the last
-    /// [`take_dirty`](Self::take_dirty).
-    pub fn has_changes(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
     /// Drains and returns the dirty set (ascending) — called when the
     /// change batch is folded into a constructed index.
     pub fn take_dirty(&mut self) -> Vec<OwnerId> {
@@ -125,18 +111,13 @@ impl LocalStore {
 mod tests {
     use super::*;
 
-    fn eps(v: f64) -> Epsilon {
-        Epsilon::saturating(v)
-    }
-
     #[test]
     fn withdraw_removes_all_records() {
         let mut s = LocalStore::new(ProviderId(1));
-        s.delegate(OwnerId(4), eps(0.5), "a");
-        s.delegate(OwnerId(4), eps(0.5), "b");
+        s.delegate(OwnerId(4), "a");
+        s.delegate(OwnerId(4), "b");
         assert_eq!(s.withdraw(OwnerId(4)), 2);
         assert!(!s.holds(OwnerId(4)));
-        assert_eq!(s.epsilon_of(OwnerId(4)), None);
         assert_eq!(s.withdraw(OwnerId(4)), 0, "idempotent");
     }
 
@@ -144,16 +125,14 @@ mod tests {
     fn delegate_and_search() {
         let mut s = LocalStore::new(ProviderId(3));
         assert!(s.is_empty());
-        s.delegate(OwnerId(1), eps(0.5), "visit 2026-01-02");
-        s.delegate(OwnerId(1), eps(0.5), "visit 2026-03-04");
-        s.delegate(OwnerId(2), eps(0.9), "lab result");
+        s.delegate(OwnerId(1), "visit 2026-01-02");
+        s.delegate(OwnerId(1), "visit 2026-03-04");
+        s.delegate(OwnerId(2), "lab result");
         assert_eq!(s.len(), 3);
         assert!(s.holds(OwnerId(1)));
         assert!(!s.holds(OwnerId(7)));
         assert_eq!(s.search(OwnerId(1)).len(), 2);
         assert_eq!(s.search(OwnerId(7)), &[]);
-        assert_eq!(s.epsilon_of(OwnerId(2)), Some(eps(0.9)));
-        assert_eq!(s.epsilon_of(OwnerId(9)), None);
         let mut owners: Vec<_> = s.owners().collect();
         owners.sort();
         assert_eq!(owners, vec![OwnerId(1), OwnerId(2)]);
@@ -162,20 +141,18 @@ mod tests {
     #[test]
     fn dirty_tracking_records_touched_owners() {
         let mut s = LocalStore::new(ProviderId(0));
-        assert!(!s.has_changes());
-        s.delegate(OwnerId(3), eps(0.5), "a");
-        s.delegate(OwnerId(1), eps(0.5), "b");
-        s.delegate(OwnerId(3), eps(0.5), "c");
-        assert!(s.has_changes());
+        assert_eq!(s.dirty_owners().count(), 0);
+        s.delegate(OwnerId(3), "a");
+        s.delegate(OwnerId(1), "b");
+        s.delegate(OwnerId(3), "c");
         assert_eq!(
             s.dirty_owners().collect::<Vec<_>>(),
             vec![OwnerId(1), OwnerId(3)]
         );
         assert_eq!(s.take_dirty(), vec![OwnerId(1), OwnerId(3)]);
-        assert!(!s.has_changes());
         // A no-op withdraw doesn't resurrect the dirty bit…
         assert_eq!(s.withdraw(OwnerId(9)), 0);
-        assert!(!s.has_changes());
+        assert_eq!(s.dirty_owners().count(), 0);
         // …but a real withdrawal does.
         assert_eq!(s.withdraw(OwnerId(1)), 1);
         assert_eq!(s.take_dirty(), vec![OwnerId(1)]);

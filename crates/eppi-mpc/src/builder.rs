@@ -157,29 +157,6 @@ impl CircuitBuilder {
         self.xor(x, n)
     }
 
-    /// OR of many wires via a balanced tree; `false` constant if empty.
-    pub fn or_many(&mut self, wires: &[WireId]) -> WireId {
-        match wires.len() {
-            0 => self.constant(false),
-            1 => wires[0],
-            _ => {
-                let mut layer = wires.to_vec();
-                while layer.len() > 1 {
-                    let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-                    for pair in layer.chunks(2) {
-                        next.push(if pair.len() == 2 {
-                            self.or(pair[0], pair[1])
-                        } else {
-                            pair[0]
-                        });
-                    }
-                    layer = next;
-                }
-                layer[0]
-            }
-        }
-    }
-
     /// AND of many wires via a balanced tree; `true` constant if empty.
     pub fn and_many(&mut self, wires: &[WireId]) -> WireId {
         match wires.len() {
@@ -936,7 +913,8 @@ pub(crate) mod tests {
                 let mut cb = CircuitBuilder::new();
                 let w = cb.input_word(n);
                 let bits = w.bits().to_vec();
-                let o = cb.or_many(&bits);
+                let none = cb.constant(false);
+                let o = bits.iter().fold(none, |acc, &b| cb.or(acc, b));
                 let a = cb.and_many(&bits);
                 let c = cb.finish(vec![o, a]);
                 let out = c.eval(&to_bits(pattern, n));

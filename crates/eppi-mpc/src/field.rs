@@ -61,11 +61,6 @@ impl Modulus {
         }
     }
 
-    /// Whether `q` is a power of two (circuit-friendly reduction).
-    pub fn is_pow2(self) -> bool {
-        self.0.is_power_of_two()
-    }
-
     /// Reduces an arbitrary value into `[0, q)`.
     #[inline]
     pub fn reduce(self, v: u64) -> u64 {
@@ -88,17 +83,6 @@ impl Modulus {
             a - b
         } else {
             a + (self.0 - b)
-        }
-    }
-
-    /// Modular negation.
-    #[inline]
-    pub fn neg(self, a: u64) -> u64 {
-        debug_assert!(a < self.0);
-        if a == 0 {
-            0
-        } else {
-            self.0 - a
         }
     }
 
@@ -142,7 +126,8 @@ mod tests {
                 assert!(s < 97);
                 assert_eq!(q.sub(s, b), a, "a={a} b={b}");
             }
-            assert_eq!(q.add(a, q.neg(a)), 0);
+            // The additive inverse: a + (0 − a) = 0.
+            assert_eq!(q.add(a, q.sub(0, a)), 0);
         }
     }
 
@@ -169,11 +154,9 @@ mod tests {
     #[test]
     fn pow2_properties() {
         let q = Modulus::pow2(32);
-        assert!(q.is_pow2());
         assert_eq!(q.bits(), 32);
         assert_eq!(q.value(), 1 << 32);
         let q5 = Modulus::new(5);
-        assert!(!q5.is_pow2());
         assert_eq!(q5.bits(), 3);
     }
 

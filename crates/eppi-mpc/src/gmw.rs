@@ -10,7 +10,7 @@
 //! itself lives in [`crate::gmw_core`] (one bit-packed [`PartyCore`] per
 //! party, 64 wires per word) and the message flow in an
 //! [`InProcessTransport`] hub driven in lockstep. [`execute`] is the
-//! one lockstep executor: it runs all parties in-process under the
+//! one lockstep driver: it runs all parties in-process under the
 //! semi-honest model the paper assumes (§IV-C) and accounts the
 //! communication a real deployment would perform — every AND layer is a
 //! batched all-to-all broadcast carrying two logical bits per gate per

@@ -1,7 +1,7 @@
 //! The one bit-packed GMW core shared by every execution backend.
 //!
 //! Historically the workspace carried three complete copies of the GMW
-//! protocol — the in-process executor here, plus round-simulated and
+//! protocol — the in-process evaluator here, plus round-simulated and
 //! one-thread-per-party variants in `eppi-protocol` — each with its own
 //! AND-layer scheduler and Beaver-triple logic, all shuffling shares as
 //! `Vec<bool>`. This module is the single remaining implementation:
@@ -25,9 +25,9 @@
 //!   one thread over the in-process hub (`crate::gmw::execute`). These
 //!   are the only two drivers.
 //! * [`dealer_rng`] / [`party_rng`] — the one seeding rule: every
-//!   executor run seeded `s` deals its triples from `dealer_rng(s)`
+//!   GMW run seeded `s` deals its triples from `dealer_rng(s)`
 //!   and lets party `p` share its inputs from `party_rng(s, p)`.
-//! * [`mod@reference`] — the frozen pre-refactor `Vec<bool>` executor, kept
+//! * [`mod@reference`] — the frozen pre-refactor `Vec<bool>` evaluator, kept
 //!   as the equivalence-test oracle.
 //!
 //! Per AND layer the packed protocol opens `d = x ⊕ a`, `e = y ⊕ b` for
@@ -682,7 +682,7 @@ where
 }
 
 pub mod reference {
-    //! The frozen pre-refactor `Vec<bool>` executor.
+    //! The frozen pre-refactor `Vec<bool>` evaluator.
     //!
     //! This is the original single-threaded GMW evaluator, byte-for-byte
     //! in behaviour: one heap bool per wire per party, per-bit triple

@@ -14,12 +14,12 @@
 //!   under a [`sim::LinkModel`], and the thread-backed transport.
 //! * [`sim`] — the [`sim::LinkModel`] that prices simulated time, and
 //!   SecSumShare's traffic record [`sim::NetStats`].
-//! * [`threaded`] — real multi-threaded party execution (one pooled
-//!   thread per party, crossbeam channels) for wall-clock measurements
-//!   (Fig. 6a/6c).
-//! * [`executor`] — the scoped executor every wall-clock run starts its
-//!   parties on: process-wide threads that park between jobs, so a
-//!   warm run starts no OS thread.
+//! * [`threaded`] — real multi-threaded party execution (one scoped
+//!   thread per party, crossbeam channels) for the GMW coordinators of
+//!   the wall-clock measurements (Fig. 6a/6c). [`threaded::run_parties`]
+//!   is the only place the protocol crates start a thread: SecSumShare's
+//!   providers never wait on each other within an exchange, so they run
+//!   on the caller's thread on every backend.
 //! * [`topology`] — ring successor maps and coordinator selection used by
 //!   the SecSumShare share-distribution step (Fig. 3).
 //! * [`traced`] — a [`transport::Transport`] decorator emitting one
@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod executor;
 pub mod sim;
 pub mod threaded;
 pub mod topology;

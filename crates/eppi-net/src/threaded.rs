@@ -1,7 +1,7 @@
 //! Real multi-threaded party execution over crossbeam channels.
 //!
-//! Each party runs as a job on the [`executor`]'s pooled threads, with
-//! a [`PartyHandle`] giving it point-to-point `send`/`recv`,
+//! Each party runs on a scoped thread of its own (named `eppi-party`),
+//! with a [`PartyHandle`] giving it point-to-point `send`/`recv`,
 //! `broadcast`, and `gather` primitives; [`crate::transport::ThreadedTransport`]
 //! puts the [`crate::transport::Transport`] exchange on top. Traffic is
 //! counted run-wide with atomics at the send site, so wall-clock
@@ -13,13 +13,13 @@
 //! bounded one returns [`TransportError::Disconnected`], and
 //! [`run_parties`] re-raises the first party's panic.
 
-use crate::executor::{self, Handle};
 use crate::{NodeId, WireSize};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// What travels on a party's channel: a payload from the named party,
@@ -28,6 +28,16 @@ type Envelope<P> = (NodeId, Option<P>);
 
 /// No party has died yet (the initial value of a run's first death).
 const NO_DEATH: usize = usize::MAX;
+
+/// Party threads [`run_parties`] has started in this process.
+static PARTY_THREADS: AtomicU64 = AtomicU64::new(0);
+
+/// The number of party threads [`run_parties`] has started in this
+/// process — one per party per run; nothing else in the workspace's
+/// protocol code starts a thread.
+pub fn party_threads_started() -> u64 {
+    PARTY_THREADS.load(Ordering::Relaxed)
+}
 
 /// A typed receive failure of the threaded network — the alternative to
 /// hanging forever when a peer thread dies mid-round.
@@ -324,18 +334,21 @@ impl<P: WireSize + Send + Clone> PartyHandle<P> {
     }
 }
 
-/// Runs `parties` parties, each executing `body(handle)` on a pooled
-/// thread of the [`executor`], and returns their results in party order
-/// plus the traffic counters.
+/// Runs `parties` parties, each executing `body(handle)` on a scoped
+/// thread of its own, and returns their results in party order plus
+/// the traffic counters.
 ///
 /// # Panics
 ///
-/// Panics if `parties == 0`. If a party panics, its peers are woken
-/// (see [`PartyHandle`]) and, once every party has returned or
-/// unwound, the first party's panic is re-raised with its own payload.
+/// Panics if `parties == 0`, or if the OS refuses to start a thread
+/// (the parties already started are told that the missing one is
+/// dead, so none of them waits for it). If a party panics, its peers
+/// are woken (see [`PartyHandle`]) and, once every party has returned
+/// or unwound, the first party's panic is re-raised with its own
+/// payload.
 pub fn run_parties<P, T, F>(parties: usize, body: F) -> (Vec<T>, Arc<TrafficCounters>)
 where
-    P: WireSize + Send + Clone + 'static,
+    P: WireSize + Send + Clone,
     T: Send,
     F: Fn(PartyHandle<P>) -> T + Sync,
 {
@@ -363,16 +376,34 @@ where
             dead: None,
         })
         .collect();
-    drop(senders);
 
     let body = &body;
-    executor::reserve(parties);
-    let outcomes = executor::scope(|s| {
-        let joins: Vec<_> = handles
+    let outcomes = thread::scope(|s| {
+        let mut joins = Vec::with_capacity(parties);
+        for h in handles {
+            let me = h.me;
+            let started = thread::Builder::new()
+                .name("eppi-party".into())
+                .spawn_scoped(s, move || body(h));
+            match started {
+                Ok(join) => joins.push(join),
+                Err(err) => {
+                    // The unstarted party's handle is gone: announce its
+                    // death for it. The handles not yet started announce
+                    // their own as this panic drops them.
+                    for tx in &senders {
+                        let _ = tx.send((me, None));
+                    }
+                    panic!("cannot start a party thread: {err}");
+                }
+            }
+            PARTY_THREADS.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(senders);
+        joins
             .into_iter()
-            .map(|h| s.spawn(move |_| body(h)))
-            .collect();
-        joins.into_iter().map(Handle::join).collect::<Vec<_>>()
+            .map(thread::ScopedJoinHandle::join)
+            .collect::<Vec<_>>()
     });
     let mut results = Vec::with_capacity(parties);
     let mut panics = Vec::new();

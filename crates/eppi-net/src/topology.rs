@@ -49,11 +49,6 @@ impl Ring {
         NodeId((node.index() + k) % self.nodes)
     }
 
-    /// The coordinator node ids `p_0 … p_{c−1}`.
-    pub fn coordinator_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.coordinators).map(NodeId)
-    }
-
     /// Whether `node` is a coordinator.
     pub fn is_coordinator(&self, node: NodeId) -> bool {
         node.index() < self.coordinators
@@ -76,8 +71,6 @@ mod tests {
     #[test]
     fn coordinators_are_prefix() {
         let r = Ring::new(5, 3);
-        let ids: Vec<_> = r.coordinator_ids().collect();
-        assert_eq!(ids, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert!(r.is_coordinator(NodeId(2)));
         assert!(!r.is_coordinator(NodeId(3)));
     }

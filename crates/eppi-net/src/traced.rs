@@ -3,14 +3,14 @@
 //! [`TracedTransport`] wraps any [`Transport`] and emits one
 //! `net.exchange` span per completed protocol exchange (deposit →
 //! [`collect_from`](Transport::collect_from)), parented under a caller-supplied
-//! [`SpanCtx`] — typically a per-party span opened by the executor
-//! driving the protocol. The span's payload carries the logical bits
+//! [`SpanCtx`] — typically a per-party span opened by the driver
+//! running the protocol. The span's payload carries the logical bits
 //! this endpoint deposited during the exchange, so a trace viewer shows
 //! both where protocol time goes (the collect wait dominates under
 //! skew) and how much each round shipped.
 //!
 //! Tracing a disabled [`Tracer`] or a [`SpanCtx::NONE`] parent records
-//! nothing and costs nothing beyond a branch, so executors can wrap
+//! nothing and costs nothing beyond a branch, so drivers can wrap
 //! their transports unconditionally.
 
 use crate::transport::Transport;
@@ -30,7 +30,6 @@ pub struct TracedTransport<T> {
     parent: SpanCtx,
     open: Option<SpanGuard>,
     bits_this_exchange: u64,
-    exchanges: u64,
 }
 
 impl<T> TracedTransport<T> {
@@ -42,18 +41,7 @@ impl<T> TracedTransport<T> {
             parent,
             open: None,
             bits_this_exchange: 0,
-            exchanges: 0,
         }
-    }
-
-    /// Completed (collected) exchanges so far.
-    pub fn exchanges(&self) -> u64 {
-        self.exchanges
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
     }
 
     /// Unwraps the decorator. An in-flight exchange span (deposited but
@@ -91,7 +79,6 @@ impl<M: WireSize, T: Transport<M>> Transport<M> for TracedTransport<T> {
         if let Some(mut span) = self.open.take() {
             span.set_payload(self.bits_this_exchange);
         }
-        self.exchanges += 1;
         got
     }
 }
@@ -126,7 +113,6 @@ mod tests {
                 assert_eq!(t.collect().len(), 2);
             }
         }
-        assert!(hub.iter().all(|t| t.exchanges() == 2));
         drop(root);
 
         let log = tracer.collect();
@@ -182,6 +168,7 @@ mod tests {
         let opened: Vec<_> = hub.iter_mut().map(|t| t.collect()).collect();
         assert!(opened.iter().all(|got| got.len() == 1));
         assert_eq!(tracer.collect().total_events(), 0);
-        assert_eq!(hub[0].inner().report().messages, 2);
+        let first = hub.into_iter().next().expect("two endpoints");
+        assert_eq!(first.into_inner().report().messages, 2);
     }
 }

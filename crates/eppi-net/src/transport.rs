@@ -19,7 +19,7 @@
 //!   ([`InProcessTransport::simulated_us`]).
 //! * [`ThreadedTransport`] — wraps a [`crate::threaded::PartyHandle`],
 //!   so each party can run the straight-line protocol on its own
-//!   pooled thread with real (crossbeam) message exchange.
+//!   thread with real (crossbeam) message exchange.
 //!
 //! Both account traffic in both units of the workspace convention
 //! (see the crate docs): logical payload **bits** and on-the-wire
@@ -278,8 +278,8 @@ impl<M: WireSize> Transport<M> for InProcessTransport<M> {
 // Threaded (crossbeam) transport
 // ---------------------------------------------------------------------
 
-/// [`Transport`] over a [`PartyHandle`]: one party per pooled thread with
-/// real message exchange.
+/// [`Transport`] over a [`PartyHandle`]: one party per thread with real
+/// message exchange.
 ///
 /// Byte/message totals live in the run's shared
 /// [`crate::threaded::TrafficCounters`] (the handle counts every send);

@@ -11,20 +11,20 @@
 //!   fast, used by tests and large sweeps. It also reports *simulated
 //!   network time* under the lineage's link model (the quantity that
 //!   dominated the paper's Emulab numbers);
-//! * [`Backend::Threaded`] — one pooled thread per coordinator with real
+//! * [`Backend::Threaded`] — one thread per coordinator with real
 //!   message exchange ([`execute_threaded_with_registry`]), used by the
-//!   wall-clock experiments (Fig. 6a/6c).
+//!   wall-clock experiments (Fig. 6a/6c). The coordinators are the only
+//!   parties that wait on each other, so these are the only party
+//!   threads a wall-clock build starts: SecSumShare runs on the caller
+//!   on every backend (`crate::secsum`).
 //!
 //! Both open identical results and count identical traffic; only the
-//! lockstep run prices simulated time. The SecSumShare runtime that
-//! goes with each backend is [`Backend::secsumshare`].
+//! lockstep run prices simulated time.
 
-use crate::secsum::{secsumshare_sim, secsumshare_threaded_stats, SecSumOutput};
 use crate::threaded_gmw::execute_threaded_with_registry;
-use eppi_core::model::{LocalVector, OwnerId};
+use eppi_core::model::OwnerId;
 use eppi_mpc::circuit::{Circuit, CircuitStats, InputLayout};
 use eppi_mpc::circuits::{lambda_threshold, CountBelowCircuit, MixDecisionCircuit};
-use eppi_mpc::field::Modulus;
 use eppi_mpc::gmw;
 use eppi_net::sim::LinkModel;
 use eppi_trace::Obs;
@@ -36,7 +36,7 @@ pub enum Backend {
     /// reports simulated network time under the lineage's link model.
     #[default]
     InProcess,
-    /// One pooled thread per coordinator (wall-clock backend).
+    /// One thread per coordinator (wall-clock backend).
     Threaded,
     /// Runs as [`Backend::InProcess`]. A name only: persisted lineages
     /// carry it (checkpoint backend tag 2) and the lifecycle benchmark
@@ -90,33 +90,6 @@ impl Backend {
             simulated_us: stats.simulated_us,
         };
         (outputs, report)
-    }
-
-    /// Runs SecSumShare on this backend's driver: the threaded backend
-    /// sums over real threads, the lockstep one on the in-process hub,
-    /// priced under `link`. Per-provider seeding is identical, so
-    /// the shares — and every downstream bit — do not depend on this
-    /// choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`secsumshare_sim`].
-    pub fn secsumshare(
-        self,
-        vectors: &[LocalVector],
-        c: usize,
-        modulus: Modulus,
-        link: LinkModel,
-        seed: u64,
-    ) -> SecSumOutput {
-        match self {
-            Backend::Threaded | Backend::Pipelined { .. } => {
-                secsumshare_threaded_stats(vectors, c, modulus, seed)
-            }
-            Backend::InProcess | Backend::Simulated => {
-                secsumshare_sim(vectors, c, modulus, link, seed)
-            }
-        }
     }
 }
 
@@ -357,6 +330,7 @@ pub(crate) fn run_mix_decision_for_owners(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eppi_mpc::field::Modulus;
     use eppi_mpc::gmw_core::logical_bits;
     use eppi_mpc::share::split;
     use rand::rngs::StdRng;

@@ -40,7 +40,8 @@
 use crate::construct::{
     emit_report, frequency_thresholds, share_width, ConstructionReport, PhaseWall, ProtocolConfig,
 };
-use crate::countbelow::{count_below_stage, run_mix_decision_for_owners};
+use crate::countbelow::{count_below_stage, run_mix_decision_for_owners, Backend};
+use crate::secsum::{secsumshare_sim, secsumshare_threaded_stats};
 use eppi_core::delta::IndexDelta;
 use eppi_core::error::EppiError;
 use eppi_core::mixing::lambda_for;
@@ -492,9 +493,16 @@ fn construct_columns(
         })
         .collect();
     let secsum_seed = config.seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let secsum = config
-        .backend
-        .secsumshare(&vectors, config.c, modulus, config.link, secsum_seed);
+    // Every backend sums on this thread; only the lockstep ones price
+    // the exchanges in simulated time.
+    let secsum = match config.backend {
+        Backend::Threaded | Backend::Pipelined { .. } => {
+            secsumshare_threaded_stats(&vectors, config.c, modulus, secsum_seed)
+        }
+        Backend::InProcess | Backend::Simulated => {
+            secsumshare_sim(&vectors, config.c, modulus, config.link, secsum_seed)
+        }
+    };
     let secsum_wall = phase.elapsed();
 
     // Phase 1.2a — update the common count by difference: one

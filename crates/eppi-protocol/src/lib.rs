@@ -8,7 +8,8 @@
 //!   `m` providers → `c` coordinator share vectors, constant rounds,
 //!   `(2c−3)`-secrecy of inputs and `c`-secrecy of outputs. One
 //!   sans-io provider node, two exchanges on `eppi_net`'s one
-//!   `Transport`, driven by the lockstep hub or by pooled threads.
+//!   `Transport`, driven in lockstep on the caller's thread on every
+//!   backend.
 //! * [`countbelow`] — the generic-MPC stage among the `c` coordinators
 //!   (CountBelow of Alg. 2 + the mix-decision pass) and the [`Backend`]
 //!   choice; `Backend::execute` is the one place that knows how each
@@ -45,7 +46,7 @@
 //! last parameter is an `impl Into<eppi_trace::Obs>`: a `&Registry` for
 //! isolated metrics, or a full `Obs { registry, tracer, parent }`. The
 //! context a caller gives [`construct_epoch_with_registry`] (or any
-//! other entry point) is handed down unchanged to the MPC executors and
+//! other entry point) is handed down unchanged to the MPC drivers and
 //! the audit layer, so `gmw.*` / `audit.*` metrics and the
 //! `mpc.execute → mpc.party → net.exchange` and `audit.prove` /
 //! `audit.verify` spans all belong to that caller (DESIGN.md §8, §13).

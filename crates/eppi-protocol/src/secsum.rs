@@ -25,13 +25,13 @@
 //! `ProviderNode` — three sans-io steps (shares out; absorb the shares
 //! and send the super-share; a coordinator absorbs the super-shares) —
 //! and every message goes through `eppi_net`'s one
-//! [`Transport`]. Two drivers run them: the lockstep in-process hub
-//! ([`secsumshare_sim`], scales to the paper's 10,000-provider networks
-//! and prices simulated link time), and one pooled thread per provider
-//! ([`secsumshare_threaded_stats`], wall-clock experiments; the threads
-//! park between runs, so a warm run starts none). Same steps, same
-//! per-provider seeding, so shares, rounds, message counts and bytes
-//! are identical across the two.
+//! [`Transport`]. Within an exchange no provider waits on another, so
+//! one driver runs them on every backend: the caller's thread steps
+//! every provider in lockstep over the in-process hub (all deposits,
+//! then all collects), which scales to the paper's 10,000-provider
+//! networks and starts no thread. [`secsumshare_sim`] prices the run in
+//! simulated link time; [`secsumshare_threaded_stats`], the wall-clock
+//! backends' entry point, is the same run reporting none.
 //!
 //! **Wire format.** A share is an element of `Z_q` and travels at
 //! `w = ⌈log₂ q⌉` bits (`Modulus::bits`; 7 bits at the paper's
@@ -47,9 +47,8 @@
 use eppi_core::model::{LocalVector, OwnerId};
 use eppi_mpc::field::Modulus;
 use eppi_net::sim::{LinkModel, NetStats};
-use eppi_net::threaded::run_parties;
 use eppi_net::topology::Ring;
-use eppi_net::transport::{InProcessTransport, ThreadedTransport, Transport};
+use eppi_net::transport::{InProcessTransport, Transport};
 use eppi_net::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -370,16 +369,11 @@ pub fn secsumshare_sim(
     }
 }
 
-/// Runs SecSumShare with one pooled thread per provider (wall-clock backend
-/// for Fig. 6a), with traffic statistics shaped like the lockstep
-/// run's [`SecSumOutput`] so the two runtimes are interchangeable at
-/// call sites (see `Backend::secsumshare`).
-///
-/// Every thread runs the same steps the lockstep driver does, seeded
-/// the same way, so at the same seed the coordinator share vectors,
-/// `rounds`, `messages` and `bytes` equal [`secsumshare_sim`]'s;
-/// `simulated_us` is 0 — this runtime measures real wall clock, not
-/// the link model.
+/// Runs SecSumShare for the wall-clock backends: the run of
+/// [`secsumshare_sim`], on the caller's thread, reporting
+/// `simulated_us = 0` — these backends measure real wall clock, not the
+/// link model. The coordinator share vectors, `rounds`, `messages` and
+/// `bytes` are [`secsumshare_sim`]'s at the same seed.
 ///
 /// # Panics
 ///
@@ -390,33 +384,9 @@ pub fn secsumshare_threaded_stats(
     modulus: Modulus,
     seed: u64,
 ) -> SecSumOutput {
-    let ring = ring_over(vectors, c);
-    let (results, counters) = run_parties::<SecSumMsg, Option<Vec<u64>>, _>(ring.nodes(), |h| {
-        let mut t = ThreadedTransport::new(h);
-        let me = t.me();
-        let mut node = ProviderNode::new(me, &vectors[me], ring, modulus, seed);
-        let shares = node.shares_out();
-        let got = if c > 1 {
-            t.deposit(shares);
-            t.collect_from(&node.predecessors())
-        } else {
-            Vec::new()
-        };
-        t.deposit(node.absorb_shares(got));
-        let got = t.collect_from(&node.contributors());
-        node.absorb_super_shares(got)
-    });
-
-    SecSumOutput {
-        coordinator_shares: results.into_iter().flatten().collect(),
-        stats: NetStats {
-            // The share exchange (none at c = 1), then the super-shares.
-            rounds: if c > 1 { 2 } else { 1 },
-            messages: counters.messages(),
-            bytes: counters.bytes(),
-            simulated_us: 0.0,
-        },
-    }
+    let mut out = secsumshare_sim(vectors, c, modulus, LinkModel::LAN, seed);
+    out.stats.simulated_us = 0.0;
+    out
 }
 
 #[cfg(test)]
@@ -508,13 +478,14 @@ mod tests {
         assert_eq!(out.coordinator_shares.len(), 3);
         let freqs = frequencies_from(&out.coordinator_shares, q, 3);
         assert_eq!(freqs, vec![3, 1, 0]);
-        // Both runtimes move the same node's messages: same shares,
-        // same traffic.
+        // The same run as the priced one: same shares, same traffic,
+        // no simulated time.
         let sim = secsumshare_sim(&vectors, 3, q, LinkModel::LAN, 99);
         assert_eq!(out.coordinator_shares, sim.coordinator_shares);
         assert_eq!(out.stats.messages, sim.stats.messages);
         assert_eq!(out.stats.bytes, sim.stats.bytes);
         assert_eq!(out.stats.rounds, sim.stats.rounds);
+        assert_eq!(out.stats.simulated_us, 0.0);
     }
 
     #[test]

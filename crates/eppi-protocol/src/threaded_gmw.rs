@@ -3,12 +3,15 @@
 //! One of the two drivers of the single packed GMW core
 //! ([`eppi_mpc::gmw_core`]; `Backend::execute` in [`crate::countbelow`]
 //! is where a backend choice turns into a call here): each party runs
-//! the [`run_party`] loop on its own pooled thread, exchanging real
-//! messages through a [`ThreadedTransport`] (crossbeam channels). This
-//! is the backend the Fig. 6a / 6c wall-clock execution-time
-//! experiments use — the lockstep executor (`eppi_mpc::gmw::execute`)
-//! reports modeled rather than measured time. Dealer and parties are
-//! seeded by the one rule of [`dealer_rng`] / [`party_rng`].
+//! the [`run_party`] loop on a thread of its own, started by
+//! [`run_parties`], exchanging real messages through a
+//! [`ThreadedTransport`] (crossbeam channels). GMW's parties block on
+//! each other every AND layer, so they are the parties that get
+//! threads; a build starts c of them per circuit. This is the backend
+//! the Fig. 6a / 6c wall-clock execution-time experiments use — the
+//! lockstep driver (`eppi_mpc::gmw::execute`) reports modeled rather
+//! than measured time. Dealer and parties are seeded by the one rule of
+//! [`dealer_rng`] / [`party_rng`].
 //!
 //! Communication structure per AND layer: every party broadcasts one
 //! [`PackedBatch`] carrying its `d = x⊕a` and `e = y⊕b` shares for all

@@ -8,7 +8,7 @@
 //! fails here first.
 //!
 //! Every backend runs a stage as one circuit on one of two drivers (the
-//! lockstep hub or pooled threads), and both send the same messages of
+//! lockstep hub or one thread per party), and both send the same messages of
 //! the same sizes, so all four backend names are pinned to the one row
 //! exactly: every figure here is a count, independent of scheduling.
 

@@ -3,7 +3,7 @@
 //! Both drivers (lockstep in-process, threaded) run the one party
 //! state machine of `eppi_mpc::gmw_core`; these property tests drive
 //! random circuits, seeds and party counts through both drivers plus
-//! the frozen pre-refactor `Vec<bool>` reference executor and demand:
+//! the frozen pre-refactor `Vec<bool>` reference evaluator and demand:
 //!
 //! * bit-identical opened outputs everywhere (and equal to the
 //!   cleartext evaluation),

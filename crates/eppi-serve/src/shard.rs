@@ -488,15 +488,6 @@ impl ShardedIndex {
         self.version
     }
 
-    /// Number of owners resident in shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn shard_len(&self, s: usize) -> usize {
-        self.shards[s].owners.len()
-    }
-
     /// Evaluates `QueryPPI(owner)`: the published candidate providers in
     /// ascending id order, bit-identical to the unsharded row lookup.
     ///
@@ -1009,9 +1000,9 @@ mod tests {
                 );
             }
             // Appended owners land in arrival order at capacity 8.
-            assert_eq!(next.shard_len(4), 8);
-            assert_eq!(next.shard_len(5), 8);
-            assert_eq!(next.shard_len(6), 4);
+            assert_eq!(next.shards[4].owners.len(), 8);
+            assert_eq!(next.shards[5].owners.len(), 8);
+            assert_eq!(next.shards[6].owners.len(), 4);
             assert_eq!(next.reassemble(), next_index);
 
             // Growing again fills the partial tail shard (6) and opens
@@ -1028,8 +1019,8 @@ mod tests {
                 assert!(next2.shares_rows_with(&next, s), "shard {s} rebuilt");
             }
             assert!(!next2.shares_rows_with(&next, 6), "tail shard must grow");
-            assert_eq!(next2.shard_len(6), 8);
-            assert_eq!(next2.shard_len(7), 6);
+            assert_eq!(next2.shards[6].owners.len(), 8);
+            assert_eq!(next2.shards[7].owners.len(), 6);
         }
     }
 

@@ -7,8 +7,8 @@
 //! can say `Preset::Default.build(rng)` instead of repeating magic
 //! numbers.
 
-use crate::collections::{uniform_epsilons, CollectionTable};
-use eppi_core::model::{Epsilon, MembershipMatrix};
+use crate::collections::CollectionTable;
+use eppi_core::model::MembershipMatrix;
 use rand::Rng;
 
 /// Named network scales mirroring §V-A's setup.
@@ -51,17 +51,6 @@ impl Preset {
             .max_frequency(self.providers() / 20)
             .build(rng)
     }
-
-    /// Builds the matrix together with the paper's default ε assignment
-    /// (uniform in `\[0, 1\]`, §V-A).
-    pub fn build_with_epsilons<R: Rng + ?Sized>(
-        self,
-        rng: &mut R,
-    ) -> (MembershipMatrix, Vec<Epsilon>) {
-        let matrix = self.build(rng);
-        let eps = uniform_epsilons(matrix.owners(), rng);
-        (matrix, eps)
-    }
 }
 
 #[cfg(test)]
@@ -80,10 +69,9 @@ mod tests {
     #[test]
     fn mini_preset_builds_quickly_and_consistently() {
         let mut rng = StdRng::seed_from_u64(1);
-        let (matrix, eps) = Preset::Mini.build_with_epsilons(&mut rng);
+        let matrix = Preset::Mini.build(&mut rng);
         assert_eq!(matrix.providers(), 250);
         assert_eq!(matrix.owners(), 500);
-        assert_eq!(eps.len(), 500);
         let freqs = matrix.frequencies();
         assert!(freqs.iter().all(|&f| (1..=12).contains(&f)));
     }

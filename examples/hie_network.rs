@@ -57,11 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut store = LocalStore::new(p);
             for owner in network.owner_ids() {
                 if network.get(p, owner) {
-                    store.delegate(
-                        owner,
-                        epsilons[owner.index()],
-                        format!("record of {owner} at {p}"),
-                    );
+                    store.delegate(owner, format!("record of {owner} at {p}"));
                 }
             }
             ProviderEndpoint {

@@ -43,14 +43,14 @@ fn build_world() -> (
 
 #[test]
 fn search_has_full_recall_for_every_owner() {
-    let (matrix, epsilons, built) = build_world();
+    let (matrix, _, built) = build_world();
     let endpoints: Vec<ProviderEndpoint> = matrix
         .provider_ids()
         .map(|p| {
             let mut store = LocalStore::new(p);
             for owner in matrix.owner_ids() {
                 if matrix.get(p, owner) {
-                    store.delegate(owner, epsilons[owner.index()], format!("{owner}@{p}"));
+                    store.delegate(owner, format!("{owner}@{p}"));
                 }
             }
             ProviderEndpoint {
@@ -95,14 +95,14 @@ fn attack_evaluation_classifies_eppi_as_private() {
 
 #[test]
 fn denied_searchers_retrieve_nothing_anywhere() {
-    let (matrix, epsilons, built) = build_world();
+    let (matrix, _, built) = build_world();
     let endpoints: Vec<ProviderEndpoint> = matrix
         .provider_ids()
         .map(|p| {
             let mut store = LocalStore::new(p);
             for owner in matrix.owner_ids() {
                 if matrix.get(p, owner) {
-                    store.delegate(owner, epsilons[owner.index()], "secret");
+                    store.delegate(owner, "secret");
                 }
             }
             ProviderEndpoint {

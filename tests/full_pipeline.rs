@@ -69,7 +69,7 @@ fn distributed_construct_serialize_serve_search_attack() {
             let mut store = LocalStore::new(p);
             for owner in matrix.owner_ids() {
                 if matrix.get(p, owner) {
-                    store.delegate(owner, epsilons[owner.index()], format!("{owner}@{p}"));
+                    store.delegate(owner, format!("{owner}@{p}"));
                 }
             }
             ProviderEndpoint {

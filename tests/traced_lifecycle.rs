@@ -5,7 +5,7 @@
 //!
 //! What this pins (DESIGN.md §8, §13): the `Obs` a caller hands to an
 //! entry point is the one every layer beneath it reports to — the MPC
-//! executors, the prover/verifier and the WAL replay included — so the
+//! drivers, the prover/verifier and the WAL replay included — so the
 //! private registry sees every family, the process-global registry
 //! sees none of them, and the collected trace is a single tree.
 //!
